@@ -39,20 +39,26 @@ class CacheArray:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
+        # The geometry, read once: the per-access paths below inline
+        # ``CacheConfig.set_index``/``line_address`` on these.
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
         self._sets: list[dict[int, CacheLine]] = [
-            {} for _ in range(config.num_sets)]
+            {} for _ in range(self._num_sets)]
         self._use_counter = 0
 
     def _set_for(self, line_address: int) -> dict[int, CacheLine]:
-        return self._sets[self.config.set_index(line_address)]
+        return self._sets[(line_address // self._line_bytes) % self._num_sets]
 
     def line_address(self, address: int) -> int:
-        return self.config.line_address(address)
+        return address - address % self._line_bytes
 
     def lookup(self, address: int, touch: bool = True) -> CacheLine | None:
         """Find the line containing *address* (None on miss)."""
-        line_address = self.line_address(address)
-        line = self._set_for(line_address).get(line_address)
+        line_bytes = self._line_bytes
+        line_address = address - address % line_bytes
+        line = self._sets[(line_address // line_bytes)
+                          % self._num_sets].get(line_address)
         if line is not None and touch:
             self._use_counter += 1
             line.last_use = self._use_counter
@@ -61,7 +67,7 @@ class CacheArray:
     def allocate(self, line_address: int, state: str,
                  words: dict[int, int] | None = None) -> CacheLine:
         """Insert a new line.  The set must have a free way (see needs_victim)."""
-        if line_address % self.config.line_bytes != 0:
+        if line_address % self._line_bytes != 0:
             raise ValueError(f"unaligned line address {line_address:#x}")
         cache_set = self._set_for(line_address)
         if line_address in cache_set:
@@ -77,8 +83,9 @@ class CacheArray:
 
     def needs_victim(self, line_address: int) -> bool:
         """True when allocating *line_address* requires evicting a line."""
-        cache_set = self._set_for(self.line_address(line_address))
-        return (self.line_address(line_address) not in cache_set
+        line_address = self.line_address(line_address)
+        cache_set = self._set_for(line_address)
+        return (line_address not in cache_set
                 and len(cache_set) >= self.config.ways)
 
     def select_victim(self, line_address: int,

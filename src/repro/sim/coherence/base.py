@@ -53,7 +53,7 @@ class CoherenceController:
     def send(self, kind: str, dst: str, line_address: int,
              extra_latency: int = 0, **payload: object) -> None:
         message = Message(kind=kind, src=self.name, dst=dst,
-                          line_address=line_address, payload=dict(payload))
+                          line_address=line_address, payload=payload)
         self.network.send(message, extra_latency=extra_latency)
 
     def handle_message(self, message: Message) -> None:  # pragma: no cover

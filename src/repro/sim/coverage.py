@@ -52,6 +52,21 @@ class CoverageCollector:
         self.global_counts: Counter[TransitionKey] = Counter()
         self._run_transitions: set[TransitionKey] = set()
         self._known: set[TransitionKey] = set()
+        # Interned keys by raw ``(controller, state, event)``: every key
+        # here is also in ``_known``.  Raw tuples hash in C; the
+        # dataclass keys hash in Python.
+        self._interned: dict[tuple[str, str, str], TransitionKey] = {}
+
+    def __getstate__(self) -> dict:
+        # The intern table is a cache rebuilt on demand: keep it out of
+        # pickles, so shard results cross the wire as before.
+        state = dict(self.__dict__)
+        del state["_interned"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._interned = {}
 
     def declare(self, transitions: Iterable[TransitionKey]) -> None:
         """Declare transitions that exist in the protocol specification.
@@ -62,10 +77,13 @@ class CoverageCollector:
         self._known.update(transitions)
 
     def record(self, controller: str, state: str, event: str) -> TransitionKey:
-        key = TransitionKey(controller, state, event)
+        raw = (controller, state, event)
+        key = self._interned.get(raw)
+        if key is None:
+            key = self._interned[raw] = TransitionKey(controller, state, event)
+            self._known.add(key)
         self.global_counts[key] += 1
         self._run_transitions.add(key)
-        self._known.add(key)
         return key
 
     def begin_run(self) -> None:
@@ -115,3 +133,4 @@ class CoverageCollector:
         self.global_counts = Counter(dict(state.counts))
         self._known = set(state.known)
         self._run_transitions = set()
+        self._interned = {}

@@ -13,6 +13,7 @@ guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.sim.kernel import SimKernel
@@ -59,9 +60,8 @@ class Interconnect:
             raise KeyError(f"unknown endpoint {message.dst!r}")
         self.messages_sent += 1
         latency = self.kernel.jitter(self.latency_min, self.latency_max)
-        handler = self._endpoints[message.dst]
         self.kernel.schedule(latency + extra_latency,
-                             lambda m=message: handler(m))
+                             partial(self._endpoints[message.dst], message))
 
     def endpoints(self) -> tuple[str, ...]:
         return tuple(self._endpoints)

@@ -7,40 +7,41 @@ seed.  Non-determinism between test iterations comes exclusively from the
 seeded random number generator used to perturb latencies, mirroring the way
 consecutive test executions in a continuously running full-system simulation
 are perturbed differently (paper §5.1).
+
+Queue entries are plain ``[time, seq, callback]`` lists, so heap
+comparisons run in C.  ``seq`` is unique, so two entries never compare
+their callbacks.  Cancelling an event clears its callback slot; the run
+loop skips such entries.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Callable
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class SimulationLimitError(RuntimeError):
     """Raised when a simulation exceeds its maximum tick or event budget."""
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
     """Handle returned by :meth:`SimKernel.schedule`, allows cancellation."""
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        self._entry[2] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._entry[2] is None
 
 
 class SimKernel:
@@ -52,7 +53,7 @@ class SimKernel:
         self.now = 0
         self.max_ticks = max_ticks
         self.max_events = max_events
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[list] = []
         self._seq = 0
         self._events_executed = 0
 
@@ -60,10 +61,10 @@ class SimKernel:
         """Schedule *callback* to run ``delay`` ticks from now (delay >= 0)."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        event = _ScheduledEvent(self.now + int(delay), self._seq, callback)
+        entry = [self.now + int(delay), self._seq, callback]
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        _heappush(self._queue, entry)
+        return EventHandle(entry)
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule *callback* at an absolute tick (must not be in the past)."""
@@ -80,33 +81,38 @@ class SimKernel:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if entry[2] is not None)
 
     def run(self, until: Callable[[], bool] | None = None) -> int:
         """Run until the queue drains or *until* returns true.
 
-        Returns the tick at which the run stopped.  Raises
+        *until* is evaluated before every event, so the run stops before
+        the first event after it turns true.  Returns the tick at which
+        the run stopped: the time of the last executed event.  Raises
         :class:`SimulationLimitError` if the tick or event budget is
         exceeded, which normally indicates a deadlock/livelock in the
         simulated system (itself a reportable verification outcome).
         """
-        while self._queue:
+        queue = self._queue
+        max_ticks = self.max_ticks
+        max_events = self.max_events
+        while queue:
             if until is not None and until():
                 break
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+            time, _, callback = _heappop(queue)
+            if callback is None:
                 continue
-            self.now = event.time
+            self.now = time
             self._events_executed += 1
-            if self.now > self.max_ticks:
+            if time > max_ticks:
                 raise SimulationLimitError(
-                    f"simulation exceeded {self.max_ticks} ticks "
+                    f"simulation exceeded {max_ticks} ticks "
                     "(possible deadlock)")
-            if self._events_executed > self.max_events:
+            if self._events_executed > max_events:
                 raise SimulationLimitError(
-                    f"simulation exceeded {self.max_events} events "
+                    f"simulation exceeded {max_events} events "
                     "(possible livelock)")
-            event.callback()
+            callback()
         return self.now
 
     @property

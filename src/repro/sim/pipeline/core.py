@@ -59,17 +59,24 @@ class CoreEngine:
         self.loads_squashed = 0
         self._tick_scheduled = False
         self._started = False
+        # True once the thread has issued, committed and drained every
+        # op.  It never turns false again, and it is refreshed wherever
+        # it can turn true: start, the end of a tick and a store-buffer
+        # completion.
+        self.done = False
 
     # ------------------------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        return (self._started and self.next_op_index >= len(self.thread.ops)
-                and not self.rob and self.store_buffer.empty)
+    def _refresh_done(self) -> bool:
+        self.done = (self._started
+                     and self.next_op_index >= len(self.thread.ops)
+                     and not self.rob and not self.store_buffer.entries)
+        return self.done
 
     def start(self) -> None:
         self._started = True
         if not self.thread.ops:
+            self._refresh_done()
             return
         self.kernel.schedule_at(max(self.start_tick, self.kernel.now),
                                 self._tick)
@@ -107,7 +114,7 @@ class CoreEngine:
         progress |= self._execute_stage()
         progress |= self._commit_stage()
         progress |= self._drain_stage()
-        if self.done:
+        if self._refresh_done():
             return
         delay = 1 if progress or self._issue_possible() else _IDLE_TICK
         self._tick_scheduled = True
@@ -118,37 +125,48 @@ class CoreEngine:
                 and len(self.rob) < self.config.rob_entries)
 
     def _issue_stage(self) -> bool:
+        ops = self.thread.ops
+        rob = self.rob
+        rob_entries = self.config.rob_entries
         issued = 0
-        while issued < self.config.issue_width and self._issue_possible():
-            op = self.thread.ops[self.next_op_index]
-            entry = RobEntry(op=op, delay_remaining=op.delay)
-            self.rob.append(entry)
+        while (issued < self.config.issue_width
+               and self.next_op_index < len(ops) and len(rob) < rob_entries):
+            op = ops[self.next_op_index]
+            rob.append(RobEntry(op=op, delay_remaining=op.delay))
             self.next_op_index += 1
             issued += 1
         return issued > 0
 
     def _execute_stage(self) -> bool:
-        progress = False
-        for index, entry in enumerate(self.rob):
-            if entry.op.kind.is_load:
-                if entry.performed or entry.committed or entry.request_outstanding:
-                    continue
-                if not self._load_may_execute(index, entry):
-                    continue
-                progress |= self._execute_load(entry, index)
-            elif entry.op.kind is OpKind.RMW:
-                progress |= self._maybe_start_rmw(index, entry)
-        return progress
+        """Perform every load that may, and start an RMW at the ROB head.
 
-    def _load_may_execute(self, index: int, entry: RobEntry) -> bool:
-        for older in self.rob[:index]:
-            if older.op.kind is OpKind.RMW and not older.committed:
-                return False  # locked RMW acts as a fence
-        if entry.op.kind is OpKind.READ_ADDR_DP:
-            for older in self.rob[:index]:
-                if older.op.kind.is_load and not older.performed:
-                    return False  # address dependency on older reads
-        return True
+        One pass in program order carries what a load checks about its
+        older entries.  ``fenced``: an older RMW has not committed (a
+        locked RMW acts as a fence); commits happen only in the commit
+        stage.  ``older_unperformed``: an older load has not performed.
+        Entries only become performed in later events, or here at their
+        own turn (store forwarding).  A synchronous invalidation may
+        squash older loads during the pass, but only loads younger than
+        an unperformed one, which already set the flag.
+        """
+        progress = False
+        fenced = False
+        older_unperformed = False
+        for index, entry in enumerate(self.rob):
+            kind = entry.op.kind
+            if kind.is_load:
+                if not (entry.performed or entry.committed
+                        or entry.request_outstanding or fenced
+                        or (older_unperformed
+                            and kind is OpKind.READ_ADDR_DP)):
+                    progress |= self._execute_load(entry, index)
+                if not entry.performed:
+                    older_unperformed = True
+            elif kind is OpKind.RMW:
+                progress |= self._maybe_start_rmw(index, entry)
+                if not entry.committed:
+                    fenced = True
+        return progress
 
     def _execute_load(self, entry: RobEntry, index: int) -> bool:
         address = entry.op.address
@@ -176,9 +194,11 @@ class CoreEngine:
 
     def _forwarded_value(self, index: int, address: int) -> int | None:
         """TSO store->load forwarding from older, not yet visible stores."""
-        for older in reversed(self.rob[:index]):
-            if older.op.kind.writes_memory and older.op.address == address:
-                return older.op.value
+        rob = self.rob
+        for older_index in range(index - 1, -1, -1):
+            op = rob[older_index].op
+            if op.kind.writes_memory and op.address == address:
+                return op.value
         return self.store_buffer.forward_value(address)
 
     def _maybe_start_rmw(self, index: int, entry: RobEntry) -> bool:
@@ -250,6 +270,7 @@ class CoreEngine:
                 self.trace.record_write(op.op_id, self.core_id, op.address,
                                         op.value, overwritten, commit=False)
                 self.store_buffer.complete(entry)
+                self._refresh_done()
                 self._wake()
 
             self.l1.store(op.address, op.value, on_written)
@@ -257,6 +278,7 @@ class CoreEngine:
 
             def on_flushed(entry: StoreBufferEntry = entry) -> None:
                 self.store_buffer.complete(entry)
+                self._refresh_done()
                 self._wake()
 
             self.l1.flush(op.address, on_flushed)

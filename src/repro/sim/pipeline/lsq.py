@@ -35,10 +35,6 @@ class RobEntry:
     delay_remaining: int = 0
     rmw_started: bool = False
 
-    @property
-    def is_load(self) -> bool:
-        return self.op.kind.is_load
-
 
 class LoadQueueRule:
     """Applies the TSO load-queue invalidation/squash rule."""
@@ -46,6 +42,7 @@ class LoadQueueRule:
     def __init__(self, faults: FaultSet) -> None:
         self.faults = faults
         self.squashes = 0
+        self._no_tso = faults.enabled(Fault.LQ_NO_TSO)
 
     def apply(self, rob: Sequence[RobEntry]) -> list[RobEntry]:
         """Return the entries that must be squashed (retried).
@@ -59,20 +56,20 @@ class LoadQueueRule:
         value was read from the cache but the load is not yet marked
         performed when the invalidation is processed.
         """
-        if self.faults.enabled(Fault.LQ_NO_TSO):
+        if self._no_tso:
             # BUG SITE (LQ+no-TSO): speculative loads are never squashed on
             # a forwarded invalidation.
             return []
-        oldest_unperformed: int | None = None
-        for index, entry in enumerate(rob):
-            if entry.is_load and not entry.performed and not entry.committed:
-                oldest_unperformed = index
-                break
-        if oldest_unperformed is None:
-            return []
-        to_squash = [entry for entry in list(rob)[oldest_unperformed + 1:]
-                     if entry.is_load and not entry.committed
-                     and (entry.performed or entry.request_outstanding)]
+        to_squash = []
+        found_unperformed = False
+        for entry in rob:
+            if not entry.op.kind.is_load or entry.committed:
+                continue
+            if found_unperformed:
+                if entry.performed or entry.request_outstanding:
+                    to_squash.append(entry)
+            elif not entry.performed:
+                found_unperformed = True
         self.squashes += len(to_squash)
         return to_squash
 
@@ -93,6 +90,11 @@ class StoreBuffer:
         self.faults = faults
         self.rng = rng
         self.entries: list[StoreBufferEntry] = []
+        self._no_fifo = faults.enabled(Fault.SQ_NO_FIFO)
+        # The entry last returned by next_to_drain.  Only such an entry
+        # is ever marked draining, and while it drains no other is
+        # offered, so it is the only one to check.
+        self._offered: StoreBufferEntry | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -118,14 +120,25 @@ class StoreBuffer:
         return None
 
     def next_to_drain(self) -> StoreBufferEntry | None:
-        """Pick the entry to drain next (None if busy or empty)."""
-        if not self.entries or any(entry.draining for entry in self.entries):
+        """Pick the entry to drain next (None if busy or empty).
+
+        The caller marks the returned entry ``draining`` when it starts
+        draining it; until it completes, nothing else is offered.
+        """
+        entries = self.entries
+        if not entries or (self._offered is not None
+                           and self._offered.draining):
             return None
-        if self.faults.enabled(Fault.SQ_NO_FIFO) and len(self.entries) > 1:
+        if self._no_fifo and len(entries) > 1:
             # BUG SITE (SQ+no-FIFO): drain an arbitrary entry instead of the
             # oldest, making writes visible out of program order.
-            return self.rng.choice(self.entries)
-        return self.entries[0]
+            entry = self.rng.choice(entries)
+        else:
+            entry = entries[0]
+        self._offered = entry
+        return entry
 
     def complete(self, entry: StoreBufferEntry) -> None:
         self.entries.remove(entry)
+        if entry is self._offered:
+            self._offered = None

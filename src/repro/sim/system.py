@@ -102,9 +102,18 @@ class System:
         for core in cores:
             core.start()
 
+        # Core completion is monotone, so finished cores leave the
+        # still-running list for good; the caches are scanned only once
+        # it is empty.  The check itself still runs before every event,
+        # so the run stops at exactly the same tick.
+        running = cores[::-1]
+
         def finished() -> bool:
-            return (all(core.done for core in cores)
-                    and all(l1.quiescent() for l1 in l1s)
+            while running:
+                if not running[-1].done:
+                    return False
+                running.pop()
+            return (all(l1.quiescent() for l1 in l1s)
                     and directory.quiescent())
 
         result = IterationResult(trace=trace)

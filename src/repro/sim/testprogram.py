@@ -13,27 +13,33 @@ from enum import Enum
 
 
 class OpKind(Enum):
-    """Operation classes of paper Table 3."""
+    """Operation classes of paper Table 3.
 
-    READ = "read"
-    READ_ADDR_DP = "read_addr_dp"
-    WRITE = "write"
-    RMW = "rmw"
-    CACHE_FLUSH = "cache_flush"
-    DELAY = "delay"
+    Each member carries its predicates as plain attributes, computed once
+    here: ``is_memory`` (touches memory), ``is_load`` (binds a value from
+    memory) and ``writes_memory`` (produces a write event).
+    """
 
-    @property
-    def is_memory(self) -> bool:
-        return self in (OpKind.READ, OpKind.READ_ADDR_DP, OpKind.WRITE,
-                        OpKind.RMW, OpKind.CACHE_FLUSH)
+    is_memory: bool
+    is_load: bool
+    writes_memory: bool
 
-    @property
-    def is_load(self) -> bool:
-        return self in (OpKind.READ, OpKind.READ_ADDR_DP)
+    #              value           is_memory  is_load  writes_memory
+    READ =         ("read",         True,      True,    False)
+    READ_ADDR_DP = ("read_addr_dp", True,      True,    False)
+    WRITE =        ("write",        True,      False,   True)
+    RMW =          ("rmw",          True,      False,   True)
+    CACHE_FLUSH =  ("cache_flush",  True,      False,   False)
+    DELAY =        ("delay",        False,     False,   False)
 
-    @property
-    def writes_memory(self) -> bool:
-        return self in (OpKind.WRITE, OpKind.RMW)
+    def __new__(cls, value: str, is_memory: bool, is_load: bool,
+                writes_memory: bool) -> "OpKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.is_memory = is_memory
+        member.is_load = is_load
+        member.writes_memory = writes_memory
+        return member
 
 
 @dataclass(frozen=True)

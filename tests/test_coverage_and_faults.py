@@ -1,8 +1,10 @@
 """Unit tests for coverage collection and fault definitions."""
 
+import pickle
+
 import pytest
 
-from repro.sim.coverage import CoverageCollector, TransitionKey
+from repro.sim.coverage import CoverageCollector, CoverageState, TransitionKey
 from repro.sim.faults import (ALL_FAULTS, Fault, FaultSet, ProtocolError,
                               fault_by_paper_name)
 
@@ -104,6 +106,94 @@ class TestCoverageCollector:
 
     def test_empty_collector_coverage_is_zero(self):
         assert CoverageCollector().total_coverage() == 0.0
+
+
+# A fixed transition sequence with repeats, interleaved controllers and a
+# key whose fields are another key's permuted.
+SEQUENCE = [("L1", "I", "Load"), ("L2", "NP", "GetS"), ("L1", "I", "Load"),
+            ("L1", "S", "Inv"), ("L2", "NP", "GetS"), ("L1", "I", "Load"),
+            ("L1", "Load", "I")]
+
+
+def _recorded(sequence=SEQUENCE) -> CoverageCollector:
+    coverage = CoverageCollector()
+    for transition in sequence:
+        coverage.record(*transition)
+    return coverage
+
+
+class TestCoverageInterning:
+    def test_global_counts_keep_first_insertion_order(self):
+        coverage = _recorded()
+        assert list(coverage.global_counts.items()) == [
+            (TransitionKey("L1", "I", "Load"), 3),
+            (TransitionKey("L2", "NP", "GetS"), 2),
+            (TransitionKey("L1", "S", "Inv"), 1),
+            (TransitionKey("L1", "Load", "I"), 1)]
+
+    def test_checkpoint_of_a_fixed_sequence(self):
+        # The snapshot the collector produced before keys were interned.
+        keys = [TransitionKey("L1", "I", "Load"),
+                TransitionKey("L2", "NP", "GetS"),
+                TransitionKey("L1", "S", "Inv"),
+                TransitionKey("L1", "Load", "I")]
+        assert _recorded().checkpoint() == CoverageState(
+            counts=tuple(zip(keys, (3, 2, 1, 1))), known=frozenset(keys))
+
+    def test_record_returns_one_key_per_transition(self):
+        coverage = CoverageCollector()
+        first = coverage.record("L1", "I", "Load")
+        assert coverage.record("L1", "I", "Load") is first
+        assert first == TransitionKey("L1", "I", "Load")
+
+    def test_run_transitions_after_interning(self):
+        coverage = _recorded()
+        coverage.begin_run()
+        coverage.record("L1", "I", "Load")
+        assert coverage.run_transitions() == frozenset(
+            {TransitionKey("L1", "I", "Load")})
+        assert coverage.global_counts[TransitionKey("L1", "I", "Load")] == 4
+
+    def test_restore_then_record_rebuilds_known(self):
+        coverage = _recorded()
+        coverage.restore(CoverageCollector().checkpoint())
+        assert coverage.known_transitions == frozenset()
+        coverage.record("L1", "I", "Load")
+        assert coverage.known_transitions == frozenset(
+            {TransitionKey("L1", "I", "Load")})
+        assert coverage.total_coverage() == 1.0
+
+    def test_restore_round_trip_continues_identically(self):
+        tail = [("L1", "S", "Inv"), ("L2", "MT", "Recall"),
+                ("L1", "I", "Load")]
+        straight = _recorded(SEQUENCE + tail)
+        resumed = CoverageCollector()
+        resumed.record("L2", "MT", "Recall")
+        resumed.restore(_recorded().checkpoint())
+        for transition in tail:
+            resumed.record(*transition)
+        assert resumed.checkpoint() == straight.checkpoint()
+        assert (list(resumed.global_counts.items())
+                == list(straight.global_counts.items()))
+
+    def test_merge_then_record(self):
+        first = _recorded(SEQUENCE[:3])
+        second = _recorded(SEQUENCE[3:])
+        first.merge(second)
+        first.record("L1", "S", "Inv")
+        expected = _recorded(SEQUENCE + [("L1", "S", "Inv")])
+        assert first.global_counts == expected.global_counts
+        assert first.known_transitions == expected.known_transitions
+
+    def test_pickle_leaves_out_the_intern_table(self):
+        coverage = _recorded()
+        clone = pickle.loads(pickle.dumps(coverage))
+        assert "_interned" not in coverage.__getstate__()
+        assert clone.checkpoint() == coverage.checkpoint()
+        clone.record("L1", "I", "Load")
+        clone.record("L2", "MT", "Recall")
+        assert clone.global_counts[TransitionKey("L1", "I", "Load")] == 4
+        assert TransitionKey("L2", "MT", "Recall") in clone.known_transitions
 
 
 class TestFaults:
