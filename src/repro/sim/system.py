@@ -120,12 +120,13 @@ class System:
         try:
             result.ticks = kernel.run(until=finished)
         except ProtocolError as error:
+            # Both error paths record the tick the run stopped at: the
+            # time of the event that raised.
             result.protocol_error = str(error)
-        except SimulationLimitError as error:
-            result.deadlock = True
-            result.protocol_error = None
             result.ticks = kernel.now
-            _ = error
+        except SimulationLimitError:
+            result.deadlock = True
+            result.ticks = kernel.now
         else:
             if not finished():
                 # The event queue drained before every core finished: the

@@ -18,7 +18,9 @@ import pytest
 
 from repro.core.engine import VerificationEngine
 from repro.harness.scenarios import all_scenarios, scenario_for
+from repro.sim.coverage import CoverageCollector
 from repro.sim.faults import Fault, FaultSet
+from repro.sim.system import System
 
 # Bugs that the directed scenarios expose reliably within a few test-runs.
 # The remaining bugs (SM/E/M invalidation variants, S-replacement and the
@@ -118,3 +120,18 @@ def test_putx_race_reports_protocol_error():
                        for violation in result.violations)
             return
     pytest.fail("MESI+PUTX-Race not detected")
+
+
+def test_protocol_error_records_the_tick_it_stopped_at():
+    """A run cut short by a protocol error reports when it stopped.
+
+    The deadlock path always did; the protocol-error path left
+    ``ticks`` at 0, undercounting simulated time on faulty systems.
+    """
+    scenario = scenario_for(Fault.MESI_PUTX_RACE)
+    system = System(config=scenario.system_config,
+                    faults=FaultSet.of(Fault.MESI_PUTX_RACE),
+                    coverage=CoverageCollector())
+    result = system.run_iteration(scenario.chromosome.to_threads(), seed=0)
+    assert result.protocol_error is not None
+    assert 0 < result.ticks < system.max_ticks
