@@ -16,12 +16,9 @@ loop skips such entries.
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Callable
-
-_heappush = heapq.heappush
-_heappop = heapq.heappop
 
 
 class SimulationLimitError(RuntimeError):
@@ -63,7 +60,7 @@ class SimKernel:
             raise ValueError(f"negative delay: {delay}")
         entry = [self.now + int(delay), self._seq, callback]
         self._seq += 1
-        _heappush(self._queue, entry)
+        heappush(self._queue, entry)
         return EventHandle(entry)
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> EventHandle:
@@ -99,7 +96,7 @@ class SimKernel:
         while queue:
             if until is not None and until():
                 break
-            time, _, callback = _heappop(queue)
+            time, _, callback = heappop(queue)
             if callback is None:
                 continue
             self.now = time
