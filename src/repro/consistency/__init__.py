@@ -14,7 +14,8 @@ enumeration is needed.
 """
 
 from repro.consistency.events import Event, EventKind, init_write
-from repro.consistency.execution import CandidateExecution, execution_from_trace
+from repro.consistency.execution import (CandidateExecution, ExecutionGraph,
+                                         execution_from_trace)
 from repro.consistency.models import (MemoryModel, SequentialConsistency,
                                       TotalStoreOrder, model_by_name)
 from repro.consistency.checker import (BACKEND_AUTO, BACKEND_MATRIX,
@@ -35,6 +36,7 @@ __all__ = [
     "EventKind",
     "init_write",
     "CandidateExecution",
+    "ExecutionGraph",
     "execution_from_trace",
     "MemoryModel",
     "SequentialConsistency",

@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.consistency.execution import (CandidateExecution, ExecutionBuildError,
-                                         execution_from_trace)
+                                         ExecutionGraph, execution_from_trace,
+                                         po_loc_edges)
 from repro.consistency.memo import KEYING_CANONICAL, CachedVerdict, VerdictCache
-from repro.consistency.models import MemoryModel
+from repro.consistency.models import Edges, MemoryModel
 from repro.consistency.relations import Relation
 from repro.consistency.signature import execution_signature
 from repro.sim.testprogram import TestThread
@@ -101,32 +102,47 @@ class CheckResult:
 
 @runtime_checkable
 class CheckerBackend(Protocol):
-    """The pluggable cycle-search kernel behind :class:`Checker`.
+    """The pluggable acyclicity kernel behind :class:`Checker`.
 
-    A backend answers exactly one question — *one deterministic cycle
-    in the union of these relations over this node universe, or None* —
-    because both graph checks (coherence and global happens-before)
-    reduce to it.  Backends must agree cycle-for-cycle: the checker's
-    verdicts and violation descriptions never depend on which backend
-    ran.
+    A backend answers exactly one question — *is the graph with these
+    int edges over nodes ``0 .. size - 1`` acyclic?* — because both graph
+    checks (coherence and global happens-before) reduce to it.  When the
+    answer is no, the checker itself extracts the diagnostic cycle from
+    the event-level relations, so verdicts and violation descriptions
+    never depend on which backend ran.
     """
 
     name: str
 
-    def find_cycle(self, nodes: Sequence,
-                   relations: Sequence[Relation]) -> list | None:
-        """Return one cycle path ``[n0, ..., n0]`` or None if acyclic."""
+    def is_acyclic(self, size: int, sources: Sequence[int],
+                   targets: Sequence[int]) -> bool:
+        """True iff no cycle runs through the ``sources[k] -> targets[k]``
+        edges."""
         ...  # pragma: no cover - protocol
 
 
 class PythonBackend:
-    """The always-available pure-python backend: sparse DFS cycle search."""
+    """The always-available pure-python backend: Kahn's algorithm over
+    int adjacency lists."""
 
     name = BACKEND_PYTHON
 
-    def find_cycle(self, nodes: Sequence,
-                   relations: Sequence[Relation]) -> list | None:
-        return Relation.union(*relations).find_cycle()
+    def is_acyclic(self, size: int, sources: Sequence[int],
+                   targets: Sequence[int]) -> bool:
+        successors: list[list[int]] = [[] for _ in range(size)]
+        in_degree = [0] * size
+        for src, dst in zip(sources, targets):
+            successors[src].append(dst)
+            in_degree[dst] += 1
+        # ``ready`` doubles as the queue: iterating a list sees what is
+        # appended to it, and every node enters it exactly once.
+        ready = [node for node, degree in enumerate(in_degree) if not degree]
+        for node in ready:
+            for child in successors[node]:
+                in_degree[child] -= 1
+                if not in_degree[child]:
+                    ready.append(child)
+        return len(ready) == size
 
 
 def resolve_backend(backend: "str | CheckerBackend" = BACKEND_AUTO,
@@ -134,9 +150,10 @@ def resolve_backend(backend: "str | CheckerBackend" = BACKEND_AUTO,
     """Resolve a backend selector to a concrete :class:`CheckerBackend`.
 
     ``"python"`` always works; ``"matrix"`` requires numpy (raising a
-    clear error otherwise); ``"auto"`` — the default everywhere —
-    picks the vectorized matrix backend when numpy imports and falls
-    back to python when it does not.  A ready-made backend instance
+    clear error otherwise); ``"auto"`` — the default everywhere — picks
+    the python backend, which is the faster of the two per execution on
+    every benchmark workload (the matrix backend pays for a dense
+    ``size x size`` array per check).  A ready-made backend instance
     passes through unchanged.
     """
     if not isinstance(backend, str):
@@ -145,10 +162,8 @@ def resolve_backend(backend: "str | CheckerBackend" = BACKEND_AUTO,
         raise ValueError(
             f"unknown checker backend {backend!r}; expected one of "
             f"{', '.join(BACKENDS)}")
-    if backend == BACKEND_PYTHON:
-        return PythonBackend()
-    from repro.consistency import matrix as matrix_module
-    if backend == BACKEND_MATRIX or matrix_module.HAVE_NUMPY:
+    if backend == BACKEND_MATRIX:
+        from repro.consistency import matrix as matrix_module
         return matrix_module.MatrixBackend()
     return PythonBackend()
 
@@ -165,7 +180,8 @@ def external_rf(execution: CandidateExecution,
 
     Internal reads-from (same-thread, non-init source) only
     participates when the model says so (SC yes, TSO no — store
-    forwarding); shared by both backends and the batch kernel.
+    forwarding).  The event-level twin of the rf part of
+    :func:`check_edges`, walked only for diagnostics.
     """
     relation = Relation()
     for source, read in execution.rf.edges():
@@ -176,24 +192,71 @@ def external_rf(execution: CandidateExecution,
     return relation
 
 
+def check_edges(graph: ExecutionGraph, model: MemoryModel,
+                ) -> tuple[Edges, Edges]:
+    """The (coherence, global happens-before) edge lists of one execution.
+
+    Coherence is ``po-loc | rf | co | fr``; global happens-before is
+    ``ppo | co | fr | rf`` where internal rf only counts when the model
+    says so.  Both share one pass over co and fr.
+    """
+    rf_source = graph.rf_source
+    co_next = graph.co_next
+    co_position = graph.co_position
+    pid = graph.pid
+    program_size = graph.program_size
+    conflict_sources: list[int] = []
+    conflict_targets: list[int] = []
+    for write, later in enumerate(co_next):
+        if later >= 0:
+            conflict_sources.append(write)
+            conflict_targets.append(later)
+    rf_sources: list[int] = []
+    rf_targets: list[int] = []
+    external_sources: list[int] = []
+    external_targets: list[int] = []
+    includes_internal = model.includes_internal_rf
+    for read in graph.reads:
+        source = rf_source[read]
+        rf_sources.append(source)
+        rf_targets.append(read)
+        if (includes_internal or source >= program_size
+                or pid[source] != pid[read]):
+            external_sources.append(source)
+            external_targets.append(read)
+        if co_position[source] >= 0 and co_next[source] >= 0:
+            conflict_sources.append(read)
+            conflict_targets.append(co_next[source])
+    po_loc_sources, po_loc_targets = po_loc_edges(graph)
+    ppo_sources, ppo_targets = model.preserved_program_order_edges(graph)
+    return ((po_loc_sources + rf_sources + conflict_sources,
+             po_loc_targets + rf_targets + conflict_targets),
+            (ppo_sources + external_sources + conflict_sources,
+             ppo_targets + external_targets + conflict_targets))
+
+
 def atomicity_violations(execution: CandidateExecution) -> list[Violation]:
     """RMW-atomicity violations of *execution* (per-address chain walk).
 
     For every RMW pair (r, w): w must be coherence-ordered directly
     after the write r read from — a reversed pair or any intervening
-    write breaks atomicity.  Plain python in every backend: it walks
-    short per-address chains rather than searching a graph.
+    write breaks atomicity.  Plain python in every backend: it compares
+    chain positions rather than searching a graph.
     """
+    graph = execution.graph
     violations = []
-    for read, write in execution.atomic_pairs():
-        source = execution.rf_sources.get(read)
-        if source is None:
+    address = graph.address
+    co_position = graph.co_position
+    for read, write in graph.rmw_pairs:
+        source = graph.rf_source[read]
+        if source < 0:
             continue
-        chain = execution.co_chains.get(read.address, [])
-        if source not in chain or write not in chain:
+        location = address[read]
+        source_index = co_position[source]
+        write_index = co_position[write]
+        if (source_index < 0 or write_index < 0
+                or address[source] != location or address[write] != location):
             continue
-        source_index = chain.index(source)
-        write_index = chain.index(write)
         if write_index <= source_index:
             # The RMW's write is coherence-ordered at or before the
             # write its read observed: the pair went backwards in co,
@@ -201,17 +264,17 @@ def atomicity_violations(execution: CandidateExecution) -> list[Violation]:
             # came out empty here and silently passed).
             violations.append(Violation(
                 kind="atomicity",
-                description=(f"RMW atomicity violated at {read.address:#x}: "
-                             f"write {write.eid} is coherence-ordered "
-                             f"before its read's source {source.eid}")))
+                description=(f"RMW atomicity violated at {location:#x}: "
+                             f"write {graph.eid(write)} is coherence-ordered "
+                             f"before its read's source {graph.eid(source)}")))
             continue
-        gap = chain[source_index + 1: write_index]
+        gap = write_index - source_index - 1
         if gap:
             violations.append(Violation(
                 kind="atomicity",
-                description=(f"RMW atomicity violated at {read.address:#x}: "
-                             f"{len(gap)} write(s) intervene between "
-                             f"{source.eid} and {write.eid}")))
+                description=(f"RMW atomicity violated at {location:#x}: "
+                             f"{gap} write(s) intervene between "
+                             f"{graph.eid(source)} and {graph.eid(write)}")))
     return violations
 
 
@@ -275,10 +338,14 @@ class Checker:
         return result
 
     def check(self, execution: CandidateExecution) -> CheckResult:
+        graph = execution.graph
+        coherence, ghb = check_edges(graph, self.model)
         violations: list[Violation] = []
-        violations.extend(self._check_coherence(execution))
-        violations.extend(self._check_atomicity(execution))
-        violations.extend(self._check_global(execution))
+        if not self.backend.is_acyclic(graph.size, *coherence):
+            violations.append(self._coherence_violation(execution))
+        violations.extend(atomicity_violations(execution))
+        if not self.backend.is_acyclic(graph.size, *ghb):
+            violations.append(self._global_violation(execution))
         if violations:
             return CheckResult(passed=False, violations=violations,
                                execution=execution,
@@ -286,31 +353,23 @@ class Checker:
         return CheckResult.ok(execution, backend=self.backend.name)
 
     # ------------------------------------------------------------------
+    # Diagnostics: only a cyclic graph gets here.  The cycle is found on
+    # the event-level relations, unioned in the same order as always, so
+    # the reported path does not depend on the backend.
 
-    def _check_coherence(self, execution: CandidateExecution) -> list[Violation]:
-        cycle = self.backend.find_cycle(
-            execution.events,
-            (execution.po_loc_edges(), execution.rf, execution.co,
-             execution.fr))
-        if cycle is None:
-            return []
+    def _coherence_violation(self, execution: CandidateExecution) -> Violation:
+        cycle = Relation.union(execution.po_loc_edges(), execution.rf,
+                               execution.co, execution.fr).find_cycle()
         description = ("per-location coherence (uniproc) violated: " +
                        " -> ".join(str(node) for node in cycle))
-        return [Violation(kind="coherence", description=description,
-                          cycle=tuple(cycle))]
+        return Violation(kind="coherence", description=description,
+                         cycle=tuple(cycle))
 
-    def _check_atomicity(self, execution: CandidateExecution) -> list[Violation]:
-        return atomicity_violations(execution)
-
-    def _check_global(self, execution: CandidateExecution) -> list[Violation]:
-        ppo = self.model.preserved_program_order(execution)
-        cycle = self.backend.find_cycle(
-            execution.events,
-            (ppo, execution.co, execution.fr,
-             external_rf(execution, self.model)))
-        if cycle is None:
-            return []
+    def _global_violation(self, execution: CandidateExecution) -> Violation:
+        cycle = Relation.union(
+            self.model.preserved_program_order(execution), execution.co,
+            execution.fr, external_rf(execution, self.model)).find_cycle()
         description = (f"{self.model.name} global happens-before cycle: " +
                        " -> ".join(str(node) for node in cycle))
-        return [Violation(kind="ghb", description=description,
-                          cycle=tuple(cycle))]
+        return Violation(kind="ghb", description=description,
+                         cycle=tuple(cycle))

@@ -7,17 +7,27 @@ which give reads-from (rf) and coherence order (co).  From-reads (fr) is
 derived.  Because write values are globally unique identifiers, the mapping
 from an observed value to the producing write event is exact (value 0 maps
 to the per-address init write).
+
+Every execution has one dense integer form, :class:`ExecutionGraph`, and
+the whole checking hot path (signature, acyclicity checks, atomicity, NDT
+conflict edges) runs on it without hashing an :class:`Event`.  A
+trace-built execution is born in that form; its ``events`` and relation
+fields are materialised only on first access (diagnostics, tests).  A
+hand-built execution fills in the relation fields and derives the same
+integer form from them on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.consistency.events import (Event, init_write, read_event,
-                                      write_event)
+from repro.consistency.events import Event, init_write, read_event, write_event
 from repro.consistency.relations import Relation
 from repro.sim.testprogram import OpKind, TestThread
 from repro.sim.trace import ExecutionTrace
+
+_RMW = OpKind.RMW
+_WRITE_OP = OpKind.WRITE
 
 
 class ExecutionBuildError(ValueError):
@@ -30,17 +40,208 @@ class ExecutionBuildError(ValueError):
     """
 
 
-@dataclass
-class CandidateExecution:
-    """One candidate execution: events and its po/rf/co/fr relations."""
+class ExecutionGraph:
+    """The dense integer form of one candidate execution.
 
-    events: list[Event] = field(default_factory=list)
-    program_order: dict[int, list[Event]] = field(default_factory=dict)
-    rf: Relation = field(default_factory=Relation)        # write -> read
-    co: Relation = field(default_factory=Relation)        # write -> next write
-    fr: Relation = field(default_factory=Relation)        # read -> later write
-    rf_sources: dict[Event, Event] = field(default_factory=dict)
-    co_chains: dict[int, list[Event]] = field(default_factory=dict)
+    Events are numbered once: program events ``0 .. program_size - 1``
+    thread-major in program order, then one init write per address in
+    ascending address order (``init_id``), then — only for malformed
+    traces — init writes of addresses no program event touches.  Every
+    per-event list is indexed by that number:
+
+    * ``pid``, ``po_index``, ``address``, ``is_read``, ``is_atomic``,
+      ``value`` and ``op_id`` describe the event (init writes have pid
+      -1, po index -1, value 0 and op id None);
+    * ``rf_source`` is the write a read reads from (-1 for writes);
+    * ``co_next`` is a write's coherence successor (-1 if none);
+    * ``co_position`` is a write's place in its own address's co chain
+      (-1 for reads and for writes that chain never reaches).
+
+    ``threads`` holds each thread's id range (``pids`` its pid),
+    ``reads`` every read id in order, ``co_chains`` each address's
+    chain of ids starting at its init write (ascending address order),
+    and ``rmw_pairs`` the (read, write) ids of every read-modify-write.
+    From-reads is not stored: it is ``read -> co_next[rf_source[read]]``.
+    """
+
+    __slots__ = ("program_size", "size", "threads", "pids", "pid",
+                 "po_index", "address", "is_read", "is_atomic", "value",
+                 "op_id", "reads", "rf_source", "co_next", "co_position",
+                 "co_chains", "init_id", "rmw_pairs", "_eids")
+
+    def __init__(self, program_size: int, size: int, threads: list[range],
+                 pids: list[int], pid: list[int], po_index: list[int],
+                 address: list[int], is_read: list[bool],
+                 is_atomic: list[bool], value: list[int],
+                 op_id: list[int | None], reads: list[int],
+                 rf_source: list[int], co_next: list[int],
+                 co_position: list[int], co_chains: dict[int, list[int]],
+                 init_id: dict[int, int],
+                 rmw_pairs: list[tuple[int, int]]) -> None:
+        self.program_size = program_size
+        self.size = size
+        self.threads = threads
+        self.pids = pids
+        self.pid = pid
+        self.po_index = po_index
+        self.address = address
+        self.is_read = is_read
+        self.is_atomic = is_atomic
+        self.value = value
+        self.op_id = op_id
+        self.reads = reads
+        self.rf_source = rf_source
+        self.co_next = co_next
+        self.co_position = co_position
+        self.co_chains = co_chains
+        self.init_id = init_id
+        self.rmw_pairs = rmw_pairs
+        self._eids = None
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable lists inside
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"ExecutionGraph(size={self.size}, "
+                f"program_size={self.program_size}, pids={self.pids})")
+
+    def eids(self) -> list[tuple]:
+        """The :attr:`Event.eid` of every event, by id (built once)."""
+        if self._eids is None:
+            eids: list[tuple] = [
+                (op_id, "R" if read else "W")
+                for op_id, read in zip(self.op_id, self.is_read)]
+            eids[self.program_size:] = [
+                ("init", address)
+                for address in self.address[self.program_size:]]
+            self._eids = eids
+        return self._eids
+
+    def eid(self, node: int) -> tuple:
+        return self.eids()[node]
+
+
+class _Materialised:
+    """An execution field a trace-built execution builds on first access."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, execution, owner=None):
+        if execution is None:
+            return self
+        value = getattr(execution, self.slot)
+        if value is None:
+            execution._materialise()
+            value = getattr(execution, self.slot)
+        return value
+
+    def __set__(self, execution, value) -> None:
+        setattr(execution, self.slot, value)
+
+
+class CandidateExecution:
+    """One candidate execution: events and its po/rf/co/fr relations.
+
+    ``events``, ``program_order``, ``rf`` (write -> read), ``co`` (write
+    -> next write), ``fr`` (read -> later write), ``rf_sources`` and
+    ``co_chains`` are the event-level view.  :attr:`graph` is the integer
+    form every check runs on.  A hand-built execution (all fields default
+    to empty) derives its graph from these fields on first use, so build
+    it completely before checking it.
+    """
+
+    events = _Materialised()
+    program_order = _Materialised()
+    rf = _Materialised()
+    co = _Materialised()
+    fr = _Materialised()
+    rf_sources = _Materialised()
+    co_chains = _Materialised()
+
+    def __init__(self, events: list[Event] | None = None,
+                 program_order: dict[int, list[Event]] | None = None,
+                 rf: Relation | None = None, co: Relation | None = None,
+                 fr: Relation | None = None,
+                 rf_sources: dict[Event, Event] | None = None,
+                 co_chains: dict[int, list[Event]] | None = None) -> None:
+        self._graph: ExecutionGraph | None = None
+        self._co_pairs: list[tuple[int, int]] = []
+        self._events = [] if events is None else events
+        self._program_order = {} if program_order is None else program_order
+        self._rf = Relation() if rf is None else rf
+        self._co = Relation() if co is None else co
+        self._fr = Relation() if fr is None else fr
+        self._rf_sources = {} if rf_sources is None else rf_sources
+        self._co_chains = {} if co_chains is None else co_chains
+
+    @classmethod
+    def from_graph(cls, graph: ExecutionGraph,
+                   co_pairs: list[tuple[int, int]]) -> "CandidateExecution":
+        """A trace-built execution; *co_pairs* are the observed co edges
+        in observation order (the ``co`` relation's insertion order)."""
+        execution = cls.__new__(cls)
+        execution._graph = graph
+        execution._co_pairs = co_pairs
+        execution._events = execution._program_order = None
+        execution._rf = execution._co = execution._fr = None
+        execution._rf_sources = execution._co_chains = None
+        return execution
+
+    @property
+    def graph(self) -> ExecutionGraph:
+        """The integer form (derived from the relations if hand-built)."""
+        if self._graph is None:
+            self._graph = _graph_from_relations(self)
+        return self._graph
+
+    def nodes(self) -> list[Event]:
+        """Every event by integer id: program events, then init writes."""
+        graph = self.graph
+        return self.events + [init_write(address) for address
+                              in graph.address[graph.program_size:]]
+
+    def _materialise(self) -> None:
+        """Build the event-level fields from the graph.
+
+        Insertion order is the build order: events thread-major, rf and
+        fr by read, co edges in observation order, chains by ascending
+        address.  Relation walks, and with them the diagnostic cycles,
+        depend on that order.
+        """
+        graph = self.graph
+        events: list[Event] = []
+        for node in range(graph.program_size):
+            make = read_event if graph.is_read[node] else write_event
+            events.append(make(graph.op_id[node], graph.pid[node],
+                               graph.po_index[node], graph.address[node],
+                               graph.value[node],
+                               is_atomic=graph.is_atomic[node]))
+        self._events = events
+        nodes = self.nodes()
+        self._program_order = {pid: events[ids.start:ids.stop]
+                               for pid, ids in zip(graph.pids, graph.threads)}
+        rf, rf_sources, fr = Relation(), {}, Relation()
+        for read in graph.reads:
+            source = graph.rf_source[read]
+            rf.add(nodes[source], nodes[read])
+            rf_sources[nodes[read]] = nodes[source]
+        for read in graph.reads:
+            later = _fr_target(graph, graph.rf_source[read])
+            if later >= 0:
+                fr.add(nodes[read], nodes[later])
+        self._rf, self._rf_sources, self._fr = rf, rf_sources, fr
+        self._co = Relation((nodes[first], nodes[second])
+                            for first, second in self._co_pairs)
+        self._co_chains = {address: [nodes[node] for node in chain]
+                           for address, chain in graph.co_chains.items()}
 
     # -- convenience accessors -------------------------------------------
 
@@ -55,25 +256,19 @@ class CandidateExecution:
     def events_of_thread(self, pid: int) -> list[Event]:
         return list(self.program_order.get(pid, []))
 
+    def relation_of(self, id_edges: Iterable[tuple[int, int]]) -> Relation:
+        """The event-level relation of (source, target) id pairs, added
+        in the order given."""
+        nodes = self.nodes()
+        return Relation((nodes[src], nodes[dst]) for src, dst in id_edges)
+
     def po_edges(self) -> Relation:
         """Immediate program-order successor edges (per thread)."""
-        relation = Relation()
-        for events in self.program_order.values():
-            for first, second in zip(events, events[1:]):
-                relation.add(first, second)
-        return relation
+        return self.relation_of(zip(*po_edges(self.graph)))
 
     def po_loc_edges(self) -> Relation:
         """Per-thread, per-address program order successor edges."""
-        relation = Relation()
-        for events in self.program_order.values():
-            last_by_address: dict[int, Event] = {}
-            for event in events:
-                previous = last_by_address.get(event.address)
-                if previous is not None:
-                    relation.add(previous, event)
-                last_by_address[event.address] = event
-        return relation
+        return self.relation_of(zip(*po_loc_edges(self.graph)))
 
     def conflict_edges(self) -> set[tuple[tuple, tuple]]:
         """(rf union co) as pairs of event ids - the paper's rf/co union.
@@ -81,181 +276,319 @@ class CandidateExecution:
         This is what the engine accumulates across iterations to compute the
         test's non-determinism (NDT, paper Definition 1).
         """
-        pairs: set[tuple[tuple, tuple]] = set()
-        for src, dst in self.rf.edges():
-            pairs.add((src.eid, dst.eid))
-        for src, dst in self.co.edges():
-            pairs.add((src.eid, dst.eid))
+        graph = self.graph
+        eids = graph.eids()
+        rf_source = graph.rf_source
+        pairs = {(eids[rf_source[read]], eids[read]) for read in graph.reads}
+        pairs.update((eids[write], eids[later])
+                     for write, later in enumerate(graph.co_next)
+                     if later >= 0)
         return pairs
 
     def atomic_pairs(self) -> list[tuple[Event, Event]]:
         """(read, write) event pairs originating from the same RMW."""
-        writes_by_op: dict[object, Event] = {
-            event.eid[0]: event for event in self.events
-            if event.is_write and event.is_atomic}
-        pairs = []
-        for event in self.events:
-            if event.is_read and event.is_atomic:
-                write = writes_by_op.get(event.eid[0])
-                if write is not None:
-                    pairs.append((event, write))
-        return pairs
+        events = self.events
+        return [(events[read], events[write])
+                for read, write in self.graph.rmw_pairs]
 
 
-def _static_events(threads: list[TestThread]) -> tuple[
-        dict[int, list[Event]], dict[int, Event], dict[tuple, Event]]:
-    """Build the per-thread event skeleton from the static program.
+def _fr_target(graph: ExecutionGraph, source: int) -> int:
+    """The write a read of *source* is from-read-ordered before, or -1."""
+    if graph.co_position[source] < 0:
+        return -1
+    return graph.co_next[source]
 
-    Returns (program_order, write_by_value, event_by_eid).  Read events get
-    placeholder value ``-1`` until the dynamic observations fill them in.
-    """
-    program_order: dict[int, list[Event]] = {}
-    write_by_value: dict[int, Event] = {}
-    event_by_eid: dict[tuple, Event] = {}
+
+def po_edges(graph: ExecutionGraph) -> tuple[list[int], list[int]]:
+    """Immediate program-order successor edges as (sources, targets)."""
+    sources: list[int] = []
+    targets: list[int] = []
+    for ids in graph.threads:
+        sources.extend(ids[:-1])
+        targets.extend(ids[1:])
+    return sources, targets
+
+
+def po_loc_edges(graph: ExecutionGraph) -> tuple[list[int], list[int]]:
+    """Per-thread, per-address program-order successor edges."""
+    sources: list[int] = []
+    targets: list[int] = []
+    address = graph.address
+    for ids in graph.threads:
+        last: dict[int, int] = {}
+        for node in ids:
+            previous = last.get(address[node])
+            if previous is not None:
+                sources.append(previous)
+                targets.append(node)
+            last[address[node]] = node
+    return sources, targets
+
+
+def _check_unique_op_ids(threads: list[TestThread]) -> None:
+    # atomic_pairs() and event lookups key events by bare op id, so an
+    # op-id collision silently aliases events; generated programs number
+    # ops globally, but ingested traces must be rejected here.
     op_owner: dict[int, int] = {}
     for thread in threads:
         for op in thread.ops:
             if not op.kind.is_memory:
                 continue
             if op.op_id in op_owner:
-                # atomic_pairs() and event lookups key events by bare op
-                # id, so an op-id collision silently aliases events;
-                # generated programs number ops globally, but ingested
-                # traces must be rejected here.
                 raise ExecutionBuildError(
                     f"op id {op.op_id} is reused by threads "
                     f"{op_owner[op.op_id]} and {thread.pid}; op ids "
                     "must be globally unique")
             op_owner[op.op_id] = thread.pid
-    for thread in threads:
-        events: list[Event] = []
-        po_index = 0
-        for op in thread.ops:
-            if op.kind in (OpKind.READ, OpKind.READ_ADDR_DP):
-                event = read_event(op.op_id, thread.pid, po_index, op.address, -1)
-                events.append(event)
-                po_index += 1
-            elif op.kind is OpKind.WRITE:
-                event = write_event(op.op_id, thread.pid, po_index, op.address,
-                                    op.value)
-                events.append(event)
-                write_by_value[op.value] = event
-                po_index += 1
-            elif op.kind is OpKind.RMW:
-                read = read_event(op.op_id, thread.pid, po_index, op.address, -1,
-                                  is_atomic=True)
-                write = write_event(op.op_id, thread.pid, po_index + 1,
-                                    op.address, op.value, is_atomic=True)
-                events.extend([read, write])
-                write_by_value[op.value] = write
-                po_index += 2
-            # CACHE_FLUSH and DELAY produce no memory events.
-        program_order[thread.pid] = events
-        for event in events:
-            event_by_eid[event.eid] = event
-    return program_order, write_by_value, event_by_eid
 
 
 def execution_from_trace(threads: list[TestThread],
                          trace: ExecutionTrace) -> CandidateExecution:
     """Combine the static program with one iteration's observations."""
-    program_order, write_by_value, event_by_eid = _static_events(threads)
-    execution = CandidateExecution(program_order=program_order)
-    init_writes: dict[int, Event] = {}
+    # A later thread with a repeated pid replaces the earlier one's
+    # events but keeps its place, as a pid-keyed dict does.
+    by_pid: dict[int, TestThread] = {}
+    for thread in threads:
+        by_pid[thread.pid] = thread
 
-    def source_write(address: int, value: int) -> Event:
-        if value == 0:
-            return init_writes.setdefault(address, init_write(address))
-        write = write_by_value.get(value)
-        if write is None:
-            raise ExecutionBuildError(
-                f"read observed value {value} at {address:#x}, but no write "
-                "produces that value (memory corruption)")
-        if write.address != address:
-            raise ExecutionBuildError(
-                f"read at {address:#x} observed value {value} written to "
-                f"{write.address:#x} (memory corruption)")
-        return write
+    # One row per event: (op id, address, value, is_read, is_atomic);
+    # reads get value None until the observations fill it in.
+    rows: list[tuple] = []
+    pids: list[int] = []
+    ranges: list[range] = []
+    pid_of: list[int] = []
+    po_index: list[int] = []
+    reads: list[int] = []
+    read_op_ids: list[int] = []
+    rmw_pairs: list[tuple[int, int]] = []
+    flush_op_ids: list[int] = []
+    write_of_op: dict[int, int] = {}
+    write_by_value: dict[int, int] = {}
+    for pid, thread in by_pid.items():
+        start = len(rows)
+        for op in thread.ops:
+            kind = op.kind
+            if kind.is_load:
+                reads.append(len(rows))
+                read_op_ids.append(op.op_id)
+                rows.append((op.op_id, op.address, None, True, False))
+            elif kind is _WRITE_OP:
+                write_of_op[op.op_id] = write_by_value[op.value] = len(rows)
+                rows.append((op.op_id, op.address, op.value, False, False))
+            elif kind is _RMW:
+                node = len(rows)
+                reads.append(node)
+                read_op_ids.append(op.op_id)
+                rmw_pairs.append((node, node + 1))
+                write_of_op[op.op_id] = write_by_value[op.value] = node + 1
+                rows.append((op.op_id, op.address, None, True, True))
+                rows.append((op.op_id, op.address, op.value, False, True))
+            elif kind.is_memory:
+                # CACHE_FLUSH produces no event (nor does DELAY), but
+                # its op id still counts towards uniqueness.
+                flush_op_ids.append(op.op_id)
+        count = len(rows) - start
+        pids.append(pid)
+        ranges.append(range(start, start + count))
+        pid_of += [pid] * count
+        po_index += range(count)
+    program_size = len(rows)
+    distinct_op_ids = {row[0] for row in rows}.union(flush_op_ids)
+    if (len(by_pid) != len(threads) or len(distinct_op_ids)
+            != program_size - len(rmw_pairs) + len(flush_op_ids)):
+        _check_unique_op_ids(threads)
 
-    # Fill in read values and rf.
-    observed_reads: dict[tuple, int] = {}
+    # Init writes: one per address, ascending.
+    addresses = sorted({row[1] for row in rows})
+    init_id = {location: program_size + rank
+               for rank, location in enumerate(addresses)}
+    rows += [(None, location, 0, False, False) for location in addresses]
+    pid_of += [-1] * len(addresses)
+    po_index += [-1] * len(addresses)
+    op_id, address, value, is_read, is_atomic = (
+        map(list, zip(*rows)) if rows else ([], [], [], [], []))
+    rf_source = [-1] * len(rows)
+    co_next = [-1] * len(rows)
+
+    def eid(node: int) -> tuple:
+        if node >= program_size:
+            return ("init", address[node])
+        return (op_id[node], "R" if is_read[node] else "W")
+
+    def source_write(location: int, observed: int) -> int:
+        """The write that produced *observed* at *location*, or raise."""
+        if observed == 0:
+            node = init_id.get(location)
+            if node is None:
+                # Only a malformed trace overwrites the initial value of
+                # an address no program event touches.
+                node = init_id[location] = len(address)
+                for column, entry in ((address, location), (pid_of, -1),
+                                      (po_index, -1), (is_read, False),
+                                      (is_atomic, False), (value, 0),
+                                      (op_id, None), (rf_source, -1),
+                                      (co_next, -1)):
+                    column.append(entry)
+            return node
+        node = write_by_value.get(observed)
+        if node is None:
+            raise ExecutionBuildError(
+                f"read observed value {observed} at {location:#x}, but no "
+                "write produces that value (memory corruption)")
+        if address[node] != location:
+            raise ExecutionBuildError(
+                f"read at {location:#x} observed value {observed} written "
+                f"to {address[node]:#x} (memory corruption)")
+        return node
+
+    # Fill in read values, then rf.
+    observed_reads: dict[int, int] = {}
     for record in trace.reads:
-        observed_reads[(record.op_id, "R")] = record.value
+        observed_reads[record.op_id] = record.value
     for record in trace.rmws:
-        observed_reads[(record.op_id, "R")] = record.read_value
-
-    events: list[Event] = []
-    for pid, thread_events in program_order.items():
-        refreshed: list[Event] = []
-        for event in thread_events:
-            if event.is_read:
-                value = observed_reads.get(event.eid)
-                if value is None:
-                    raise ExecutionBuildError(
-                        f"no observation for read event {event.eid} "
-                        f"(thread {pid} did not complete?)")
-                event = Event(eid=event.eid, pid=event.pid, kind=event.kind,
-                              address=event.address, value=value,
-                              po_index=event.po_index, is_atomic=event.is_atomic)
-            refreshed.append(event)
-            events.append(event)
-        program_order[pid] = refreshed
-    execution.events = events
-    event_by_eid = {event.eid: event for event in events}
-
-    for event in events:
-        if event.is_read:
-            source = source_write(event.address, event.value)
-            execution.rf.add(source, event)
-            execution.rf_sources[event] = source
+        observed_reads[record.op_id] = record.read_value
+    for read, read_op in zip(reads, read_op_ids):
+        observed = value[read] = observed_reads.get(read_op)
+        if observed is None:
+            raise ExecutionBuildError(
+                f"no observation for read event {eid(read)} "
+                f"(thread {pid_of[read]} did not complete?)")
+    for read in reads:
+        observed = value[read]
+        location = address[read]
+        if observed == 0:
+            rf_source[read] = init_id[location]
+            continue
+        source = write_by_value.get(observed)
+        if source is None or address[source] != location:
+            source = source_write(location, observed)
+        rf_source[read] = source
 
     # Coherence order from observed overwrites.
-    co_successor: dict[Event, Event] = {}
-    for record in trace.writes + list(trace.rmws):
-        if hasattr(record, "written_value"):
-            this_write = event_by_eid.get((record.op_id, "W"))
-            overwritten = record.overwritten
-        else:
-            this_write = event_by_eid.get((record.op_id, "W"))
-            overwritten = record.overwritten
-        if this_write is None:
-            raise ExecutionBuildError(
-                f"observed write for unknown op {record.op_id}")
-        previous = source_write(record.address, overwritten)
-        if previous == this_write:
-            raise ExecutionBuildError(
-                f"write {this_write.eid} observed to overwrite itself")
-        existing = co_successor.get(previous)
-        if existing is not None and existing != this_write:
-            raise ExecutionBuildError(
-                f"coherence order branches at {previous.eid}: both "
-                f"{existing.eid} and {this_write.eid} overwrote value "
-                f"{previous.value} (lost update)")
-        co_successor[previous] = this_write
-        execution.co.add(previous, this_write)
-
-    # Per-address co chains and derived fr edges.
-    chain_heads: dict[int, Event] = {}
-    for address in sorted({event.address for event in events}):
-        chain_heads[address] = init_writes.setdefault(address,
-                                                      init_write(address))
-    for address, head in chain_heads.items():
-        chain = [head]
-        seen = {head}
-        walker = head
-        while walker in co_successor:
-            walker = co_successor[walker]
-            if walker in seen:
+    co_pairs: list[tuple[int, int]] = []
+    for records in (trace.writes, trace.rmws):
+        for record in records:
+            write = write_of_op.get(record.op_id)
+            if write is None:
                 raise ExecutionBuildError(
-                    f"coherence order at {address:#x} contains a cycle")
-            chain.append(walker)
-            seen.add(walker)
-        execution.co_chains[address] = chain
+                    f"observed write for unknown op {record.op_id}")
+            previous = source_write(record.address, record.overwritten)
+            if previous == write:
+                raise ExecutionBuildError(
+                    f"write {eid(write)} observed to overwrite itself")
+            existing = co_next[previous]
+            if existing >= 0 and existing != write:
+                raise ExecutionBuildError(
+                    f"coherence order branches at {eid(previous)}: both "
+                    f"{eid(existing)} and {eid(write)} overwrote value "
+                    f"{value[previous]} (lost update)")
+            co_next[previous] = write
+            co_pairs.append((previous, write))
 
-    for read, source in execution.rf_sources.items():
-        chain = execution.co_chains.get(read.address, [])
-        if source in chain:
-            index = chain.index(source)
-            if index + 1 < len(chain):
-                execution.fr.add(read, chain[index + 1])
-    return execution
+    # Per-address co chains.
+    size = len(address)
+    co_position = [-1] * size
+    walked = [-1] * size
+    co_chains: dict[int, list[int]] = {}
+    for rank, location in enumerate(addresses):
+        walker = init_id[location]
+        chain = [walker]
+        co_position[walker] = 0
+        walked[walker] = rank
+        while (walker := co_next[walker]) >= 0:
+            if walked[walker] == rank:
+                raise ExecutionBuildError(
+                    f"coherence order at {location:#x} contains a cycle")
+            walked[walker] = rank
+            if address[walker] == location:
+                co_position[walker] = len(chain)
+            chain.append(walker)
+        co_chains[location] = chain
+
+    graph = ExecutionGraph(
+        program_size, size, ranges, pids, pid_of, po_index, address,
+        is_read, is_atomic, value, op_id, reads, rf_source, co_next,
+        co_position, co_chains, init_id, rmw_pairs)
+    return CandidateExecution.from_graph(graph, co_pairs)
+
+
+def _graph_from_relations(execution: CandidateExecution) -> ExecutionGraph:
+    """The integer form of a hand-built execution.
+
+    Program events are numbered from ``program_order`` exactly as the
+    trace builder numbers them and init writes by ascending address, so
+    a hand-built execution and a trace-built one of the same graph get
+    equal forms.  rf sources come from ``rf``, coherence successors from
+    ``co`` and chain positions from ``co_chains``.
+    """
+    program_order = execution.program_order
+    pids: list[int] = []
+    ranges: list[range] = []
+    program: list[Event] = []
+    for pid, thread_events in program_order.items():
+        pids.append(pid)
+        ranges.append(range(len(program), len(program) + len(thread_events)))
+        program.extend(thread_events)
+    program_size = len(program)
+    index: dict[Event, int] = {event: node
+                               for node, event in enumerate(program)}
+    addresses = sorted({event.address for event in program})
+    nodes = program + [init_write(location) for location in addresses]
+    init_id: dict[int, int] = {}
+    for node in range(program_size, len(nodes)):
+        index[nodes[node]] = node
+        init_id[nodes[node].address] = node
+
+    def locate(event: Event) -> int:
+        node = index.get(event)
+        if node is None:
+            if not event.is_init:
+                raise ValueError(f"relation names {event.eid}, which is "
+                                 "not in the execution's program order")
+            node = index[event] = init_id[event.address] = len(nodes)
+            nodes.append(event)
+        return node
+
+    rf_pairs = [(locate(src), locate(dst))
+                for src, dst in execution.rf.edges()]
+    co_pairs = [(locate(src), locate(dst))
+                for src, dst in execution.co.edges()]
+    size = len(nodes)
+    rf_source = [-1] * size
+    for source, read in rf_pairs:
+        if rf_source[read] >= 0:
+            raise ValueError(f"read {nodes[read].eid} has two rf sources")
+        rf_source[read] = source
+    co_next = [-1] * size
+    for write, later in co_pairs:
+        if co_next[write] >= 0:
+            raise ValueError(f"write {nodes[write].eid} has two co "
+                             "successors")
+        co_next[write] = later
+    co_position = [-1] * size
+    co_chains: dict[int, list[int]] = {}
+    for location, chain in execution.co_chains.items():
+        ids = [locate(event) for event in chain]
+        for position, node in enumerate(ids):
+            if nodes[node].address == location:
+                co_position[node] = position
+        co_chains[location] = ids
+    writes_by_op = {event.eid[0]: node for node, event in enumerate(program)
+                    if event.is_write and event.is_atomic}
+    rmw_pairs = [(node, writes_by_op[event.eid[0]])
+                 for node, event in enumerate(program)
+                 if event.is_read and event.is_atomic
+                 and event.eid[0] in writes_by_op]
+    return ExecutionGraph(
+        program_size=program_size, size=size, threads=ranges, pids=pids,
+        pid=[event.pid for event in nodes],
+        po_index=[event.po_index for event in nodes],
+        address=[event.address for event in nodes],
+        is_read=[event.is_read for event in nodes],
+        is_atomic=[event.is_atomic for event in nodes],
+        value=[event.value for event in nodes],
+        op_id=[event.eid[0] for event in program] + [None] * (
+            size - program_size),
+        reads=[node for node in range(program_size) if nodes[node].is_read],
+        rf_source=rf_source, co_next=co_next, co_position=co_position,
+        co_chains=co_chains, init_id=init_id, rmw_pairs=rmw_pairs)

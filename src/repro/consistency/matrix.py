@@ -1,17 +1,14 @@
 """Vectorized consistency kernel: dense boolean adjacency matrices.
 
-The pure-python checker walks dict-of-sets :class:`Relation` graphs with
-a recursive-style DFS; per Roy et al.'s polynomial-time verification
-algorithm this workload is near-linear and memory-bandwidth-bound, not
-interpreter-bound.  This module re-encodes the relations of one (or
-many) candidate executions as dense numpy boolean adjacency matrices
-over **contiguous event indices**, so the hot question the checker asks
-— *is the union of these relations acyclic?* — becomes a handful of
-vectorized array operations:
+Checking a candidate execution reduces to *is this int edge list
+acyclic?* (see :func:`repro.consistency.checker.check_edges`).  This
+module answers it with dense numpy boolean adjacency matrices over the
+execution's contiguous event ids (:class:`~repro.consistency.execution.
+ExecutionGraph`):
 
-- **bulk edge construction**: all edges of a relation land in the
-  matrix with one fancy-indexed assignment (:meth:`MatrixRelation.
-  add_edges` / :meth:`MatrixRelation.from_relations`);
+- **bulk edge construction**: all edges land in the matrix with one
+  fancy-indexed assignment (:meth:`MatrixRelation.from_edges` /
+  :meth:`MatrixRelation.add_edges`);
 - **union** is elementwise ``|=`` (:meth:`MatrixRelation.__ior__`,
   :meth:`MatrixRelation.union`);
 - **transitive closure** is a Warshall-style *blocked* sweep: each
@@ -28,14 +25,14 @@ vectorized array operations:
   call verdicts a whole set of executions against a model.
 
 The module itself imports without numpy (``HAVE_NUMPY`` is then False)
-so the pure-python fallback keeps working; constructing any matrix
+so the pure-python backend keeps working; constructing any matrix
 object without numpy raises a clear error.  Backend selection lives in
 :func:`repro.consistency.checker.resolve_backend`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
@@ -45,7 +42,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.consistency.execution import CandidateExecution
     from repro.consistency.models import MemoryModel
-    from repro.consistency.relations import Relation
 
 #: True when numpy imported; the matrix backend is only offered then.
 HAVE_NUMPY = np is not None
@@ -69,10 +65,9 @@ class MatrixRelation:
     """A dense boolean adjacency matrix over contiguous node indices.
 
     ``adjacency[i, j]`` is True iff the edge ``i -> j`` is present.
-    Node identity is external: callers map their hashable nodes (the
-    checker maps :class:`~repro.consistency.events.Event` objects) to
-    the contiguous index range ``0..size-1`` once, then talk to the
-    matrix purely in indices.
+    Node identity is external: callers number their nodes (the checker
+    uses the execution graph's event ids) in the contiguous index range
+    ``0..size-1`` once, then talk to the matrix purely in indices.
     """
 
     __slots__ = ("size", "adjacency")
@@ -100,32 +95,6 @@ class MatrixRelation:
         relation = cls(size)
         relation.add_edges(sources, targets)
         return relation
-
-    @classmethod
-    def from_relations(cls, nodes: Sequence, relations: Iterable["Relation"],
-                       ) -> "MatrixRelation":
-        """Encode the union of sparse *relations* over the *nodes* universe.
-
-        *nodes* fixes the index assignment (position = index); edge
-        endpoints not listed in *nodes* are appended in first-seen
-        order, so the encoding is total even when a relation mentions
-        nodes outside the declared universe.
-        """
-        require_numpy()
-        index = {node: position for position, node in enumerate(nodes)}
-        sources: list[int] = []
-        targets: list[int] = []
-        for relation in relations:
-            for src, dst in relation.edges():
-                src_index = index.get(src)
-                if src_index is None:
-                    src_index = index[src] = len(index)
-                dst_index = index.get(dst)
-                if dst_index is None:
-                    dst_index = index[dst] = len(index)
-                sources.append(src_index)
-                targets.append(dst_index)
-        return cls.from_edges(len(index), sources, targets)
 
     def add_edges(self, sources: Sequence[int],
                   targets: Sequence[int]) -> None:
@@ -259,190 +228,6 @@ def batch_is_acyclic(stack) -> "np.ndarray":
     return ~active.any(axis=1)
 
 
-def _bulk_program_order_edges(execution: "CandidateExecution",
-                              model: "MemoryModel"):
-    """Vectorized (po-loc, ppo) edge arrays straight from event arrays.
-
-    Executions lay their events out thread-contiguously (the builder
-    concatenates the per-thread program orders), so each thread is an
-    index range and both program-order-derived relations fall out of a
-    few array operations per thread instead of a python edge walk:
-
-    - **po-loc**: stable-sort the thread's accesses by address; every
-      adjacent same-address pair is an edge.
-    - **ppo (SC)**: all adjacent pairs (program order is preserved).
-    - **ppo (TSO)**: adjacent pairs masked by the store->load exemption
-      (unless a fence/RMW is involved), plus the read->next-read and
-      write->next-write chains — exactly the generator set of
-      :meth:`~repro.consistency.models.TotalStoreOrder._thread_edges`.
-
-    Returns None when the layout assumption or the model is unknown;
-    the caller then falls back to walking the sparse relations.
-    """
-    if model.name not in ("SC", "TSO"):
-        return None
-    events = execution.events
-    position = 0
-    for thread_events in execution.program_order.values():
-        if not thread_events:
-            continue
-        if (position >= len(events)
-                or events[position] is not thread_events[0]
-                or thread_events[-1].po_index != len(thread_events) - 1):
-            return None
-        position += len(thread_events)
-    if position != len(events):
-        return None
-
-    po_loc: list = []
-    ppo: list = []
-    position = 0
-    for thread_events in execution.program_order.values():
-        count = len(thread_events)
-        if count < 2:
-            position += count
-            continue
-        indices = np.arange(position, position + count, dtype=np.intp)
-        position += count
-        addresses = np.array([event.address for event in thread_events],
-                             dtype=np.int64)
-        order = np.argsort(addresses, kind="stable")
-        sorted_indices = indices[order]
-        same_address = addresses[order][1:] == addresses[order][:-1]
-        po_loc.append((sorted_indices[:-1][same_address],
-                       sorted_indices[1:][same_address]))
-        if model.name == "SC":
-            ppo.append((indices[:-1], indices[1:]))
-            continue
-        is_read = np.array([event.is_read for event in thread_events],
-                           dtype=bool)
-        is_write = ~is_read
-        is_atomic = np.array([event.is_atomic for event in thread_events],
-                             dtype=bool)
-        keep = (~(is_write[:-1] & is_read[1:])
-                | is_atomic[:-1] | is_atomic[1:])
-        ppo.append((indices[:-1][keep], indices[1:][keep]))
-        read_indices = indices[is_read]
-        if len(read_indices) > 1:
-            ppo.append((read_indices[:-1], read_indices[1:]))
-        write_indices = indices[is_write]
-        if len(write_indices) > 1:
-            ppo.append((write_indices[:-1], write_indices[1:]))
-
-    def concatenate(pairs):
-        if not pairs:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty
-        return (np.concatenate([pair[0] for pair in pairs]),
-                np.concatenate([pair[1] for pair in pairs]))
-
-    return concatenate(po_loc), concatenate(ppo)
-
-
-def _execution_edge_arrays(execution: "CandidateExecution",
-                           model: "MemoryModel"):
-    """``(size, coherence_edges, ghb_edges)`` index arrays of one execution.
-
-    Both edge sets share one event-index assignment and one pass over
-    the co/fr edges they have in common; the program-order-derived
-    relations (po-loc and ppo) are bulk-built from event arrays
-    (:func:`_bulk_program_order_edges`) whenever the execution layout
-    allows, so the only remaining python edge walk is over the observed
-    rf/co/fr relations.
-    """
-    bulk = _bulk_program_order_edges(execution, model)
-    if bulk is not None:
-        # The bulk path verified the thread-contiguous layout, so an
-        # event's index is thread offset + po_index — no hashing.  Only
-        # nodes outside the layout (init writes, whose pid is never a
-        # thread pid) take the dict path.
-        offsets: dict[int, int] = {}
-        position = 0
-        for pid, thread_events in execution.program_order.items():
-            offsets[pid] = position
-            position += len(thread_events)
-        extra: dict = {}
-        offsets_get = offsets.get
-
-        def locate(event) -> int:
-            offset = offsets_get(event.pid)
-            if offset is not None:
-                return offset + event.po_index
-            found = extra.get(event)
-            if found is None:
-                found = extra[event] = position + len(extra)
-            return found
-    else:
-        index = {event: place
-                 for place, event in enumerate(execution.events)}
-
-        def locate(event) -> int:
-            found = index.get(event)
-            if found is None:
-                found = index[event] = len(index)
-            return found
-
-    def edge_arrays(relations) -> tuple[list[int], list[int]]:
-        sources: list[int] = []
-        targets: list[int] = []
-        source_append = sources.append
-        target_append = targets.append
-        for relation in relations:
-            # Walk the successor map directly: the .edges() generator
-            # and per-endpoint locate() calls are the batch path's
-            # hottest python, so both are flattened here.
-            for src, dsts in relation._succ.items():
-                src_index = locate(src)
-                for dst in dsts:
-                    source_append(src_index)
-                    target_append(locate(dst))
-        return sources, targets
-
-    conflict = edge_arrays((execution.co, execution.fr))
-    coherence = edge_arrays((execution.rf,))
-    if bulk is None:
-        coherence_extra = edge_arrays((execution.po_loc_edges(),))
-        ghb = edge_arrays((model.preserved_program_order(execution),))
-    else:
-        coherence_extra = bulk[0]
-        ghb = bulk[1]
-    includes_internal = model.includes_internal_rf
-    rf_ghb: tuple[list[int], list[int]] = ([], [])
-    for source, dsts in execution.rf._succ.items():
-        source_internal_pid = None if source.is_init else source.pid
-        source_index = None
-        for read in dsts:
-            if includes_internal or read.pid != source_internal_pid:
-                if source_index is None:
-                    source_index = locate(source)
-                rf_ghb[0].append(source_index)
-                rf_ghb[1].append(locate(read))
-    size = (position + len(extra)) if bulk is not None else len(index)
-    coherence_edges = (
-        np.concatenate([np.asarray(coherence[0] + conflict[0],
-                                   dtype=np.intp),
-                        np.asarray(coherence_extra[0], dtype=np.intp)]),
-        np.concatenate([np.asarray(coherence[1] + conflict[1],
-                                   dtype=np.intp),
-                        np.asarray(coherence_extra[1], dtype=np.intp)]))
-    ghb_edges = (
-        np.concatenate([np.asarray(rf_ghb[0] + conflict[0], dtype=np.intp),
-                        np.asarray(ghb[0], dtype=np.intp)]),
-        np.concatenate([np.asarray(rf_ghb[1] + conflict[1], dtype=np.intp),
-                        np.asarray(ghb[1], dtype=np.intp)]))
-    return size, coherence_edges, ghb_edges
-
-
-def _execution_matrices(execution: "CandidateExecution",
-                        model: "MemoryModel",
-                        ) -> tuple["MatrixRelation", "MatrixRelation"]:
-    """The (coherence, global-happens-before) matrices of one execution."""
-    size, coherence_edges, ghb_edges = _execution_edge_arrays(execution,
-                                                              model)
-    return (MatrixRelation.from_edges(size, *coherence_edges),
-            MatrixRelation.from_edges(size, *ghb_edges))
-
-
 def batch_check_executions(executions: Sequence["CandidateExecution"],
                            model: "MemoryModel") -> list[bool]:
     """Pass/fail verdicts for many candidate executions, in one sweep.
@@ -458,8 +243,9 @@ def batch_check_executions(executions: Sequence["CandidateExecution"],
     require_numpy()
     if not executions:
         return []
-    from repro.consistency.checker import atomicity_violations
-    edge_sets = [_execution_edge_arrays(execution, model)
+    from repro.consistency.checker import atomicity_violations, check_edges
+    edge_sets = [(execution.graph.size,
+                  *check_edges(execution.graph, model))
                  for execution in executions]
     width = max(size for size, _, _ in edge_sets)
     stack = np.zeros((2 * len(edge_sets), width, width), dtype=bool)
@@ -479,13 +265,9 @@ def batch_check_executions(executions: Sequence["CandidateExecution"],
 class MatrixBackend:
     """The vectorized :class:`~repro.consistency.checker.CheckerBackend`.
 
-    Acyclicity (the overwhelmingly common outcome — campaigns end on
-    the first violation) is decided entirely by the Kahn elimination on
-    the dense matrix.  Only when a cycle *exists* does it delegate to
-    the python DFS to extract the same deterministic diagnostic path
-    the :class:`~repro.consistency.checker.PythonBackend` reports, so
-    the two backends are equivalent violation-for-violation, not just
-    verdict-for-verdict.
+    Each acyclicity question becomes a dense ``size x size`` boolean
+    matrix (:meth:`MatrixRelation.from_edges`) peeled by the vectorized
+    Kahn elimination (:meth:`MatrixRelation.is_acyclic`).
     """
 
     name = "matrix"
@@ -493,11 +275,6 @@ class MatrixBackend:
     def __init__(self) -> None:
         require_numpy()
 
-    def find_cycle(self, nodes: Sequence,
-                   relations: Sequence["Relation"]) -> list | None:
-        """One deterministic cycle in the union of *relations*, or None."""
-        matrix = MatrixRelation.from_relations(nodes, relations)
-        if matrix.is_acyclic():
-            return None
-        from repro.consistency.relations import Relation
-        return Relation.union(*relations).find_cycle()
+    def is_acyclic(self, size: int, sources: Sequence[int],
+                   targets: Sequence[int]) -> bool:
+        return MatrixRelation.from_edges(size, sources, targets).is_acyclic()

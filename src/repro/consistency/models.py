@@ -16,20 +16,33 @@ fences.  SC preserves all of program order.
 
 from __future__ import annotations
 
-from repro.consistency.events import Event
-from repro.consistency.execution import CandidateExecution
+from repro.consistency.execution import (CandidateExecution, ExecutionGraph,
+                                         po_edges)
 from repro.consistency.relations import Relation
+
+Edges = tuple[list[int], list[int]]
 
 
 class MemoryModel:
-    """Base class for axiomatic models."""
+    """Base class for axiomatic models.
+
+    A model implements :meth:`preserved_program_order_edges` over the
+    execution's integer form; the event-level relation the diagnostics
+    walk is derived from it.
+    """
 
     name = "abstract"
     #: include internal (same-thread) rf edges in the global check
     includes_internal_rf = True
 
-    def preserved_program_order(self, execution: CandidateExecution) -> Relation:
+    def preserved_program_order_edges(self, graph: ExecutionGraph) -> Edges:
+        """ppo (+fences) generator edges as (sources, targets) id lists."""
         raise NotImplementedError
+
+    def preserved_program_order(self, execution: CandidateExecution) -> Relation:
+        """ppo as an event-level relation, sources in program order."""
+        sources, targets = self.preserved_program_order_edges(execution.graph)
+        return execution.relation_of(sorted(zip(sources, targets)))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
@@ -41,8 +54,8 @@ class SequentialConsistency(MemoryModel):
     name = "SC"
     includes_internal_rf = True
 
-    def preserved_program_order(self, execution: CandidateExecution) -> Relation:
-        return execution.po_edges()
+    def preserved_program_order_edges(self, graph: ExecutionGraph) -> Edges:
+        return po_edges(graph)
 
 
 class TotalStoreOrder(MemoryModel):
@@ -64,31 +77,23 @@ class TotalStoreOrder(MemoryModel):
     name = "TSO"
     includes_internal_rf = False
 
-    def preserved_program_order(self, execution: CandidateExecution) -> Relation:
-        relation = Relation()
-        for events in execution.program_order.values():
-            self._thread_edges(events, relation)
-        return relation
-
-    @staticmethod
-    def _thread_edges(events: list[Event], relation: Relation) -> None:
-        for index, event in enumerate(events):
-            nxt = events[index + 1] if index + 1 < len(events) else None
-            if nxt is not None:
-                is_store_load = event.is_write and nxt.is_read
-                fence_involved = event.is_atomic or nxt.is_atomic
-                if not is_store_load or fence_involved:
-                    relation.add(event, nxt)
-            if event.is_read:
-                for later in events[index + 1:]:
-                    if later.is_read:
-                        relation.add(event, later)
-                        break
-            if event.is_write:
-                for later in events[index + 1:]:
-                    if later.is_write:
-                        relation.add(event, later)
-                        break
+    def preserved_program_order_edges(self, graph: ExecutionGraph) -> Edges:
+        sources: list[int] = []
+        targets: list[int] = []
+        is_read = graph.is_read
+        is_atomic = graph.is_atomic
+        for ids in graph.threads:
+            for node in ids[:-1]:
+                # Drop store->load pairs unless an RMW fences them.
+                if (is_read[node] or not is_read[node + 1]
+                        or is_atomic[node] or is_atomic[node + 1]):
+                    sources.append(node)
+                    targets.append(node + 1)
+            for same_kind in ([node for node in ids if is_read[node]],
+                              [node for node in ids if not is_read[node]]):
+                sources += same_kind[:-1]
+                targets += same_kind[1:]
+        return sources, targets
 
 
 _MODELS = {

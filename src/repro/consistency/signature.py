@@ -42,10 +42,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.consistency.events import Event
 from repro.consistency.execution import CandidateExecution
 from repro.consistency.models import MemoryModel
-from repro.consistency.relations import Relation
 
 
 @dataclass(frozen=True)
@@ -74,16 +72,6 @@ class ExecutionSignature:
 _RF, _CO, _RMW = range(3)
 
 
-def _address_profiles(events: list[Event]) -> dict[int, tuple]:
-    """Renaming-invariant profile of each address: its sorted access multiset."""
-    accesses: dict[int, list] = {}
-    for event in events:
-        accesses.setdefault(event.address, []).append(
-            (event.kind.value, event.is_atomic))
-    return {address: tuple(sorted(per_address))
-            for address, per_address in accesses.items()}
-
-
 def canonical_form(execution: CandidateExecution,
                    model: MemoryModel) -> tuple:
     """The canonical, renaming-invariant form of *execution* under *model*.
@@ -95,54 +83,62 @@ def canonical_form(execution: CandidateExecution,
     events.  Two executions with equal forms are isomorphic and get
     identical verdicts under *model*.
 
-    Internally every event is interned to a dense integer once, up
-    front, and all sorts compare homogeneous all-int tuples directly —
-    the checker calls this on every single iteration, so nothing here
-    may hash an ``Event`` per edge or sort with a ``repr`` key.
-    Canonical event names are ``(thread_rank, po_index)`` int pairs with
-    init writes at thread rank ``-1``.
+    Everything runs on the execution's integer form
+    (:class:`~repro.consistency.execution.ExecutionGraph`), and all sorts
+    compare homogeneous all-int tuples directly — the checker calls this
+    on every single iteration, so nothing here may hash an ``Event`` or
+    sort with a ``repr`` key.  Canonical event names are
+    ``(thread_rank, po_index)`` int pairs with init writes at thread rank
+    ``-1``.
     """
-    program_events = list(execution.events)
-    profiles = _address_profiles(program_events)
+    graph = execution.graph
+    program_size = graph.program_size
+    address = graph.address
+    is_read = graph.is_read
+    is_atomic = graph.is_atomic
+    po_index = graph.po_index
+
+    # Renaming-invariant profile of each address: its sorted access
+    # multiset, each access coded 0..3 in (kind, atomicity) order.
+    accesses: dict[int, list[int]] = {}
+    for node in range(program_size):
+        code = (0 if is_read[node] else 2) + is_atomic[node]
+        accesses.setdefault(address[node], []).append(code)
+    profiles = {location: tuple(sorted(codes))
+                for location, codes in accesses.items()}
     profile_rank = {profile: rank
                     for rank, profile in
                     enumerate(sorted(set(profiles.values())))}
 
-    # Intern every participating event (program events, plus the init
-    # writes that surface through rf/co) to a dense index exactly once.
+    # Every ordering below compares plain ints.  Each tuple the
+    # refinement used to sort — an event's (is_read, is_atomic, profile
+    # rank), an endpoint's (thread shape rank, po index) descriptor, an
+    # edge's (tag, direction, po index, descriptor) — is packed into one
+    # int in base ``radix``, larger than every component, so the packed
+    # ints sort exactly like the tuples and the ranks, thread order and
+    # final form come out identical.
+    radix = graph.size + 2
+    event_code = [
+        (is_read[node] * 2 + is_atomic[node]) * radix
+        + profile_rank[profiles[address[node]]]
+        for node in range(program_size)]
+
     # Only the *informative* cross-thread edges drive the refinement: po
     # is fully implied by each thread's own shape vector (a po edge says
     # "slot i precedes slot i+1 in the same thread" — zero discriminating
     # power), and fr is a pure function of rf and co (fr = rf⁻¹ ; co), so
     # both would only add cost, never separate threads.
-    index: dict[Event, int] = {event: slot
-                               for slot, event in enumerate(program_events)}
-    events: list[Event] = list(program_events)
-    edges: list[tuple[int, int, int]] = []
-    for tag, relation in ((_RF, execution.rf), (_CO, execution.co)):
-        for src, dst in relation.edges():
-            src_slot = index.get(src)
-            if src_slot is None:
-                src_slot = index[src] = len(events)
-                events.append(src)
-            dst_slot = index.get(dst)
-            if dst_slot is None:
-                dst_slot = index[dst] = len(events)
-                events.append(dst)
-            edges.append((tag, src_slot, dst_slot))
-    atomic_pairs = execution.atomic_pairs()
-    for read, write in atomic_pairs:
-        edges.append((_RMW, index[read], index[write]))
+    rf_source = graph.rf_source
+    rf_edges = [(rf_source[read], read) for read in graph.reads]
+    co_edges = [(write, later) for write, later in enumerate(graph.co_next)
+                if later >= 0]
 
     # Thread shape vectors: the per-event local structure in program
     # order (position in the tuple *is* the po index, so op ids never
     # enter; addresses enter only through their invariant profile).
-    shapes = {pid: tuple((int(event.is_read), int(event.is_atomic),
-                          profile_rank[profiles[event.address]])
-                         for event in thread_events)
-              for pid, thread_events in execution.program_order.items()}
+    shapes = [tuple(event_code[ids.start:ids.stop]) for ids in graph.threads]
     shape_rank = {shape: rank
-                  for rank, shape in enumerate(sorted(set(shapes.values())))}
+                  for rank, shape in enumerate(sorted(set(shapes)))}
 
     # One refinement pass at thread granularity: every endpoint is
     # described invariantly as (thread shape rank, po index) — init
@@ -152,61 +148,90 @@ def canonical_form(execution: CandidateExecution,
     # to deeper symmetry; their relative order falls back to input
     # order, which at worst splits an isomorphism class (a cache miss,
     # never a wrong verdict).
-    descs: list[tuple[int, int]] = [
-        (-1, profile_rank.get(profiles.get(event.address, ()), -1))
-        if event.is_init else (shape_rank[shapes[event.pid]], event.po_index)
-        for event in events]
-    touching: dict[int, list] = {pid: [] for pid in execution.program_order}
-    for tag, src, dst in edges:
-        src_event, dst_event = events[src], events[dst]
-        if not src_event.is_init:
-            touching[src_event.pid].append(
-                (tag, 0, src_event.po_index) + descs[dst])
-        if not dst_event.is_init:
-            touching[dst_event.pid].append(
-                (tag, 1, dst_event.po_index) + descs[src])
-    thread_keys = {pid: (shapes[pid], tuple(sorted(touching[pid])))
-                   for pid in execution.program_order}
-    ordered_pids = sorted(execution.program_order,
-                          key=lambda pid: thread_keys[pid])
+    thread_of = [0] * program_size
+    descs: list[int] = []
+    for thread, ids in enumerate(graph.threads):
+        rank = (shape_rank[shapes[thread]] + 1) * radix
+        for node in ids:
+            thread_of[node] = thread
+            descs.append(rank + po_index[node] + 1)
+    for location in address[program_size:]:
+        profile = profiles.get(location)
+        descs.append(0 if profile is None else profile_rank[profile] + 1)
+    touching: list[list[int]] = [[] for _ in graph.threads]
+    span = radix * radix
+    for tag, edges in ((_RF, rf_edges), (_CO, co_edges),
+                       (_RMW, graph.rmw_pairs)):
+        outgoing = tag * 2 * radix
+        incoming = outgoing + radix
+        for src, dst in edges:
+            if src < program_size:
+                touching[thread_of[src]].append(
+                    (outgoing + po_index[src]) * span + descs[dst])
+            if dst < program_size:
+                touching[thread_of[dst]].append(
+                    (incoming + po_index[dst]) * span + descs[src])
+    thread_keys = [(shapes[thread], sorted(touching[thread]))
+                   for thread in range(len(shapes))]
+    ordered = sorted(range(len(shapes)), key=thread_keys.__getitem__)
 
     # Canonical names: program events become (thread_rank, po_index) and
     # init writes (-1, address_id); addresses get *injective* ids by
     # first occurrence in canonical traversal order (collapsing addresses
     # to profile classes alone would lose which events share a
     # location — unsound).
-    names: list[tuple | None] = [None] * len(events)
+    names: list[tuple[int, int]] = [(0, 0)] * graph.size
     address_ids: dict[int, int] = {}
-    for thread_rank, pid in enumerate(ordered_pids):
-        for event in execution.program_order[pid]:
-            names[index[event]] = (thread_rank, event.po_index)
-            if event.address not in address_ids:
-                address_ids[event.address] = len(address_ids)
-    for slot, event in enumerate(events):
-        if event.is_init:
-            if event.address not in address_ids:  # pragma: no cover - defensive
-                address_ids[event.address] = len(address_ids)
-            names[slot] = (-1, address_ids[event.address])
+    for thread_rank, thread in enumerate(ordered):
+        for node in graph.threads[thread]:
+            names[node] = (thread_rank, po_index[node])
+            if address[node] not in address_ids:
+                address_ids[address[node]] = len(address_ids)
+    for node in range(program_size, graph.size):
+        if address[node] not in address_ids:
+            address_ids[address[node]] = len(address_ids)
+        names[node] = (-1, address_ids[address[node]])
 
-    def edge_list(relation: Relation) -> tuple:
-        return tuple(sorted((names[index[src]], names[index[dst]])
-                            for src, dst in relation.edges()))
+    def edge_list(edges: list[tuple[int, int]]) -> tuple:
+        return tuple(sorted((names[src], names[dst]) for src, dst in edges))
 
     threads_form = tuple(
-        tuple((event.kind.value, address_ids[event.address], event.is_atomic)
-              for event in execution.program_order[pid])
-        for pid in ordered_pids)
-    rmw_form = tuple(sorted((names[index[read]], names[index[write]])
-                            for read, write in atomic_pairs))
+        tuple(("R" if is_read[node] else "W", address_ids[address[node]],
+               is_atomic[node])
+              for node in graph.threads[thread])
+        for thread in ordered)
     # No ppo or fr edge lists: ppo (+fences) is, for every model here, a
     # pure function of the per-thread (kind, atomicity) sequences that
     # threads_form captures completely, and fr is derived as rf⁻¹ ; co —
     # equal forms already imply both are isomorphic, so serializing them
     # would only re-derive what the form pins down, at signature cost.
     return (model.name, threads_form,
-            ("rf", edge_list(execution.rf)),
-            ("co", edge_list(execution.co)),
-            ("rmw", rmw_form))
+            ("rf", edge_list(rf_edges)),
+            ("co", edge_list(co_edges)),
+            ("rmw", edge_list(graph.rmw_pairs)))
+
+
+#: Entries of the exact-graph digest memo before it is emptied.  A key
+#: is a few hundred ints, so the memo stays within a few MB.
+DIGEST_MEMO_LIMIT = 1024
+_digest_memo: dict[tuple, str] = {}
+
+
+def exact_key(execution: CandidateExecution, model: MemoryModel) -> tuple:
+    """A key equal exactly when two executions have the identical graph.
+
+    Iterations of one test keep producing the very same execution (same
+    events, same rf and co), and litmus campaigns re-run a handful of
+    programs.  This flat tuple of the integer form is much cheaper to
+    build and hash than the canonical form, so it fronts the canonical
+    digest in a memo.  Equal keys mean equal graphs, hence equal forms.
+    """
+    graph = execution.graph
+    return (model.name, graph.program_size, graph.size, len(graph.threads),
+            *[len(ids) for ids in graph.threads], *graph.address,
+            *graph.is_read, *graph.is_atomic, *graph.po_index,
+            *graph.rf_source, *graph.co_next,
+            *[node for pair in graph.rmw_pairs for node in pair])
 
 
 def execution_signature(execution: CandidateExecution, model: MemoryModel,
@@ -216,8 +241,23 @@ def execution_signature(execution: CandidateExecution, model: MemoryModel,
     The digest hashes the repr of the canonical form — nested tuples of
     ints/strings/bools, so the byte stream is identical across processes
     and hosts.  ``keep_form=True`` additionally retains the form itself
-    for collision-safe keying.
+    for collision-safe keying.  Digests are memoized per process by
+    :func:`exact_key`, so an execution seen before skips
+    canonicalization; the memo is a pure cache (emptied when it reaches
+    :data:`DIGEST_MEMO_LIMIT`) and never changes a digest.
     """
-    form = canonical_form(execution, model)
-    digest = hashlib.sha256(repr(form).encode("utf-8")).hexdigest()
-    return ExecutionSignature(digest=digest, form=form if keep_form else None)
+    if keep_form:
+        form = canonical_form(execution, model)
+        return ExecutionSignature(digest=_digest(form), form=form)
+    key = exact_key(execution, model)
+    digest = _digest_memo.get(key)
+    if digest is None:
+        digest = _digest(canonical_form(execution, model))
+        if len(_digest_memo) >= DIGEST_MEMO_LIMIT:
+            _digest_memo.clear()
+        _digest_memo[key] = digest
+    return ExecutionSignature(digest=digest)
+
+
+def _digest(form: tuple) -> str:
+    return hashlib.sha256(repr(form).encode("utf-8")).hexdigest()

@@ -120,8 +120,9 @@ class TestBackendResolution:
         assert isinstance(backend, CheckerBackend)
 
     def test_auto_resolves_to_an_available_backend(self):
-        expected = "matrix" if HAVE_NUMPY else "python"
-        assert resolve_backend_name("auto") == expected
+        # The python backend is the faster one per execution, with or
+        # without numpy installed.
+        assert resolve_backend_name("auto") == "python"
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError, match="bitset"):
@@ -154,10 +155,13 @@ class TestRandomDigraphEquivalence:
             nodes = rng.randint(2, 40)
             edges = random_digraph(rng, nodes, rng.uniform(0.01, 0.25))
             sparse = Relation(edges)
-            dense = MatrixRelation.from_edges(
-                nodes, [src for src, _ in edges], [dst for _, dst in edges])
+            sources = [src for src, _ in edges]
+            targets = [dst for _, dst in edges]
+            dense = MatrixRelation.from_edges(nodes, sources, targets)
             expected = sparse.is_acyclic()
             assert dense.is_acyclic() == expected, edges
+            assert PythonBackend().is_acyclic(nodes, sources,
+                                              targets) == expected, edges
             closure_diag = dense.cycle_nodes()
             assert bool(closure_diag) == (not expected), edges
             acyclic_seen += expected
@@ -169,21 +173,22 @@ class TestRandomDigraphEquivalence:
         from repro.consistency.matrix import MatrixBackend
 
         rng = random.Random(0xF1D0)
-        matrix_backend = MatrixBackend()
-        python_backend = PythonBackend()
+        backends = (MatrixBackend(), PythonBackend())
         for _ in range(60):
             nodes = rng.randint(2, 30)
             edges = random_digraph(rng, nodes, rng.uniform(0.02, 0.3))
-            relation = Relation(edges)
-            universe = list(range(nodes))
-            python_cycle = python_backend.find_cycle(universe, (relation,))
-            matrix_cycle = matrix_backend.find_cycle(universe, (relation,))
-            assert (python_cycle is None) == (matrix_cycle is None), edges
-            if python_cycle is not None:
-                # The matrix backend delegates diagnostics to the python
-                # DFS, so the cycles are not merely co-existent but
-                # identical.
-                assert matrix_cycle == python_cycle
+            # Isolated nodes, duplicate edges and self-loops are all
+            # legal input to a backend.
+            edges += rng.sample(edges, min(len(edges), 3))
+            if rng.random() < 0.2:
+                loop = rng.randrange(nodes)
+                edges.append((loop, loop))
+            has_cycle = Relation(edges).find_cycle() is not None
+            for backend in backends:
+                assert backend.is_acyclic(
+                    nodes, [src for src, _ in edges],
+                    [dst for _, dst in edges]) is not has_cycle, (
+                    backend.name, edges)
 
     def test_transitive_closure_matches_sparse_closure(self):
         from repro.consistency.matrix import MatrixRelation
