@@ -504,6 +504,15 @@ def execution_from_trace(threads: list[TestThread],
                 co_position[walker] = len(chain)
             chain.append(walker)
         co_chains[location] = chain
+    # Every serialised write must be coherence-ordered after its
+    # address's initial value; one its chain never reaches sits on a
+    # cycle of overwrites (or hangs off another address's chain).
+    for _, write in co_pairs:
+        if co_position[write] < 0:
+            raise ExecutionBuildError(
+                f"coherence order at {address[write]:#x} never reaches "
+                f"write {eid(write)} from the initial value (its "
+                "overwrites form a cycle off the init chain)")
 
     graph = ExecutionGraph(
         program_size, size, ranges, pids, pid_of, po_index, address,

@@ -33,6 +33,15 @@ FAILING = """\
 {"event": "ld_perform", "tid": 1, "op": 3, "addr": 64, "value": 0}
 """
 
+# A coherence order whose overwrites form a cycle (op 2 overwrote op 3's
+# value and op 3 overwrote op 2's) that the initial value never reaches.
+CO_CYCLE_OFF_INIT = """\
+{"schema": "repro.bridge/trace", "version": 1, "source": "unit", "threads": 2}
+{"event": "st_globally_perform", "tid": 0, "op": 1, "addr": 64, "value": 1, "overwritten": 0}
+{"event": "st_globally_perform", "tid": 0, "op": 2, "addr": 64, "value": 2, "overwritten": 3}
+{"event": "st_globally_perform", "tid": 1, "op": 3, "addr": 64, "value": 3, "overwritten": 2}
+"""
+
 
 def make_corpus(directory, count: int, garble: int | None = None,
                 failing: int | None = None) -> list[str]:
@@ -109,6 +118,17 @@ class TestReplayCampaign:
     def test_empty_path_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ReplayCampaign([])
+
+
+class TestCoherenceCycleOffInit:
+    def test_unreachable_co_cycle_is_corrupt_not_a_failure(self, tmp_path):
+        path = tmp_path / "co-cycle.jsonl"
+        path.write_text(CO_CYCLE_OFF_INIT, encoding="utf-8")
+        report = run_replay_sweep([str(path)])
+        assert report.replay_verdicts() == {"co-cycle.jsonl": "corrupt"}
+        detail = ReplayCampaign([str(path)]).run(1).stats.detail
+        assert detail[1].startswith(
+            "corruption: coherence order at 0x40 never reaches write (2, 'W')")
 
 
 class TestReplaySpecs:
