@@ -47,6 +47,7 @@ class SimKernel:
     def __init__(self, seed: int = 0, max_ticks: int = 50_000_000,
                  max_events: int = 20_000_000) -> None:
         self.rng = random.Random(seed)
+        self._getrandbits = self.rng.getrandbits
         self.now = 0
         self.max_ticks = max_ticks
         self.max_events = max_events
@@ -73,7 +74,15 @@ class SimKernel:
         """Return a random latency in ``[low, high]`` from the kernel RNG."""
         if low > high:
             raise ValueError(f"invalid jitter range [{low}, {high}]")
-        return self.rng.randint(low, high)
+        # ``self.rng.randint(low, high)`` inlined: the same getrandbits
+        # rejection loop as ``Random._randbelow``, so draws and results
+        # are bit-identical, minus two Python frames per call.
+        width = high - low + 1
+        bits = width.bit_length()
+        offset = self._getrandbits(bits)
+        while offset >= width:
+            offset = self._getrandbits(bits)
+        return low + offset
 
     @property
     def pending(self) -> int:

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.sim.kernel import SimKernel, SimulationLimitError
@@ -203,3 +205,17 @@ class TestJitter:
     def test_jitter_invalid_range(self):
         with pytest.raises(ValueError):
             SimKernel(seed=1).jitter(5, 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_jitter_matches_randint_draw_for_draw(self, seed):
+        """Same values *and* the same RNG state after every draw."""
+        kernel = SimKernel(seed=seed)
+        reference = random.Random(seed)
+        ranges = [(5, 5), (0, 0), (0, 1), (1, 2), (3, 10), (2, 40),
+                  (0, 63), (0, 64), (7, 200), (100, 1100), (0, 2**20),
+                  (-5, 5)]
+        shuffler = random.Random(seed + 1)
+        for _ in range(400):
+            low, high = shuffler.choice(ranges)
+            assert kernel.jitter(low, high) == reference.randint(low, high)
+            assert kernel.rng.getstate() == reference.getstate()
