@@ -281,9 +281,8 @@ def atomicity_violations(execution: CandidateExecution) -> list[Violation]:
 class Checker:
     """Checks candidate executions against a memory model.
 
-    *backend* selects the cycle-search kernel: ``"auto"`` (default —
-    the vectorized matrix backend when numpy is available, else pure
-    python), ``"python"``, ``"matrix"``, or a ready
+    *backend* selects the acyclicity kernel: ``"auto"`` (default, the
+    python backend), ``"python"``, ``"matrix"``, or a ready
     :class:`CheckerBackend` instance.  Backends are equivalent
     violation-for-violation; only checking speed changes.
     """

@@ -217,7 +217,7 @@ DIGEST_MEMO_LIMIT = 1024
 _digest_memo: dict[tuple, str] = {}
 
 
-def exact_key(execution: CandidateExecution, model: MemoryModel) -> tuple:
+def _exact_key(execution: CandidateExecution, model: MemoryModel) -> tuple:
     """A key equal exactly when two executions have the identical graph.
 
     Iterations of one test keep producing the very same execution (same
@@ -241,15 +241,15 @@ def execution_signature(execution: CandidateExecution, model: MemoryModel,
     The digest hashes the repr of the canonical form — nested tuples of
     ints/strings/bools, so the byte stream is identical across processes
     and hosts.  ``keep_form=True`` additionally retains the form itself
-    for collision-safe keying.  Digests are memoized per process by
-    :func:`exact_key`, so an execution seen before skips
+    for collision-safe keying.  Digests are memoized per process by an
+    exact-graph key, so an execution seen before skips
     canonicalization; the memo is a pure cache (emptied when it reaches
     :data:`DIGEST_MEMO_LIMIT`) and never changes a digest.
     """
     if keep_form:
         form = canonical_form(execution, model)
         return ExecutionSignature(digest=_digest(form), form=form)
-    key = exact_key(execution, model)
+    key = _exact_key(execution, model)
     digest = _digest_memo.get(key)
     if digest is None:
         digest = _digest(canonical_form(execution, model))

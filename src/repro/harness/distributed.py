@@ -1338,9 +1338,9 @@ def build_parser() -> argparse.ArgumentParser:
     coordinator.add_argument("--checker-backend", choices=BACKENDS,
                              default="auto",
                              help="consistency-checker kernel stamped on "
-                                  "every dispatched chunk: 'matrix' "
-                                  "(vectorized, needs numpy), 'python', "
-                                  "or 'auto' (matrix when available)")
+                                  "every dispatched chunk: 'python', "
+                                  "'matrix' (vectorized, needs numpy), "
+                                  "or 'auto' (python)")
     coordinator.set_defaults(entry=_coordinator_main)
 
     worker = commands.add_parser(
