@@ -15,6 +15,7 @@ error (invalid transition, the Ruby-style detection of MESI+PUTX-Race), or
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -32,6 +33,12 @@ from repro.sim.coverage import CoverageCollector, CoverageState
 from repro.sim.faults import FaultSet
 from repro.sim.host import HostAssistedBarrier
 from repro.sim.system import System
+
+
+#: Releases the interpreter lock and lets a waiting thread on this CPU
+#: run; a zero sleep does the same where ``sched_yield`` is missing.
+_yield_to_waiting_threads = getattr(os, "sched_yield", None) or (
+    lambda: time.sleep(0))
 
 
 @dataclass
@@ -172,6 +179,12 @@ class VerificationEngine:
 
         for _ in range(self.generator_config.iterations):
             iterations_run += 1
+            # Hand the interpreter lock to any waiting thread once per
+            # iteration.  Simulation and checking are pure python and
+            # never block, so otherwise a thread sharing the process (a
+            # service heartbeat, a sampling profiler) waits out a whole
+            # switch interval, which its owner may have set long.
+            _yield_to_waiting_threads()
             seed = self._seed_sequence.getrandbits(32)
             started = time.perf_counter()
             iteration = self.system.run_iteration(threads, seed)
