@@ -234,9 +234,9 @@ class CandidateExecution:
             rf.add(nodes[source], nodes[read])
             rf_sources[nodes[read]] = nodes[source]
         for read in graph.reads:
-            later = _fr_target(graph, graph.rf_source[read])
-            if later >= 0:
-                fr.add(nodes[read], nodes[later])
+            source = graph.rf_source[read]
+            if graph.co_position[source] >= 0 and graph.co_next[source] >= 0:
+                fr.add(nodes[read], nodes[graph.co_next[source]])
         self._rf, self._rf_sources, self._fr = rf, rf_sources, fr
         self._co = Relation((nodes[first], nodes[second])
                             for first, second in self._co_pairs)
@@ -290,13 +290,6 @@ class CandidateExecution:
         events = self.events
         return [(events[read], events[write])
                 for read, write in self.graph.rmw_pairs]
-
-
-def _fr_target(graph: ExecutionGraph, source: int) -> int:
-    """The write a read of *source* is from-read-ordered before, or -1."""
-    if graph.co_position[source] < 0:
-        return -1
-    return graph.co_next[source]
 
 
 def po_edges(graph: ExecutionGraph) -> tuple[list[int], list[int]]:

@@ -9,9 +9,8 @@ witness derives the same integer form as a trace-built execution of the
 same graph.
 """
 
-import random
-
 import pytest
+from test_consistency_golden import _random_trace as random_trace
 from test_sim_golden import CASES as SIM_CASES
 from test_sim_golden import _system_and_threads
 
@@ -22,7 +21,7 @@ from repro.consistency.execution import (ExecutionBuildError, ExecutionGraph,
 from repro.consistency.relations import Relation
 from repro.litmus.corpus import corpus_names, litmus_by_name
 from repro.litmus.witness import cycle_witness_execution
-from repro.sim.testprogram import OpKind, TestOp, TestThread
+from repro.sim.testprogram import OpKind
 from repro.sim.trace import ExecutionTrace
 
 pytestmark = pytest.mark.filterwarnings(
@@ -106,42 +105,6 @@ def ordered(value):
     if isinstance(value, dict):
         return list(value.items())
     return value
-
-
-def random_trace(seed: int):
-    """A coherent random interleaving with RMWs (stale reads optional)."""
-    rng = random.Random(seed)
-    addresses = [0x40 * (slot + 1) for slot in range(3)]
-    memory = dict.fromkeys(addresses, 0)
-    threads, value, op_id = [], 1, 0
-    for pid in range(3):
-        ops = []
-        for _ in range(6):
-            address, roll = rng.choice(addresses), rng.random()
-            kind = (OpKind.RMW if roll < 0.2 else
-                    OpKind.WRITE if roll < 0.55 else OpKind.READ)
-            ops.append(TestOp(op_id, kind, address,
-                              value if kind.writes_memory else 0))
-            value += kind.writes_memory
-            op_id += 1
-        threads.append(TestThread(pid, tuple(ops)))
-    trace = ExecutionTrace()
-    cursors = [0, 0, 0]
-    while live := [pid for pid in range(3) if cursors[pid] < 6]:
-        pid = rng.choice(live)
-        op = threads[pid].ops[cursors[pid]]
-        cursors[pid] += 1
-        current = memory[op.address]
-        if op.kind is OpKind.READ:
-            trace.record_read(op.op_id, pid, op.address, current)
-            continue
-        if op.kind is OpKind.RMW:
-            trace.record_rmw(op.op_id, pid, op.address, current, op.value,
-                             current)
-        else:
-            trace.record_write(op.op_id, pid, op.address, op.value, current)
-        memory[op.address] = op.value
-    return threads, trace
 
 
 def sim_traces():
