@@ -260,8 +260,8 @@ def atomicity_violations(execution: CandidateExecution) -> list[Violation]:
         if write_index <= source_index:
             # The RMW's write is coherence-ordered at or before the
             # write its read observed: the pair went backwards in co,
-            # which is itself an atomicity violation (the old slice
-            # came out empty here and silently passed).
+            # which is itself an atomicity violation (the gap count
+            # below would not be positive, so it needs its own check).
             violations.append(Violation(
                 kind="atomicity",
                 description=(f"RMW atomicity violated at {location:#x}: "

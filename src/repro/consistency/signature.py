@@ -111,12 +111,13 @@ def canonical_form(execution: CandidateExecution,
                     enumerate(sorted(set(profiles.values())))}
 
     # Every ordering below compares plain ints.  Each tuple the
-    # refinement used to sort — an event's (is_read, is_atomic, profile
+    # refinement orders by — an event's (is_read, is_atomic, profile
     # rank), an endpoint's (thread shape rank, po index) descriptor, an
     # edge's (tag, direction, po index, descriptor) — is packed into one
     # int in base ``radix``, larger than every component, so the packed
-    # ints sort exactly like the tuples and the ranks, thread order and
-    # final form come out identical.
+    # ints sort exactly like the tuples would: the ranks, the thread
+    # order and so the form (and its digest) do not depend on the
+    # packing.
     radix = graph.size + 2
     event_code = [
         (is_read[node] * 2 + is_atomic[node]) * radix
