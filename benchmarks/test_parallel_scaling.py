@@ -19,14 +19,6 @@ grained — measured here as *tail latency*, the gap between the last two
 shard completions.  Both wall-clock and tail latency land in the JSON
 artifact as the adaptive-vs-fixed row.
 
-A kernel row race-tests the checker backends on one shared batch of
-random candidate executions: the pure-python DFS checker (one
-``Checker.check`` per execution) against the vectorized matrix kernel
-(``batch_check_executions`` checking the whole batch on stacked
-adjacency matrices).  Verdicts must agree execution-for-execution and
-the matrix kernel must check more executions per second; both rates and
-the speedup land in the JSON artifact's ``kernel`` row.
-
 A serialization row compares the checkpoint transport protocols on a
 real mid-campaign checkpoint: the old double-serialization path (the
 checkpoint graph pickled for telemetry and again on every hop) against
@@ -51,17 +43,12 @@ import json
 import os
 import pickle
 import platform
-import random
 import time
 from dataclasses import replace
 
 import pytest
 
 from benchmarks.conftest import bench_generator_config
-from repro.consistency.checker import Checker
-from repro.consistency.execution import execution_from_trace
-from repro.consistency.matrix import HAVE_NUMPY
-from repro.consistency.models import model_by_name
 from repro.core.campaign import GeneratorKind
 from repro.harness.parallel import (ChunkOutcome, ChunkTask, campaign_matrix,
                                     default_workers, execute_chunk_task,
@@ -69,8 +56,6 @@ from repro.harness.parallel import (ChunkOutcome, ChunkTask, campaign_matrix,
 from repro.harness.reporting import format_speedup, format_sweep_report
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
-from repro.sim.testprogram import OpKind, TestOp, TestThread
-from repro.sim.trace import ExecutionTrace
 
 WORKERS = 4
 TCP_WORKERS = 2
@@ -95,15 +80,6 @@ MEMO_CHUNK_EVALUATIONS = 8
 #: Interleaved repetitions of the memo-on/memo-off pair; the best (least
 #: noisy) check-time of each side is compared.
 MEMO_ROUNDS = 3
-#: Checker-kernel benchmark batch: enough random executions that the
-#: matrix kernel's batched Kahn passes amortize the encoding cost, each
-#: execution big enough (threads x ops) that the python DFS pays a
-#: visible per-execution graph-walk tax.
-KERNEL_EXECUTIONS = 64
-KERNEL_THREADS = 4
-KERNEL_OPS_PER_THREAD = 16
-#: Interleaved python/matrix repetitions; best time of each side kept.
-KERNEL_ROUNDS = 3
 #: Replay benchmark corpus: each exported scenario trace appears twice,
 #: so the memoized replay sees an ~50% verdict-cache hit ceiling.
 REPLAY_SHARD_TRACES = 6
@@ -332,99 +308,6 @@ def test_replay_memoization_preserves_verdicts(replay_sweeps, capsys):
               f"memo hit_rate={memo.verdict_cache['hit_rate']:.0%}")
 
 
-def _random_kernel_execution(rng: random.Random):
-    """One random SC-interleaved candidate execution (reads may go stale).
-
-    Mirrors the tests' equivalence-fuzz generator in miniature: a few
-    reads observe an older same-address write, so the batch mixes
-    passing and failing executions and both kernels exercise their
-    violation paths at benchmark scale too.
-    """
-    addresses = [0x1000 * (slot + 1) for slot in range(4)]
-    memory = {address: 0 for address in addresses}
-    history = {address: [0] for address in addresses}
-    next_value = 1
-    op_id = 0
-    threads = []
-    for pid in range(KERNEL_THREADS):
-        ops = []
-        for _ in range(KERNEL_OPS_PER_THREAD):
-            address = rng.choice(addresses)
-            if rng.random() < 0.5:
-                ops.append(TestOp(op_id, OpKind.WRITE, address, next_value))
-                next_value += 1
-            else:
-                ops.append(TestOp(op_id, OpKind.READ, address))
-            op_id += 1
-        threads.append(TestThread(pid, tuple(ops)))
-    trace = ExecutionTrace()
-    cursors = [0] * KERNEL_THREADS
-    while True:
-        live = [pid for pid in range(KERNEL_THREADS)
-                if cursors[pid] < KERNEL_OPS_PER_THREAD]
-        if not live:
-            break
-        pid = rng.choice(live)
-        op = threads[pid].ops[cursors[pid]]
-        cursors[pid] += 1
-        if op.kind is OpKind.WRITE:
-            trace.record_write(op.op_id, pid, op.address, op.value,
-                               memory[op.address])
-            memory[op.address] = op.value
-            history[op.address].append(op.value)
-        else:
-            value = memory[op.address]
-            if rng.random() < 0.15:
-                value = rng.choice(history[op.address])
-            trace.record_read(op.op_id, pid, op.address, value)
-    return execution_from_trace(threads, trace)
-
-
-@pytest.fixture(scope="module")
-def kernel_costs():
-    """Python-loop vs matrix-batch checking of one shared execution batch.
-
-    Both kernels judge the identical ``KERNEL_EXECUTIONS`` random
-    executions under TSO; verdicts must agree execution-for-execution
-    (the determinism half) and the per-side best of ``KERNEL_ROUNDS``
-    interleaved timings gives the throughput comparison (the speed
-    half).  ``None`` without numpy so the JSON artifact still lands.
-    """
-    if not HAVE_NUMPY:
-        return None
-    from repro.consistency.matrix import batch_check_executions
-
-    rng = random.Random(0xBE5E7)
-    model = model_by_name("TSO")
-    executions = [_random_kernel_execution(rng)
-                  for _ in range(KERNEL_EXECUTIONS)]
-    python_checker = Checker(model, backend="python")
-
-    python_seconds = matrix_seconds = float("inf")
-    python_verdicts = matrix_verdicts = None
-    for _ in range(KERNEL_ROUNDS):
-        started = time.perf_counter()
-        python_verdicts = [python_checker.check(execution).passed
-                           for execution in executions]
-        python_seconds = min(python_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        matrix_verdicts = batch_check_executions(executions, model)
-        matrix_seconds = min(matrix_seconds, time.perf_counter() - started)
-    assert matrix_verdicts == python_verdicts
-    assert python_verdicts.count(True) and python_verdicts.count(False)
-    return {
-        "executions": KERNEL_EXECUTIONS,
-        "threads": KERNEL_THREADS,
-        "ops_per_thread": KERNEL_OPS_PER_THREAD,
-        "rounds": KERNEL_ROUNDS,
-        "python_seconds": python_seconds,
-        "matrix_seconds": matrix_seconds,
-        "python_executions_per_second": KERNEL_EXECUTIONS / python_seconds,
-        "matrix_executions_per_second": KERNEL_EXECUTIONS / matrix_seconds,
-        "speedup": python_seconds / matrix_seconds,
-    }
-
-
 @pytest.fixture(scope="module")
 def adaptive_sweeps():
     """Fixed-coarse vs adaptive work-stealing on the heterogeneous matrix."""
@@ -579,29 +462,6 @@ def test_memoized_checking_is_faster(memo_sweeps, benchmark, capsys):
             f"hit_rate={cache['hit_rate']:.0%}")
 
 
-def test_matrix_kernel_beats_python(kernel_costs, benchmark, capsys):
-    """The vectorized kernel checks more executions per second.
-
-    The ``>= 5x`` the dense encoding targets shows on larger batches;
-    the hard floor asserted here is direction only — matrix strictly
-    faster than the python DFS on the shared batch.
-    """
-    if kernel_costs is None:
-        pytest.skip("numpy not installed; matrix kernel unavailable")
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    with capsys.disabled():
-        print()
-        print(f"python: {kernel_costs['python_executions_per_second']:.0f} "
-              f"executions/s  matrix: "
-              f"{kernel_costs['matrix_executions_per_second']:.0f} "
-              f"executions/s  speedup={kernel_costs['speedup']:.2f}x")
-    # Pure serial CPU work on both sides, so only quiet CPUs required.
-    if _timing_assertions_enabled("matrix kernel"):
-        assert kernel_costs["matrix_seconds"] < kernel_costs["python_seconds"], (
-            "the matrix kernel should check the shared batch faster than "
-            f"the python DFS loop: {kernel_costs}")
-
-
 def test_payload_bytes_forwarded_verbatim(serialization_costs):
     """Deterministic single-serialization check at the wire level.
 
@@ -639,7 +499,7 @@ def test_single_serialization_beats_double(serialization_costs, benchmark,
 
 def test_bench_json_artifact(sweeps, hetero_sweeps, tcp_sweep,
                              adaptive_sweeps, serialization_costs,
-                             memo_sweeps, kernel_costs, replay_sweeps):
+                             memo_sweeps, replay_sweeps):
     """Dump the measured numbers for CI's BENCH_parallel.json artifact."""
     path = os.environ.get("REPRO_BENCH_JSON")
     if not path:
@@ -711,15 +571,6 @@ def test_bench_json_artifact(sweeps, hetero_sweeps, tcp_sweep,
             "hit_rate": memo_cache["hit_rate"],
             "cache_hits": memo_cache["hits"],
             "check_seconds_saved": memo_cache["seconds_saved"],
-        },
-        "kernel": {
-            # Checker-backend race on one shared batch of random
-            # executions: the per-execution python DFS loop vs the
-            # matrix kernel's stacked batched check.  ``None`` when
-            # numpy is absent (pure-python fallback only).
-            **(kernel_costs if kernel_costs is not None
-               else {"executions": 0, "speedup": None}),
-            "backend_available": kernel_costs is not None,
         },
         "replay": {
             # Trace-ingestion replay over an exported, duplicated

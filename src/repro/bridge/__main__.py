@@ -69,8 +69,7 @@ def _check_main(args: argparse.Namespace) -> int:
         args.corpus, shard_traces=args.shard_traces,
         base_seed=args.base_seed, workers=args.workers,
         chunk_evaluations=args.chunk_evaluations,
-        transport=args.transport, verdict_memo=args.verdict_memo,
-        checker_backend=args.checker_backend)
+        transport=args.transport, verdict_memo=args.verdict_memo)
     print(format_replay_report(report))
     if args.sweep_table:
         print(format_sweep_report(report, title="Replay shards"))
@@ -148,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--verdict-memo", action="store_true",
                        help="memoize verdicts sweep-wide by canonical "
                             "execution signature")
-    check.add_argument("--checker-backend", default="auto",
-                       help="checker kernel: auto, python or matrix")
     check.add_argument("--golden", default=None,
                        help="JSON file mapping trace file name -> "
                             "expected verdict (pass/fail/corrupt)")

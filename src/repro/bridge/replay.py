@@ -166,8 +166,7 @@ class ReplayCampaign:
     def __init__(self, trace_paths: tuple[str, ...] | list[str],
                  seed: int = 0,
                  model: MemoryModel | None = None,
-                 verdict_cache: VerdictCache | None = None,
-                 checker_backend: str = "auto") -> None:
+                 verdict_cache: VerdictCache | None = None) -> None:
         if not trace_paths:
             raise ValueError("a replay campaign needs at least one "
                              "trace path")
@@ -175,7 +174,7 @@ class ReplayCampaign:
         self.trace_paths = tuple(str(path) for path in trace_paths)
         self.seed = seed
         self.model = model or TotalStoreOrder()
-        self.checker = Checker(self.model, backend=checker_backend)
+        self.checker = Checker(self.model)
         self.verdict_cache = verdict_cache
         # Replayed traces carry no protocol transitions; the collector
         # exists so the sweep's coverage fold-back works uniformly.
@@ -359,7 +358,6 @@ def run_replay_sweep(corpus: "str | list[str]",
                      lease_timeout: float = 30.0,
                      max_frame_bytes: int | None = None,
                      verdict_memo: bool = False,
-                     checker_backend: str = "auto",
                      on_result=None,
                      progress: bool = False):
     """Replay-check a corpus through the parallel orchestrator.
@@ -388,7 +386,6 @@ def run_replay_sweep(corpus: "str | list[str]",
                          target_chunk_seconds=target_chunk_seconds,
                          max_checkpoint_bytes=max_checkpoint_bytes,
                          verdict_memo=verdict_memo,
-                         checker_backend=checker_backend,
                          transport=transport, coordinator=coordinator,
                          lease_timeout=lease_timeout,
                          max_frame_bytes=max_frame_bytes)

@@ -18,14 +18,8 @@ from repro.consistency.execution import (CandidateExecution, ExecutionGraph,
                                          execution_from_trace)
 from repro.consistency.models import (MemoryModel, SequentialConsistency,
                                       TotalStoreOrder, model_by_name)
-from repro.consistency.checker import (BACKEND_AUTO, BACKEND_MATRIX,
-                                       BACKEND_PYTHON, BACKENDS, CheckResult,
-                                       Checker, CheckerBackend, PythonBackend,
-                                       Violation, resolve_backend,
-                                       resolve_backend_name)
-from repro.consistency.matrix import (HAVE_NUMPY, MatrixBackend,
-                                      MatrixRelation, batch_check_executions,
-                                      batch_is_acyclic)
+from repro.consistency.checker import (CheckResult, Checker, Violation,
+                                       is_acyclic)
 from repro.consistency.memo import (CachedVerdict, VerdictCache,
                                     VerdictCacheDelta, VerdictCacheState)
 from repro.consistency.signature import (ExecutionSignature, canonical_form,
@@ -42,21 +36,9 @@ __all__ = [
     "SequentialConsistency",
     "TotalStoreOrder",
     "model_by_name",
-    "BACKEND_AUTO",
-    "BACKEND_MATRIX",
-    "BACKEND_PYTHON",
-    "BACKENDS",
     "CheckResult",
     "Checker",
-    "CheckerBackend",
-    "PythonBackend",
-    "resolve_backend",
-    "resolve_backend_name",
-    "HAVE_NUMPY",
-    "MatrixBackend",
-    "MatrixRelation",
-    "batch_check_executions",
-    "batch_is_acyclic",
+    "is_acyclic",
     "Violation",
     "CachedVerdict",
     "VerdictCache",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from repro.consistency.execution import (CandidateExecution, ExecutionBuildError,
                                          ExecutionGraph, execution_from_trace,
@@ -40,14 +40,6 @@ from repro.consistency.relations import Relation
 from repro.consistency.signature import execution_signature
 from repro.sim.testprogram import TestThread
 from repro.sim.trace import ExecutionTrace
-
-#: Backend selector values accepted by :class:`Checker` (and threaded
-#: through the harness as ``checker_backend=...``).
-BACKEND_AUTO = "auto"
-BACKEND_PYTHON = "python"
-BACKEND_MATRIX = "matrix"
-BACKENDS = (BACKEND_AUTO, BACKEND_PYTHON, BACKEND_MATRIX)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -67,10 +59,7 @@ class CheckResult:
 
     ``trace`` is only populated on the corruption path, where no
     ``CandidateExecution`` could be built — it preserves the partial
-    context (the raw observed trace) for diagnosis.  ``backend`` names
-    the checker backend that produced the verdict (``"python"`` or
-    ``"matrix"``); backends are verdict-equivalent, so it is telemetry,
-    never semantics.
+    context (the raw observed trace) for diagnosis.
 
     .. deprecated::
         Reaching into ``result.violations[i]`` positionally (tuple
@@ -83,12 +72,10 @@ class CheckResult:
     violations: list[Violation] = field(default_factory=list)
     execution: CandidateExecution | None = None
     trace: ExecutionTrace | None = None
-    backend: str | None = None
 
     @classmethod
-    def ok(cls, execution: CandidateExecution,
-           backend: str | None = None) -> "CheckResult":
-        return cls(passed=True, execution=execution, backend=backend)
+    def ok(cls, execution: CandidateExecution) -> "CheckResult":
+        return cls(passed=True, execution=execution)
 
     def violations_summary(self) -> tuple[str, ...]:
         """Stable ``"kind: description"`` strings, one per violation.
@@ -100,78 +87,41 @@ class CheckResult:
                      for violation in self.violations)
 
 
-@runtime_checkable
-class CheckerBackend(Protocol):
-    """The pluggable acyclicity kernel behind :class:`Checker`.
+def is_acyclic(size: int, sources: Sequence[int],
+               targets: Sequence[int]) -> bool:
+    """True iff no cycle runs through the ``sources[k] -> targets[k]``
+    edges over nodes ``0 .. size - 1``.
 
-    A backend answers exactly one question — *is the graph with these
-    int edges over nodes ``0 .. size - 1`` acyclic?* — because both graph
-    checks (coherence and global happens-before) reduce to it.  When the
-    answer is no, the checker itself extracts the diagnostic cycle from
-    the event-level relations, so verdicts and violation descriptions
-    never depend on which backend ran.
+    Kahn's algorithm over int adjacency lists.  Both graph checks
+    (coherence and global happens-before) reduce to this question; when
+    the answer is no, the checker extracts the diagnostic cycle from the
+    event-level relations.
     """
-
-    name: str
-
-    def is_acyclic(self, size: int, sources: Sequence[int],
-                   targets: Sequence[int]) -> bool:
-        """True iff no cycle runs through the ``sources[k] -> targets[k]``
-        edges."""
-        ...  # pragma: no cover - protocol
-
-
-class PythonBackend:
-    """The always-available pure-python backend: Kahn's algorithm over
-    int adjacency lists."""
-
-    name = BACKEND_PYTHON
-
-    def is_acyclic(self, size: int, sources: Sequence[int],
-                   targets: Sequence[int]) -> bool:
-        successors: list[list[int]] = [[] for _ in range(size)]
-        in_degree = [0] * size
-        for src, dst in zip(sources, targets):
-            successors[src].append(dst)
-            in_degree[dst] += 1
-        # ``ready`` doubles as the queue: iterating a list sees what is
-        # appended to it, and every node enters it exactly once.
-        ready = [node for node, degree in enumerate(in_degree) if not degree]
-        for node in ready:
-            for child in successors[node]:
-                in_degree[child] -= 1
-                if not in_degree[child]:
-                    ready.append(child)
-        return len(ready) == size
+    successors: list[list[int]] = [[] for _ in range(size)]
+    in_degree = [0] * size
+    for src, dst in zip(sources, targets):
+        successors[src].append(dst)
+        in_degree[dst] += 1
+    # ``ready`` doubles as the queue: iterating a list sees what is
+    # appended to it, and every node enters it exactly once.
+    ready = [node for node, degree in enumerate(in_degree) if not degree]
+    for node in ready:
+        for child in successors[node]:
+            in_degree[child] -= 1
+            if not in_degree[child]:
+                ready.append(child)
+    return len(ready) == size
 
 
-def resolve_backend(backend: "str | CheckerBackend" = BACKEND_AUTO,
-                    ) -> CheckerBackend:
-    """Resolve a backend selector to a concrete :class:`CheckerBackend`.
+def resolve_backend_name(backend: str = "auto") -> str:
+    """Always ``"python"``: the checker has a single implementation.
 
-    ``"python"`` always works; ``"matrix"`` requires numpy (raising a
-    clear error otherwise); ``"auto"`` — the default everywhere — picks
-    the python backend, which is the faster of the two per execution on
-    every benchmark workload (the matrix backend pays for a dense
-    ``size x size`` array per check).  A ready-made backend instance
-    passes through unchanged.
+    Kept only because ``perfbench/run.py``'s machine fingerprint imports
+    it; the next benchmark change drops the fingerprint's backend entry
+    and deletes this function (ROADMAP, "Layer timers and a committed
+    end-to-end benchmark").
     """
-    if not isinstance(backend, str):
-        return backend
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown checker backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}")
-    if backend == BACKEND_MATRIX:
-        from repro.consistency import matrix as matrix_module
-        return matrix_module.MatrixBackend()
-    return PythonBackend()
-
-
-def resolve_backend_name(backend: "str | CheckerBackend" = BACKEND_AUTO,
-                         ) -> str:
-    """The concrete backend name a selector resolves to (telemetry)."""
-    return resolve_backend(backend).name
+    return "python"
 
 
 def external_rf(execution: CandidateExecution,
@@ -240,8 +190,8 @@ def atomicity_violations(execution: CandidateExecution) -> list[Violation]:
 
     For every RMW pair (r, w): w must be coherence-ordered directly
     after the write r read from — a reversed pair or any intervening
-    write breaks atomicity.  Plain python in every backend: it compares
-    chain positions rather than searching a graph.
+    write breaks atomicity.  It compares chain positions rather than
+    searching a graph.
     """
     graph = execution.graph
     violations = []
@@ -279,23 +229,10 @@ def atomicity_violations(execution: CandidateExecution) -> list[Violation]:
 
 
 class Checker:
-    """Checks candidate executions against a memory model.
+    """Checks candidate executions against a memory model."""
 
-    *backend* selects the acyclicity kernel: ``"auto"`` (default, the
-    python backend), ``"python"``, ``"matrix"``, or a ready
-    :class:`CheckerBackend` instance.  Backends are equivalent
-    violation-for-violation; only checking speed changes.
-    """
-
-    def __init__(self, model: MemoryModel,
-                 backend: "str | CheckerBackend" = BACKEND_AUTO) -> None:
+    def __init__(self, model: MemoryModel) -> None:
         self.model = model
-        self.backend = resolve_backend(backend)
-
-    @property
-    def backend_name(self) -> str:
-        """The concrete backend in use (``"python"`` or ``"matrix"``)."""
-        return self.backend.name
 
     # ------------------------------------------------------------------
 
@@ -312,7 +249,7 @@ class Checker:
         except ExecutionBuildError as error:
             return CheckResult(passed=False, violations=[
                 Violation(kind="corruption", description=str(error))],
-                trace=trace, backend=self.backend.name)
+                trace=trace)
         if cache is None:
             return self.check(execution)
         return self.check_memoized(execution, cache)
@@ -324,7 +261,7 @@ class Checker:
             execution, self.model, keep_form=cache.keying == KEYING_CANONICAL)
         cached = cache.lookup(signature.key)
         if cached is not None and cached.passed:
-            return CheckResult.ok(execution, backend=self.backend.name)
+            return CheckResult.ok(execution)
         started = time.perf_counter()
         result = self.check(execution)
         if cached is None:
@@ -340,21 +277,20 @@ class Checker:
         graph = execution.graph
         coherence, ghb = check_edges(graph, self.model)
         violations: list[Violation] = []
-        if not self.backend.is_acyclic(graph.size, *coherence):
+        if not is_acyclic(graph.size, *coherence):
             violations.append(self._coherence_violation(execution))
         violations.extend(atomicity_violations(execution))
-        if not self.backend.is_acyclic(graph.size, *ghb):
+        if not is_acyclic(graph.size, *ghb):
             violations.append(self._global_violation(execution))
         if violations:
             return CheckResult(passed=False, violations=violations,
-                               execution=execution,
-                               backend=self.backend.name)
-        return CheckResult.ok(execution, backend=self.backend.name)
+                               execution=execution)
+        return CheckResult.ok(execution)
 
     # ------------------------------------------------------------------
     # Diagnostics: only a cyclic graph gets here.  The cycle is found on
-    # the event-level relations, unioned in the same order as always, so
-    # the reported path does not depend on the backend.
+    # the event-level relations, unioned in a fixed order, so the
+    # reported path is deterministic.
 
     def _coherence_violation(self, execution: CandidateExecution) -> Violation:
         cycle = Relation.union(execution.po_loc_edges(), execution.rf,

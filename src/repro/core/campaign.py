@@ -144,7 +144,6 @@ class Campaign:
                  seed: int = 0,
                  chromosome: Chromosome | None = None,
                  verdict_cache: "VerdictCache | None" = None,
-                 checker_backend: str = "auto",
                  trace_sink=None) -> None:
         self.kind = kind
         self.chromosome = chromosome
@@ -165,8 +164,7 @@ class Campaign:
         self.engine = VerificationEngine(
             generator_config, system_config, faults=self.faults,
             model=self.model, coverage=self.coverage, fitness=fitness,
-            seed=seed, verdict_cache=verdict_cache,
-            checker_backend=checker_backend, trace_sink=trace_sink)
+            seed=seed, verdict_cache=verdict_cache, trace_sink=trace_sink)
         self.rng = random.Random(seed ^ 0xC0FFEE)
         self.generator = RandomTestGenerator(generator_config, self.rng)
         # Cross-evaluation state, checkpointed by :meth:`checkpoint`.

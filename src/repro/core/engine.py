@@ -96,14 +96,13 @@ class VerificationEngine:
                  barrier: object | None = None,
                  seed: int = 0,
                  verdict_cache: VerdictCache | None = None,
-                 checker_backend: str = "auto",
                  trace_sink=None) -> None:
         self.generator_config = generator_config
         self.system_config = system_config
         self.faults = faults or FaultSet.none()
         self.model = model or TotalStoreOrder()
         self.coverage = coverage or CoverageCollector()
-        self.checker = Checker(self.model, backend=checker_backend)
+        self.checker = Checker(self.model)
         # Collective checking: memoized verdicts keyed by canonical execution
         # signature.  The cache object is typically shared — per worker or
         # sweep-wide — so novel behaviours checked by one campaign are hits

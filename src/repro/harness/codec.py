@@ -88,8 +88,7 @@ _BY_TYPE: dict[type, _Registered] = {}
 #: compared exactly, order included.
 WIRE_FIELDS: dict[str, tuple[str, ...]] = {
     "ChunkTask": (
-        "index", "spec", "checkpoint", "pause_after", "cache",
-        "checker_backend"),
+        "index", "spec", "checkpoint", "pause_after", "cache"),
     "ChunkOutcome": (
         "index", "shard", "checkpoint", "error", "telemetry", "payload",
         "cache_delta"),

@@ -78,7 +78,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.consistency.checker import BACKENDS
 from repro.harness.parallel import (CHECKPOINT_FRAME_FRACTION,
                                     CHUNK_SIZING_FIXED, CHUNK_SIZING_MODES,
                                     DEFAULT_TARGET_CHUNK_SECONDS,
@@ -89,7 +88,7 @@ from repro.harness.parallel import (CHECKPOINT_FRAME_FRACTION,
 from repro.locking import TracedLock, guarded_by, requires_lock
 
 PROTOCOL_MAGIC = "mcversi-distributed"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: 8-byte big-endian unsigned payload length.
 _HEADER = struct.Struct(">Q")
@@ -423,7 +422,6 @@ class Coordinator:
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                  max_checkpoint_bytes: int | None = None,
                  verdict_memo: bool = False,
-                 checker_backend: str = "auto",
                  hosts_out: dict | None = None,
                  telemetry_out: dict | None = None,
                  handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT
@@ -440,7 +438,6 @@ class Coordinator:
                         target_chunk_seconds=target_chunk_seconds,
                         max_checkpoint_bytes=max_checkpoint_bytes,
                         verdict_memo=verdict_memo,
-                        checker_backend=checker_backend,
                         max_frame_bytes=max_frame_bytes))
         self._lease_timeout = lease_timeout
         self._max_frame_bytes = max_frame_bytes
@@ -497,7 +494,6 @@ class Coordinator:
                                     else DEFAULT_MAX_FRAME_BYTES),
                    max_checkpoint_bytes=config.max_checkpoint_bytes,
                    verdict_memo=config.verdict_memo,
-                   checker_backend=config.checker_backend,
                    hosts_out=hosts_out, telemetry_out=telemetry_out,
                    handshake_timeout=handshake_timeout)
 
@@ -1070,7 +1066,6 @@ def iter_distributed(specs: list[CampaignSpec],
                      target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS,
                      max_checkpoint_bytes: int | None = None,
                      verdict_memo: bool = False,
-                     checker_backend: str = "auto",
                      lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                      max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                      hosts_out: dict | None = None,
@@ -1098,7 +1093,6 @@ def iter_distributed(specs: list[CampaignSpec],
                     target_chunk_seconds=target_chunk_seconds,
                     max_checkpoint_bytes=max_checkpoint_bytes,
                     verdict_memo=verdict_memo,
-                    checker_backend=checker_backend,
                     transport="tcp", coordinator=coordinator,
                     lease_timeout=lease_timeout,
                     max_frame_bytes=max_frame_bytes),
@@ -1179,7 +1173,6 @@ def _coordinator_main(args: argparse.Namespace) -> int:
         target_chunk_seconds=args.target_chunk_seconds,
         max_checkpoint_bytes=args.max_checkpoint_bytes,
         verdict_memo=args.verdict_memo,
-        checker_backend=args.checker_backend,
         transport="tcp",
         lease_timeout=args.lease_timeout,
         max_frame_bytes=args.max_frame_bytes)
@@ -1335,12 +1328,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "workers ship canonical-signature cache "
                                   "deltas back with each chunk and the "
                                   "folded cache rides out on dispatch")
-    coordinator.add_argument("--checker-backend", choices=BACKENDS,
-                             default="auto",
-                             help="consistency-checker kernel stamped on "
-                                  "every dispatched chunk: 'python', "
-                                  "'matrix' (vectorized, needs numpy), "
-                                  "or 'auto' (python)")
     coordinator.set_defaults(entry=_coordinator_main)
 
     worker = commands.add_parser(

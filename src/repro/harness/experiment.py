@@ -55,9 +55,7 @@ class ExperimentSettings:
     (tcp only) caps one wire frame.  ``verdict_memo=True`` memoizes
     checker verdicts sweep-wide by canonical execution signature
     (collective checking; see :mod:`repro.consistency.memo`) — results
-    are bit-identical with the cache on or off.  ``checker_backend``
-    selects the consistency-checker kernel (``"auto"``/``"python"``/
-    ``"matrix"``; backends are verdict-equivalent, only speed changes).
+    are bit-identical with the cache on or off.
 
     The orchestration fields mirror :class:`repro.harness.parallel
     .SweepConfig` one-for-one; :meth:`sweep_config` builds the config
@@ -89,7 +87,6 @@ class ExperimentSettings:
     lease_timeout: float = 30.0
     max_frame_bytes: int | None = None
     verdict_memo: bool = False
-    checker_backend: str = "auto"
     service: str | None = None
     service_token: str | None = None
 
@@ -107,7 +104,6 @@ class ExperimentSettings:
                            target_chunk_seconds=self.target_chunk_seconds,
                            max_checkpoint_bytes=self.max_checkpoint_bytes,
                            verdict_memo=self.verdict_memo,
-                           checker_backend=self.checker_backend,
                            transport=self.transport,
                            coordinator=self.coordinator,
                            lease_timeout=self.lease_timeout,
@@ -331,7 +327,7 @@ class ReplayExperiment:
     (a directory or an explicit path list) is sharded through
     :func:`repro.bridge.replay.replay_specs` and run with this
     experiment's orchestration settings (workers, scheduler, transport,
-    memoization, checker backend).  ``run()`` returns the
+    memoization).  ``run()`` returns the
     :class:`~repro.harness.parallel.SweepReport`; per-source verdict
     counts land in :attr:`sources` for tabulation.
     """

@@ -105,7 +105,6 @@ checkpoints no chunk size can keep under the frame cap.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import pickle
@@ -117,7 +116,6 @@ from dataclasses import (asdict, dataclass, field,
 from statistics import mean
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
-from repro.consistency.checker import BACKENDS, resolve_backend_name
 from repro.consistency.memo import (DEFAULT_CACHE_CAPACITY, VerdictCache,
                                     VerdictCacheDelta, VerdictCacheState)
 from repro.core.campaign import (Campaign, CampaignCheckpoint, CampaignResult,
@@ -195,8 +193,7 @@ class ShardResult:
 
 
 def _campaign_for(spec: CampaignSpec,
-                  verdict_cache: VerdictCache | None = None,
-                  checker_backend: str = "auto") -> "Campaign":
+                  verdict_cache: VerdictCache | None = None) -> "Campaign":
     if spec.kind is GeneratorKind.REPLAY:
         # Lazy import: the bridge depends on this module for sweeps,
         # so the harness must not import it at module load.
@@ -206,23 +203,20 @@ def _campaign_for(spec: CampaignSpec,
                 "a replay spec needs trace_paths; build specs with "
                 "repro.bridge.replay.replay_specs")
         return ReplayCampaign(spec.trace_paths, seed=spec.seed,
-                              verdict_cache=verdict_cache,
-                              checker_backend=checker_backend)
+                              verdict_cache=verdict_cache)
     return Campaign(kind=spec.kind,
                     generator_config=spec.generator_config,
                     system_config=spec.system_config,
                     faults=spec.fault_set(),
                     seed=spec.seed,
                     chromosome=spec.chromosome,
-                    verdict_cache=verdict_cache,
-                    checker_backend=checker_backend)
+                    verdict_cache=verdict_cache)
 
 
 def run_shard(spec: CampaignSpec,
-              verdict_cache: VerdictCache | None = None,
-              checker_backend: str = "auto") -> ShardResult:
+              verdict_cache: VerdictCache | None = None) -> ShardResult:
     """Run one shard to completion in the current process."""
-    campaign = _campaign_for(spec, verdict_cache, checker_backend)
+    campaign = _campaign_for(spec, verdict_cache)
     result = campaign.run(spec.max_evaluations, spec.time_limit_seconds)
     return ShardResult(spec=spec, result=result, coverage=campaign.coverage)
 
@@ -231,7 +225,6 @@ def run_shard_chunk(spec: CampaignSpec,
                     checkpoint: "CampaignCheckpoint | ChunkPayload | None" = None,
                     pause_after: int | None = None,
                     verdict_cache: VerdictCache | None = None,
-                    checker_backend: str = "auto"
                     ) -> tuple[ShardResult | None, CampaignCheckpoint | None]:
     """Run (a chunk of) one shard in the current process.
 
@@ -245,7 +238,7 @@ def run_shard_chunk(spec: CampaignSpec,
     """
     if isinstance(checkpoint, ChunkPayload):
         checkpoint = checkpoint.load()
-    campaign = _campaign_for(spec, verdict_cache, checker_backend)
+    campaign = _campaign_for(spec, verdict_cache)
     result, new_checkpoint = campaign.run_chunk(
         spec.max_evaluations, spec.time_limit_seconds,
         checkpoint=checkpoint, pause_after=pause_after)
@@ -314,10 +307,6 @@ class ChunkTask:
     #: "memoize, nothing known yet".  Pre-serialized for the same reason
     #: as :class:`ChunkPayload`: the bytes ride every hop verbatim.
     cache: bytes | None = None
-    #: Checker-backend selector stamped at dispatch (like ``cache``), so
-    #: every worker — multiprocessing or TCP — checks with the backend
-    #: the sweep was configured for without any transport changes.
-    checker_backend: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -411,8 +400,7 @@ def _run_chunk_instrumented(
     started = time.perf_counter()
     shard, checkpoint = run_shard_chunk(task.spec, resume_from,
                                         task.pause_after,
-                                        verdict_cache=verdict_cache,
-                                        checker_backend=task.checker_backend)
+                                        verdict_cache=verdict_cache)
     wall_seconds = time.perf_counter() - started
     cache_delta = (verdict_cache.delta(cache_mark)
                    if verdict_cache is not None else None)
@@ -733,8 +721,7 @@ def _telemetry_view(controller: ChunkSizeController,
                     total_seconds: float,
                     checkpoint_bytes: int = 0,
                     bytes_saved: int = 0,
-                    verdict_cache: dict | None = None,
-                    backend: str | None = None) -> dict[str, object]:
+                    verdict_cache: dict | None = None) -> dict[str, object]:
     """The ``telemetry_out`` shape every execution path publishes.
 
     Single point of truth for the live-telemetry mapping consumed by
@@ -754,8 +741,6 @@ def _telemetry_view(controller: ChunkSizeController,
                               "saved_bytes": bytes_saved}
     if verdict_cache is not None:
         view["verdict_cache"] = verdict_cache
-    if backend is not None:
-        view["backend"] = backend
     return view
 
 
@@ -828,19 +813,13 @@ class ChunkScheduler:
                  controller: ChunkSizeController | None = None,
                  verdict_memo: bool = False,
                  memo_capacity: int = DEFAULT_CACHE_CAPACITY,
-                 max_cache_bytes: int | None = None,
-                 checker_backend: str = "auto") -> None:
+                 max_cache_bytes: int | None = None) -> None:
         if controller is None:
             controller = ChunkSizeController(
                 mode=CHUNK_SIZING_FIXED, chunk_evaluations=chunk_evaluations)
         self.specs = specs
         self.chunk_evaluations = chunk_evaluations
         self.controller = controller
-        #: Checker-backend selector stamped onto every dispatched task
-        #: (workers resolve it themselves), plus the name it resolves to
-        #: here for telemetry.
-        self.checker_backend = checker_backend
-        self.backend_name = resolve_backend_name(checker_backend)
         self._lock = TracedLock("chunk_scheduler")
         #: Sweep-wide verdict cache (collective checking): outcomes'
         #: deltas fold in via :meth:`record`, and :meth:`next_task` stamps
@@ -864,8 +843,7 @@ class ChunkScheduler:
         self.cache_seconds_saved = 0.0
         self._queue: deque[ChunkTask] = deque(
             ChunkTask(index=index, spec=spec, checkpoint=None,
-                      pause_after=chunk_evaluations,
-                      checker_backend=checker_backend)
+                      pause_after=chunk_evaluations)
             for index, spec in enumerate(specs))
         self._completed: set[int] = set()
         #: Indices currently sitting in the queue / held by a worker.
@@ -1047,8 +1025,7 @@ class ChunkScheduler:
                 self._queue.append(ChunkTask(
                     index=outcome.index, spec=self.specs[outcome.index],
                     checkpoint=outcome.resume_state(),
-                    pause_after=self.chunk_evaluations,
-                    checker_backend=self.checker_backend))
+                    pause_after=self.chunk_evaluations))
                 return None
             self._outstanding.discard(outcome.index)
             self._completed.add(outcome.index)
@@ -1072,8 +1049,7 @@ class ChunkScheduler:
                 self.total_chunk_seconds,
                 checkpoint_bytes=self.total_checkpoint_bytes,
                 bytes_saved=self.total_payload_bytes_saved,
-                verdict_cache=self._cache_telemetry_locked(),
-                backend=self.backend_name)
+                verdict_cache=self._cache_telemetry_locked())
 
     def cache_telemetry(self) -> dict[str, object] | None:
         """Sweep-wide verdict-cache counters (``None`` when memo is off)."""
@@ -1224,8 +1200,7 @@ def build_chunk_scheduler(specs: list[CampaignSpec], config: SweepConfig,
     return ChunkScheduler(specs, config.chunk_evaluations,
                           controller=controller,
                           verdict_memo=config.verdict_memo,
-                          max_cache_bytes=max_cache_bytes,
-                          checker_backend=config.checker_backend)
+                          max_cache_bytes=max_cache_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -1372,10 +1347,6 @@ class SweepReport:
     #: Telemetry-only, like the timing fields: excluded from the
     #: determinism contract.
     verdict_cache: dict | None = None
-    #: The concrete checker backend the sweep resolved to (``"python"``
-    #: or ``"matrix"``).  Telemetry-only: backends are
-    #: verdict-equivalent, so this never affects results.
-    checker_backend: str | None = None
 
     @property
     def results(self) -> list[CampaignResult]:
@@ -1537,7 +1508,6 @@ class SweepConfig:
     target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS
     max_checkpoint_bytes: int | None = None
     verdict_memo: bool = False
-    checker_backend: str = "auto"
     transport: str = TRANSPORT_LOCAL
     coordinator: object = None
     lease_timeout: float = 30.0
@@ -1624,8 +1594,7 @@ def _iter_serial(specs: list[CampaignSpec],
                  chunk_evaluations: int | None,
                  controller: ChunkSizeController | None = None,
                  telemetry_out: dict | None = None,
-                 verdict_memo: bool = False,
-                 checker_backend: str = "auto"
+                 verdict_memo: bool = False
                  ) -> Iterator[tuple[int, ShardResult]]:
     """In-process execution in matrix order (the workers=1 fallback).
 
@@ -1647,15 +1616,13 @@ def _iter_serial(specs: list[CampaignSpec],
     # Even then the continuation resumes from the materialized object:
     # the dumps is the measurement, a loads would be pure overhead.
     serialize = controller.max_checkpoint_bytes is not None
-    backend_name = resolve_backend_name(checker_backend)
     total_evaluations, total_seconds = 0, 0.0
     for index, spec in enumerate(specs):
         checkpoint = None
         while True:
             task = ChunkTask(index=index, spec=spec, checkpoint=checkpoint,
                              pause_after=controller.chunk_for(
-                                 sizing_key(spec)),
-                             checker_backend=checker_backend)
+                                 sizing_key(spec)))
             shard, checkpoint, _, telemetry, _ = _run_chunk_instrumented(
                 task, serialize_checkpoint=serialize,
                 verdict_cache=verdict_cache)
@@ -1666,8 +1633,7 @@ def _iter_serial(specs: list[CampaignSpec],
                 telemetry_out.update(_telemetry_view(
                     controller, total_evaluations, total_seconds,
                     verdict_cache=(verdict_cache.stats()
-                                   if verdict_cache is not None else None),
-                    backend=backend_name))
+                                   if verdict_cache is not None else None)))
             if shard is not None:
                 yield index, shard
                 break
@@ -1675,8 +1641,7 @@ def _iter_serial(specs: list[CampaignSpec],
 
 def _iter_static(specs: list[CampaignSpec], workers: int,
                  mp_context: str | None,
-                 chunksize: int | None,
-                 checker_backend: str = "auto"
+                 chunksize: int | None
                  ) -> Iterator[tuple[int, ShardResult]]:
     """Static scheduling: contiguous per-worker blocks, one barrier.
 
@@ -1689,9 +1654,8 @@ def _iter_static(specs: list[CampaignSpec], workers: int,
     processes = min(workers, len(specs))
     if chunksize is None:
         chunksize = -(-len(specs) // processes)  # ceil: contiguous blocks
-    run = functools.partial(run_shard, checker_backend=checker_backend)
     with context.Pool(processes=processes) as pool:
-        shards = pool.map(run, specs, chunksize=chunksize)
+        shards = pool.map(run_shard, specs, chunksize=chunksize)
     yield from enumerate(shards)
 
 
@@ -1700,8 +1664,7 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
                         chunk_evaluations: int | None,
                         controller: ChunkSizeController | None = None,
                         telemetry_out: dict | None = None,
-                        verdict_memo: bool = False,
-                        checker_backend: str = "auto"
+                        verdict_memo: bool = False
                         ) -> Iterator[tuple[int, ShardResult]]:
     """Pull-based scheduling: a shared queue workers drain as they finish.
 
@@ -1714,8 +1677,7 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
     processes = min(workers, len(specs))
     scheduler = ChunkScheduler(specs, chunk_evaluations,
                                controller=controller,
-                               verdict_memo=verdict_memo,
-                               checker_backend=checker_backend)
+                               verdict_memo=verdict_memo)
     task_queue = context.Queue()
     result_queue = context.Queue()
     pool = [context.Process(target=_worker_loop,
@@ -1771,7 +1733,6 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
                    target_chunk_seconds: float = _UNSET,
                    max_checkpoint_bytes: int | None = _UNSET,
                    verdict_memo: bool = _UNSET,
-                   checker_backend: str = _UNSET,
                    transport: str = _UNSET,
                    coordinator: object = _UNSET,
                    lease_timeout: float = _UNSET,
@@ -1789,8 +1750,8 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     iterator is first advanced.
 
     ``config=SweepConfig(...)`` is the preferred way to pass every shared
-    orchestration knob (scheduler, chunking, memoization, checker
-    backend, transport); the individual kwargs remain supported with
+    orchestration knob (scheduler, chunking, memoization, transport);
+    the individual kwargs remain supported with
     unchanged defaults, but combining them with ``config`` raises
     ``ValueError``.  ``workers``, ``mp_context``, ``chunksize`` and the
     ``*_out`` mappings stay per-call arguments: they describe this
@@ -1837,8 +1798,7 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
         chunk_sizing=chunk_sizing,
         target_chunk_seconds=target_chunk_seconds,
         max_checkpoint_bytes=max_checkpoint_bytes,
-        verdict_memo=verdict_memo, checker_backend=checker_backend,
-        transport=transport, coordinator=coordinator,
+        verdict_memo=verdict_memo, transport=transport, coordinator=coordinator,
         lease_timeout=lease_timeout, max_frame_bytes=max_frame_bytes))
     scheduler = config.scheduler
     chunk_evaluations = config.chunk_evaluations
@@ -1846,7 +1806,6 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     target_chunk_seconds = config.target_chunk_seconds
     max_checkpoint_bytes = config.max_checkpoint_bytes
     verdict_memo = config.verdict_memo
-    checker_backend = config.checker_backend
     transport = config.transport
     coordinator = config.coordinator
     lease_timeout = config.lease_timeout
@@ -1854,9 +1813,6 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     if transport not in TRANSPORTS:
         raise ValueError(f"unknown transport {transport!r}; "
                          f"expected one of {TRANSPORTS}")
-    if checker_backend not in BACKENDS:
-        raise ValueError(f"unknown checker_backend {checker_backend!r}; "
-                         f"expected one of {BACKENDS}")
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler {scheduler!r}; "
                          f"expected one of {SCHEDULERS}")
@@ -1917,7 +1873,6 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
                                 target_chunk_seconds=target_chunk_seconds,
                                 max_checkpoint_bytes=max_checkpoint_bytes,
                                 verdict_memo=verdict_memo,
-                                checker_backend=checker_backend,
                                 lease_timeout=lease_timeout,
                                 max_frame_bytes=(max_frame_bytes
                                                  if max_frame_bytes is not None
@@ -1938,16 +1893,13 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     if workers == 1 or len(specs) <= 1:
         return _iter_serial(specs, chunk_evaluations, controller=controller,
                             telemetry_out=telemetry_out,
-                            verdict_memo=verdict_memo,
-                            checker_backend=checker_backend)
+                            verdict_memo=verdict_memo)
     if scheduler == STATIC:
-        return _iter_static(specs, workers, mp_context, chunksize,
-                            checker_backend=checker_backend)
+        return _iter_static(specs, workers, mp_context, chunksize)
     return _iter_work_stealing(specs, workers, mp_context,
                                chunk_evaluations, controller=controller,
                                telemetry_out=telemetry_out,
-                               verdict_memo=verdict_memo,
-                               checker_backend=checker_backend)
+                               verdict_memo=verdict_memo)
 
 
 class SweepAccumulator:
@@ -2011,7 +1963,6 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
                   target_chunk_seconds: float = _UNSET,
                   max_checkpoint_bytes: int | None = _UNSET,
                   verdict_memo: bool = _UNSET,
-                  checker_backend: str = _UNSET,
                   transport: str = _UNSET,
                   coordinator: object = _UNSET,
                   lease_timeout: float = _UNSET,
@@ -2059,8 +2010,7 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
         chunk_sizing=chunk_sizing,
         target_chunk_seconds=target_chunk_seconds,
         max_checkpoint_bytes=max_checkpoint_bytes,
-        verdict_memo=verdict_memo, checker_backend=checker_backend,
-        transport=transport, coordinator=coordinator,
+        verdict_memo=verdict_memo, transport=transport, coordinator=coordinator,
         lease_timeout=lease_timeout, max_frame_bytes=max_frame_bytes))
     started = time.perf_counter()
     accumulator = SweepAccumulator(total=len(specs), workers=workers)
@@ -2093,5 +2043,4 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
     report = accumulator.finalize(time.perf_counter() - started)
     if telemetry is not None and "verdict_cache" in telemetry:
         report.verdict_cache = dict(telemetry["verdict_cache"])
-    report.checker_backend = resolve_backend_name(config.checker_backend)
     return report

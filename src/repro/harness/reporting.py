@@ -117,8 +117,7 @@ def format_telemetry(telemetry: dict) -> str:
     optional ``"checkpoint"`` aggregate (serialized checkpoint bytes
     moved and the transport bytes the single-serialization payload path
     saved), an optional ``"verdict_cache"`` aggregate (collective-checking
-    hit/miss counters and the checker seconds memoization saved), an
-    optional ``"backend"`` naming the resolved checker kernel, and —
+    hit/miss counters and the checker seconds memoization saved), and —
     on the tcp transport — a ``"hosts"`` mapping of worker name to
     measured evaluations/second.  Snapshot-copied before
     iterating, since coordinator handler threads may update it
@@ -126,9 +125,6 @@ def format_telemetry(telemetry: dict) -> str:
     """
     telemetry = dict(telemetry)
     parts: list[str] = []
-    backend = telemetry.get("backend")
-    if backend:
-        parts.append(f"kernel={backend}")
     rate = telemetry.get("evals_per_second")
     if rate:
         parts.append(f"evals/s={rate:g}")

@@ -292,7 +292,6 @@ def run_scenario_sweep(faults: list[Fault] | None = None,
                        lease_timeout: float = 30.0,
                        max_frame_bytes: int | None = None,
                        verdict_memo: bool = False,
-                       checker_backend: str = "auto",
                        on_result=None,
                        progress: bool = False) -> "SweepReport":
     """Run the directed scenarios through the parallel orchestrator.
@@ -305,9 +304,7 @@ def run_scenario_sweep(faults: list[Fault] | None = None,
     checkpoints, and ``transport="tcp"`` shards the scenarios across TCP
     workers (see :mod:`repro.harness.distributed`).  ``verdict_memo=True``
     memoizes checker verdicts sweep-wide by canonical execution signature
-    (collective checking) without changing any verdict;
-    ``checker_backend`` selects the verdict-equivalent checker kernel.
-    The kwargs are folded into one
+    (collective checking) without changing any verdict.  The kwargs are folded into one
     :class:`~repro.harness.parallel.SweepConfig` internally.
     """
     from repro.harness.parallel import SweepConfig, run_campaigns
@@ -322,7 +319,6 @@ def run_scenario_sweep(faults: list[Fault] | None = None,
                          target_chunk_seconds=target_chunk_seconds,
                          max_checkpoint_bytes=max_checkpoint_bytes,
                          verdict_memo=verdict_memo,
-                         checker_backend=checker_backend,
                          transport=transport, coordinator=coordinator,
                          lease_timeout=lease_timeout,
                          max_frame_bytes=max_frame_bytes)

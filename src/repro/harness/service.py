@@ -98,7 +98,7 @@ from repro.harness.store import (JOB_CANCELLED, JOB_DONE, JOB_FAILED,
                                  JOB_RUNNING, JOB_STATES, SweepStore)
 
 SERVICE_MAGIC = "mcversi-service"
-SERVICE_VERSION = 1
+SERVICE_VERSION = 2
 
 #: Wire codecs the service and its workers can speak.  ``"pickle"`` is
 #: the trusted/local mode (fast, closed cluster only); ``"restricted"``
@@ -1512,8 +1512,7 @@ def _submit_main(args: argparse.Namespace) -> int:
                   "shard_traces": args.shard_traces,
                   "base_seed": args.base_seed}
     config = SweepConfig(chunk_evaluations=args.chunk_evaluations,
-                         verdict_memo=args.verdict_memo,
-                         checker_backend=args.checker_backend)
+                         verdict_memo=args.verdict_memo)
     job_id = _client(args).submit_matrix(matrix, config)
     print(job_id)
     return 0
@@ -1615,7 +1614,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--memory-kib", type=int, default=1)
     submit.add_argument("--chunk-evaluations", type=int, default=5)
     submit.add_argument("--verdict-memo", action="store_true")
-    submit.add_argument("--checker-backend", default="auto")
     _add_token_arg(submit)
     submit.set_defaults(entry=_submit_main)
 

@@ -209,19 +209,13 @@ def cycle_witness_execution(test: LitmusTest) -> CandidateExecution:
     return execution
 
 
-def check_witness(test: LitmusTest, model_name: str,
-                  backend: str = "auto") -> CheckResult:
-    """Run the critical-cycle witness through the axiomatic checker.
-
-    *backend* selects the checker kernel (``"auto"``/``"python"``/
-    ``"matrix"``); backends are verdict-equivalent.
-    """
-    return Checker(model_by_name(model_name), backend=backend).check(
+def check_witness(test: LitmusTest, model_name: str) -> CheckResult:
+    """Run the critical-cycle witness through the axiomatic checker."""
+    return Checker(model_by_name(model_name)).check(
         cycle_witness_execution(test))
 
 
-def cycle_verdict(test: LitmusTest, model_name: str,
-                  backend: str = "auto") -> str:
+def cycle_verdict(test: LitmusTest, model_name: str) -> str:
     """``"allowed"`` or ``"forbidden"``: the model's verdict on the cycle."""
-    return ("allowed" if check_witness(test, model_name, backend).passed
+    return ("allowed" if check_witness(test, model_name).passed
             else "forbidden")

@@ -9,8 +9,8 @@ trace (or one hand-built execution) and records:
 * ``build_error``: the ``ExecutionBuildError`` text, or null;
 * ``conflict_edges_sha256``: a digest of the sorted ``conflict_edges()``
   (the rf/co union the engine folds into NDT);
-* per memory model, the ``execution_signature(...).digest`` and, per
-  checker backend, the verdict and ``violations_summary()``.
+* per memory model, the ``execution_signature(...).digest`` and the
+  checker's verdict and ``violations_summary()``.
 
 Cases are every simulator-golden iteration checked under SC and TSO,
 seeded random executions with stale reads and broken RMWs, hand-built
@@ -35,7 +35,6 @@ from test_sim_golden import _system_and_threads
 
 from repro.consistency.checker import Checker
 from repro.consistency.execution import ExecutionBuildError, execution_from_trace
-from repro.consistency.matrix import HAVE_NUMPY
 from repro.consistency.models import model_by_name
 from repro.consistency.signature import execution_signature
 from repro.litmus.corpus import corpus_names, litmus_by_name
@@ -49,7 +48,6 @@ pytestmark = pytest.mark.filterwarnings(
 GOLDEN = Path(__file__).parent / "data" / "consistency_golden.json"
 
 MODELS = ("SC", "TSO")
-BACKENDS = ("python", "matrix")
 RANDOM_SEEDS = range(24)
 X, Y = 0x1000, 0x2000
 
@@ -183,7 +181,7 @@ def _conflict_digest(execution) -> str:
     return hashlib.sha256(repr(edges).encode()).hexdigest()
 
 
-def observe(case: dict, backends=BACKENDS) -> dict:
+def observe(case: dict) -> dict:
     """Build, fingerprint and check the case; return its golden row."""
     threads, trace, execution = _inputs(case)
     build_error = None
@@ -197,21 +195,18 @@ def observe(case: dict, backends=BACKENDS) -> dict:
                                      else _conflict_digest(execution))}
     for model_name in MODELS:
         model = model_by_name(model_name)
-        per_model = {"digest": (None if execution is None else
-                                execution_signature(execution, model).digest)}
-        for backend in backends:
-            checker = Checker(model, backend=backend)
-            result = (checker.check_trace(threads, trace) if trace is not None
-                      else checker.check(execution))
-            per_model[backend] = {
-                "passed": result.passed,
-                "violations": list(result.violations_summary())}
-        row[model_name] = per_model
+        checker = Checker(model)
+        result = (checker.check_trace(threads, trace) if trace is not None
+                  else checker.check(execution))
+        row[model_name] = {
+            "digest": (None if execution is None else
+                       execution_signature(execution, model).digest),
+            "verdict": {"passed": result.passed,
+                        "violations": list(result.violations_summary())}}
     return row
 
 
 CASES = cases()
-AVAILABLE_BACKENDS = BACKENDS if HAVE_NUMPY else ("python",)
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +222,7 @@ def test_golden_covers_passes_failures_and_build_errors(golden):
     rows = list(golden.values())
     assert any(row["build_error"] for row in rows)
     for model in MODELS:
-        verdicts = [row[model]["python"] for row in rows]
+        verdicts = [row[model]["verdict"] for row in rows]
         assert any(verdict["passed"] for verdict in verdicts)
         kinds = {violation.split(":")[0] for verdict in verdicts
                  for violation in verdict["violations"]}
@@ -236,12 +231,7 @@ def test_golden_covers_passes_failures_and_build_errors(golden):
 
 @pytest.mark.parametrize("case", CASES, ids=[case["id"] for case in CASES])
 def test_execution_matches_golden(case, golden):
-    expected = {
-        field: ({key: value for key, value in pinned.items()
-                 if key not in BACKENDS or key in AVAILABLE_BACKENDS}
-                if field in MODELS else pinned)
-        for field, pinned in golden[case["id"]].items()}
-    assert observe(case, AVAILABLE_BACKENDS) == expected
+    assert observe(case) == golden[case["id"]]
 
 
 def _regenerate() -> None:

@@ -30,11 +30,7 @@ The ``*-memo`` modes additionally switch on collective checking
 execution signature must be bit-for-bit invisible — cache-on results
 equal cache-off results in every mode, serial through loopback-TCP.
 
-The ``*-python`` / ``*-matrix`` modes pin the checker backends to each
-other: the vectorized matrix kernel and the pure-python DFS kernel must
-be verdict-for-verdict invisible in every reported result, across the
-serial, work-stealing and loopback-TCP paths.  And the ``*-config``
-modes run the same sweeps through ``config=SweepConfig(...)`` instead
+The ``*-config`` modes run the same sweeps through ``config=SweepConfig(...)`` instead
 of legacy kwargs — the two configuration surfaces must be bit-for-bit
 interchangeable.
 
@@ -54,7 +50,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.consistency.matrix import HAVE_NUMPY
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness.parallel import (SweepConfig, campaign_matrix,
@@ -158,13 +153,6 @@ def test_all_schedulers_match_serial(fuzz_seed):
             workers=workers, chunk_evaluations=chunk_evaluations,
             chunk_sizing="adaptive", target_chunk_seconds=0.02,
             verdict_memo=True),
-        # Checker backends must be verdict-equivalent: pinning "python"
-        # (the serial reference runs "auto") proves cross-backend
-        # equality whether or not numpy is installed.
-        "serial-python": dict(workers=1, checker_backend="python"),
-        "work-stealing-python": dict(workers=workers,
-                                     chunk_evaluations=chunk_evaluations,
-                                     checker_backend="python"),
         # SweepConfig ≡ legacy kwargs, bit for bit.
         "serial-chunked-config": dict(
             workers=1,
@@ -176,12 +164,6 @@ def test_all_schedulers_match_serial(fuzz_seed):
                                target_chunk_seconds=0.02,
                                verdict_memo=True)),
     }
-    if HAVE_NUMPY:
-        modes["serial-matrix"] = dict(workers=1,
-                                      checker_backend="matrix")
-        modes["work-stealing-matrix"] = dict(
-            workers=workers, chunk_evaluations=chunk_evaluations,
-            checker_backend="matrix")
     if fuzz_seed == 0:
         # Loopback-TCP coordinator with real worker subprocesses: the
         # expensive modes run on one representative random matrix.

@@ -34,6 +34,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -80,6 +81,28 @@ CHUNKED = SweepConfig(chunk_evaluations=2)
 
 # ----------------------------------------------------------------------
 # Store unit tests
+
+#: A job's stored config as written by the previous release, whose
+#: ``SweepConfig`` still carried a field naming the checker backend:
+#: ``SweepConfig(chunk_evaluations=3, verdict_memo=True)`` with that
+#: field set to ``"matrix"``, pickled with the store's encoder.  Pickle
+#: restores a dataclass by ``__dict__`` update, so the stray key loads
+#: without error; it must not leak into equality or the JSON image.
+PARENT_CONFIG_BLOB = (
+    b'\x80\x05\x95-\x01\x00\x00\x00\x00\x00\x00'
+    b'\x8c\x16repro.harness.parallel\x94'
+    b'\x8c\x0bSweepConfig\x94\x93\x94)\x81\x94}\x94('
+    b'\x8c\tscheduler\x94\x8c\rwork-stealing\x94'
+    b'\x8c\x11chunk_evaluations\x94K\x03'
+    b'\x8c\x0cchunk_sizing\x94\x8c\x05fixed\x94'
+    b'\x8c\x14target_chunk_seconds\x94G@\x00\x00\x00\x00\x00\x00\x00'
+    b'\x8c\x14max_checkpoint_bytes\x94N'
+    b'\x8c\x0cverdict_memo\x94\x88\x8c\x0fchecker_'
+    b'backend\x94'
+    b'\x8c\x06matrix\x94\x8c\ttransport\x94\x8c\x05local\x94'
+    b'\x8c\x0bcoordinator\x94N'
+    b'\x8c\rlease_timeout\x94G@>\x00\x00\x00\x00\x00\x00'
+    b'\x8c\x0fmax_frame_bytes\x94Nub.')
 
 
 class TestSweepStore:
@@ -140,6 +163,23 @@ class TestSweepStore:
         assert reopened.jobs()[0][1] == JOB_CANCELLED
         assert reopened.commits == 0  # per-process counter, not persisted
         reopened.close()
+
+    def test_config_stored_before_backend_removal_resumes(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        store = SweepStore(path)
+        store.create_job("old", b"specs", PARENT_CONFIG_BLOB, total=1)
+        store.close()
+        reopened = SweepStore(path)
+        _, config_blob = reopened.job_blobs("old")
+        reopened.close()
+        config = pickle.loads(config_blob)
+        expected = SweepConfig(chunk_evaluations=3, verdict_memo=True)
+        assert config == expected
+        image = config.to_json_dict()
+        assert image == expected.to_json_dict()
+        assert set(image) == {field.name for field in fields(SweepConfig)}
+        assert SweepConfig.from_json_dict(json.loads(json.dumps(image))) \
+            == expected
 
     def test_unknown_job_raises_key_error(self, tmp_path):
         store = SweepStore(tmp_path / "store.sqlite")
