@@ -430,14 +430,13 @@ def test_memoized_results_match_unmemoized(memo_sweeps):
 
 
 def test_memoized_checking_is_faster(memo_sweeps, benchmark, capsys):
-    """The signature + cache lookup undercuts the three cycle checks.
+    """The execution key + cache lookup undercuts the three cycle checks.
 
-    Litmus campaigns re-generate a small set of execution shapes, so
-    most verdicts are cache hits; memoization only pays off if
-    fingerprinting an execution is clearly cheaper than checking it,
-    which is exactly what this guards (the signature is deliberately a
-    single thread-granularity refinement pass, not per-event color
-    rounds).
+    Litmus campaigns re-generate a small set of executions, so most
+    verdicts are cache hits; memoization only pays off if keying an
+    execution is clearly cheaper than checking it, which is exactly what
+    this guards (the key is one hash of the flat integer form, no
+    canonicalization).
     """
     (_, plain_check, plain_wall, _), (memo_shards, memo_check, memo_wall,
                                       cache) = memo_sweeps

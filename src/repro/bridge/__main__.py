@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--transport", choices=("local", "tcp"),
                        default="local")
     check.add_argument("--verdict-memo", action="store_true",
-                       help="memoize verdicts sweep-wide by canonical "
-                            "execution signature")
+                       help="memoize verdicts sweep-wide by exact "
+                            "execution graph")
     check.add_argument("--golden", default=None,
                        help="JSON file mapping trace file name -> "
                             "expected verdict (pass/fail/corrupt)")

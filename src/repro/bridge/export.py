@@ -4,7 +4,7 @@ The exporter is the round-trip half of the bridge: any
 ``(threads, trace)`` pair the simulator produced can be dumped to the
 on-disk schema and re-ingested through :mod:`repro.bridge.ingest` into
 a bit-identical candidate execution — identical po/rf/co/fr relations,
-checker verdicts and canonical signatures.  Non-memory operations
+checker verdicts and execution keys.  Non-memory operations
 (cache flushes, delays) produce no abstract events and are dropped:
 they contribute no events to the candidate execution, so the
 round-tripped execution is unchanged.

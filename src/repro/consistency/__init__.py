@@ -22,8 +22,7 @@ from repro.consistency.checker import (CheckResult, Checker, Violation,
                                        is_acyclic)
 from repro.consistency.memo import (CachedVerdict, VerdictCache,
                                     VerdictCacheDelta, VerdictCacheState)
-from repro.consistency.signature import (ExecutionSignature, canonical_form,
-                                         execution_signature)
+from repro.consistency.signature import execution_signature
 
 __all__ = [
     "Event",
@@ -44,7 +43,5 @@ __all__ = [
     "VerdictCache",
     "VerdictCacheDelta",
     "VerdictCacheState",
-    "ExecutionSignature",
-    "canonical_form",
     "execution_signature",
 ]

@@ -14,14 +14,15 @@ write produced, a branching coherence order, i.e. a lost update) is also
 reported as a violation - these indicate memory-system data corruption.
 
 When handed a :class:`~repro.consistency.memo.VerdictCache`, the checker
-runs MTraceCheck-style collective checking: each execution is fingerprinted
+runs MTraceCheck-style collective checking: each execution is keyed by a
+digest of its exact graph
 (:func:`~repro.consistency.signature.execution_signature`) and a cached
-*passing* verdict for the same canonical signature skips the three cycle
-checks outright — the returned ``CheckResult.ok(execution)`` is
-byte-identical to what a full check of this (isomorphic) execution would
-produce, so memoization never changes what is reported.  Cached *failing*
-verdicts never short-circuit: the check re-runs so violation descriptions
-name the events of the execution actually at hand (a failing check ends a
+*passing* verdict for the same graph skips the three cycle checks
+outright — the returned ``CheckResult.ok(execution)`` is byte-identical
+to what a full check of this execution would produce, so memoization
+never changes what is reported.  Cached *failing* verdicts never
+short-circuit: the check re-runs so violation descriptions name the
+events of the execution actually at hand (a failing check ends a
 campaign, so this path stays rare and cheap).
 """
 
@@ -34,7 +35,7 @@ from typing import Sequence
 from repro.consistency.execution import (CandidateExecution, ExecutionBuildError,
                                          ExecutionGraph, execution_from_trace,
                                          po_loc_edges)
-from repro.consistency.memo import KEYING_CANONICAL, CachedVerdict, VerdictCache
+from repro.consistency.memo import CachedVerdict, VerdictCache
 from repro.consistency.models import Edges, MemoryModel
 from repro.consistency.relations import Relation
 from repro.consistency.signature import execution_signature
@@ -240,9 +241,9 @@ class Checker:
                     cache: VerdictCache | None = None) -> CheckResult:
         """Build the execution from a trace and check it.
 
-        With a *cache*, the check is memoized by canonical execution
-        signature (corrupted traces never touch the cache — there is no
-        execution to fingerprint).
+        With a *cache*, the check is memoized by the exact execution
+        graph (corrupted traces never touch the cache — there is no
+        execution to key).
         """
         try:
             execution = execution_from_trace(threads, trace)
@@ -257,19 +258,14 @@ class Checker:
     def check_memoized(self, execution: CandidateExecution,
                        cache: VerdictCache) -> CheckResult:
         """Check *execution*, skipping the cycle checks on a passing hit."""
-        signature = execution_signature(
-            execution, self.model, keep_form=cache.keying == KEYING_CANONICAL)
-        cached = cache.lookup(signature.key)
+        key = execution_signature(execution, self.model)
+        cached = cache.lookup(key)
         if cached is not None and cached.passed:
             return CheckResult.ok(execution)
         started = time.perf_counter()
         result = self.check(execution)
         if cached is None:
-            cache.store(signature.key,
-                        CachedVerdict(
-                            passed=result.passed,
-                            violation_kinds=tuple(violation.kind for violation
-                                                  in result.violations)),
+            cache.store(key, CachedVerdict(passed=result.passed),
                         check_seconds=time.perf_counter() - started)
         return result
 

@@ -1,9 +1,9 @@
 """A mergeable, bounded verdict cache for collective checking.
 
-:class:`VerdictCache` memoizes checker verdicts keyed by canonical
-execution signature (:mod:`repro.consistency.signature`), so a sweep
-pays full checker cost only on novel behaviours.  Like
-``CoverageCollector`` it is built to *fold across shards*: ``mark()`` /
+:class:`VerdictCache` memoizes checker verdicts keyed by the digest of
+the exact execution graph (:mod:`repro.consistency.signature`), so a
+sweep pays full checker cost only on graphs it has not checked yet.
+Like ``CoverageCollector`` it is built to *fold across shards*: ``mark()`` /
 ``delta()`` extract exactly the entries a chunk discovered,
 ``merge()`` folds states or deltas from other workers in, and
 ``snapshot()`` / ``restore()`` round-trip the whole cache through
@@ -39,17 +39,12 @@ DEFAULT_CACHE_CAPACITY = 16384
 #: most re-checks — never correctness — while checkpoints stay lean.
 CHECKPOINT_STATE_MAX_ENTRIES = 4096
 
-KEYING_DIGEST = "digest"
-KEYING_CANONICAL = "canonical"
-KEYING_MODES = (KEYING_DIGEST, KEYING_CANONICAL)
-
 
 @dataclass(frozen=True)
 class CachedVerdict:
-    """The memoized outcome of one unique execution signature."""
+    """The memoized outcome of one unique execution graph."""
 
     passed: bool
-    violation_kinds: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,6 @@ class VerdictCacheState:
     """A full, picklable snapshot of a cache (entries oldest-first)."""
 
     capacity: int
-    keying: str
     entries: tuple  # ((key, CachedVerdict), ...) in LRU order
     hits: int = 0
     misses: int = 0
@@ -100,12 +94,7 @@ class CacheMark:
             "evictions", "failed_refreshes", "seconds_saved",
             "check_seconds_observed", "checks_observed")
 class VerdictCache:
-    """Bounded LRU of signature → verdict with mergeable delta extraction.
-
-    ``keying`` selects what the checker uses as the key: ``"digest"``
-    (compact SHA-256 hex, the default) or ``"canonical"`` (the full
-    canonical form — collision-safe, used by tests to prove the digest
-    path agrees with it).
+    """Bounded LRU of execution key → verdict with mergeable deltas.
 
     Thread-safe: shipment assembly on the coordinator reads the cache
     while worker outcomes merge deltas in, so every entry/counter access
@@ -113,15 +102,10 @@ class VerdictCache:
     never before — see the hierarchy note in :mod:`repro.locking`).
     """
 
-    def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY,
-                 keying: str = KEYING_DIGEST) -> None:
+    def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if keying not in KEYING_MODES:
-            raise ValueError(f"keying must be one of {KEYING_MODES}, "
-                             f"got {keying!r}")
         self.capacity = capacity
-        self.keying = keying
         self._lock = TracedLock("verdict_cache")
         # key -> (verdict, insert_seq); OrderedDict order is LRU order.
         self._entries: OrderedDict = OrderedDict()
@@ -261,9 +245,8 @@ class VerdictCache:
             if max_entries is not None and len(entries) > max_entries:
                 entries = entries[len(entries) - max_entries:]
             return VerdictCacheState(
-                capacity=self.capacity, keying=self.keying,
-                entries=entries, hits=self.hits, misses=self.misses,
-                evictions=self.evictions,
+                capacity=self.capacity, entries=entries, hits=self.hits,
+                misses=self.misses, evictions=self.evictions,
                 failed_refreshes=self.failed_refreshes,
                 seconds_saved=self.seconds_saved,
                 check_seconds_observed=self.check_seconds_observed,
@@ -273,7 +256,6 @@ class VerdictCache:
         """Replace all cache contents and counters with *state*."""
         with self._lock:
             self.capacity = state.capacity
-            self.keying = state.keying
             self._entries = OrderedDict()
             self._insert_seq = 0
             for key, verdict in state.entries:
@@ -289,7 +271,7 @@ class VerdictCache:
 
     @classmethod
     def from_state(cls, state: VerdictCacheState) -> "VerdictCache":
-        cache = cls(capacity=state.capacity, keying=state.keying)
+        cache = cls(capacity=state.capacity)
         cache.restore(state)
         return cache
 

@@ -103,10 +103,10 @@ class VerificationEngine:
         self.model = model or TotalStoreOrder()
         self.coverage = coverage or CoverageCollector()
         self.checker = Checker(self.model)
-        # Collective checking: memoized verdicts keyed by canonical execution
-        # signature.  The cache object is typically shared — per worker or
-        # sweep-wide — so novel behaviours checked by one campaign are hits
-        # for every later one.
+        # Collective checking: memoized verdicts keyed by exact execution
+        # graph.  The cache object is typically shared — per worker or
+        # sweep-wide — so graphs checked by one campaign are hits for every
+        # later one.
         self.verdict_cache = verdict_cache
         # Optional ``(threads, trace)`` callback fired for every cleanly
         # simulated iteration — the export hook of the trace-ingestion

@@ -131,10 +131,10 @@ WIRE_FIELDS: dict[str, tuple[str, ...]] = {
         "entries", "hits", "misses", "evictions", "failed_refreshes",
         "seconds_saved", "check_seconds_observed", "checks_observed"),
     "VerdictCacheState": (
-        "capacity", "keying", "entries", "hits", "misses", "evictions",
+        "capacity", "entries", "hits", "misses", "evictions",
         "failed_refreshes", "seconds_saved", "check_seconds_observed",
         "checks_observed"),
-    "CachedVerdict": ("passed", "violation_kinds"),
+    "CachedVerdict": ("passed",),
     "ReplayShardStats": (
         "traces", "passed", "failed", "corrupt", "sources", "verdicts",
         "first_failure", "detail"),

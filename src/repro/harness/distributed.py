@@ -88,7 +88,7 @@ from repro.harness.parallel import (CHECKPOINT_FRAME_FRACTION,
 from repro.locking import TracedLock, guarded_by, requires_lock
 
 PROTOCOL_MAGIC = "mcversi-distributed"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: 8-byte big-endian unsigned payload length.
 _HEADER = struct.Struct(">Q")
@@ -1325,7 +1325,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   f"{CHECKPOINT_FRAME_FRACTION})")
     coordinator.add_argument("--verdict-memo", action="store_true",
                              help="memoize checker verdicts sweep-wide: "
-                                  "workers ship canonical-signature cache "
+                                  "workers ship exact-graph cache "
                                   "deltas back with each chunk and the "
                                   "folded cache rides out on dispatch")
     coordinator.set_defaults(entry=_coordinator_main)

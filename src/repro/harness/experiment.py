@@ -53,7 +53,7 @@ class ExperimentSettings:
     ``lease_timeout`` bounds how long a silently stalled TCP worker may
     hold a chunk before it is re-queued, and ``max_frame_bytes``
     (tcp only) caps one wire frame.  ``verdict_memo=True`` memoizes
-    checker verdicts sweep-wide by canonical execution signature
+    checker verdicts sweep-wide by exact execution graph
     (collective checking; see :mod:`repro.consistency.memo`) — results
     are bit-identical with the cache on or off.
 

@@ -426,16 +426,16 @@ def merge_shipped_cache(data: bytes,
                         cache: VerdictCache | None) -> VerdictCache:
     """Fold a task's pickled cache shipment into a worker's persistent cache.
 
-    Creates the cache on first use (configured from the shipment's
-    capacity/keying) and merges the shipped entries in — idempotently, so
-    re-deliveries and overlapping shipments are harmless.  Both worker
+    Creates the cache on first use (sized from the shipment's capacity)
+    and merges the shipped entries in — idempotently, so re-deliveries
+    and overlapping shipments are harmless.  Both worker
     loops (multiprocessing and TCP) call this once per cache-bearing task,
     which is how a worker's cache keeps accruing the sweep-wide entries
     the scheduler learned from *other* workers.
     """
     state: VerdictCacheState = pickle.loads(data)
     if cache is None:
-        cache = VerdictCache(capacity=state.capacity, keying=state.keying)
+        cache = VerdictCache(capacity=state.capacity)
     cache.merge(state)
     return cache
 
@@ -1771,7 +1771,7 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     evaluation budget).
 
     ``verdict_memo=True`` turns on collective checking: checker verdicts
-    are memoized by canonical execution signature in a sweep-wide
+    are memoized by exact execution graph in a sweep-wide
     :class:`~repro.consistency.memo.VerdictCache` (shared in-process on
     the serial path; folded from per-chunk deltas and re-shipped on
     dispatch on the pooled and tcp paths).  Results are bit-for-bit
@@ -1988,7 +1988,7 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
     :func:`iter_campaigns` and :mod:`repro.harness.distributed`), with
     frames capped at ``max_frame_bytes``; per-shard results are
     bit-identical either way.  ``verdict_memo=True`` memoizes checker
-    verdicts sweep-wide by canonical execution signature (collective
+    verdicts sweep-wide by exact execution graph (collective
     checking; see :func:`iter_campaigns`) — results never change, the
     report's ``verdict_cache`` field records the hit-rate and
     checker-seconds saved.

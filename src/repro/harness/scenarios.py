@@ -303,7 +303,7 @@ def run_scenario_sweep(faults: list[Fault] | None = None,
     of worker time each), ``max_checkpoint_bytes`` byte-budgets resume
     checkpoints, and ``transport="tcp"`` shards the scenarios across TCP
     workers (see :mod:`repro.harness.distributed`).  ``verdict_memo=True``
-    memoizes checker verdicts sweep-wide by canonical execution signature
+    memoizes checker verdicts sweep-wide by exact execution graph
     (collective checking) without changing any verdict.  The kwargs are folded into one
     :class:`~repro.harness.parallel.SweepConfig` internally.
     """

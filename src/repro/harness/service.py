@@ -98,7 +98,7 @@ from repro.harness.store import (JOB_CANCELLED, JOB_DONE, JOB_FAILED,
                                  JOB_RUNNING, JOB_STATES, SweepStore)
 
 SERVICE_MAGIC = "mcversi-service"
-SERVICE_VERSION = 2
+SERVICE_VERSION = 3
 
 #: Wire codecs the service and its workers can speak.  ``"pickle"`` is
 #: the trusted/local mode (fast, closed cluster only); ``"restricted"``

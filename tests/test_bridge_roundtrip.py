@@ -3,7 +3,7 @@
 The bridge's core guarantee: exporting a simulated execution to the
 native schema and ingesting it back yields the *same* candidate
 execution — identical po/rf/co/fr edge sets, identical checker verdicts
-and identical canonical signatures (so verdict
+and identical execution keys (so verdict
 memoization treats original and round-tripped executions as one).
 """
 

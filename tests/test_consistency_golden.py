@@ -9,8 +9,9 @@ trace (or one hand-built execution) and records:
 * ``build_error``: the ``ExecutionBuildError`` text, or null;
 * ``conflict_edges_sha256``: a digest of the sorted ``conflict_edges()``
   (the rf/co union the engine folds into NDT);
-* per memory model, the ``execution_signature(...).digest`` and the
-  checker's verdict and ``violations_summary()``.
+* per memory model, the ``execution_signature(...)`` digest (the
+  verdict-cache key) and the checker's verdict and
+  ``violations_summary()``.
 
 Cases are every simulator-golden iteration checked under SC and TSO,
 seeded random executions with stale reads and broken RMWs, hand-built
@@ -200,7 +201,7 @@ def observe(case: dict) -> dict:
                   else checker.check(execution))
         row[model_name] = {
             "digest": (None if execution is None else
-                       execution_signature(execution, model).digest),
+                       execution_signature(execution, model)),
             "verdict": {"passed": result.passed,
                         "violations": list(result.violations_summary())}}
     return row

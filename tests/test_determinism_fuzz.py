@@ -26,8 +26,8 @@ chunk may be re-queued, re-run or migrated anywhere without changing any
 reported result.
 
 The ``*-memo`` modes additionally switch on collective checking
-(``verdict_memo=True``): sweep-wide memoized verdicts keyed by canonical
-execution signature must be bit-for-bit invisible — cache-on results
+(``verdict_memo=True``): sweep-wide memoized verdicts keyed by exact
+execution graph must be bit-for-bit invisible — cache-on results
 equal cache-off results in every mode, serial through loopback-TCP.
 
 The ``*-config`` modes run the same sweeps through ``config=SweepConfig(...)`` instead

@@ -63,16 +63,16 @@ def test_checker_verdict_matches_golden(name, model):
 @pytest.mark.parametrize("name", corpus_names())
 @pytest.mark.parametrize("model", ["SC", "TSO"])
 def test_witness_signature_matches_golden(name, model):
-    """Canonical signatures of the witness executions are pinned.
+    """Exact-graph digests of the witness executions are pinned.
 
     These digests are the collective-checking cache keys: a drift here
-    means either the canonicalization changed (fine — regenerate the
-    golden data, every cache key changes together) or it became
-    unstable across processes/hash seeds (a real bug: sweep-wide cache
-    shipments would silently stop hitting).
+    means either the key encoding changed (fine — re-pin the golden
+    data, every cache key changes together) or it became unstable
+    across processes/hash seeds (a real bug: sweep-wide cache shipments
+    would silently stop hitting).
     """
     execution = cycle_witness_execution(litmus_by_name(name))
-    digest = execution_signature(execution, model_by_name(model)).digest
+    digest = execution_signature(execution, model_by_name(model))
     assert digest == GOLDEN[name]["signatures"][model]
 
 

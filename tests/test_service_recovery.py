@@ -37,7 +37,13 @@ import time
 from dataclasses import fields
 
 import pytest
+from test_verdict_memo import (mp_program, mp_trace,
+                               sc_violating_program_and_trace)
 
+from repro.consistency.checker import Checker
+from repro.consistency.memo import (CachedVerdict, VerdictCache,
+                                    VerdictCacheState)
+from repro.consistency.models import SequentialConsistency, TotalStoreOrder
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness.distributed import recv_raw_frame, send_raw_frame
@@ -103,6 +109,31 @@ PARENT_CONFIG_BLOB = (
     b'\x8c\x0bcoordinator\x94N'
     b'\x8c\rlease_timeout\x94G@>\x00\x00\x00\x00\x00\x00'
     b'\x8c\x0fmax_frame_bytes\x94Nub.')
+
+#: A job's verdict-cache snapshot as written by the release that keyed
+#: verdicts on a canonical, renaming-invariant digest: the state carried
+#: a ``keying`` field and each ``CachedVerdict`` its violation kinds.
+#: It holds the keys of ``mp_trace(2, 1)`` checked under TSO (passing)
+#: and of the stale-read SB trace under SC (failing, ``("ghb",)``).
+PARENT_CACHE_BLOB = (
+    b'\x80\x05\x95\xc3\x01\x00\x00\x00\x00\x00\x00\x8c\x16repro.con'
+    b'sistency.memo\x94'
+    b'\x8c\x11VerdictCacheState\x94\x93\x94)\x81\x94}\x94'
+    b'(\x8c\x08capacity\x94K@\x8c\x06keying\x94\x8c\x06digest\x94'
+    b'\x8c\x07entries\x94'
+    b'\x8c@29be28641213a6cea2f9ebef6f4b6a699659a5fb2794d71a31736c9c'
+    b'e8e052ae\x94'
+    b'h\x00\x8c\rCachedVerdict\x94\x93\x94)\x81\x94}\x94'
+    b'(\x8c\x06passed\x94\x88\x8c\x0fviolation_kinds\x94)ub\x86\x94'
+    b'\x8c@2918f96b73ec95e722f735e8e3d329b1eb212cfd7813a5c8676a10b1'
+    b'7a80b2b7\x94'
+    b'h\x0b)\x81\x94}\x94(h\x0e\x89h\x0f\x8c\x03ghb\x94\x85\x94'
+    b'ub\x86\x94\x86\x94\x8c\x04hits\x94K\x00\x8c\x06misses\x94'
+    b'K\x02\x8c\tevictions\x94K\x00\x8c\x10failed_refreshes\x94'
+    b'K\x00\x8c\rseconds_saved\x94'
+    b'G\x00\x00\x00\x00\x00\x00\x00\x00\x8c\x16check_seconds_observ'
+    b'ed\x94'
+    b'G?5\x7fa<\x00\x00\x00\x8c\x0fchecks_observed\x94K\x02ub.')
 
 
 class TestSweepStore:
@@ -254,6 +285,54 @@ class TestServiceIntegration:
             service.cancel_job(other)
             assert service.job_status(other)["state"] == JOB_CANCELLED
             assert service.store.jobs()[-1][1] == JOB_CANCELLED
+        finally:
+            service.close()
+            for thread in threads:
+                thread.join(timeout=5.0)
+
+    def test_job_cache_stored_before_exact_keys_resumes(self, tmp_path):
+        old = pickle.loads(PARENT_CACHE_BLOB)
+        assert isinstance(old, VerdictCacheState)
+        assert [verdict for _, verdict in old.entries] \
+            == [CachedVerdict(True), CachedVerdict(False)]
+
+        # The old keys simply miss: the same executions key differently.
+        cache = VerdictCache.from_state(old)
+        assert Checker(TotalStoreOrder()).check_trace(
+            mp_program(), mp_trace(2, 1), cache=cache).passed
+        program, trace = sc_violating_program_and_trace()
+        assert not Checker(SequentialConsistency()).check_trace(
+            program, trace, cache=cache).passed
+        assert (cache.hits, cache.failed_refreshes) == (old.hits, 0)
+        assert cache.misses == old.misses + 2 and len(cache) == 4
+
+        # A stored job whose cache is that snapshot reopens and resumes.
+        config = SweepConfig(chunk_evaluations=2, verdict_memo=True)
+        specs = tiny_matrix()
+        serial = run_campaigns(specs, workers=1, config=config)
+        path = tmp_path / "store.sqlite"
+        store = SweepStore(path)
+        store.create_job("old", pickle.dumps(specs), pickle.dumps(config),
+                         total=len(specs))
+        store.commit_outcome("old", 0, result=pickle.dumps(serial.shards[0]),
+                             cache_state=PARENT_CACHE_BLOB)
+        store.close()
+        service = VerificationService(path, start_http=False)
+        try:
+            threads = _start_worker_threads(service.address, 2, None,
+                                            CODEC_PICKLE)
+            deadline = time.monotonic() + 120
+            while service.job_status("old")["state"] == JOB_RUNNING:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            report = service.job_report("old")
+            assert outcomes(report) == outcomes(serial)
+            assert (report.coverage.global_counts
+                    == serial.coverage.global_counts)
+            final = pickle.loads(service.store.cache_state("old"))
+            keys = [key for key, _ in final.entries]
+            assert [key for key, _ in old.entries] == keys[:2]
+            assert len(keys) > 2
         finally:
             service.close()
             for thread in threads:

@@ -19,9 +19,8 @@ import pytest
 
 from repro.consistency.checker import Checker
 from repro.consistency.memo import (CHECKPOINT_STATE_MAX_ENTRIES,
-                                    KEYING_CANONICAL, CachedVerdict,
-                                    VerdictCache, VerdictCacheDelta,
-                                    VerdictCacheState)
+                                    CachedVerdict, VerdictCache,
+                                    VerdictCacheDelta, VerdictCacheState)
 from repro.consistency.models import SequentialConsistency, TotalStoreOrder
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
@@ -75,8 +74,6 @@ class TestVerdictCacheUnit:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             VerdictCache(capacity=0)
-        with pytest.raises(ValueError):
-            VerdictCache(keying="nope")
 
     def test_miss_then_hit_counters(self):
         cache = VerdictCache()
@@ -89,8 +86,7 @@ class TestVerdictCacheUnit:
 
     def test_failing_hit_counts_as_refresh_not_hit(self):
         cache = VerdictCache()
-        cache.store("k", CachedVerdict(passed=False,
-                                       violation_kinds=("ghb",)))
+        cache.store("k", CachedVerdict(passed=False))
         verdict = cache.lookup("k")
         assert verdict is not None and not verdict.passed
         assert (cache.hits, cache.failed_refreshes) == (0, 1)
@@ -131,13 +127,13 @@ class TestVerdictCacheUnit:
         assert cache.hits == 1                 # counters never merged
 
     def test_snapshot_restore_round_trip(self):
-        cache = VerdictCache(capacity=8, keying=KEYING_CANONICAL)
+        cache = VerdictCache(capacity=8)
         cache.store("a", CachedVerdict(True))
-        cache.store("b", CachedVerdict(False, ("atomicity",)))
+        cache.store("b", CachedVerdict(False))
         cache.lookup("a")
         state = cache.snapshot()
         clone = VerdictCache.from_state(state)
-        assert len(clone) == 2 and clone.keying == KEYING_CANONICAL
+        assert len(clone) == 2 and clone.capacity == 8
         assert clone.hits == cache.hits and clone.misses == cache.misses
         assert clone.snapshot() == clone.snapshot()
         restored = VerdictCache()
@@ -203,19 +199,6 @@ class TestMemoizedChecker:
         assert result.violations[0].kind == "corruption"
         assert result.trace is trace
         assert len(cache) == 0 and cache.misses == 0
-
-    def test_canonical_keying_agrees_with_digest(self):
-        digest_cache = VerdictCache()
-        form_cache = VerdictCache(keying=KEYING_CANONICAL)
-        for cache in (digest_cache, form_cache):
-            self.checker.check_trace(mp_program(), mp_trace(2, 1),
-                                     cache=cache)
-            self.checker.check_trace(mp_program(), mp_trace(2, 1),
-                                     cache=cache)
-            self.checker.check_trace(mp_program(), mp_trace(0, 0),
-                                     cache=cache)
-        assert digest_cache.stats()["hits"] == form_cache.stats()["hits"] == 1
-        assert len(digest_cache) == len(form_cache) == 2
 
 
 class TestEngineCheckpointCache:
