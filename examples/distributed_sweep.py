@@ -1,40 +1,38 @@
 #!/usr/bin/env python3
 """Distributed campaign sharding: a Table-4 sweep over loopback TCP.
 
-This example runs the same heterogeneous campaign matrix twice:
+This example runs the same heterogeneous campaign matrix three times:
 
 1. serially (``workers=1``), the reproducible reference;
-2. over the TCP transport: this process becomes the coordinator, two
-   worker processes are spawned against it on loopback, pull resumable
-   ``(CampaignSpec, CampaignCheckpoint)`` chunks and stream results
-   back — exactly what cross-host workers would do, just on one machine.
+2. over the TCP transport with ``workers=2``: the sweep runs as one job
+   on an ephemeral verification service hosted by this process, and two
+   ``service worker`` processes are spawned against it on loopback;
+3. the multi-host layout on one machine: ``workers=0`` (this process
+   spawns nobody), a fixed coordinator address, and three independently
+   started ``service worker`` processes that connect to it — one of
+   which is SIGKILLed after the first shard lands.  The service
+   re-queues whatever chunk it held and the sweep still completes with
+   bit-identical results.
 
-It then demonstrates the coordinator's fault tolerance by re-running the
-sweep with a *chaos* worker that dies abruptly (``os._exit``, a
-SIGKILL-equivalent) while holding a leased chunk: the coordinator
-re-queues the orphaned chunk exactly once and the sweep still completes
-with bit-identical results.
+For a real multi-host run, use the same two pieces on separate hosts:
 
-For a real multi-host run, use the CLI instead (see the README's
-"Distributed sweeps" section):
-
-    coordinator host:  python -m repro.harness.distributed coordinator \
-                           --bind 0.0.0.0:7777
-    each worker host:  python -m repro.harness.distributed worker \
+    coordinator host:  run_campaigns(specs, workers=0, transport="tcp",
+                                     coordinator="0.0.0.0:7777")
+    each worker host:  python -m repro.harness.service worker \
                            --connect coordinator-host:7777
 
 Run with:  python examples/distributed_sweep.py
 """
 
+import socket
 from dataclasses import replace
 
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
-from repro.harness.distributed import (Coordinator, reap_workers,
-                                       spawn_local_workers)
-from repro.harness.parallel import (SweepAccumulator, campaign_matrix,
-                                    run_campaigns)
+from repro.harness.distributed import format_address, reap_workers
+from repro.harness.parallel import campaign_matrix, run_campaigns
 from repro.harness.reporting import format_sweep_report
+from repro.harness.service import spawn_service_workers
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
@@ -60,6 +58,14 @@ def outcomes(report):
             for shard in report.shards]
 
 
+def free_loopback_address() -> tuple[str, int]:
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    address = probe.getsockname()[:2]
+    probe.close()
+    return address
+
+
 def main() -> None:
     specs = build_specs()
 
@@ -67,33 +73,33 @@ def main() -> None:
     serial = run_campaigns(specs, workers=1)
     print(format_sweep_report(serial, title="Serial sweep"))
 
-    print("\n== same sweep over loopback TCP (2 workers) ==")
+    print("\n== same sweep over loopback TCP (2 spawned workers) ==")
     tcp = run_campaigns(specs, workers=2, transport="tcp",
                         chunk_evaluations=4)
     print(format_sweep_report(tcp, title="Distributed sweep"))
     assert outcomes(tcp) == outcomes(serial), "determinism violated!"
     print("distributed outcomes are bit-identical to the serial run")
 
-    print("\n== chaos: one worker dies mid-chunk ==")
-    server = Coordinator(specs, chunk_evaluations=4, lease_timeout=20.0)
-    workers = spawn_local_workers(server.address, 2)
-    workers += spawn_local_workers(server.address, 1, name_prefix="chaos",
-                                   extra_args=("--chaos-die-after-chunks",
-                                               "1"))
-    accumulator = SweepAccumulator(total=len(specs))
+    address = free_loopback_address()
+    print(f"\n== external workers on {format_address(address)}; "
+          "one is killed mid-sweep ==")
+    # Workers may start before the coordinator binds: their connect
+    # retry carries them through until run_campaigns starts listening.
+    workers = spawn_service_workers(address, 3, name_prefix="host")
+
+    def kill_one(_shard) -> None:
+        if workers[-1].poll() is None:
+            workers[-1].kill()
+
     try:
-        for index, shard in server.serve():
-            accumulator.add(index, shard)
-        chaotic = accumulator.finalize()
+        external = run_campaigns(specs, workers=0, transport="tcp",
+                                 chunk_evaluations=4, lease_timeout=20.0,
+                                 coordinator=format_address(address),
+                                 on_result=kill_one, progress=True)
     finally:
-        server.close()
         reap_workers(workers)
-    assert outcomes(chaotic) == outcomes(serial), "determinism violated!"
-    print(f"worker died; {server.stats.total_requeues} chunk(s) re-queued; "
-          "results still bit-identical")
-    for name in sorted(server.stats.workers_seen):
-        print(f"  {name}: {server.stats.completed_by_worker[name]} shard(s), "
-              f"{server.stats.chunks_by_worker[name]} chunk(s)")
+    assert outcomes(external) == outcomes(serial), "determinism violated!"
+    print("host-2 was SIGKILLed; results are still bit-identical")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.bridge.ingest import load_trace, scan_corpus
 from repro.consistency.checker import Checker
@@ -41,9 +40,6 @@ from repro.consistency.memo import VerdictCache
 from repro.consistency.models import MemoryModel, TotalStoreOrder
 from repro.core.campaign import CampaignResult, GeneratorKind
 from repro.sim.coverage import CoverageCollector
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.harness.distributed import Coordinator
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -354,7 +350,7 @@ def run_replay_sweep(corpus: "str | list[str]",
                      target_chunk_seconds: float = 2.0,
                      max_checkpoint_bytes: int | None = None,
                      transport: str = "local",
-                     coordinator: Coordinator | None = None,
+                     coordinator: str | tuple[str, int] | None = None,
                      lease_timeout: float = 30.0,
                      max_frame_bytes: int | None = None,
                      verdict_memo: bool = False,

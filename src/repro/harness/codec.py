@@ -1,6 +1,6 @@
 """Restricted binary frame codec for untrusted workers.
 
-The distributed transport's frames are pickles, which is fine on a
+The tcp transport's frames are pickles, which is fine on a
 trusted cluster but unacceptable the moment a worker (or anything that
 can reach the socket) is not fully trusted: unpickling attacker bytes is
 arbitrary code execution.  This module provides the drop-in alternative
@@ -9,7 +9,7 @@ the verification service (:mod:`repro.harness.service`) uses in
 type universe — ``None``, ``bool``, ``int``, ``float``, ``str``,
 ``bytes``, ``list``/``tuple``/``dict``/``set``/``frozenset``, plus an
 explicit registry of the dataclasses and enums that legitimately cross
-the coordinator/worker wire (:class:`~repro.harness.parallel.ChunkTask`,
+the service/worker wire (:class:`~repro.harness.parallel.ChunkTask`,
 :class:`~repro.harness.parallel.ChunkOutcome` and everything reachable
 from them).
 

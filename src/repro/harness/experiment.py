@@ -48,8 +48,9 @@ class ExperimentSettings:
     ``max_checkpoint_bytes`` byte-budgets resume checkpoints: a cell
     whose checkpoints approach the cap gets smaller chunks instead of a
     fatal oversized transport frame.  ``transport="tcp"`` serves the
-    chunks to TCP workers via a coordinator bound to ``coordinator``
-    instead of a local pool (see :mod:`repro.harness.distributed`);
+    chunks to TCP workers from an ephemeral verification service bound
+    to ``coordinator`` instead of a local pool (see
+    :func:`repro.harness.service.iter_service_sweep`);
     ``lease_timeout`` bounds how long a silently stalled TCP worker may
     hold a chunk before it is re-queued, and ``max_frame_bytes``
     (tcp only) caps one wire frame.  ``verdict_memo=True`` memoizes

@@ -57,10 +57,11 @@ two transports.  :class:`ChunkScheduler` is the task source / result sink:
 it hands out :class:`ChunkTask` units, folds :class:`ChunkOutcome`\\ s back
 in (re-queuing paused chunks) and decides when the sweep is drained.  The
 in-process ``transport="local"`` drives it over :mod:`multiprocessing`
-queues; ``transport="tcp"`` (see :mod:`repro.harness.distributed`) serves
-the *same* scheduler to remote workers over a socket protocol with
-per-worker leases and fault-tolerant chunk re-queue, so a sweep can shard
-across hosts without touching the determinism contract.
+queues; ``transport="tcp"`` (see :mod:`repro.harness.service`) serves
+the *same* scheduler to remote workers as one job on an ephemeral
+verification service, with per-worker leases and fault-tolerant chunk
+re-queue, so a sweep can shard across hosts without touching the
+determinism contract.
 
 Adaptive chunk sizing
 ---------------------
@@ -1160,14 +1161,12 @@ def build_chunk_scheduler(specs: list[CampaignSpec], config: SweepConfig,
                           ) -> ChunkScheduler:
     """Build the :class:`ChunkScheduler` a :class:`SweepConfig` describes.
 
-    The single mapping point shared by the TCP coordinator and the
-    verification service (:mod:`repro.harness.service`): checkpoint and
-    cache-shipment byte budgets are derived from the frame cap
-    (``config.max_frame_bytes``, falling back to
-    ``default_max_frame_bytes`` — the transport's default cap) exactly
-    like :class:`repro.harness.distributed.Coordinator` always did, so a
-    sweep recovered from a durable store re-derives the identical
-    scheduler.
+    The single mapping point for the verification service
+    (:mod:`repro.harness.service`), which runs every TCP sweep:
+    checkpoint and cache-shipment byte budgets are derived from the
+    frame cap (``config.max_frame_bytes``, falling back to
+    ``default_max_frame_bytes`` — the service's cap), so a sweep
+    recovered from a durable store re-derives the identical scheduler.
     """
     max_frame_bytes = config.max_frame_bytes
     if max_frame_bytes is None:
@@ -1449,7 +1448,7 @@ def available_cpus() -> int:
 def default_workers() -> int:
     """Worker count: ``REPRO_WORKERS`` if set, capped at available CPUs.
 
-    The environment override lets deployments (and the distributed worker
+    The environment override lets deployments (and the service worker
     CLI) pin the worker count without threading a flag through every entry
     point; it is still capped at the CPUs the process may use, because
     oversubscribing pure-Python simulation workers only adds scheduling
@@ -1492,7 +1491,7 @@ class SweepConfig:
     The preferred way to configure :func:`iter_campaigns` and
     :func:`run_campaigns` (``config=SweepConfig(...)``), and the single
     object :class:`~repro.harness.experiment.ExperimentSettings`, the
-    scenario driver and the coordinator CLI all build internally —
+    scenario driver and the ``service submit`` CLI all build internally —
     previously each of these threaded the same ~11 kwargs by hand.  The
     legacy per-kwarg form still works, but mixing it with ``config=``
     raises ``ValueError`` rather than guessing which one wins.
@@ -1785,13 +1784,14 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     progress displays.
 
     ``transport="tcp"`` serves the same chunked task queue to TCP workers
-    instead of a local multiprocessing pool: the calling process becomes
-    the coordinator (bound to ``coordinator``, a ``(host, port)`` pair or
-    ``"host:port"`` string, loopback-ephemeral by default), ``workers``
-    local worker processes are spawned against it (``workers=0``: none —
-    remote workers connect on their own), and chunks held by dead or
-    stalled workers are re-queued after ``lease_timeout`` seconds.  See
-    :mod:`repro.harness.distributed`.
+    instead of a local multiprocessing pool: the sweep runs as one job on
+    an ephemeral verification service the calling process hosts (bound to
+    ``coordinator``, a ``(host, port)`` pair or ``"host:port"`` string,
+    loopback-ephemeral by default), ``workers`` local ``service worker``
+    processes are spawned against it (``workers=0``: none — remote
+    workers connect on their own), and chunks held by dead or stalled
+    workers are re-queued after ``lease_timeout`` seconds.  See
+    :func:`repro.harness.service.iter_service_sweep`.
     """
     config = _resolve_sweep_config(config, dict(
         scheduler=scheduler, chunk_evaluations=chunk_evaluations,
@@ -1808,7 +1808,6 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     verdict_memo = config.verdict_memo
     transport = config.transport
     coordinator = config.coordinator
-    lease_timeout = config.lease_timeout
     max_frame_bytes = config.max_frame_bytes
     if transport not in TRANSPORTS:
         raise ValueError(f"unknown transport {transport!r}; "
@@ -1863,22 +1862,11 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
         if workers < 0:
             raise ValueError("workers must be at least 0 for the tcp "
                              "transport (0: external workers only)")
-        from repro.harness.distributed import (DEFAULT_MAX_FRAME_BYTES,
-                                               iter_distributed)
+        from repro.harness.service import iter_service_sweep
 
-        return iter_distributed(specs, coordinator=coordinator,
-                                workers=workers,
-                                chunk_evaluations=chunk_evaluations,
-                                chunk_sizing=chunk_sizing,
-                                target_chunk_seconds=target_chunk_seconds,
-                                max_checkpoint_bytes=max_checkpoint_bytes,
-                                verdict_memo=verdict_memo,
-                                lease_timeout=lease_timeout,
-                                max_frame_bytes=(max_frame_bytes
-                                                 if max_frame_bytes is not None
-                                                 else DEFAULT_MAX_FRAME_BYTES),
-                                hosts_out=hosts_out,
-                                telemetry_out=telemetry_out)
+        return iter_service_sweep(specs, config, workers=workers,
+                                  hosts_out=hosts_out,
+                                  telemetry_out=telemetry_out)
     if coordinator is not None:
         raise ValueError("coordinator requires transport='tcp'")
     if max_frame_bytes is not None:
@@ -1985,7 +1973,7 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
     checkpoints: a cell whose checkpoints approach the cap gets smaller
     chunks instead of a fatal oversized frame.  ``transport="tcp"``
     serves the chunk queue to TCP workers instead of a local pool (see
-    :func:`iter_campaigns` and :mod:`repro.harness.distributed`), with
+    :func:`iter_campaigns` and :mod:`repro.harness.service`), with
     frames capped at ``max_frame_bytes``; per-shard results are
     bit-identical either way.  ``verdict_memo=True`` memoizes checker
     verdicts sweep-wide by exact execution graph (collective

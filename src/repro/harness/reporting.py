@@ -85,11 +85,10 @@ def format_replay_report(report: "SweepReport",
 
 
 def format_host_progress(hosts: dict[str, int]) -> str:
-    """Per-host completion counts of a distributed sweep, stable order.
+    """Per-host completion counts of a tcp sweep, stable order.
 
-    Coordinator handler threads update the counts concurrently, so take an
-    atomic (C-level) snapshot before iterating — sorting the live dict
-    could raise ``dictionary changed size during iteration`` mid-sweep.
+    Takes an atomic (C-level) snapshot before iterating, so a caller may
+    pass a mapping another thread is still updating.
     """
     return " ".join(f"{host}={count}"
                     for host, count in sorted(hosts.copy().items()))
@@ -120,8 +119,7 @@ def format_telemetry(telemetry: dict) -> str:
     hit/miss counters and the checker seconds memoization saved), and —
     on the tcp transport — a ``"hosts"`` mapping of worker name to
     measured evaluations/second.  Snapshot-copied before
-    iterating, since coordinator handler threads may update it
-    concurrently.
+    iterating, so another thread may keep updating it.
     """
     telemetry = dict(telemetry)
     parts: list[str] = []
@@ -158,8 +156,8 @@ def format_progress_line(completed: int, total: int, found: int,
                          telemetry: dict | None = None) -> str:
     """One-line sweep progress: shards done, bugs found, elapsed time.
 
-    ``hosts`` (worker name -> completed shards, maintained by the TCP
-    coordinator) appends per-host progress for distributed sweeps;
+    ``hosts`` (worker name -> completed shards, maintained by the tcp
+    transport) appends per-host progress for tcp sweeps;
     ``telemetry`` (see :func:`format_telemetry`) appends live per-kind
     throughput, current chunk sizes and per-host evaluation rates.
     """

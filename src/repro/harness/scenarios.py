@@ -28,7 +28,6 @@ from repro.sim.faults import Fault
 from repro.sim.testprogram import OpKind, TestOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.harness.distributed import Coordinator
     from repro.harness.parallel import CampaignSpec, SweepReport
 
 
@@ -288,7 +287,7 @@ def run_scenario_sweep(faults: list[Fault] | None = None,
                        target_chunk_seconds: float = 2.0,
                        max_checkpoint_bytes: int | None = None,
                        transport: str = "local",
-                       coordinator: Coordinator | None = None,
+                       coordinator: str | tuple[str, int] | None = None,
                        lease_timeout: float = 30.0,
                        max_frame_bytes: int | None = None,
                        verdict_memo: bool = False,
@@ -302,7 +301,9 @@ def run_scenario_sweep(faults: list[Fault] | None = None,
     chunks from per-chunk telemetry (targeting ``target_chunk_seconds``
     of worker time each), ``max_checkpoint_bytes`` byte-budgets resume
     checkpoints, and ``transport="tcp"`` shards the scenarios across TCP
-    workers (see :mod:`repro.harness.distributed`).  ``verdict_memo=True``
+    workers, serving them from ``coordinator`` (a ``"host:port"`` string
+    or ``(host, port)`` bind address; see
+    :func:`repro.harness.service.iter_service_sweep`).  ``verdict_memo=True``
     memoizes checker verdicts sweep-wide by exact execution graph
     (collective checking) without changing any verdict.  The kwargs are folded into one
     :class:`~repro.harness.parallel.SweepConfig` internally.

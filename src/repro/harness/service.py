@@ -1,8 +1,10 @@
-"""Durable verification service: a long-lived, multi-sweep coordinator.
+"""Verification service: the one TCP coordinator, for one sweep or many.
 
-:class:`repro.harness.distributed.Coordinator` lives for exactly one
-sweep and dies with all in-flight state.  This module promotes it into a
-*service*:
+Every TCP sweep runs here.  ``iter_campaigns(..., transport="tcp")``
+hands its specs to :func:`iter_service_sweep`, which runs them as one
+job on an ephemeral service (temp-dir store, no HTTP) and spawns local
+``service worker`` processes; a long-lived ``serve`` process runs many
+jobs over one worker pool.  Both are the same :class:`VerificationService`:
 
 * a **job API** (HTTP): submit a campaign or replay matrix, poll status,
   stream completed-shard results, cancel — multiple concurrent sweeps
@@ -17,7 +19,8 @@ sweep and dies with all in-flight state.  This module promotes it into a
   challenge/response) with a restricted non-pickle frame codec
   (:mod:`repro.harness.codec`) for untrusted workers — in
   ``codec="restricted"`` mode the service never unpickles a worker
-  byte; the existing pickle framing stays for trusted/local mode;
+  byte; the pickle codec stays for trusted/local mode (and is what the
+  tcp transport speaks, with no token);
 * a ``/metrics`` endpoint exporting the existing
   :class:`~repro.harness.parallel.ChunkTelemetry` /
   :class:`~repro.harness.distributed.CoordinatorStats` / verdict-cache
@@ -54,6 +57,7 @@ import contextlib
 import hmac
 import http.client
 import json
+import multiprocessing
 import os
 import pickle
 import secrets
@@ -67,7 +71,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.harness import store as store_module
@@ -86,12 +90,12 @@ from repro.harness.distributed import (DEFAULT_CONNECT_BACKOFF,
                                        WorkerStats, _IdleTimeout,
                                        _worker_environment,
                                        connect_with_backoff, format_address,
-                                       parse_address, recv_raw_frame,
-                                       send_raw_frame)
+                                       parse_address, reap_workers,
+                                       recv_raw_frame, send_raw_frame)
 from repro.harness.parallel import (CampaignSpec, ChunkTask, ShardFailure,
                                     ShardResult, SweepAccumulator,
                                     SweepConfig, SweepReport,
-                                    build_chunk_scheduler,
+                                    build_chunk_scheduler, default_workers,
                                     execute_chunk_task, merge_shipped_cache)
 from repro.locking import TracedLock, guarded_by, requires_lock
 from repro.harness.store import (JOB_CANCELLED, JOB_DONE, JOB_FAILED,
@@ -418,6 +422,25 @@ class VerificationService:
                 accumulator.add(index, job.results[index])
             return accumulator.finalize()
 
+    def job_progress(self, job_id: str) -> tuple[dict[str, int], dict]:
+        """``(shards completed per worker, live telemetry)`` for progress.
+
+        The telemetry is the job scheduler's snapshot plus each worker's
+        measured evaluations/second under ``"hosts"``.  Worker counters
+        are service-wide, so on the one-job service behind
+        ``transport="tcp"`` they are the job's own.
+        """
+        with self._lock:
+            job = self._job(job_id)
+            hosts = dict(self.stats.completed_by_worker)
+            telemetry = (job.scheduler.telemetry_snapshot()
+                         if job.scheduler is not None else {})
+            telemetry["hosts"] = {
+                worker: round(rate, 2)
+                for worker in sorted(self.stats.workers_seen)
+                if (rate := self.stats.evals_per_second(worker)) is not None}
+        return hosts, telemetry
+
     @requires_lock("_lock")
     def _job(self, job_id: str) -> _ServiceJob:
         """Caller holds the lock."""
@@ -686,8 +709,9 @@ class VerificationService:
         ``HMAC-SHA256(token, nonce)`` in its hello, and the digests are
         compared constant-time.  With no token configured the digest is
         ignored (open/local mode).  A draining service answers any
-        stage with a clean shutdown frame instead of an error teardown —
-        the coordinator's late-handshake fix, inherited.
+        stage with a clean shutdown frame instead of an error teardown,
+        and never hands a late worker a task whose lease nothing would
+        collect.
         """
         nonce = secrets.token_hex(16)
         self._send(connection, ("challenge", SERVICE_MAGIC, SERVICE_VERSION,
@@ -925,7 +949,7 @@ def _matrix_from_json(matrix: Mapping) -> list[CampaignSpec]:
 
     ``{"kinds": [...], "faults": [...], "seeds_per_cell": N,
     "base_seed": N, "max_evaluations": N, "memory_kib": N}`` mirrors the
-    coordinator CLI's matrix flags; ``{"replay_corpus": dir,
+    ``submit`` CLI's matrix flags; ``{"replay_corpus": dir,
     "shard_traces": N, "base_seed": N}`` shards an ingested trace corpus
     instead (the trace-ingestion bridge).
     """
@@ -1220,10 +1244,14 @@ def run_service_worker(address: object, token: str | None = None,
                        ) -> WorkerStats:
     """Pull job-tagged chunks from a verification service until shut down.
 
-    The service-protocol sibling of
-    :func:`repro.harness.distributed.run_worker`: same lease heartbeats,
-    same bounded connect retry, plus the challenge/response token
-    handshake and the selectable frame codec.  Verdict caches are kept
+    A heartbeat thread keeps the worker's lease alive while a chunk
+    computes; a service that stops replying for ``response_timeout``
+    seconds (silent host death, network partition) makes the worker exit
+    with an error instead of blocking forever.  ``connect_retries`` > 0
+    retries a refused initial connect with exponential backoff, so the
+    worker may be started before its service.  The handshake answers the
+    service's challenge (with an HMAC of ``token`` when one is set) and
+    every frame goes through ``codec``.  Verdict caches are kept
     *per job* (``task.cache`` shipments from different sweeps must not
     mix).  A worker outlives any single job: it keeps pulling until the
     service drains.
@@ -1335,10 +1363,11 @@ def spawn_service_workers(address: tuple[str, int], count: int,
                           name_prefix: str = "svc-worker",
                           extra_args: tuple[str, ...] = ()
                           ) -> list[subprocess.Popen]:
-    """Spawn ``count`` worker processes against a service.
+    """Spawn ``count`` single-process workers against a service.
 
-    The token travels via the :data:`TOKEN_ENV` environment variable,
-    never the command line (no ``ps`` leakage).
+    Worker ``n`` is named ``<name_prefix>-<n>``.  The token travels via
+    the :data:`TOKEN_ENV` environment variable, never the command line
+    (no ``ps`` leakage).
     """
     environment = _worker_environment()
     if token is not None:
@@ -1347,8 +1376,8 @@ def spawn_service_workers(address: tuple[str, int], count: int,
     for index in range(count):
         command = [sys.executable, "-m", "repro.harness.service", "worker",
                    "--connect", format_address(address),
-                   "--codec", codec, "--name", f"{name_prefix}-{index}",
-                   *extra_args]
+                   "--codec", codec, "--workers", "1",
+                   "--name", f"{name_prefix}-{index}", *extra_args]
         processes.append(subprocess.Popen(command, env=environment,
                                           stdout=subprocess.DEVNULL))
     return processes
@@ -1442,6 +1471,101 @@ def run_service_sweep(specs: list[CampaignSpec],
             shutil.rmtree(own_dir, ignore_errors=True)
 
 
+#: How often :func:`iter_service_sweep` polls its service for results.
+RESULT_POLL_SECONDS = 0.02
+
+
+def iter_service_sweep(specs: list[CampaignSpec], config: SweepConfig,
+                       workers: int = 1,
+                       hosts_out: dict | None = None,
+                       telemetry_out: dict | None = None
+                       ) -> Iterator[tuple[int, ShardResult]]:
+    """Serve ``specs`` as one job on an ephemeral service over TCP.
+
+    The ``transport="tcp"`` path of
+    :func:`repro.harness.parallel.iter_campaigns`.  The service binds at
+    call time (on ``config.coordinator``, loopback-ephemeral by default)
+    with a temp-dir store, no HTTP and the pickle codec, so external
+    ``python -m repro.harness.service worker --connect`` processes may
+    join at once.  ``workers`` local worker processes are spawned on
+    first advance (``workers=0``: external workers only).  Completed
+    shards stream as ``(index, ShardResult)`` in completion order;
+    ``hosts_out`` and ``telemetry_out`` are refreshed in place from
+    :meth:`VerificationService.job_progress` before each batch.
+
+    A failed job (a shard raised, or a poison chunk exhausted its
+    re-queues) raises ``RuntimeError`` with the job's error, and so does
+    a sweep whose spawned workers have all exited while no other worker
+    is connected.  Cleanup closes the service, reaps the workers and
+    removes the store.
+    """
+    if not specs:
+        return iter(())
+    max_frame_bytes = (config.max_frame_bytes
+                       if config.max_frame_bytes is not None
+                       else DEFAULT_MAX_FRAME_BYTES)
+    store_dir = tempfile.mkdtemp(prefix="mcversi-tcp-")
+    service = None
+    try:
+        service = VerificationService(
+            os.path.join(store_dir, "sweep.sqlite"),
+            bind=config.coordinator, lease_timeout=config.lease_timeout,
+            max_frame_bytes=max_frame_bytes, start_http=False)
+        job_id = service.submit_job(specs, config)
+    except BaseException:
+        if service is not None:
+            service.close()
+        shutil.rmtree(store_dir, ignore_errors=True)
+        raise
+    worker_args: tuple[str, ...] = ()
+    if max_frame_bytes != DEFAULT_MAX_FRAME_BYTES:
+        # Both ends enforce the frame cap; workers must agree with it.
+        worker_args = ("--max-frame-bytes", str(max_frame_bytes))
+
+    def stream() -> Iterator[tuple[int, ShardResult]]:
+        processes: list[subprocess.Popen] = []
+        try:
+            processes = spawn_service_workers(service.address, workers,
+                                              name_prefix="worker",
+                                              extra_args=worker_args)
+            cursor = 0
+            while True:
+                # Read before the status: with no spawned worker alive and
+                # no connection open, no result can land after this.
+                workers_lost = (bool(processes) and not service.active_workers
+                                and all(process.poll() is not None
+                                        for process in processes))
+                status = service.job_status(job_id)
+                cursor, shards = service.job_results(job_id, cursor)
+                if shards:
+                    hosts, telemetry = service.job_progress(job_id)
+                    if hosts_out is not None:
+                        hosts_out.update(hosts)
+                    if telemetry_out is not None:
+                        telemetry_out.update(telemetry)
+                yield from shards
+                if status["state"] == JOB_DONE:
+                    return
+                if status["state"] != JOB_RUNNING:
+                    raise RuntimeError(f"tcp sweep {status['state']}: "
+                                       f"{status['error']}")
+                if workers_lost:
+                    codes = sorted({process.returncode
+                                    for process in processes})
+                    raise RuntimeError(
+                        f"all {len(processes)} spawned worker process(es) "
+                        f"exited with code(s) {codes} while "
+                        f"{status['total'] - status['completed']} shard(s) "
+                        "were still pending")
+                time.sleep(RESULT_POLL_SECONDS)
+        finally:
+            service.close()
+            reap_workers(processes)
+            shutil.rmtree(store_dir, ignore_errors=True)
+
+    return stream()
+
+
 # ----------------------------------------------------------------------
 # CLI
 
@@ -1476,24 +1600,66 @@ def _serve_main(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_cli_main(args: argparse.Namespace) -> int:
+def resolve_worker_count(requested: int | None) -> int:
+    """Worker processes one ``service worker`` invocation runs.
+
+    An explicit ``--workers`` wins; otherwise ``REPRO_WORKERS`` (capped at
+    the CPUs this process may use) via
+    :func:`repro.harness.parallel.default_workers`.
+    """
+    if requested is None:
+        return default_workers()
+    if requested < 1:
+        raise ValueError("--workers must be at least 1")
+    return requested
+
+
+def _run_cli_worker(**options) -> int:
+    """Run one worker until its service drains; the process exit code."""
     try:
-        stats = run_service_worker(
-            args.connect, token=_resolve_token(args), codec=args.codec,
-            name=args.name, heartbeat_interval=args.heartbeat_interval,
-            max_frame_bytes=args.max_frame_bytes,
-            connect_retries=args.connect_retries,
-            connect_backoff=args.connect_backoff)
+        stats = run_service_worker(**options)
     except (ProtocolError, OSError) as error:
         # A killed service is an expected event for a service worker
-        # (the chaos battery SIGKILLs coordinators on purpose): report
-        # it as a one-line failure, not a traceback.
+        # (the chaos battery SIGKILLs services on purpose): report it as
+        # a one-line failure, not a traceback.
         print(f"worker lost its service: {type(error).__name__}: {error}",
               file=sys.stderr)
         return 1
     print(f"worker finished: {stats.chunks} chunk(s), "
           f"{stats.shards_completed} shard(s) completed")
     return 0
+
+
+def _cli_worker_process(options: dict) -> None:
+    sys.exit(_run_cli_worker(**options))
+
+
+def _worker_cli_main(args: argparse.Namespace) -> int:
+    try:
+        count = resolve_worker_count(args.workers)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+    options = dict(address=args.connect, token=_resolve_token(args),
+                   codec=args.codec,
+                   heartbeat_interval=args.heartbeat_interval,
+                   max_frame_bytes=args.max_frame_bytes,
+                   connect_retries=args.connect_retries,
+                   connect_backoff=args.connect_backoff)
+    if count == 1:
+        return _run_cli_worker(name=args.name, **options)
+    # One command, N worker processes per host: each is a full worker
+    # with its own connection, named <name>-<n>.
+    context = multiprocessing.get_context("spawn")
+    base = args.name or f"{socket.gethostname()}-{os.getpid()}"
+    processes = [context.Process(target=_cli_worker_process,
+                                 args=(dict(options,
+                                            name=f"{base}-{index}"),))
+                 for index in range(count)]
+    for process in processes:
+        process.start()
+    for process in processes:
+        process.join()
+    return 1 if any(process.exitcode for process in processes) else 0
 
 
 def _client(args: argparse.Namespace) -> ServiceClient:
@@ -1585,7 +1751,12 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--connect", required=True,
                         help="service worker-plane host:port")
     worker.add_argument("--codec", choices=CODECS, default=CODEC_PICKLE)
-    worker.add_argument("--name", default=None)
+    worker.add_argument("--workers", type=int, default=None,
+                        help="worker processes to run (default: "
+                             "REPRO_WORKERS, capped at available CPUs)")
+    worker.add_argument("--name", default=None,
+                        help="worker name in the service's per-host "
+                             "progress (with --workers N: <name>-<n>)")
     worker.add_argument("--heartbeat-interval", type=float,
                         default=DEFAULT_HEARTBEAT_INTERVAL)
     worker.add_argument("--max-frame-bytes", type=int,

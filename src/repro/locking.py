@@ -34,8 +34,9 @@ half lives in :mod:`repro.analysis.locks`.  The convention:
   deadlock-order test.
 
 The sanctioned ordering in this codebase is strictly hierarchical:
-service/coordinator lock -> scheduler lock -> verdict-cache lock, with
-the store lock a leaf under the service lock.  Tracing exists to keep
+service lock -> scheduler lock -> verdict-cache lock, with the store
+lock a leaf under the service lock.  The service is the one TCP
+coordinator, so its lock is the only top-level one.  Tracing exists to keep
 that hierarchy honest as the code grows.
 """
 

@@ -4,9 +4,8 @@
   selector takes a parameter naming a backend, nor a ``**kwargs``
   catch-all that would swallow one: an old caller passing the selector
   gets a ``TypeError``, not a silently ignored knob.
-* None of the three CLIs that used to offer a backend flag
-  (``bridge check``, ``service submit``, ``distributed coordinator``)
-  mentions a backend in its help.
+* None of the CLIs that build a sweep (``bridge check``, ``service
+  submit``, ``service worker``) mentions a backend in its help.
 * ``resolve_backend_name`` names the one implementation.
 """
 
@@ -21,19 +20,19 @@ from repro.bridge.replay import ReplayCampaign, run_replay_sweep
 from repro.consistency.checker import Checker, resolve_backend_name
 from repro.core.campaign import Campaign
 from repro.core.engine import VerificationEngine
-from repro.harness import distributed, service
-from repro.harness.distributed import Coordinator, iter_distributed
+from repro.harness import service
 from repro.harness.experiment import ExperimentSettings
 from repro.harness.parallel import (ChunkTask, SweepConfig, iter_campaigns,
                                     run_campaigns, run_shard,
                                     run_shard_chunk)
 from repro.harness.scenarios import run_scenario_sweep
+from repro.harness.service import VerificationService, iter_service_sweep
 from repro.litmus.witness import check_witness, cycle_verdict
 
 ENTRY_POINTS = [Checker, check_witness, cycle_verdict, VerificationEngine,
                 Campaign, ReplayCampaign, run_replay_sweep,
-                ExperimentSettings, run_scenario_sweep, Coordinator,
-                iter_distributed, SweepConfig, ChunkTask, iter_campaigns,
+                ExperimentSettings, run_scenario_sweep, VerificationService,
+                iter_service_sweep, SweepConfig, ChunkTask, iter_campaigns,
                 run_campaigns, run_shard, run_shard_chunk]
 
 
@@ -50,8 +49,8 @@ def test_entry_point_takes_no_backend(entry_point):
 @pytest.mark.parametrize("parser, command", [
     (bridge_cli.build_parser, "check"),
     (service.build_parser, "submit"),
-    (distributed.build_parser, "coordinator"),
-], ids=["bridge-check", "service-submit", "distributed-coordinator"])
+    (service.build_parser, "worker"),
+], ids=["bridge-check", "service-submit", "service-worker"])
 def test_cli_offers_no_backend_flag(parser, command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         parser().parse_args([command, "--help"])

@@ -20,13 +20,15 @@ import pytest
 
 from repro.core.campaign import CampaignCheckpoint, GeneratorKind
 from repro.core.config import GeneratorConfig
-from repro.harness.distributed import (CHECKPOINT_FRAME_FRACTION,
-                                       Coordinator, recv_frame, send_frame)
-from repro.harness.parallel import (ChunkOutcome, ChunkPayload,
-                                    ChunkScheduler, ChunkSizeController,
-                                    ChunkTask, ChunkTelemetry,
+from repro.harness.distributed import recv_raw_frame, send_raw_frame
+from repro.harness.parallel import (CHECKPOINT_FRAME_FRACTION, ChunkOutcome,
+                                    ChunkPayload, ChunkScheduler,
+                                    ChunkSizeController, ChunkTask,
+                                    ChunkTelemetry, SweepConfig,
                                     campaign_matrix, execute_chunk_task,
                                     run_campaigns, run_shard_chunk)
+from repro.harness.service import (CODEC_PICKLE, VerificationService,
+                                   codec_functions)
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
@@ -85,6 +87,24 @@ def _reset_counter():
     yield
 
 
+@pytest.fixture
+def service_budget(tmp_path):
+    """Submit a one-shard job; return its scheduler's checkpoint budget."""
+    services = []
+
+    def budget(config, **options):
+        service = VerificationService(tmp_path / f"{len(services)}.sqlite",
+                                      start_http=False, **options)
+        services.append(service)
+        job_id = service.submit_job(tiny_matrix(seeds_per_cell=1)[:1],
+                                    config)
+        return service._jobs[job_id].scheduler.controller.max_checkpoint_bytes
+
+    yield budget
+    for service in services:
+        service.close()
+
+
 class TestSingleSerialization:
     def test_payload_construction_is_the_only_pickle(self):
         payload = ChunkPayload.of(CountingCheckpoint())
@@ -126,18 +146,19 @@ class TestSingleSerialization:
 
     def test_tcp_framing_forwards_bytes_verbatim(self):
         """The same invariant through the real wire framing."""
+        encode, decode = codec_functions(CODEC_PICKLE)
         left, right = socket.socketpair()
         try:
             payload = ChunkPayload.of(CountingCheckpoint())
             outcome = ChunkOutcome(index=0, payload=payload)
-            send_frame(left, ("result", outcome))
-            kind, received = recv_frame(right)
+            send_raw_frame(left, encode(("result", outcome)))
+            kind, received = decode(recv_raw_frame(right))
             assert kind == "result"
             assert CountingCheckpoint.pickles == 1
             task = ChunkTask(index=0, spec=tiny_matrix()[0],
                              checkpoint=received.payload, pause_after=2)
-            send_frame(left, ("task", task))
-            kind, received_task = recv_frame(right)
+            send_raw_frame(left, encode(("task", task)))
+            kind, received_task = decode(recv_raw_frame(right))
             assert kind == "task"
             assert CountingCheckpoint.pickles == 1
             assert isinstance(received_task.checkpoint.load(),
@@ -249,40 +270,26 @@ class TestByteBudgetEndToEnd:
                                       max_checkpoint_bytes=4096)
         assert outcomes(serial_plain) == outcomes(serial_budget)
 
-    def test_coordinator_derives_budget_from_frame_cap(self):
-        server = Coordinator(tiny_matrix(seeds_per_cell=1),
-                             chunk_evaluations=2,
-                             max_frame_bytes=1 << 20)
-        try:
-            controller = server._scheduler.controller
-            assert controller.max_checkpoint_bytes == \
-                (1 << 20) // CHECKPOINT_FRAME_FRACTION
-        finally:
-            server.close()
+    def test_service_derives_budget_from_frame_cap(self, service_budget):
+        assert service_budget(SweepConfig(chunk_evaluations=2),
+                              max_frame_bytes=1 << 20) == \
+            (1 << 20) // CHECKPOINT_FRAME_FRACTION
 
-    def test_coordinator_explicit_budget_wins(self):
-        server = Coordinator(tiny_matrix(seeds_per_cell=1),
-                             chunk_evaluations=2,
-                             max_checkpoint_bytes=12345)
-        try:
-            assert server._scheduler.controller.max_checkpoint_bytes == 12345
-        finally:
-            server.close()
+    def test_service_explicit_budget_wins(self, service_budget):
+        assert service_budget(SweepConfig(chunk_evaluations=2,
+                                          max_checkpoint_bytes=12345)) \
+            == 12345
 
-    def test_unchunked_coordinator_has_no_budget(self):
+    def test_unchunked_service_has_no_budget(self, service_budget):
         """No chunking means no checkpoints: nothing to budget."""
-        server = Coordinator(tiny_matrix(seeds_per_cell=1))
-        try:
-            assert server._scheduler.controller.max_checkpoint_bytes is None
-        finally:
-            server.close()
+        assert service_budget(SweepConfig()) is None
 
-    def test_unchunked_coordinator_rejects_explicit_budget(self):
+    def test_unchunked_service_rejects_explicit_budget(self,
+                                                       service_budget):
         """An explicit budget without chunking would be silently inert;
-        the coordinator must reject it like the library API does."""
+        the service must reject it like the library API does."""
         with pytest.raises(ValueError, match="chunk_evaluations"):
-            Coordinator(tiny_matrix(seeds_per_cell=1),
-                        max_checkpoint_bytes=4096)
+            service_budget(SweepConfig(max_checkpoint_bytes=4096))
 
 
 class TestValidation:

@@ -1,22 +1,31 @@
-"""Tests for cross-host campaign sharding (repro.harness.distributed).
+"""Tests for the tcp transport: a sweep served as one job on a service.
 
-Three layers:
+``transport="tcp"`` runs a sweep on an ephemeral
+:class:`~repro.harness.service.VerificationService`, the one TCP
+coordinator.  Layers:
 
-* protocol unit tests for the length-prefixed pickle framing and the
-  version handshake: truncated frames, oversized frames, connection drops
-  mid-message and version-mismatch hellos all raise clean
+* framing unit tests for :func:`send_raw_frame` / :func:`recv_raw_frame`
+  and the pickle decoder the tcp transport speaks: truncated frames,
+  oversized frames, stalls and connection drops mid-message raise clean
   :class:`ProtocolError`\\ s instead of hanging;
-* loopback integration: a coordinator plus real worker subprocesses on
-  localhost reproduce the ``workers=1`` serial sweep bit for bit;
-* chaos: a worker that dies abruptly (SIGKILL-equivalent) or stalls
-  without heartbeats mid-chunk forfeits its lease, the chunk is re-queued
-  exactly once, and the sweep still completes with correct,
-  non-duplicated results.
+* handshake: bad, mismatched and parent-era worker hellos are refused
+  cleanly, and peers that never finish a hello are dropped;
+* worker-count resolution and ``service worker --workers N``;
+* loopback integration: a tcp sweep with real ``service worker``
+  subprocesses reproduces the ``workers=1`` serial sweep bit for bit;
+* chaos: a worker SIGKILLed or gone silent while holding a lease
+  forfeits its chunk, which is re-queued exactly once; a poison chunk
+  fails the job; dead spawned workers fail the sweep loudly; external
+  workers join mid-sweep or before the service binds.
 """
 
-import contextlib
+import os
+import pickle
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -25,18 +34,28 @@ import pytest
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness import parallel
-from repro.harness.distributed import (PROTOCOL_MAGIC, PROTOCOL_VERSION,
-                                       ConnectionClosed, Coordinator,
+from repro.harness import service as service_module
+from repro.harness.distributed import (MAX_CHUNK_REQUEUES, ConnectionClosed,
                                        FrameTooLargeError, ProtocolError,
                                        TruncatedFrameError, format_address,
                                        parse_address, reap_workers,
-                                       recv_frame, resolve_worker_count,
-                                       run_worker, send_frame,
-                                       spawn_local_workers)
-from repro.harness.parallel import (SweepAccumulator, campaign_matrix,
-                                    default_workers, run_campaigns)
+                                       recv_raw_frame, send_raw_frame)
+from repro.harness.parallel import (SweepAccumulator, SweepConfig,
+                                    campaign_matrix, default_workers,
+                                    execute_chunk_task, iter_campaigns,
+                                    run_campaigns)
+from repro.harness.service import (CODEC_PICKLE, SERVICE_MAGIC,
+                                   SERVICE_VERSION, VerificationService,
+                                   _ServiceLease, _start_worker_threads,
+                                   codec_functions, resolve_worker_count,
+                                   run_service_worker, spawn_service_workers)
+from repro.harness.store import JOB_FAILED, JOB_RUNNING
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
+
+ENCODE, DECODE = codec_functions(CODEC_PICKLE)
+CHUNKED = SweepConfig(chunk_evaluations=2)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def tiny_config():
@@ -60,8 +79,67 @@ def outcomes(report):
             for shard in report.shards]
 
 
+def send(sock, message):
+    send_raw_frame(sock, ENCODE(message))
+
+
+def recv(sock):
+    return DECODE(recv_raw_frame(sock))
+
+
+def handshake(sock, name):
+    """Answer a service challenge as an untokened pickle-codec worker."""
+    challenge = recv(sock)
+    assert challenge[:3] == ("challenge", SERVICE_MAGIC, SERVICE_VERSION)
+    send(sock, ("hello", SERVICE_MAGIC, SERVICE_VERSION, name, ""))
+    assert recv(sock) == ("welcome", SERVICE_MAGIC, SERVICE_VERSION)
+
+
+def free_port():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+def wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def lease_holders(service):
+    with service._lock:
+        return {lease.worker for lease in service._leases.values()}
+
+
+def finish(service, job_id, timeout=120.0):
+    wait_for(lambda: service.job_status(job_id)["state"] != JOB_RUNNING,
+             timeout)
+    return service.job_report(job_id)
+
+
+@pytest.fixture
+def make_service(tmp_path):
+    """Build in-process services (no HTTP) that are closed afterwards."""
+    services = []
+
+    def make(**options):
+        options.setdefault("start_http", False)
+        service = VerificationService(
+            tmp_path / f"store-{len(services)}.sqlite", **options)
+        services.append(service)
+        return service
+
+    yield make
+    for service in services:
+        service.close()
+
+
 # ----------------------------------------------------------------------
-# Framing / protocol unit tests
+# Framing unit tests
 
 
 @pytest.fixture
@@ -76,60 +154,59 @@ class TestFraming:
     def test_round_trip(self, sock_pair):
         left, right = sock_pair
         message = ("task", {"numbers": list(range(100))})
-        send_frame(left, message)
-        assert recv_frame(right) == message
+        send(left, message)
+        assert recv(right) == message
 
     def test_multiple_frames_in_sequence(self, sock_pair):
         left, right = sock_pair
         for index in range(5):
-            send_frame(left, ("heartbeat", index))
+            send(left, ("heartbeat", index))
         for index in range(5):
-            assert recv_frame(right) == ("heartbeat", index)
+            assert recv(right) == ("heartbeat", index)
 
     def test_clean_close_raises_connection_closed(self, sock_pair):
         left, right = sock_pair
         left.close()
         with pytest.raises(ConnectionClosed):
-            recv_frame(right)
+            recv_raw_frame(right)
 
     def test_truncated_header_raises(self, sock_pair):
         left, right = sock_pair
         left.sendall(b"\x00\x00\x00")  # partial length prefix, then EOF
         left.close()
         with pytest.raises(TruncatedFrameError, match="mid-message"):
-            recv_frame(right)
+            recv_raw_frame(right)
 
     def test_connection_drop_mid_payload_raises(self, sock_pair):
         left, right = sock_pair
         left.sendall(struct.pack(">Q", 1 << 16) + b"x" * 100)
         left.close()
         with pytest.raises(TruncatedFrameError, match="mid-message"):
-            recv_frame(right)
+            recv_raw_frame(right)
 
     def test_mid_frame_stall_raises_instead_of_hanging(self, sock_pair):
         left, right = sock_pair
         right.settimeout(0.05)
         left.sendall(b"\x00\x00\x00\x00")  # partial header, then silence
         with pytest.raises(TruncatedFrameError, match="stalled"):
-            recv_frame(right, stall_timeout=0.3)
+            recv_raw_frame(right, stall_timeout=0.3)
 
     def test_oversized_frame_announcement_rejected(self, sock_pair):
         left, right = sock_pair
         left.sendall(struct.pack(">Q", 1 << 40))
         with pytest.raises(FrameTooLargeError, match="announced"):
-            recv_frame(right, max_frame_bytes=1 << 20)
+            recv_raw_frame(right, max_frame_bytes=1 << 20)
 
     def test_oversized_send_refused_locally(self, sock_pair):
         left, _ = sock_pair
         with pytest.raises(FrameTooLargeError, match="refusing to send"):
-            send_frame(left, b"x" * 4096, max_frame_bytes=64)
+            send_raw_frame(left, b"x" * 4096, max_frame_bytes=64)
 
     def test_malformed_payload_raises_protocol_error(self, sock_pair):
         left, right = sock_pair
-        payload = b"\x80not a pickle"
-        left.sendall(struct.pack(">Q", len(payload)) + payload)
+        send_raw_frame(left, b"\x80not a pickle")
         with pytest.raises(ProtocolError, match="malformed"):
-            recv_frame(right)
+            recv(right)
 
 
 class TestAddresses:
@@ -165,110 +242,124 @@ class TestAddresses:
         with pytest.raises(ValueError, match="ambiguous"):
             parse_address("::1:8080")  # unbracketed multi-colon
 
-    def test_ipv6_loopback_round_trip(self):
-        """A coordinator bound via the bracketed form is reachable."""
-        server = Coordinator(tiny_matrix(seeds_per_cell=1),
-                             bind="[::1]:0", lease_timeout=5.0)
-        try:
-            host = server.address[0]
-            assert host == "::1"
-            with socket.create_connection(
-                    (host, server.address[1]), timeout=5) as sock:
-                send_frame(sock, ("hello", PROTOCOL_MAGIC,
-                                  PROTOCOL_VERSION, "v6-worker"))
-                reply = recv_frame(sock)
-                assert reply[0] == "welcome"
-        finally:
-            server.close()
+    def test_ipv6_loopback_round_trip(self, make_service):
+        """A service bound via the bracketed form is reachable."""
+        service = make_service(bind="[::1]:0")
+        host = service.address[0]
+        assert host == "::1"
+        with socket.create_connection((host, service.address[1]),
+                                      timeout=5) as sock:
+            handshake(sock, "v6-worker")
+
+
+# ----------------------------------------------------------------------
+# Handshake
 
 
 class TestHandshake:
-    def test_version_mismatch_hello_is_rejected_cleanly(self):
-        server = Coordinator(tiny_matrix(seeds_per_cell=1), lease_timeout=5.0)
-        try:
-            with socket.create_connection(server.address, timeout=5) as sock:
-                send_frame(sock, ("hello", PROTOCOL_MAGIC,
-                                  PROTOCOL_VERSION + 1, "time-traveller"))
-                reply = recv_frame(sock)
-                assert reply[0] == "error"
-                assert "version mismatch" in reply[1]
-        finally:
-            server.close()
+    def test_version_mismatch_hello_is_rejected_cleanly(self, make_service):
+        service = make_service()
+        with socket.create_connection(service.address, timeout=5) as sock:
+            assert recv(sock)[0] == "challenge"
+            send(sock, ("hello", SERVICE_MAGIC, SERVICE_VERSION + 1,
+                        "time-traveller", ""))
+            reply = recv(sock)
+            assert reply[0] == "error"
+            assert "version mismatch" in reply[1]
 
-    def test_non_hello_peer_is_rejected(self):
-        server = Coordinator(tiny_matrix(seeds_per_cell=1), lease_timeout=5.0)
-        try:
-            with socket.create_connection(server.address, timeout=5) as sock:
-                send_frame(sock, "GET / HTTP/1.1")
-                reply = recv_frame(sock)
-                assert reply[0] == "error"
-        finally:
-            server.close()
+    def test_non_hello_peer_is_rejected(self, make_service):
+        service = make_service()
+        with socket.create_connection(service.address, timeout=5) as sock:
+            assert recv(sock)[0] == "challenge"
+            send(sock, "GET / HTTP/1.1")
+            assert recv(sock)[0] == "error"
 
-    def test_worker_rejects_mismatched_coordinator(self):
+    def test_parent_era_worker_is_refused_and_sweep_still_matches_serial(
+            self):
+        """A worker of the deleted single-sweep protocol gets a clean no.
+
+        It speaks first with the old 4-tuple hello; the tcp listener
+        answers with its challenge, then an error, then EOF — no hang —
+        and the spawned workers still finish the sweep bit-identically.
+        """
+        specs = tiny_matrix()
+        serial = run_campaigns(specs, workers=1)
+        port = free_port()
+        stream = iter_campaigns(specs, workers=2, config=SweepConfig(
+            chunk_evaluations=2, transport="tcp",
+            coordinator=f"127.0.0.1:{port}"))
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as sock:
+            sock.settimeout(5.0)
+            send_raw_frame(sock, pickle.dumps(
+                ("hello", "mcversi-distributed", 3, "old-worker")))
+            replies = []
+            with pytest.raises(ConnectionClosed):
+                while True:
+                    replies.append(recv(sock))
+        assert [reply[0] for reply in replies] == ["challenge", "error"]
+        assert "not a mcversi service hello" in replies[1][1]
+        accumulator = SweepAccumulator(total=len(specs))
+        for index, shard in stream:
+            accumulator.add(index, shard)
+        report = accumulator.finalize()
+        assert outcomes(report) == outcomes(serial)
+        assert report.coverage.global_counts == serial.coverage.global_counts
+
+    def test_worker_rejects_mismatched_service(self):
         listener = socket.create_server(("127.0.0.1", 0))
         address = listener.getsockname()[:2]
 
-        def fake_coordinator():
+        def fake_service():
             connection, _ = listener.accept()
             with connection:
-                recv_frame(connection)  # the hello
-                send_frame(connection, ("welcome", PROTOCOL_MAGIC,
-                                        PROTOCOL_VERSION + 9, 0))
-                with contextlib.suppress(ProtocolError):
-                    recv_frame(connection)
+                send(connection, ("challenge", SERVICE_MAGIC,
+                                  SERVICE_VERSION + 9, "nonce"))
+                with pytest.raises(ProtocolError):
+                    recv(connection)
 
-        thread = threading.Thread(target=fake_coordinator, daemon=True)
+        thread = threading.Thread(target=fake_service, daemon=True)
         thread.start()
         try:
             with pytest.raises(ProtocolError, match="version mismatch"):
-                run_worker(address, name="w")
+                run_service_worker(address, name="w")
         finally:
             listener.close()
             thread.join(timeout=5)
 
-    def test_silent_peer_is_dropped_after_handshake_timeout(self):
+    def test_silent_peer_is_dropped_after_handshake_timeout(
+            self, make_service):
         """A connection that never sends a hello must not pin a handler."""
-        server = Coordinator(tiny_matrix(seeds_per_cell=1), lease_timeout=5.0,
-                             handshake_timeout=0.6)
-        try:
-            with socket.create_connection(server.address, timeout=5) as sock:
-                sock.settimeout(5.0)
-                # Send nothing: the coordinator should drop us, observable
-                # as EOF, and stop counting us as an active worker.
-                with pytest.raises(ConnectionClosed):
-                    recv_frame(sock)
-            deadline = time.monotonic() + 5.0
-            while server.active_workers and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert server.active_workers == 0
-        finally:
-            server.close()
+        service = make_service(handshake_timeout=0.6)
+        with socket.create_connection(service.address, timeout=5) as sock:
+            sock.settimeout(5.0)
+            assert recv(sock)[0] == "challenge"
+            # Send nothing: the service drops us, observable as EOF, and
+            # stops counting us as an active worker.
+            with pytest.raises(ConnectionClosed):
+                recv(sock)
+        wait_for(lambda: service.active_workers == 0, timeout=5.0)
 
-    def test_trickling_peer_dropped_after_mid_frame_stall(self):
+    def test_trickling_peer_dropped_after_mid_frame_stall(
+            self, make_service):
         """A peer that starts a frame and stalls is dropped, not served."""
-        server = Coordinator(tiny_matrix(seeds_per_cell=1), lease_timeout=5.0,
-                             handshake_timeout=0.5)
-        try:
-            with socket.create_connection(server.address, timeout=5) as sock:
-                sock.sendall(b"\x00\x00\x00")  # begin a frame, never finish
-                sock.settimeout(5.0)
-                with pytest.raises((ProtocolError, OSError)):
-                    recv_frame(sock)  # coordinator closes on us
-            deadline = time.monotonic() + 5.0
-            while server.active_workers and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert server.active_workers == 0
-        finally:
-            server.close()
+        service = make_service(handshake_timeout=0.5)
+        with socket.create_connection(service.address, timeout=5) as sock:
+            sock.settimeout(5.0)
+            assert recv(sock)[0] == "challenge"
+            sock.sendall(b"\x00\x00\x00")  # begin a frame, never finish
+            with pytest.raises((ProtocolError, OSError)):
+                recv(sock)  # the service closes on us
+        wait_for(lambda: service.active_workers == 0, timeout=5.0)
 
-    def test_lease_timeout_must_be_positive(self):
+    def test_lease_timeout_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
-            Coordinator([], lease_timeout=0.0)
+            VerificationService(tmp_path / "store.sqlite",
+                                lease_timeout=0.0, start_http=False)
 
 
 # ----------------------------------------------------------------------
-# Worker-count resolution (REPRO_WORKERS)
+# Worker-count resolution (REPRO_WORKERS) and the worker CLI
 
 
 class TestWorkerCount:
@@ -304,6 +395,41 @@ class TestWorkerCount:
         assert resolve_worker_count(5) == 5          # explicit flag wins
         with pytest.raises(ValueError):
             resolve_worker_count(0)
+
+    def test_worker_cli_runs_n_processes(self, make_service):
+        """``--workers 2`` runs two workers; no flag reads REPRO_WORKERS."""
+        service = make_service()
+
+        def worker_cli(name, repro_workers, *flags):
+            environment = dict(os.environ, PYTHONPATH="src",
+                               REPRO_WORKERS=repro_workers)
+            return subprocess.Popen(
+                [sys.executable, "-m", "repro.harness.service", "worker",
+                 "--connect", format_address(service.address),
+                 "--name", name, *flags],
+                cwd=REPO_ROOT, env=environment,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+        # REPRO_WORKERS=2 is capped at the CPUs the worker may use.
+        from_env = min(2, parallel.available_cpus())
+        expected = {"flag-0", "flag-1", "single"} | (
+            {f"env-{index}" for index in range(from_env)}
+            if from_env > 1 else {"env"})
+        processes = [worker_cli("flag", "1", "--workers", "2"),
+                     worker_cli("single", "1"),
+                     worker_cli("env", "2")]
+        try:
+            wait_for(lambda: set(service.stats.workers_seen) == expected,
+                     timeout=60.0)
+            specs = tiny_matrix(faults=(None,), seeds_per_cell=1,
+                                max_evaluations=2)
+            report = finish(service, service.submit_job(specs, CHUNKED))
+            serial = run_campaigns(specs, workers=1, config=CHUNKED)
+            assert outcomes(report) == outcomes(serial)
+        finally:
+            service.close()
+            reap_workers(processes, timeout=30.0)
+        assert [process.returncode for process in processes] == [0, 0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -379,231 +505,223 @@ class TestLoopbackSweep:
 # Chaos / fault tolerance
 
 
-def serve_with_workers(specs, chunk_evaluations, lease_timeout,
-                       healthy_workers, healthy_args=(), chaos_args=(),
-                       chaos_workers=1):
-    """Run a sweep on a loopback coordinator with real worker processes."""
-    server = Coordinator(specs, chunk_evaluations=chunk_evaluations,
-                         lease_timeout=lease_timeout)
-    processes = spawn_local_workers(server.address, healthy_workers,
-                                    extra_args=healthy_args)
-    if chaos_args:
-        processes += spawn_local_workers(server.address, chaos_workers,
-                                         name_prefix="chaos",
-                                         extra_args=chaos_args)
-    accumulator = SweepAccumulator(total=len(specs))
-    try:
-        for index, shard in server.serve():
-            # SweepAccumulator.add raises on duplicates, so completing this
-            # loop proves no shard was double-delivered.
-            accumulator.add(index, shard)
-        return accumulator.finalize(), server
-    finally:
-        server.close()
-        for process in processes:
-            process.kill()
-        reap_workers(processes)
-
-
 class TestChaos:
-    def test_killed_worker_chunk_requeued_exactly_once(self):
-        """SIGKILL-equivalent death mid-chunk: no loss, no duplication.
+    def test_killed_worker_chunk_requeued_exactly_once(self, make_service):
+        """SIGKILL mid-chunk: no loss, no duplication.
 
-        The chaos worker completes one chunk, then dies abruptly
-        (``os._exit``) on its next assignment — while holding a leased
-        chunk, exactly like a SIGKILL mid-chunk.  The coordinator must
-        re-queue that chunk exactly once and the sweep must still match
-        the serial run bit for bit.
+        A real ``service worker`` subprocess is frozen (SIGSTOP) while
+        it holds a lease — checked again after the service has drained
+        any frame already sent — and then SIGKILLed.  The service must
+        re-queue that chunk exactly once, and healthy workers must
+        finish the sweep bit-identically to the serial run.
         """
         specs = tiny_matrix(seeds_per_cell=3, max_evaluations=6)
         serial = run_campaigns(specs, workers=1)
-        report, server = serve_with_workers(
-            specs, chunk_evaluations=2, lease_timeout=20.0,
-            healthy_workers=2,
-            chaos_args=("--chaos-die-after-chunks", "1"))
+        service = make_service(lease_timeout=20.0)
+        job_id = service.submit_job(specs, CHUNKED)
+        victim = spawn_service_workers(service.address, 1,
+                                       name_prefix="victim")[0]
+        processes = [victim]
+        try:
+            while True:
+                wait_for(lambda: "victim-0" in lease_holders(service))
+                victim.send_signal(signal.SIGSTOP)
+                time.sleep(0.3)  # let the service fold in-flight frames
+                if "victim-0" in lease_holders(service):
+                    break
+                victim.send_signal(signal.SIGCONT)
+            victim.kill()
+            victim.wait(timeout=10)
+            processes += spawn_service_workers(service.address, 2,
+                                               name_prefix="healthy")
+            report = finish(service, job_id)
+        finally:
+            service.close()
+            reap_workers(processes)
         assert outcomes(report) == outcomes(serial)
         assert report.coverage.global_counts == serial.coverage.global_counts
-        assert server.stats.total_requeues == 1
-        assert max(server.stats.requeues.values()) == 1
-        assert server.stats.disconnects >= 1
+        assert service.stats.total_requeues == 1
+        assert max(service.stats.requeues.values()) == 1
+        assert service.stats.disconnects >= 1
 
-    def test_stalled_worker_lease_expires_and_requeues(self):
-        """A worker that hangs without heartbeats forfeits its chunk."""
+    def test_silent_lease_holder_loses_its_chunk(self, make_service):
+        """A worker that takes a task and stops heartbeating forfeits it."""
         specs = tiny_matrix(seeds_per_cell=2, max_evaluations=6, base_seed=3)
-        serial = run_campaigns(specs, workers=1)
-        # Healthy workers heartbeat well inside the short lease window,
-        # so only the stalled worker can ever expire a lease.
-        report, server = serve_with_workers(
-            specs, chunk_evaluations=2, lease_timeout=1.5,
-            healthy_workers=2,
-            healthy_args=("--heartbeat-interval", "0.3"),
-            chaos_args=("--chaos-hang-after-chunks", "1",
-                        "--heartbeat-interval", "0.3"))
+        serial = run_campaigns(specs, workers=1, config=CHUNKED)
+        service = make_service(lease_timeout=1.0)
+        job_id = service.submit_job(specs, CHUNKED)
+        threads = []
+        try:
+            with socket.create_connection(service.address,
+                                          timeout=5) as sock:
+                sock.settimeout(5.0)
+                handshake(sock, "silent")
+                send(sock, ("request",))
+                kind, task_job, task = recv(sock)
+                assert (kind, task_job) == ("task", job_id)
+                wait_for(lambda: service.stats.requeues[task.index] == 1,
+                         timeout=10.0)
+                # Reporting after the lease is gone: dropped as stale.
+                send(sock, ("result", job_id, execute_chunk_task(task)))
+                wait_for(lambda: service.stats.stale_results == 1)
+                threads = _start_worker_threads(service.address, 2, None,
+                                                CODEC_PICKLE)
+                report = finish(service, job_id)
+        finally:
+            service.close()
+            for thread in threads:
+                thread.join(timeout=10.0)
         assert outcomes(report) == outcomes(serial)
-        assert server.stats.total_requeues == 1
-        assert max(server.stats.requeues.values()) == 1
+        assert service.stats.total_requeues == 1
+
+    def test_poison_chunk_fails_job_after_requeue_cap(self, make_service):
+        """A chunk that keeps losing workers fails its job, not livelocks.
+
+        White-box: forfeit the same chunk's lease past
+        MAX_CHUNK_REQUEUES (as if every worker that touched it died) and
+        assert the job fails with the shard's identity.
+        """
+        specs = tiny_matrix(faults=[Fault.SQ_NO_FIFO], seeds_per_cell=1)
+        service = make_service(lease_timeout=30.0)
+        job_id = service.submit_job(specs)
+        scheduler = service._jobs[job_id].scheduler
+        task = scheduler.next_task()
+        for attempt in range(MAX_CHUNK_REQUEUES + 1):
+            lease = _ServiceLease(job_id=job_id, task=task, worker="doomed",
+                                  deadline=0.0)
+            with service._lock:
+                service._leases[(job_id, task.index)] = lease
+            service._forfeit(lease)
+            if attempt < MAX_CHUNK_REQUEUES:
+                assert service.job_status(job_id)["state"] == JOB_RUNNING
+                task = scheduler.next_task()
+                assert task.index == 0
+        status = service.job_status(job_id)
+        assert status["state"] == JOB_FAILED
+        assert "poison" in status["error"]
+        assert specs[0].describe() in status["error"]
 
     def test_all_spawned_workers_dead_fails_loudly(self, monkeypatch):
         """If every spawned worker dies, the sweep raises instead of hanging.
 
-        Mirrors the local transport's dead-worker detection: the watchdog
-        notices that no spawned process survives and no other connection
-        is open, and aborts the sweep with a diagnosable error.
+        Mirrors the local transport's dead-worker detection: no spawned
+        process survives and no other connection is open, so the sweep
+        aborts with a diagnosable error.
         """
-        import repro.harness.distributed as distributed
+        def doomed_spawn(address, count, **_options):
+            return [subprocess.Popen([sys.executable, "-c",
+                                      "raise SystemExit(3)"])
+                    for _ in range(count)]
 
-        real_spawn = distributed.spawn_local_workers
-
-        def doomed_spawn(address, count, **_kwargs):
-            # Every spawned worker dies abruptly on its first assignment.
-            return real_spawn(address, count, name_prefix="doomed",
-                              extra_args=("--chaos-die-after-chunks", "0"))
-
-        monkeypatch.setattr(distributed, "spawn_local_workers", doomed_spawn)
+        monkeypatch.setattr(service_module, "spawn_service_workers",
+                            doomed_spawn)
         specs = tiny_matrix(faults=[Fault.SQ_NO_FIFO], seeds_per_cell=1,
                             max_evaluations=3)
         with pytest.raises(RuntimeError,
-                           match="worker process\\(es\\) exited"):
+                           match=r"worker process\(es\) exited with "
+                                 r"code\(s\) \[3\]"):
             run_campaigns(specs, workers=1, transport="tcp")
 
-    def test_poison_chunk_aborts_after_requeue_cap(self):
-        """A chunk that keeps losing workers fails the sweep, not livelocks.
-
-        White-box: forfeit the same lease past MAX_CHUNK_REQUEUES (as if
-        every worker that touched the chunk died) and assert the sweep
-        aborts with the shard's identity instead of re-queuing forever.
-        """
-        from repro.harness.distributed import MAX_CHUNK_REQUEUES, _Lease
-
-        specs = tiny_matrix(faults=[Fault.SQ_NO_FIFO], seeds_per_cell=1)
-        server = Coordinator(specs, lease_timeout=30.0)
-        try:
-            task = server._scheduler.next_task()
-            for _ in range(MAX_CHUNK_REQUEUES + 1):
-                lease = _Lease(task=task, worker="doomed", deadline=0.0)
-                server._leases[task.index] = lease
-                server._forfeit(lease)
-                assert server._scheduler.next_task().index == task.index
-            with pytest.raises(RuntimeError, match="poison"):
-                for _ in server.serve():
-                    pass
-        finally:
-            server.close()
-
-    def test_worker_joining_mid_sweep_contributes(self):
-        specs = tiny_matrix(seeds_per_cell=3, max_evaluations=5, base_seed=11)
+    def test_external_worker_joining_mid_sweep_contributes(self):
+        # Unchunked shards on the correct system each run the full
+        # budget, so most of the sweep is still queued when the first
+        # shard lands and the late worker joins.
+        specs = tiny_matrix(faults=(None,), seeds_per_cell=8,
+                            max_evaluations=24, base_seed=11)
+        config = SweepConfig(transport="tcp",
+                             coordinator=f"127.0.0.1:{free_port()}")
         serial = run_campaigns(specs, workers=1)
-        server = Coordinator(specs, chunk_evaluations=2, lease_timeout=20.0)
-        first = spawn_local_workers(server.address, 1)
+        telemetry: dict = {}
         late = []
         accumulator = SweepAccumulator(total=len(specs))
         try:
-            for index, shard in server.serve():
+            for index, shard in iter_campaigns(specs, workers=1,
+                                               config=config,
+                                               telemetry_out=telemetry):
                 accumulator.add(index, shard)
-                if not late and accumulator.completed >= 1:
-                    late = spawn_local_workers(server.address, 1,
-                                               name_prefix="late")
-            report = accumulator.finalize()
+                if not late:
+                    late = spawn_service_workers(
+                        parse_address(config.coordinator), 1,
+                        name_prefix="late")
         finally:
-            server.close()
-            reap_workers(first + late)
+            reap_workers(late)
+        report = accumulator.finalize()
         assert outcomes(report) == outcomes(serial)
-        assert len(server.stats.workers_seen) == 2
-
+        assert set(telemetry["hosts"]) == {"worker-0", "late-0"}
 
 # ----------------------------------------------------------------------
-# Drain race and bringup ordering regressions
+# Drain race and bringup ordering
 
 
 class TestDrainRace:
-    def test_worker_injected_mid_drain_gets_clean_shutdown(self):
-        # A connection accepted just before close() begins — no hello
-        # sent yet — must receive a clean ("shutdown",) frame, not an
-        # error teardown or a hang against a dead port.
-        coordinator = Coordinator(tiny_matrix()[:1], chunk_evaluations=2,
-                                  handshake_timeout=5.0)
-        sock = socket.create_connection(coordinator.address, timeout=5.0)
-        sock.settimeout(5.0)
-        try:
-            time.sleep(0.2)  # let the handler thread pick the socket up
-            closer = threading.Thread(target=coordinator.close,
-                                      daemon=True)
+    def test_worker_connected_mid_drain_gets_clean_shutdown(
+            self, make_service):
+        # A connection accepted before close() begins — challenge read,
+        # no hello sent yet — must receive a clean ("shutdown",) frame,
+        # not an error teardown or a hang against a dead port.
+        service = make_service(handshake_timeout=5.0)
+        with socket.create_connection(service.address, timeout=5) as sock:
+            sock.settimeout(5.0)
+            assert recv(sock)[0] == "challenge"
+            closer = threading.Thread(target=service.close, daemon=True)
             closer.start()
-            assert recv_frame(sock) == ("shutdown",)
+            assert recv(sock) == ("shutdown",)
             closer.join(timeout=10.0)
             assert not closer.is_alive()
-        finally:
-            sock.close()
 
-    def test_late_hello_during_drain_gets_clean_shutdown(self):
-        # The hello lands only after draining has begun: the coordinator
-        # must answer it with shutdown instead of a welcome into a sweep
-        # that is already over.
-        coordinator = Coordinator(tiny_matrix()[:1], chunk_evaluations=2,
-                                  handshake_timeout=5.0)
-        sock = socket.create_connection(coordinator.address, timeout=5.0)
-        sock.settimeout(5.0)
+    def test_worker_told_to_shut_down_at_handshake_exits_cleanly(self):
+        # A service already draining answers a hello with ("shutdown",)
+        # instead of a welcome: the worker returns normally with zero
+        # chunks instead of raising.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def draining_service():
+            connection, _ = listener.accept()
+            with connection:
+                send(connection, ("challenge", SERVICE_MAGIC,
+                                  SERVICE_VERSION, "nonce"))
+                assert recv(connection)[0] == "hello"
+                send(connection, ("shutdown",))
+
+        thread = threading.Thread(target=draining_service, daemon=True)
+        thread.start()
         try:
-            time.sleep(0.2)
-            coordinator._draining.set()
-            send_frame(sock, ("hello", PROTOCOL_MAGIC, PROTOCOL_VERSION,
-                              "late-worker"))
-            assert recv_frame(sock) == ("shutdown",)
+            stats = run_service_worker(listener.getsockname()[:2],
+                                       name="drain-prober")
         finally:
-            sock.close()
-            coordinator.close()
-
-    def test_run_worker_against_draining_coordinator_exits_cleanly(self):
-        # End to end: run_worker connecting into the drain window must
-        # return normally with zero chunks, not raise.
-        coordinator = Coordinator(tiny_matrix()[:1], chunk_evaluations=2,
-                                  handshake_timeout=5.0)
-        coordinator._draining.set()
-        stats = run_worker(coordinator.address, name="drain-prober")
+            listener.close()
+            thread.join(timeout=5)
         assert stats.chunks == 0
-        coordinator.close()
+        assert not thread.is_alive()
 
 
 class TestBringupOrdering:
-    def test_worker_started_before_coordinator_retries_and_connects(self):
-        # Service-started-last bringup: reserve a port, launch the
-        # worker first, bind the coordinator late; the worker's bounded
-        # connect backoff must carry it through to a full sweep.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-
+    def test_worker_started_before_tcp_sweep_retries_and_connects(self):
+        # Service-started-last bringup: reserve a port, launch an
+        # external worker first, then run a workers=0 tcp sweep there;
+        # the worker's bounded connect backoff carries it through.
+        port = free_port()
         specs = tiny_matrix(faults=(None,), seeds_per_cell=1,
                             max_evaluations=2)
         serial = run_campaigns(specs, workers=1)
         stats_box = {}
 
         def early_worker():
-            stats_box["stats"] = run_worker(("127.0.0.1", port),
-                                            name="early-bird",
-                                            connect_retries=40,
-                                            connect_backoff=0.05)
+            stats_box["stats"] = run_service_worker(
+                ("127.0.0.1", port), name="early-bird",
+                connect_retries=40, connect_backoff=0.05)
 
         worker = threading.Thread(target=early_worker, daemon=True)
         worker.start()
         time.sleep(0.3)  # several refused connects happen in here
-
-        coordinator = Coordinator(specs, chunk_evaluations=2,
-                                  bind=f"127.0.0.1:{port}")
-        accumulator = SweepAccumulator(total=len(specs))
-        for index, shard in coordinator.serve():
-            accumulator.add(index, shard)
-        report = accumulator.finalize()
+        report = run_campaigns(specs, workers=0, transport="tcp",
+                               chunk_evaluations=2,
+                               coordinator=f"127.0.0.1:{port}")
         assert outcomes(report) == outcomes(serial)
         worker.join(timeout=10.0)
         assert stats_box["stats"].chunks > 0
 
     def test_exhausted_retries_raise_the_underlying_oserror(self):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
         with pytest.raises(OSError):
-            run_worker(("127.0.0.1", port), connect_retries=1,
-                       connect_backoff=0.01)
+            run_service_worker(("127.0.0.1", free_port()),
+                               connect_retries=1, connect_backoff=0.01)

@@ -118,7 +118,8 @@ def test_api_reference_covers_new_controller_surface():
     """The adaptive-sizing API must stay documented."""
     text = (DOCS_DIR / "api.md").read_text(encoding="utf-8")
     for identifier in ("ChunkSizeController", "ChunkTelemetry",
-                      "ChunkScheduler", "Coordinator",
+                      "ChunkScheduler", "VerificationService",
+                      "iter_service_sweep",
                       "ExperimentSettings", "run_campaigns",
                       "iter_campaigns"):
         assert identifier in text, f"api.md no longer documents {identifier}"

@@ -578,7 +578,8 @@ def _spawn_worker(address, count=2):
     environment["PYTHONPATH"] = "src"
     return [subprocess.Popen(
         [sys.executable, "-m", "repro.harness.service", "worker",
-         "--connect", address, "--name", f"chaos-worker-{index}",
+         "--connect", address, "--workers", "1",
+         "--name", f"chaos-worker-{index}",
          "--connect-retries", "40", "--connect-backoff", "0.1"],
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         env=environment, stdout=subprocess.DEVNULL,
