@@ -15,7 +15,7 @@ so after any crossover/mutation the invariants "op_id == position" and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.sim.testprogram import OpKind, TestOp, TestThread, threads_from_slots
 
@@ -94,7 +94,7 @@ def reslot(op: TestOp, index: int) -> TestOp:
     value for writes) so the chromosome invariants hold after crossover.
     """
     value = index + 1 if op.kind.writes_memory else 0
-    return replace(op, op_id=index, value=value)
+    return TestOp(index, op.kind, op.address, value, op.delay)
 
 
 def make_chromosome(slots: list[tuple[int, TestOp]], num_threads: int) -> Chromosome:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from repro.sim.coverage import CoverageCollector
@@ -38,12 +39,14 @@ class CoherenceController:
         self.network = network
         self.coverage = coverage
         self.faults = faults
+        # ``record_transition(state, event)`` records one coverage
+        # transition.  The partial runs in C, so each transition costs
+        # one Python frame (``record``), not two.
+        self.record_transition = partial(coverage.record,
+                                         self.controller_kind)
         network.register(name, self.handle_message)
 
     # -- coverage / errors -------------------------------------------------
-
-    def record_transition(self, state: str, event: str) -> None:
-        self.coverage.record(self.controller_kind, state, event)
 
     def invalid_transition(self, state: str, event: str, detail: str = "") -> None:
         raise ProtocolError(self.controller_kind, state, event, detail)

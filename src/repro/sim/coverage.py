@@ -23,6 +23,27 @@ class TransitionKey:
     state: str
     event: str
 
+    # Every recorded transition hashes its key into ``global_counts`` and
+    # the run set, so the hash is computed once, here.  It is the value
+    # the generated ``__hash__`` would return, so set and Counter orders
+    # do not change.  String hashes differ between processes: the cached
+    # value never leaves one, and is rebuilt on unpickle and on codec
+    # decode (which calls ``__init__``).
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash",
+                           hash((self.controller, self.state, self.event)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict[str, str]:
+        return {"controller": self.controller, "state": self.state,
+                "event": self.event}
+
+    def __setstate__(self, state: dict[str, str]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.controller}:{self.state}--{self.event}"
 

@@ -10,8 +10,7 @@ are perturbed differently (paper §5.1).
 
 Queue entries are plain ``[time, seq, callback]`` lists, so heap
 comparisons run in C.  ``seq`` is unique, so two entries never compare
-their callbacks.  Cancelling an event clears its callback slot; the run
-loop skips such entries.
+their callbacks.
 """
 
 from __future__ import annotations
@@ -23,22 +22,6 @@ from typing import Callable
 
 class SimulationLimitError(RuntimeError):
     """Raised when a simulation exceeds its maximum tick or event budget."""
-
-
-class EventHandle:
-    """Handle returned by :meth:`SimKernel.schedule`, allows cancellation."""
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list) -> None:
-        self._entry = entry
-
-    def cancel(self) -> None:
-        self._entry[2] = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[2] is None
 
 
 class SimKernel:
@@ -55,20 +38,18 @@ class SimKernel:
         self._seq = 0
         self._events_executed = 0
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule *callback* to run ``delay`` ticks from now (delay >= 0)."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        entry = [self.now + int(delay), self._seq, callback]
+        heappush(self._queue, [self.now + int(delay), self._seq, callback])
         self._seq += 1
-        heappush(self._queue, entry)
-        return EventHandle(entry)
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule *callback* at an absolute tick (must not be in the past)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        return self.schedule(time - self.now, callback)
+        self.schedule(time - self.now, callback)
 
     def jitter(self, low: int, high: int) -> int:
         """Return a random latency in ``[low, high]`` from the kernel RNG."""
@@ -83,11 +64,6 @@ class SimKernel:
         while offset >= width:
             offset = self._getrandbits(bits)
         return low + offset
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for entry in self._queue if entry[2] is not None)
 
     def run(self, until: Callable[[], bool] | None = None) -> int:
         """Run until the queue drains or *until* returns true.
@@ -106,8 +82,6 @@ class SimKernel:
             if until is not None and until():
                 break
             time, _, callback = heappop(queue)
-            if callback is None:
-                continue
             self.now = time
             self._events_executed += 1
             if time > max_ticks:

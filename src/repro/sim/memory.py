@@ -34,9 +34,12 @@ class MainMemory:
 
     def read_line(self, line_address: int, line_bytes: int, stride: int) -> dict[int, int]:
         """Return the word values of one cache line as {address: value}."""
+        words = self._words
+        initial = self.INITIAL_VALUE
         return {
-            line_address + offset: self.read(line_address + offset)
-            for offset in range(0, line_bytes, stride)
+            address: words.get(address, initial)
+            for address in range(line_address, line_address + line_bytes,
+                                 stride)
         }
 
     def write_line(self, words: dict[int, int]) -> None:

@@ -59,6 +59,11 @@ class CoreEngine:
         self.loads_squashed = 0
         self._tick_scheduled = False
         self._started = False
+        # True from an idle tick (no stage progressed, nothing can issue)
+        # until the next ``_wake``.  Pipeline state changes only in
+        # callbacks that call ``_wake``, so a quiet tick's stages would
+        # find exactly what the idle tick found: nothing to do.
+        self._quiet = False
         # True once the thread has issued, committed and drained every
         # op.  It never turns false again, and it is refreshed wherever
         # it can turn true: start, the end of a tick and a store-buffer
@@ -83,6 +88,7 @@ class CoreEngine:
         self._tick_scheduled = True
 
     def _wake(self) -> None:
+        self._quiet = False
         if not self._tick_scheduled and not self.done:
             self._tick_scheduled = True
             self.kernel.schedule(1, self._tick)
@@ -108,6 +114,11 @@ class CoreEngine:
     # ------------------------------------------------------------------
 
     def _tick(self) -> None:
+        if self._quiet:
+            # Still polled, so event counts, sequence numbers and the
+            # heap order stay exactly those of a full idle tick.
+            self.kernel.schedule(_IDLE_TICK, self._tick)
+            return
         self._tick_scheduled = False
         progress = False
         progress |= self._issue_stage()
@@ -116,7 +127,11 @@ class CoreEngine:
         progress |= self._drain_stage()
         if self._refresh_done():
             return
-        delay = 1 if progress or self._issue_possible() else _IDLE_TICK
+        if progress or self._issue_possible():
+            delay = 1
+        else:
+            delay = _IDLE_TICK
+            self._quiet = True
         self._tick_scheduled = True
         self.kernel.schedule(delay, self._tick)
 

@@ -1,6 +1,11 @@
 """Unit tests for coverage collection and fault definitions."""
 
+import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +199,75 @@ class TestCoverageInterning:
         clone.record("L2", "MT", "Recall")
         assert clone.global_counts[TransitionKey("L1", "I", "Load")] == 4
         assert TransitionKey("L2", "MT", "Recall") in clone.known_transitions
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Pickles a collector (with a run set) and a lone key, and codec-encodes
+# both, in a process with one string-hash seed.
+_DUMP = """
+import pickle
+from repro.harness.codec import encode
+from repro.sim.coverage import CoverageCollector, TransitionKey
+collector = CoverageCollector()
+collector.declare([TransitionKey("L2", "MT", "Recall")])
+for transition in %r:
+    collector.record(*transition)
+collector.begin_run()
+collector.record("L1", "S", "Inv")
+key = TransitionKey("L2", "NP", "GetS")
+for blob in (pickle.dumps(collector), pickle.dumps(key),
+             encode(collector), encode(key)):
+    print(blob.hex())
+""" % (SEQUENCE,)
+
+# Loads them in a process with another seed and checks every key
+# against a freshly built one.
+_LOAD = """
+import pickle, sys
+from repro.harness.codec import decode
+from repro.sim.coverage import TransitionKey
+blobs = [bytes.fromhex(line) for line in sys.stdin.read().split()]
+loaded = [pickle.loads(blobs[0]), pickle.loads(blobs[1]),
+          decode(blobs[2]), decode(blobs[3])]
+for collector, key in (loaded[:2], loaded[2:]):
+    keys = [key, *collector.global_counts, *collector.known_transitions,
+            *collector.run_transitions()]
+    for old in keys:
+        fresh = TransitionKey(old.controller, old.state, old.event)
+        assert old == fresh and hash(old) == hash(fresh), old
+    assert collector.global_counts[TransitionKey("L1", "I", "Load")] == 3
+    assert collector.global_counts[TransitionKey("L1", "S", "Inv")] == 2
+    assert TransitionKey("L2", "MT", "Recall") in collector.known_transitions
+    assert collector.run_transitions() == {TransitionKey("L1", "S", "Inv")}
+    collector.record("L2", "NP", "GetS")
+    assert collector.global_counts[key] == 3
+    assert len(collector.global_counts) == 4
+print("ok")
+"""
+
+
+class TestCachedKeyHash:
+    def test_hash_is_the_field_tuple_hash(self):
+        key = TransitionKey("L1", "I", "Load")
+        assert hash(key) == hash(("L1", "I", "Load"))
+        assert hash(copy.deepcopy(key)) == hash(key)
+
+    def test_pickle_carries_only_the_fields(self):
+        key = TransitionKey("L1", "I", "Load")
+        clone = pickle.loads(pickle.dumps(key))
+        assert clone.__getstate__() == {
+            "controller": "L1", "state": "I", "event": "Load"}
+        assert hash(clone) == hash(key)
+
+    def test_keys_rehash_after_crossing_hash_seeds(self):
+        def run(script: str, seed: str, stdin: str = "") -> str:
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            return subprocess.run(
+                [sys.executable, "-c", script], input=stdin, env=env,
+                capture_output=True, text=True, check=True).stdout
+
+        assert run(_LOAD, "2", run(_DUMP, "1")).strip() == "ok"
 
 
 class TestFaults:

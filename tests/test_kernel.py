@@ -46,6 +46,22 @@ class TestScheduling:
         assert order == ["first", "second"]
         assert end == 6
 
+    def test_same_tick_event_from_a_callback_runs_after_queued_ones(self):
+        kernel = SimKernel(seed=1)
+        order = []
+
+        def first():
+            order.append("a")
+            # Scheduled at the same tick from a callback: runs after
+            # every event already queued for that tick.
+            kernel.schedule(0, lambda: order.append("late"))
+
+        kernel.schedule(5, first)
+        for name in "bcd":
+            kernel.schedule(5, lambda n=name: order.append(n))
+        kernel.run()
+        assert order == ["a", "b", "c", "d", "late"]
+
     def test_negative_delay_rejected(self):
         kernel = SimKernel(seed=1)
         with pytest.raises(ValueError):
@@ -64,67 +80,6 @@ class TestScheduling:
         kernel.run()
         with pytest.raises(ValueError):
             kernel.schedule_at(5, lambda: None)
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        kernel = SimKernel(seed=1)
-        ran = []
-        handle = kernel.schedule(5, lambda: ran.append(1))
-        handle.cancel()
-        kernel.run()
-        assert not ran
-        assert handle.cancelled
-
-    def test_pending_counts_only_live_events(self):
-        kernel = SimKernel(seed=1)
-        keep = kernel.schedule(5, lambda: None)
-        drop = kernel.schedule(6, lambda: None)
-        drop.cancel()
-        assert kernel.pending == 1
-        _ = keep
-
-    def test_cancel_is_idempotent_and_pending_drains(self):
-        kernel = SimKernel(seed=1)
-        ran = []
-        handles = [kernel.schedule(delay, lambda d=delay: ran.append(d))
-                   for delay in (3, 1, 2, 1)]
-        handles[1].cancel()
-        handles[1].cancel()
-        assert kernel.pending == 3
-        assert [handle.cancelled for handle in handles] == [
-            False, True, False, False]
-        kernel.run()
-        assert ran == [1, 2, 3]
-        assert kernel.pending == 0
-        assert kernel.events_executed == 3
-
-    def test_cancelling_an_executed_event_is_harmless(self):
-        kernel = SimKernel(seed=1)
-        handle = kernel.schedule(1, lambda: None)
-        kernel.run()
-        assert not handle.cancelled
-        handle.cancel()
-        assert handle.cancelled
-        assert kernel.run() == 1
-
-    def test_same_time_events_keep_schedule_order_after_cancel(self):
-        kernel = SimKernel(seed=1)
-        order = []
-
-        def first():
-            order.append("a")
-            # Scheduled at the same tick from a callback: runs after
-            # every event already queued for that tick.
-            kernel.schedule(0, lambda: order.append("late"))
-
-        handles = {"a": kernel.schedule(5, first)}
-        for name in "bcde":
-            handles[name] = kernel.schedule(5, lambda n=name: order.append(n))
-        handles["c"].cancel()
-        kernel.schedule(4, lambda: handles["d"].cancel())
-        kernel.run()
-        assert order == ["a", "b", "e", "late"]
 
 
 class TestUntilAndLimits:
@@ -153,21 +108,9 @@ class TestUntilAndLimits:
         assert ran == [10, 20]
         assert stopped == kernel.now == 20
         assert checks == [0, 10, 20]
-        assert kernel.pending == 3
         assert kernel.events_executed == 2
         assert kernel.run() == 40
         assert ran == [10, 20, 20, 30, 40]
-
-    def test_until_skips_cancelled_events_without_counting_them(self):
-        kernel = SimKernel(seed=1)
-        ran = []
-        kernel.schedule(10, lambda: ran.append(10))
-        kernel.schedule(15, lambda: ran.append(15)).cancel()
-        kernel.schedule(20, lambda: ran.append(20))
-        stopped = kernel.run(until=lambda: len(ran) >= 1)
-        assert (stopped, ran, kernel.events_executed) == (10, [10], 1)
-        assert kernel.run() == 20
-        assert kernel.events_executed == 2
 
     def test_tick_limit_raises(self):
         kernel = SimKernel(seed=1, max_ticks=100)
