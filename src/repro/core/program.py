@@ -94,7 +94,8 @@ def reslot(op: TestOp, index: int) -> TestOp:
     value for writes) so the chromosome invariants hold after crossover.
     """
     value = index + 1 if op.kind.writes_memory else 0
-    return TestOp(index, op.kind, op.address, value, op.delay)
+    return TestOp(op_id=index, kind=op.kind, address=op.address,
+                  value=value, delay=op.delay)
 
 
 def make_chromosome(slots: list[tuple[int, TestOp]], num_threads: int) -> Chromosome:

