@@ -6,10 +6,9 @@ Two Table-4-style sweeps are measured:
   work-stealing pool — campaigns are embarrassingly parallel, so on a host
   with >= 4 usable CPUs the pool should finish at least ~2x faster;
 * a *heterogeneous* sweep (mixed ``max_evaluations``: a few long shards
-  among many short ones), run serially, on the work-stealing scheduler
-  with chunked campaigns, and on the static scheduler — the work-stealing
-  pool should beat the static partition, which idles every worker behind
-  the block that drew the long shards.
+  among many short ones), run serially and on the work-stealing pool
+  with chunked campaigns — chunking lets idle workers pick up the long
+  shards' continuations instead of waiting behind them.
 
 The same heterogeneous sweep is additionally run with
 ``chunk_sizing="adaptive"`` against the fixed-chunk work-stealing
@@ -26,7 +25,7 @@ the current single-serialization ``ChunkPayload`` path (pickled once on
 the worker, bytes forwarded verbatim) — pickle seconds and bytes saved
 per paused chunk land in the JSON artifact's ``serialization`` row.
 
-Per-shard results are bit-identical regardless of scheduler, worker count
+Per-shard results are bit-identical regardless of transport, worker count
 or chunking (seeds derive from the matrix position and checkpoints carry
 all cross-evaluation state); the determinism assertions always run.  The
 wall-clock assertions only run when the host actually exposes enough CPUs
@@ -50,9 +49,9 @@ import pytest
 
 from benchmarks.conftest import bench_generator_config
 from repro.core.campaign import GeneratorKind
-from repro.harness.parallel import (ChunkOutcome, ChunkTask, campaign_matrix,
-                                    default_workers, execute_chunk_task,
-                                    run_campaigns)
+from repro.harness.parallel import (ChunkOutcome, ChunkTask, SweepConfig,
+                                    campaign_matrix, default_workers,
+                                    execute_chunk_task, run_campaigns)
 from repro.harness.reporting import format_speedup, format_sweep_report
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
@@ -68,8 +67,7 @@ COARSE_CHUNK_EVALUATIONS = 12
 #: below the coarse seed once it has measured the evaluation rate.
 TARGET_CHUNK_SECONDS = 0.05
 #: Per-shard budgets of the heterogeneous sweep: two stragglers in front
-#: (exactly where a contiguous static partition hurts most) among short
-#: shards.
+#: among short shards.
 HETERO_BUDGETS = (36, 36, 6, 6, 6, 6, 6, 6)
 #: Memoization benchmark matrix: litmus campaigns recycle a small set of
 #: execution shapes, so the verdict cache sees a high hit-rate; enough
@@ -141,21 +139,22 @@ def sweeps():
 def hetero_sweeps():
     specs = _hetero_specs()
     serial = run_campaigns(specs, workers=1)
-    stealing = run_campaigns(specs, workers=WORKERS,
-                             chunk_evaluations=CHUNK_EVALUATIONS)
-    static = run_campaigns(specs, workers=WORKERS, scheduler="static")
-    return serial, stealing, static
+    stealing = run_campaigns(
+        specs, workers=WORKERS,
+        config=SweepConfig(chunk_evaluations=CHUNK_EVALUATIONS))
+    return serial, stealing
 
 
 @pytest.fixture(scope="module")
 def tcp_sweep():
     """The heterogeneous sweep served over loopback TCP to 2 workers."""
     return run_campaigns(_hetero_specs(), workers=TCP_WORKERS,
-                         transport="tcp",
-                         chunk_evaluations=CHUNK_EVALUATIONS)
+                         config=SweepConfig(
+                             transport="tcp",
+                             chunk_evaluations=CHUNK_EVALUATIONS))
 
 
-def _run_with_tail(specs, **options):
+def _run_with_tail(specs, config):
     """Run a sweep recording tail latency (gap of the last two finishes).
 
     The straggler signature of a chunked sweep: if the final chunk is
@@ -165,8 +164,9 @@ def _run_with_tail(specs, **options):
     finish_times = []
     started = time.perf_counter()
     report = run_campaigns(
-        specs, on_result=lambda shard: finish_times.append(
-            time.perf_counter() - started), **options)
+        specs, workers=WORKERS, config=config,
+        on_result=lambda shard: finish_times.append(
+            time.perf_counter() - started))
     tail = (finish_times[-1] - finish_times[-2]
             if len(finish_times) >= 2 else 0.0)
     return report, tail
@@ -253,9 +253,9 @@ def memo_sweeps():
     specs = _memo_specs()
 
     def run(verdict_memo):
-        report = run_campaigns(specs, workers=1,
-                               chunk_evaluations=MEMO_CHUNK_EVALUATIONS,
-                               verdict_memo=verdict_memo)
+        report = run_campaigns(specs, workers=1, config=SweepConfig(
+            chunk_evaluations=MEMO_CHUNK_EVALUATIONS,
+            verdict_memo=verdict_memo))
         check = sum(shard.result.check_seconds for shard in report.shards)
         return report.shards, check, report.wall_seconds, report.verdict_cache
 
@@ -291,7 +291,7 @@ def replay_sweeps(tmp_path_factory):
         shutil.copy(path, os.path.join(directory, f"dup-{name}"))
     plain = run_replay_sweep(corpus, shard_traces=REPLAY_SHARD_TRACES)
     memo = run_replay_sweep(corpus, shard_traces=REPLAY_SHARD_TRACES,
-                            verdict_memo=True)
+                            config=SweepConfig(verdict_memo=True))
     return len(paths) * 2, plain, memo
 
 
@@ -312,11 +312,11 @@ def test_replay_memoization_preserves_verdicts(replay_sweeps, capsys):
 def adaptive_sweeps():
     """Fixed-coarse vs adaptive work-stealing on the heterogeneous matrix."""
     specs = _hetero_specs()
-    fixed, fixed_tail = _run_with_tail(
-        specs, workers=WORKERS, chunk_evaluations=COARSE_CHUNK_EVALUATIONS)
-    adaptive, adaptive_tail = _run_with_tail(
-        specs, workers=WORKERS, chunk_evaluations=COARSE_CHUNK_EVALUATIONS,
-        chunk_sizing="adaptive", target_chunk_seconds=TARGET_CHUNK_SECONDS)
+    fixed_config = SweepConfig(chunk_evaluations=COARSE_CHUNK_EVALUATIONS)
+    fixed, fixed_tail = _run_with_tail(specs, fixed_config)
+    adaptive, adaptive_tail = _run_with_tail(specs, replace(
+        fixed_config, chunk_sizing="adaptive",
+        target_chunk_seconds=TARGET_CHUNK_SECONDS))
     return (fixed, fixed_tail), (adaptive, adaptive_tail)
 
 
@@ -333,15 +333,14 @@ def test_parallel_results_match_serial(sweeps, capsys):
 
 
 def test_heterogeneous_schedulers_match_serial(hetero_sweeps):
-    serial, stealing, static = hetero_sweeps
+    serial, stealing = hetero_sweeps
     assert _outcomes(serial) == _outcomes(stealing)
-    assert _outcomes(serial) == _outcomes(static)
     assert serial.coverage.global_counts == stealing.coverage.global_counts
 
 
 def test_loopback_tcp_matches_serial(hetero_sweeps, tcp_sweep, capsys):
     """Cross-host sharding over loopback TCP: still bit-identical."""
-    serial, _, _ = hetero_sweeps
+    serial, _ = hetero_sweeps
     assert _outcomes(serial) == _outcomes(tcp_sweep)
     assert serial.coverage.global_counts == tcp_sweep.coverage.global_counts
     with capsys.disabled():
@@ -365,28 +364,9 @@ def test_parallel_speedup(sweeps, benchmark, capsys):
                              WORKERS))
 
 
-def test_work_stealing_beats_static(hetero_sweeps, benchmark, capsys):
-    serial, stealing, static = hetero_sweeps
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    with capsys.disabled():
-        print()
-        print("work-stealing: "
-              + format_speedup(serial.wall_seconds, stealing.wall_seconds,
-                               WORKERS))
-        print("static:        "
-              + format_speedup(serial.wall_seconds, static.wall_seconds,
-                               WORKERS))
-    if _scaling_assertions_enabled("work-stealing vs static"):
-        assert stealing.wall_seconds < static.wall_seconds, (
-            "work-stealing should beat the static partition on a "
-            "heterogeneous matrix: "
-            f"stealing={stealing.wall_seconds:.2f}s "
-            f"static={static.wall_seconds:.2f}s")
-
-
 def test_adaptive_matches_serial(hetero_sweeps, adaptive_sweeps):
     """Adaptive sizing moves pause points, never results."""
-    serial, _, _ = hetero_sweeps
+    serial, _ = hetero_sweeps
     (fixed, _), (adaptive, _) = adaptive_sweeps
     assert _outcomes(serial) == _outcomes(fixed)
     assert _outcomes(serial) == _outcomes(adaptive)
@@ -504,7 +484,7 @@ def test_bench_json_artifact(sweeps, hetero_sweeps, tcp_sweep,
     if not path:
         pytest.skip("REPRO_BENCH_JSON not set; no artifact requested")
     serial, parallel = sweeps
-    hetero_serial, stealing, static = hetero_sweeps
+    hetero_serial, stealing = hetero_sweeps
     (fixed, fixed_tail), (adaptive, adaptive_tail) = adaptive_sweeps
     serialization, _, _ = serialization_costs
     ((_, plain_check, plain_wall, _),
@@ -529,7 +509,6 @@ def test_bench_json_artifact(sweeps, hetero_sweeps, tcp_sweep,
             "chunk_evaluations": CHUNK_EVALUATIONS,
             "serial_seconds": hetero_serial.wall_seconds,
             "work_stealing_seconds": stealing.wall_seconds,
-            "static_seconds": static.wall_seconds,
         },
         "adaptive_chunking": {
             # Same heterogeneous sweep, fixed-coarse vs adaptive chunk

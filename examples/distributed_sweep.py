@@ -16,8 +16,8 @@ This example runs the same heterogeneous campaign matrix three times:
 
 For a real multi-host run, use the same two pieces on separate hosts:
 
-    coordinator host:  run_campaigns(specs, workers=0, transport="tcp",
-                                     coordinator="0.0.0.0:7777")
+    coordinator host:  run_campaigns(specs, workers=0, config=SweepConfig(
+                           transport="tcp", coordinator="0.0.0.0:7777"))
     each worker host:  python -m repro.harness.service worker \
                            --connect coordinator-host:7777
 
@@ -30,7 +30,8 @@ from dataclasses import replace
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness.distributed import format_address, reap_workers
-from repro.harness.parallel import campaign_matrix, run_campaigns
+from repro.harness.parallel import (SweepConfig, campaign_matrix,
+                                    run_campaigns)
 from repro.harness.reporting import format_sweep_report
 from repro.harness.service import spawn_service_workers
 from repro.sim.config import SystemConfig
@@ -74,8 +75,8 @@ def main() -> None:
     print(format_sweep_report(serial, title="Serial sweep"))
 
     print("\n== same sweep over loopback TCP (2 spawned workers) ==")
-    tcp = run_campaigns(specs, workers=2, transport="tcp",
-                        chunk_evaluations=4)
+    config = SweepConfig(transport="tcp", chunk_evaluations=4)
+    tcp = run_campaigns(specs, workers=2, config=config)
     print(format_sweep_report(tcp, title="Distributed sweep"))
     assert outcomes(tcp) == outcomes(serial), "determinism violated!"
     print("distributed outcomes are bit-identical to the serial run")
@@ -92,10 +93,11 @@ def main() -> None:
             workers[-1].kill()
 
     try:
-        external = run_campaigns(specs, workers=0, transport="tcp",
-                                 chunk_evaluations=4, lease_timeout=20.0,
-                                 coordinator=format_address(address),
-                                 on_result=kill_one, progress=True)
+        external = run_campaigns(
+            specs, workers=0,
+            config=replace(config, lease_timeout=20.0,
+                           coordinator=format_address(address)),
+            on_result=kill_one, progress=True)
     finally:
         reap_workers(workers)
     assert outcomes(external) == outcomes(serial), "determinism violated!"

@@ -4,19 +4,17 @@
 This example builds a *heterogeneous* (generator kind x fault x seed)
 campaign matrix — some shards have a much larger evaluation budget than
 others, like a real Table-4 sweep where some generator/bug pairs find the
-bug quickly and others never do — and runs it three ways:
+bug quickly and others never do — and runs it two ways:
 
 1. serially (``workers=1``), the reproducible reference;
 2. on the work-stealing scheduler with chunked campaigns and a streaming
    ``on_result`` callback: workers pull shards (and resumable chunks of
    long shards) from a shared queue, and each result is reported the
-   moment it completes, while other shards are still running;
-3. on the static scheduler, which partitions the matrix up front and pays
-   a straggler tax on the long shards.
+   moment it completes, while other shards are still running.
 
-All three produce bit-identical per-shard results — shard seeds derive
+Both produce bit-identical per-shard results — shard seeds derive
 from the matrix position, never the worker, and campaign checkpoints
-carry all cross-evaluation state — so scheduling only changes wall-clock
+carry all cross-evaluation state — so the pool only changes wall-clock
 time.
 
 Run with:  python examples/parallel_campaigns.py
@@ -26,8 +24,8 @@ from dataclasses import replace
 
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
-from repro.harness.parallel import (campaign_matrix, default_workers,
-                                    run_campaigns)
+from repro.harness.parallel import (SweepConfig, campaign_matrix,
+                                    default_workers, run_campaigns)
 from repro.harness.reporting import format_speedup, format_sweep_report
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
@@ -45,8 +43,8 @@ def heterogeneous_matrix():
         max_evaluations=6,
         seeds_per_cell=4,
         base_seed=2016)
-    # Every third shard gets a 4x budget: the heterogeneity that makes
-    # static scheduling idle behind its longest worker.
+    # Every third shard gets a 4x budget: chunking lets idle workers pick
+    # up the long shards' continuations instead of waiting behind them.
     return [replace(spec, max_evaluations=24) if index % 3 == 0 else spec
             for index, spec in enumerate(specs)]
 
@@ -63,30 +61,27 @@ def main() -> None:
     print(f"work-stealing sweep at workers={workers} "
           f"(chunked, streaming results):")
     stealing = run_campaigns(
-        specs, workers=workers, chunk_evaluations=6,
+        specs, workers=workers, config=SweepConfig(chunk_evaluations=6),
         on_result=lambda shard: print(
             f"  done: {shard.spec.describe():45s} "
             f"found={shard.result.found}"))
-    static = run_campaigns(specs, workers=workers, scheduler="static")
 
     print()
     print(format_sweep_report(stealing, title="Table-4-style sweep"))
     print()
     print("work-stealing: "
           + format_speedup(serial.wall_seconds, stealing.wall_seconds, workers))
-    print("static:        "
-          + format_speedup(serial.wall_seconds, static.wall_seconds, workers))
 
-    for name, report in (("work-stealing", stealing), ("static", static)):
-        mismatches = [
-            shard.spec.describe()
-            for shard, other in zip(serial.shards, report.shards)
-            if (shard.result.found, shard.result.evaluations_to_find)
-            != (other.result.found, other.result.evaluations_to_find)]
-        if mismatches:
-            raise SystemExit(f"{name} determinism violated for: {mismatches}")
-    print(f"determinism: all {len(specs)} shards identical at workers=1, "
-          f"work-stealing and static workers={workers}")
+    mismatches = [
+        shard.spec.describe()
+        for shard, other in zip(serial.shards, stealing.shards)
+        if (shard.result.found, shard.result.evaluations_to_find)
+        != (other.result.found, other.result.evaluations_to_find)]
+    if mismatches:
+        raise SystemExit(f"work-stealing determinism violated for: "
+                         f"{mismatches}")
+    print(f"determinism: all {len(specs)} shards identical at workers=1 "
+          f"and work-stealing workers={workers}")
 
 
 if __name__ == "__main__":

@@ -62,14 +62,16 @@ def _ingest_main(args: argparse.Namespace) -> int:
 
 
 def _check_main(args: argparse.Namespace) -> int:
+    from repro.harness.parallel import SweepConfig
     from repro.harness.reporting import (format_replay_report,
                                          format_sweep_report)
 
+    config = SweepConfig(chunk_evaluations=args.chunk_evaluations,
+                         transport=args.transport,
+                         verdict_memo=args.verdict_memo)
     report = run_replay_sweep(
         args.corpus, shard_traces=args.shard_traces,
-        base_seed=args.base_seed, workers=args.workers,
-        chunk_evaluations=args.chunk_evaluations,
-        transport=args.transport, verdict_memo=args.verdict_memo)
+        base_seed=args.base_seed, workers=args.workers, config=config)
     print(format_replay_report(report))
     if args.sweep_table:
         print(format_sweep_report(report, title="Replay shards"))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.bridge.ingest import load_trace, scan_corpus
 from repro.consistency.checker import Checker
@@ -40,6 +41,9 @@ from repro.consistency.memo import VerdictCache
 from repro.consistency.models import MemoryModel, TotalStoreOrder
 from repro.core.campaign import CampaignResult, GeneratorKind
 from repro.sim.coverage import CoverageCollector
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.harness.parallel import SweepConfig
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -344,47 +348,27 @@ def run_replay_sweep(corpus: "str | list[str]",
                      base_seed: int = 1,
                      time_limit_seconds: float | None = None,
                      workers: int = 1,
-                     scheduler: str = "work-stealing",
-                     chunk_evaluations: int | None = None,
-                     chunk_sizing: str = "fixed",
-                     target_chunk_seconds: float = 2.0,
-                     max_checkpoint_bytes: int | None = None,
-                     transport: str = "local",
-                     coordinator: str | tuple[str, int] | None = None,
-                     lease_timeout: float = 30.0,
-                     max_frame_bytes: int | None = None,
-                     verdict_memo: bool = False,
+                     config: "SweepConfig | None" = None,
                      on_result=None,
                      progress: bool = False):
     """Replay-check a corpus through the parallel orchestrator.
 
     The replay twin of
     :func:`repro.harness.scenarios.run_scenario_sweep`: shards the
-    corpus (``shard_traces`` files per shard), folds the scheduling
-    kwargs into one :class:`~repro.harness.parallel.SweepConfig` and
-    runs the matrix.  Every existing orchestration feature applies —
-    ``workers``/``transport`` move checking across processes or hosts,
-    ``verdict_memo=True`` memoizes verdicts sweep-wide (duplicated or
-    isomorphic traces check once), ``chunk_evaluations`` makes shards
-    resumable mid-corpus.  Returns the
+    corpus (``shard_traces`` files per shard) and runs the matrix with
+    ``workers`` and ``config`` (see
+    :class:`~repro.harness.parallel.SweepConfig`).  Every orchestration
+    feature applies — a memoized sweep checks duplicated traces once,
+    a chunked one makes shards resumable mid-corpus.  Returns the
     :class:`~repro.harness.parallel.SweepReport`, whose
     ``corrupt_traces`` / ``replay_sources()`` / ``replay_verdicts()``
     views aggregate the per-trace verdicts.
     """
-    from repro.harness.parallel import SweepConfig, run_campaigns
+    from repro.harness.parallel import run_campaigns
 
     specs = replay_specs(corpus, shard_traces=shard_traces,
                          base_seed=base_seed,
                          time_limit_seconds=time_limit_seconds)
-    config = SweepConfig(scheduler=scheduler,
-                         chunk_evaluations=chunk_evaluations,
-                         chunk_sizing=chunk_sizing,
-                         target_chunk_seconds=target_chunk_seconds,
-                         max_checkpoint_bytes=max_checkpoint_bytes,
-                         verdict_memo=verdict_memo,
-                         transport=transport, coordinator=coordinator,
-                         lease_timeout=lease_timeout,
-                         max_frame_bytes=max_frame_bytes)
     return run_campaigns(specs, workers=workers, config=config,
                          on_result=on_result, progress=progress)
 

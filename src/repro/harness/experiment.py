@@ -20,10 +20,7 @@ from typing import Callable
 
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
-from repro.harness.parallel import (CHUNK_SIZING_FIXED,
-                                    DEFAULT_TARGET_CHUNK_SECONDS,
-                                    TRANSPORT_LOCAL, WORK_STEALING,
-                                    CampaignSpec, CampaignSummary,
+from repro.harness.parallel import (CampaignSpec, CampaignSummary,
                                     ShardResult, SweepConfig, run_campaigns,
                                     system_for_fault)
 from repro.sim.config import SystemConfig, TestMemoryLayout
@@ -35,32 +32,11 @@ class ExperimentSettings:
     """Shared settings of one experiment run.
 
     ``workers`` schedules the experiment's campaign matrix across a
-    multiprocessing pool (see :mod:`repro.harness.parallel`); per-campaign
-    seeds are fixed before scheduling, so any worker count, ``scheduler``,
-    ``transport``, ``chunk_evaluations`` or ``chunk_sizing`` choice
+    multiprocessing pool (see :mod:`repro.harness.parallel`) and
+    ``sweep`` describes how the sweep runs (see
+    :class:`repro.harness.parallel.SweepConfig`).  Per-campaign seeds
+    are fixed before scheduling, so any worker count or sweep config
     reproduces the ``workers=1`` results exactly.
-
-    ``chunk_evaluations`` splits long campaigns into resumable chunks
-    under the work-stealing scheduler, and ``chunk_sizing="adaptive"``
-    re-sizes those chunks from per-chunk telemetry so each takes about
-    ``target_chunk_seconds`` of worker wall-clock (see
-    :class:`repro.harness.parallel.ChunkSizeController`).
-    ``max_checkpoint_bytes`` byte-budgets resume checkpoints: a cell
-    whose checkpoints approach the cap gets smaller chunks instead of a
-    fatal oversized transport frame.  ``transport="tcp"`` serves the
-    chunks to TCP workers from an ephemeral verification service bound
-    to ``coordinator`` instead of a local pool (see
-    :func:`repro.harness.service.iter_service_sweep`);
-    ``lease_timeout`` bounds how long a silently stalled TCP worker may
-    hold a chunk before it is re-queued, and ``max_frame_bytes``
-    (tcp only) caps one wire frame.  ``verdict_memo=True`` memoizes
-    checker verdicts sweep-wide by exact execution graph
-    (collective checking; see :mod:`repro.consistency.memo`) — results
-    are bit-identical with the cache on or off.
-
-    The orchestration fields mirror :class:`repro.harness.parallel
-    .SweepConfig` one-for-one; :meth:`sweep_config` builds the config
-    object that :meth:`run_matrix` forwards.
 
     ``service`` routes the matrix through a running *verification
     service* instead of any local transport: set it to the service's
@@ -78,16 +54,7 @@ class ExperimentSettings:
     time_limit_seconds: float | None = None
     seed: int = 1
     workers: int = 1
-    scheduler: str = WORK_STEALING
-    chunk_evaluations: int | None = None
-    chunk_sizing: str = CHUNK_SIZING_FIXED
-    target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS
-    max_checkpoint_bytes: int | None = None
-    transport: str = TRANSPORT_LOCAL
-    coordinator: object = None
-    lease_timeout: float = 30.0
-    max_frame_bytes: int | None = None
-    verdict_memo: bool = False
+    sweep: SweepConfig = SweepConfig()
     service: str | None = None
     service_token: str | None = None
 
@@ -96,19 +63,6 @@ class ExperimentSettings:
         return replace(self,
                        generator_config=replace(self.generator_config,
                                                 memory=memory))
-
-    def sweep_config(self) -> SweepConfig:
-        """These settings' orchestration knobs as one :class:`SweepConfig`."""
-        return SweepConfig(scheduler=self.scheduler,
-                           chunk_evaluations=self.chunk_evaluations,
-                           chunk_sizing=self.chunk_sizing,
-                           target_chunk_seconds=self.target_chunk_seconds,
-                           max_checkpoint_bytes=self.max_checkpoint_bytes,
-                           verdict_memo=self.verdict_memo,
-                           transport=self.transport,
-                           coordinator=self.coordinator,
-                           lease_timeout=self.lease_timeout,
-                           max_frame_bytes=self.max_frame_bytes)
 
     def run_matrix(self, specs: list[CampaignSpec],
                    on_result: Callable[[ShardResult], None] | None = None,
@@ -119,10 +73,8 @@ class ExperimentSettings:
             client = ServiceClient(self.service, token=self.service_token)
             callback = ((lambda index, shard: on_result(shard))
                         if on_result is not None else None)
-            return client.run(specs, self.sweep_config(),
-                              on_result=callback)
-        return run_campaigns(specs, workers=self.workers,
-                             config=self.sweep_config(),
+            return client.run(specs, self.sweep, on_result=callback)
+        return run_campaigns(specs, workers=self.workers, config=self.sweep,
                              on_result=on_result, progress=progress)
 
 
@@ -327,10 +279,9 @@ class ReplayExperiment:
     The trace-ingestion twin of the campaign experiments: the corpus
     (a directory or an explicit path list) is sharded through
     :func:`repro.bridge.replay.replay_specs` and run with this
-    experiment's orchestration settings (workers, scheduler, transport,
-    memoization).  ``run()`` returns the
-    :class:`~repro.harness.parallel.SweepReport`; per-source verdict
-    counts land in :attr:`sources` for tabulation.
+    experiment's orchestration settings (workers and sweep config).
+    ``run()`` returns the :class:`~repro.harness.parallel.SweepReport`;
+    per-source verdict counts land in :attr:`sources` for tabulation.
     """
 
     def __init__(self, settings: ExperimentSettings, corpus,

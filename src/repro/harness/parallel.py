@@ -8,22 +8,17 @@ across a :mod:`multiprocessing` worker pool.
 
 Scheduling
 ----------
-Two schedulers are provided:
-
-* ``scheduler="work-stealing"`` (the default): workers *pull* shards from a
-  shared task queue as they finish, so a matrix with heterogeneous campaign
-  lengths (mixed ``max_evaluations``, early bug finds) keeps every worker
-  busy instead of idling behind the longest statically assigned shard.
-  With ``chunk_evaluations=K`` long campaigns are additionally split into
-  resumable K-evaluation chunks: a paused campaign travels back to the host
-  as a picklable :class:`repro.core.campaign.CampaignCheckpoint` and is
-  re-queued, so *any* worker can continue it — the building block for
-  cross-host sharding, where a remote worker needs exactly such a
-  self-contained (spec, checkpoint) unit.
-* ``scheduler="static"``: the matrix is partitioned into contiguous
-  per-worker blocks up front (``pool.map``).  Kept as the baseline the
-  scaling benchmark compares against; it pays a straggler tax on
-  heterogeneous matrices.
+There is one local scheduler, work-stealing: workers *pull* shards from a
+shared task queue as they finish, so a matrix with heterogeneous campaign
+lengths (mixed ``max_evaluations``, early bug finds) keeps every worker
+busy instead of idling behind the longest shard.  With
+``chunk_evaluations=K`` long campaigns are additionally split into
+resumable K-evaluation chunks: a paused campaign travels back to the host
+as a picklable :class:`repro.core.campaign.CampaignCheckpoint` and is
+re-queued, so *any* worker can continue it — the building block for
+cross-host sharding, where a remote worker needs exactly such a
+self-contained (spec, checkpoint) unit.  A sweep is described by one
+:class:`SweepConfig`; ``workers=1`` runs it in-process.
 
 Result streaming
 ----------------
@@ -40,7 +35,7 @@ Every shard is a fully self-contained :class:`CampaignSpec` whose seed is
 fixed *before* any worker runs: seeds derive from the shard's position in
 the matrix (:func:`derive_shard_seed`), never from the worker that happens
 to execute it, and campaign checkpoints capture *all* cross-evaluation
-state.  Scheduler choice, worker count and chunk size therefore only change
+state.  Worker count, transport and chunk size therefore only change
 wall-clock time; ``workers=N`` produces bit-identical per-shard
 ``found``/``evaluations_to_find`` results to ``workers=1``, and
 ``workers=1`` runs fully in-process (no pool, no pickling) so
@@ -1172,13 +1167,6 @@ def build_chunk_scheduler(specs: list[CampaignSpec], config: SweepConfig,
     if max_frame_bytes is None:
         max_frame_bytes = default_max_frame_bytes
     max_checkpoint_bytes = config.max_checkpoint_bytes
-    if max_checkpoint_bytes is not None and config.chunk_evaluations is None:
-        # Same contract as iter_campaigns: without chunking no checkpoint
-        # is ever serialized, so a budget would be silently inert.
-        raise ValueError("max_checkpoint_bytes budgets resumable "
-                         "chunks; it needs chunk_evaluations (an "
-                         "unchunked shard never serializes a "
-                         "checkpoint)")
     if (max_checkpoint_bytes is None and config.chunk_evaluations is not None
             and max_frame_bytes is not None):
         # Leave framing headroom: the task frame carries the spec and
@@ -1470,38 +1458,62 @@ def default_workers() -> int:
     return min(value, cpus)
 
 
-WORK_STEALING = "work-stealing"
-STATIC = "static"
-SCHEDULERS = (WORK_STEALING, STATIC)
-
 TRANSPORT_LOCAL = "local"
 TRANSPORT_TCP = "tcp"
 TRANSPORTS = (TRANSPORT_LOCAL, TRANSPORT_TCP)
-
-#: Sentinel distinguishing "caller did not pass this legacy kwarg" from
-#: any real value, so ``config=`` plus an explicit legacy kwarg can be
-#: rejected instead of silently preferring one.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """How a sweep runs: every shared orchestration knob, in one place.
 
-    The preferred way to configure :func:`iter_campaigns` and
-    :func:`run_campaigns` (``config=SweepConfig(...)``), and the single
-    object :class:`~repro.harness.experiment.ExperimentSettings`, the
-    scenario driver and the ``service submit`` CLI all build internally —
-    previously each of these threaded the same ~11 kwargs by hand.  The
-    legacy per-kwarg form still works, but mixing it with ``config=``
-    raises ``ValueError`` rather than guessing which one wins.
+    The one way to configure :func:`iter_campaigns`,
+    :func:`run_campaigns`, the scenario and replay drivers,
+    :class:`~repro.harness.experiment.ExperimentSettings` and a service
+    job.  Construction validates every rule that depends on the fields
+    alone, so a bad config fails here (or in :meth:`from_json_dict`)
+    rather than when a sweep starts.  Per-shard results never depend on
+    any field: only wall-clock time, checker time and telemetry change.
 
-    Field semantics are documented on :func:`iter_campaigns`; defaults
-    here are identical to the legacy kwarg defaults, so
-    ``SweepConfig()`` means exactly what calling with no kwargs meant.
+    ``chunk_evaluations`` splits long campaigns into resumable chunks of
+    that many evaluations (``None``: each shard runs in one piece).
+
+    ``chunk_sizing="adaptive"`` re-sizes chunks from per-chunk telemetry
+    so each takes about ``target_chunk_seconds`` of worker wall-clock
+    (see :class:`ChunkSizeController`); it needs ``chunk_evaluations``
+    as the seed size.  Sizing only moves pause points.
+
+    ``max_checkpoint_bytes`` adds a byte budget in either sizing mode: a
+    cell whose resume checkpoints approach the cap gets smaller chunks
+    (on the tcp transport it defaults to a quarter of
+    ``max_frame_bytes``, keeping generous frame headroom).  Checkpoint
+    size mostly grows with *cumulative* campaign progress, so the budget
+    minimizes growth per hop and buys time to finish — a campaign whose
+    checkpoint fundamentally exceeds ``max_frame_bytes`` still aborts via
+    the frame-cap backstop (raise ``max_frame_bytes`` or lower the
+    evaluation budget).  It needs ``chunk_evaluations``: an unchunked
+    shard never serializes a checkpoint.
+
+    ``verdict_memo=True`` turns on collective checking: checker verdicts
+    are memoized by exact execution graph in a sweep-wide
+    :class:`~repro.consistency.memo.VerdictCache` (shared in-process on
+    the serial path; folded from per-chunk deltas and re-shipped on
+    dispatch on the pooled and tcp paths).  The report's
+    ``verdict_cache`` field records the hit-rate and checker-seconds
+    saved.
+
+    ``transport="tcp"`` serves the chunked task queue to TCP workers
+    instead of a local multiprocessing pool: the sweep runs as one job
+    on an ephemeral verification service the calling process hosts,
+    bound to ``coordinator`` (a ``(host, port)`` pair or ``"host:port"``
+    string, loopback-ephemeral by default).  Chunks held by dead or
+    stalled workers are re-queued after ``lease_timeout`` seconds, and
+    ``max_frame_bytes`` caps one wire frame.  See
+    :func:`repro.harness.service.iter_service_sweep`.  ``coordinator``
+    and ``max_frame_bytes`` require tcp; a service job ignores
+    ``transport`` (the service is the transport).
     """
 
-    scheduler: str = WORK_STEALING
     chunk_evaluations: int | None = None
     chunk_sizing: str = CHUNK_SIZING_FIXED
     target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS
@@ -1511,6 +1523,28 @@ class SweepConfig:
     coordinator: object = None
     lease_timeout: float = 30.0
     max_frame_bytes: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.transport not in TRANSPORTS:
+            raise ValueError(f"unknown transport {self.transport!r}; "
+                             f"expected one of {TRANSPORTS}")
+        if self.chunk_evaluations is not None and self.chunk_evaluations < 1:
+            raise ValueError("chunk_evaluations must be at least 1")
+        if self.chunk_sizing not in CHUNK_SIZING_MODES:
+            raise ValueError(f"unknown chunk_sizing {self.chunk_sizing!r}; "
+                             f"expected one of {CHUNK_SIZING_MODES}")
+        if (self.chunk_sizing == CHUNK_SIZING_ADAPTIVE
+                and self.chunk_evaluations is None):
+            raise ValueError("chunk_sizing='adaptive' needs "
+                             "chunk_evaluations as the seed chunk size")
+        if self.max_checkpoint_bytes is not None:
+            if self.max_checkpoint_bytes < 1:
+                raise ValueError("max_checkpoint_bytes must be positive")
+            if self.chunk_evaluations is None:
+                raise ValueError("max_checkpoint_bytes budgets resumable "
+                                 "chunks; it needs chunk_evaluations (an "
+                                 "unchunked shard never serializes a "
+                                 "checkpoint)")
 
     def to_json_dict(self) -> dict:
         """A JSON-portable image of this config (service job API).
@@ -1539,25 +1573,6 @@ class SweepConfig:
             raise ValueError(
                 f"unknown SweepConfig field(s) {sorted(unknown)}")
         return cls(**dict(data))
-
-
-def _resolve_sweep_config(config: SweepConfig | None,
-                          overrides: dict) -> SweepConfig:
-    """Fold ``config=`` and legacy kwargs into one :class:`SweepConfig`.
-
-    *overrides* maps field name → passed value, with :data:`_UNSET` for
-    kwargs the caller left alone.  Exactly one form may be used: a
-    ``config`` object alongside any explicit legacy kwarg raises.
-    """
-    given = {name: value for name, value in overrides.items()
-             if value is not _UNSET}
-    if config is not None:
-        if given:
-            raise ValueError(
-                "pass either config=SweepConfig(...) or the legacy "
-                f"kwargs, not both (config plus {sorted(given)})")
-        return config
-    return SweepConfig(**given)
 
 
 def _worker_loop(task_queue, result_queue) -> None:
@@ -1638,26 +1653,6 @@ def _iter_serial(specs: list[CampaignSpec],
                 break
 
 
-def _iter_static(specs: list[CampaignSpec], workers: int,
-                 mp_context: str | None,
-                 chunksize: int | None
-                 ) -> Iterator[tuple[int, ShardResult]]:
-    """Static scheduling: contiguous per-worker blocks, one barrier.
-
-    ``pool.map`` with a block-sized chunksize assigns shard ``i`` to worker
-    ``i // chunksize`` up front; results only become available after the
-    full barrier (no streaming), which is exactly the straggler behaviour
-    the work-stealing scheduler exists to avoid.
-    """
-    context = multiprocessing.get_context(mp_context)
-    processes = min(workers, len(specs))
-    if chunksize is None:
-        chunksize = -(-len(specs) // processes)  # ceil: contiguous blocks
-    with context.Pool(processes=processes) as pool:
-        shards = pool.map(run_shard, specs, chunksize=chunksize)
-    yield from enumerate(shards)
-
-
 def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
                         mp_context: str | None,
                         chunk_evaluations: int | None,
@@ -1725,17 +1720,6 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
 
 def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
                    mp_context: str | None = None,
-                   scheduler: str = _UNSET,
-                   chunk_evaluations: int | None = _UNSET,
-                   chunksize: int | None = None,
-                   chunk_sizing: str = _UNSET,
-                   target_chunk_seconds: float = _UNSET,
-                   max_checkpoint_bytes: int | None = _UNSET,
-                   verdict_memo: bool = _UNSET,
-                   transport: str = _UNSET,
-                   coordinator: object = _UNSET,
-                   lease_timeout: float = _UNSET,
-                   max_frame_bytes: int | None = _UNSET,
                    config: SweepConfig | None = None,
                    hosts_out: dict | None = None,
                    telemetry_out: dict | None = None
@@ -1743,117 +1727,24 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     """Stream ``(shard_index, ShardResult)`` pairs as shards complete.
 
     The iterator mode of the orchestrator: results arrive in completion
-    order (matrix order for the serial and static paths), each tagged with
-    its matrix index so consumers can reassemble deterministic reports.
-    Arguments are validated eagerly (at call time), not when the returned
-    iterator is first advanced.
+    order (matrix order for the serial path), each tagged with its matrix
+    index so consumers can reassemble deterministic reports.  Arguments
+    are validated eagerly (at call time), not when the returned iterator
+    is first advanced.
 
-    ``config=SweepConfig(...)`` is the preferred way to pass every shared
-    orchestration knob (scheduler, chunking, memoization, transport);
-    the individual kwargs remain supported with
-    unchanged defaults, but combining them with ``config`` raises
-    ``ValueError``.  ``workers``, ``mp_context``, ``chunksize`` and the
-    ``*_out`` mappings stay per-call arguments: they describe this
-    process's resources, not the sweep.
-
-    ``chunk_sizing="adaptive"`` re-sizes chunks from per-chunk telemetry
-    so each takes about ``target_chunk_seconds`` of worker wall-clock
-    (see :class:`ChunkSizeController`); it needs ``chunk_evaluations`` as
-    the seed size.  ``max_checkpoint_bytes`` adds a byte budget in either
-    sizing mode: a cell whose resume checkpoints approach the cap gets
-    smaller chunks (on the tcp transport it defaults to a quarter of
-    ``max_frame_bytes``, keeping generous frame headroom).  Checkpoint
-    size mostly grows with *cumulative* campaign progress, so the budget
-    minimizes growth per hop and buys time to finish — a campaign whose
-    checkpoint fundamentally exceeds ``max_frame_bytes`` still aborts via
-    the frame-cap backstop (raise ``max_frame_bytes`` or lower the
-    evaluation budget).
-
-    ``verdict_memo=True`` turns on collective checking: checker verdicts
-    are memoized by exact execution graph in a sweep-wide
-    :class:`~repro.consistency.memo.VerdictCache` (shared in-process on
-    the serial path; folded from per-chunk deltas and re-shipped on
-    dispatch on the pooled and tcp paths).  Results are bit-for-bit
-    identical with the cache on or off — only checker time and the
-    cache-telemetry counters change.  Requires the work-stealing
-    scheduler (the static partition's workers never report back until
-    the barrier, so there is nothing to fold).
-    ``telemetry_out`` (any mutable mapping) is updated in place with live
-    telemetry — per-cell throughput, current chunk sizes and checkpoint
-    bytes moved/saved, plus per-host rates on the tcp transport — for
-    progress displays.
-
-    ``transport="tcp"`` serves the same chunked task queue to TCP workers
-    instead of a local multiprocessing pool: the sweep runs as one job on
-    an ephemeral verification service the calling process hosts (bound to
-    ``coordinator``, a ``(host, port)`` pair or ``"host:port"`` string,
-    loopback-ephemeral by default), ``workers`` local ``service worker``
-    processes are spawned against it (``workers=0``: none — remote
-    workers connect on their own), and chunks held by dead or stalled
-    workers are re-queued after ``lease_timeout`` seconds.  See
-    :func:`repro.harness.service.iter_service_sweep`.
+    ``config`` describes the sweep (see :class:`SweepConfig`; ``None``
+    means ``SweepConfig()``).  ``workers``, ``mp_context`` and the
+    ``*_out`` mappings are per-call arguments: they describe this
+    process's resources, not the sweep.  On the tcp transport
+    ``workers`` local ``service worker`` processes are spawned against
+    the ephemeral service (``workers=0``: none — remote workers connect
+    on their own).  ``telemetry_out`` (any mutable mapping) is updated in
+    place with live telemetry — per-cell throughput, current chunk sizes
+    and checkpoint bytes moved/saved, plus per-host rates on the tcp
+    transport — for progress displays.
     """
-    config = _resolve_sweep_config(config, dict(
-        scheduler=scheduler, chunk_evaluations=chunk_evaluations,
-        chunk_sizing=chunk_sizing,
-        target_chunk_seconds=target_chunk_seconds,
-        max_checkpoint_bytes=max_checkpoint_bytes,
-        verdict_memo=verdict_memo, transport=transport, coordinator=coordinator,
-        lease_timeout=lease_timeout, max_frame_bytes=max_frame_bytes))
-    scheduler = config.scheduler
-    chunk_evaluations = config.chunk_evaluations
-    chunk_sizing = config.chunk_sizing
-    target_chunk_seconds = config.target_chunk_seconds
-    max_checkpoint_bytes = config.max_checkpoint_bytes
-    verdict_memo = config.verdict_memo
-    transport = config.transport
-    coordinator = config.coordinator
-    max_frame_bytes = config.max_frame_bytes
-    if transport not in TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}; "
-                         f"expected one of {TRANSPORTS}")
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}; "
-                         f"expected one of {SCHEDULERS}")
-    if chunk_evaluations is not None and chunk_evaluations < 1:
-        raise ValueError("chunk_evaluations must be at least 1")
-    if chunk_sizing not in CHUNK_SIZING_MODES:
-        raise ValueError(f"unknown chunk_sizing {chunk_sizing!r}; "
-                         f"expected one of {CHUNK_SIZING_MODES}")
-    if chunk_sizing == CHUNK_SIZING_ADAPTIVE:
-        if chunk_evaluations is None:
-            raise ValueError("chunk_sizing='adaptive' needs "
-                             "chunk_evaluations as the seed chunk size")
-        if scheduler != WORK_STEALING:
-            raise ValueError("chunk_sizing='adaptive' requires the "
-                             "work-stealing scheduler; the static "
-                             "partition runs shards monolithically")
-    if max_checkpoint_bytes is not None:
-        if max_checkpoint_bytes < 1:
-            raise ValueError("max_checkpoint_bytes must be positive")
-        if chunk_evaluations is None:
-            raise ValueError("max_checkpoint_bytes budgets resumable "
-                             "chunks; it needs chunk_evaluations (an "
-                             "unchunked shard never serializes a "
-                             "checkpoint)")
-    if scheduler == STATIC and chunk_evaluations is not None:
-        raise ValueError("chunk_evaluations requires the work-stealing "
-                         "scheduler; the static partition runs shards "
-                         "monolithically")
-    if verdict_memo and scheduler == STATIC:
-        raise ValueError("verdict_memo requires the work-stealing "
-                         "scheduler; the static partition's workers "
-                         "never report back until the barrier, so "
-                         "cache deltas cannot fold")
-    if scheduler == WORK_STEALING and chunksize is not None:
-        raise ValueError("chunksize configures the static scheduler's "
-                         "partition; the work-stealing queue hands out "
-                         "single chunks")
-    if transport == TRANSPORT_TCP:
-        if scheduler != WORK_STEALING:
-            raise ValueError("the tcp transport serves the work-stealing "
-                             "chunk queue; scheduler must be "
-                             f"{WORK_STEALING!r}")
+    config = config if config is not None else SweepConfig()
+    if config.transport == TRANSPORT_TCP:
         if mp_context is not None:
             raise ValueError("mp_context configures the local "
                              "multiprocessing transport; tcp workers are "
@@ -1867,27 +1758,26 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
         return iter_service_sweep(specs, config, workers=workers,
                                   hosts_out=hosts_out,
                                   telemetry_out=telemetry_out)
-    if coordinator is not None:
+    if config.coordinator is not None:
         raise ValueError("coordinator requires transport='tcp'")
-    if max_frame_bytes is not None:
+    if config.max_frame_bytes is not None:
         raise ValueError("max_frame_bytes bounds tcp transport frames; "
                          "it requires transport='tcp'")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    controller = ChunkSizeController(mode=chunk_sizing,
-                                     chunk_evaluations=chunk_evaluations,
-                                     target_chunk_seconds=target_chunk_seconds,
-                                     max_checkpoint_bytes=max_checkpoint_bytes)
+    chunk_evaluations = config.chunk_evaluations
+    controller = ChunkSizeController(
+        mode=config.chunk_sizing, chunk_evaluations=chunk_evaluations,
+        target_chunk_seconds=config.target_chunk_seconds,
+        max_checkpoint_bytes=config.max_checkpoint_bytes)
     if workers == 1 or len(specs) <= 1:
         return _iter_serial(specs, chunk_evaluations, controller=controller,
                             telemetry_out=telemetry_out,
-                            verdict_memo=verdict_memo)
-    if scheduler == STATIC:
-        return _iter_static(specs, workers, mp_context, chunksize)
+                            verdict_memo=config.verdict_memo)
     return _iter_work_stealing(specs, workers, mp_context,
                                chunk_evaluations, controller=controller,
                                telemetry_out=telemetry_out,
-                               verdict_memo=verdict_memo)
+                               verdict_memo=config.verdict_memo)
 
 
 class SweepAccumulator:
@@ -1944,17 +1834,6 @@ class SweepAccumulator:
 
 def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
                   mp_context: str | None = None,
-                  chunksize: int | None = None,
-                  scheduler: str = _UNSET,
-                  chunk_evaluations: int | None = _UNSET,
-                  chunk_sizing: str = _UNSET,
-                  target_chunk_seconds: float = _UNSET,
-                  max_checkpoint_bytes: int | None = _UNSET,
-                  verdict_memo: bool = _UNSET,
-                  transport: str = _UNSET,
-                  coordinator: object = _UNSET,
-                  lease_timeout: float = _UNSET,
-                  max_frame_bytes: int | None = _UNSET,
                   config: SweepConfig | None = None,
                   on_result: Callable[[ShardResult], None] | None = None,
                   progress: bool = False,
@@ -1963,23 +1842,10 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
 
     ``workers=1`` executes every shard in-process, in matrix order, with no
     multiprocessing machinery at all — the reproducible serial fallback.
-    ``workers>1`` schedules the matrix with the chosen ``scheduler`` (see
-    the module docstring); ``chunk_evaluations`` splits long campaigns into
-    resumable chunks under the work-stealing scheduler, and
-    ``chunk_sizing="adaptive"`` re-sizes those chunks from per-chunk
-    telemetry so each takes about ``target_chunk_seconds`` of worker time
-    (see :class:`ChunkSizeController`; results are unaffected, only pause
-    points move).  ``max_checkpoint_bytes`` byte-budgets resume
-    checkpoints: a cell whose checkpoints approach the cap gets smaller
-    chunks instead of a fatal oversized frame.  ``transport="tcp"``
-    serves the chunk queue to TCP workers instead of a local pool (see
-    :func:`iter_campaigns` and :mod:`repro.harness.service`), with
-    frames capped at ``max_frame_bytes``; per-shard results are
-    bit-identical either way.  ``verdict_memo=True`` memoizes checker
-    verdicts sweep-wide by exact execution graph (collective
-    checking; see :func:`iter_campaigns`) — results never change, the
-    report's ``verdict_cache`` field records the hit-rate and
-    checker-seconds saved.
+    ``workers>1`` schedules the matrix on the work-stealing pool (see the
+    module docstring).  ``config`` describes the sweep (see
+    :class:`SweepConfig` and :func:`iter_campaigns`); per-shard results
+    are bit-identical for every config and worker count.
 
     ``on_result`` is invoked on the host with each :class:`ShardResult` in
     completion order, while other shards are still running; ``progress=True``
@@ -1988,18 +1854,8 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
     live telemetry (per-kind evaluations/second and current chunk sizes)
     when chunking is enabled.  The returned report always lists shards in
     matrix order, so downstream tables are independent of completion order.
-
-    Like :func:`iter_campaigns`, ``config=SweepConfig(...)`` is the
-    preferred way to pass the shared orchestration knobs; mixing it with
-    the legacy kwargs raises ``ValueError``.
     """
-    config = _resolve_sweep_config(config, dict(
-        scheduler=scheduler, chunk_evaluations=chunk_evaluations,
-        chunk_sizing=chunk_sizing,
-        target_chunk_seconds=target_chunk_seconds,
-        max_checkpoint_bytes=max_checkpoint_bytes,
-        verdict_memo=verdict_memo, transport=transport, coordinator=coordinator,
-        lease_timeout=lease_timeout, max_frame_bytes=max_frame_bytes))
+    config = config if config is not None else SweepConfig()
     started = time.perf_counter()
     accumulator = SweepAccumulator(total=len(specs), workers=workers)
     printer = None
@@ -2014,7 +1870,6 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
         printer = ProgressPrinter(total=len(specs), stream=progress_stream)
     for index, shard in iter_campaigns(specs, workers=workers,
                                        mp_context=mp_context,
-                                       chunksize=chunksize,
                                        config=config,
                                        hosts_out=hosts,
                                        telemetry_out=telemetry):

@@ -28,7 +28,8 @@ from repro.sim.faults import Fault
 from repro.sim.testprogram import OpKind, TestOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.harness.parallel import CampaignSpec, SweepReport
+    from repro.harness.parallel import (CampaignSpec, SweepConfig,
+                                        SweepReport)
 
 
 @dataclass(frozen=True)
@@ -281,48 +282,22 @@ def run_scenario_sweep(faults: list[Fault] | None = None,
                        max_test_runs: int = 6,
                        time_limit_seconds: float | None = None,
                        workers: int = 1,
-                       scheduler: str = "work-stealing",
-                       chunk_evaluations: int | None = None,
-                       chunk_sizing: str = "fixed",
-                       target_chunk_seconds: float = 2.0,
-                       max_checkpoint_bytes: int | None = None,
-                       transport: str = "local",
-                       coordinator: str | tuple[str, int] | None = None,
-                       lease_timeout: float = 30.0,
-                       max_frame_bytes: int | None = None,
-                       verdict_memo: bool = False,
+                       config: "SweepConfig | None" = None,
                        on_result=None,
                        progress: bool = False) -> "SweepReport":
     """Run the directed scenarios through the parallel orchestrator.
 
-    Scheduling options mirror :func:`repro.harness.parallel.run_campaigns`:
-    the default work-stealing scheduler streams each scenario's verdict to
-    ``on_result`` as it completes, ``chunk_sizing="adaptive"`` re-sizes
-    chunks from per-chunk telemetry (targeting ``target_chunk_seconds``
-    of worker time each), ``max_checkpoint_bytes`` byte-budgets resume
-    checkpoints, and ``transport="tcp"`` shards the scenarios across TCP
-    workers, serving them from ``coordinator`` (a ``"host:port"`` string
-    or ``(host, port)`` bind address; see
-    :func:`repro.harness.service.iter_service_sweep`).  ``verdict_memo=True``
-    memoizes checker verdicts sweep-wide by exact execution graph
-    (collective checking) without changing any verdict.  The kwargs are folded into one
-    :class:`~repro.harness.parallel.SweepConfig` internally.
+    Each scenario's verdict streams to ``on_result`` as it completes;
+    ``workers`` and ``config`` (see
+    :class:`~repro.harness.parallel.SweepConfig`) are forwarded to
+    :func:`repro.harness.parallel.run_campaigns`.
     """
-    from repro.harness.parallel import SweepConfig, run_campaigns
+    from repro.harness.parallel import run_campaigns
 
     specs = scenario_specs(faults=faults,
                            seeds_per_scenario=seeds_per_scenario,
                            base_seed=base_seed, max_test_runs=max_test_runs,
                            time_limit_seconds=time_limit_seconds)
-    config = SweepConfig(scheduler=scheduler,
-                         chunk_evaluations=chunk_evaluations,
-                         chunk_sizing=chunk_sizing,
-                         target_chunk_seconds=target_chunk_seconds,
-                         max_checkpoint_bytes=max_checkpoint_bytes,
-                         verdict_memo=verdict_memo,
-                         transport=transport, coordinator=coordinator,
-                         lease_timeout=lease_timeout,
-                         max_frame_bytes=max_frame_bytes)
     return run_campaigns(specs, workers=workers, config=config,
                          on_result=on_result, progress=progress)
 

@@ -1,6 +1,6 @@
 """Verification service: the one TCP coordinator, for one sweep or many.
 
-Every TCP sweep runs here.  ``iter_campaigns(..., transport="tcp")``
+Every TCP sweep runs here.  A ``transport="tcp"`` ``iter_campaigns``
 hands its specs to :func:`iter_service_sweep`, which runs them as one
 job on an ephemeral service (temp-dir store, no HTTP) and spawns local
 ``service worker`` processes; a long-lived ``serve`` process runs many

@@ -16,9 +16,9 @@ from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness.parallel import (CampaignSpec, ChunkOutcome, ChunkPayload,
                                     ChunkScheduler, ChunkSizeController,
-                                    ChunkTask, ChunkTelemetry,
+                                    ChunkTask, ChunkTelemetry, SweepConfig,
                                     campaign_matrix, execute_chunk_task,
-                                    run_campaigns, sizing_key, sizing_label)
+                                    sizing_key, sizing_label)
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
@@ -513,13 +513,8 @@ class TestExecutionTelemetry:
 class TestValidation:
     def test_adaptive_requires_chunk_evaluations(self):
         with pytest.raises(ValueError, match="chunk_evaluations"):
-            run_campaigns([], workers=1, chunk_sizing="adaptive")
-
-    def test_adaptive_requires_work_stealing(self):
-        with pytest.raises(ValueError, match="work-stealing"):
-            run_campaigns([], workers=2, scheduler="static",
-                          chunk_sizing="adaptive", chunk_evaluations=2)
+            SweepConfig(chunk_sizing="adaptive")
 
     def test_unknown_chunk_sizing_rejected(self):
         with pytest.raises(ValueError, match="chunk_sizing"):
-            run_campaigns([], workers=1, chunk_sizing="magic")
+            SweepConfig(chunk_sizing="magic")

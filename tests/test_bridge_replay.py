@@ -16,6 +16,7 @@ from repro.bridge.export import trace_to_text
 from repro.bridge.replay import (ReplayCampaign, replay_specs,
                                  run_replay_sweep)
 from repro.core.campaign import GeneratorKind
+from repro.harness.parallel import SweepConfig
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "bridge")
 
@@ -153,8 +154,9 @@ class TestChaosCorpus:
                                               workers):
         make_corpus(tmp_path, 100, garble=57)
         report = run_replay_sweep(str(tmp_path), shard_traces=10,
-                                  workers=workers, transport=transport,
-                                  chunk_evaluations=4)
+                                  workers=workers,
+                                  config=SweepConfig(chunk_evaluations=4,
+                                                     transport=transport))
         verdicts = report.replay_verdicts()
         assert len(verdicts) == 100
         assert verdicts["t0057.jsonl"] == "corrupt"
@@ -190,12 +192,13 @@ class TestGoldenCorpus:
         # pool queues every task up front with the empty shipment, so
         # its cross-shard hits depend on which worker pulls which shard
         # and are not asserted.
+        memo = SweepConfig(verdict_memo=True)
         serial = run_replay_sweep(str(tmp_path), shard_traces=4,
-                                  workers=1, verdict_memo=True)
+                                  workers=1, config=memo)
         assert serial.verdict_cache is not None
         assert serial.verdict_cache["hits"] > 0
         pooled = run_replay_sweep(str(tmp_path), shard_traces=4,
-                                  workers=2, verdict_memo=True)
+                                  workers=2, config=memo)
         assert pooled.verdict_cache is not None
         # Memoization must not change any verdict.
         plain = run_replay_sweep(str(tmp_path), shard_traces=4)

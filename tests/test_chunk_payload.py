@@ -244,11 +244,9 @@ class TestByteBudgetEndToEnd:
         sweep completes instead of dying on an oversized frame."""
         specs = tiny_matrix(max_evaluations=4, seeds_per_cell=1)
         serial = run_campaigns(specs, workers=1)
-        budgeted = run_campaigns(specs, workers=1, transport="tcp",
-                                 chunk_evaluations=2,
-                                 chunk_sizing="adaptive",
-                                 target_chunk_seconds=0.02,
-                                 max_frame_bytes=32768)
+        budgeted = run_campaigns(specs, workers=1, config=SweepConfig(
+            transport="tcp", chunk_evaluations=2, chunk_sizing="adaptive",
+            target_chunk_seconds=0.02, max_frame_bytes=32768))
         assert outcomes(serial) == outcomes(budgeted)
         assert (serial.coverage.global_counts
                 == budgeted.coverage.global_counts)
@@ -256,8 +254,8 @@ class TestByteBudgetEndToEnd:
     def test_budgeted_local_pool_matches_serial(self):
         specs = tiny_matrix(max_evaluations=5)
         serial = run_campaigns(specs, workers=1)
-        budgeted = run_campaigns(specs, workers=2, chunk_evaluations=2,
-                                 max_checkpoint_bytes=4096)
+        budgeted = run_campaigns(specs, workers=2, config=SweepConfig(
+            chunk_evaluations=2, max_checkpoint_bytes=4096))
         assert outcomes(serial) == outcomes(budgeted)
 
     def test_serial_budget_exercises_payload_path(self):
@@ -265,9 +263,8 @@ class TestByteBudgetEndToEnd:
         specs = tiny_matrix(max_evaluations=4, seeds_per_cell=1,
                             faults=[None])
         serial_plain = run_campaigns(specs, workers=1)
-        serial_budget = run_campaigns(specs, workers=1,
-                                      chunk_evaluations=2,
-                                      max_checkpoint_bytes=4096)
+        serial_budget = run_campaigns(specs, workers=1, config=SweepConfig(
+            chunk_evaluations=2, max_checkpoint_bytes=4096))
         assert outcomes(serial_plain) == outcomes(serial_budget)
 
     def test_service_derives_budget_from_frame_cap(self, service_budget):
@@ -287,7 +284,7 @@ class TestByteBudgetEndToEnd:
     def test_unchunked_service_rejects_explicit_budget(self,
                                                        service_budget):
         """An explicit budget without chunking would be silently inert;
-        the service must reject it like the library API does."""
+        the config itself rejects it, so no service is handed one."""
         with pytest.raises(ValueError, match="chunk_evaluations"):
             service_budget(SweepConfig(max_checkpoint_bytes=4096))
 
@@ -295,13 +292,13 @@ class TestByteBudgetEndToEnd:
 class TestValidation:
     def test_budget_requires_chunking(self):
         with pytest.raises(ValueError, match="chunk_evaluations"):
-            run_campaigns([], workers=1, max_checkpoint_bytes=1024)
+            SweepConfig(max_checkpoint_bytes=1024)
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="max_checkpoint_bytes"):
-            run_campaigns([], workers=1, chunk_evaluations=2,
-                          max_checkpoint_bytes=0)
+            SweepConfig(chunk_evaluations=2, max_checkpoint_bytes=0)
 
     def test_frame_cap_requires_tcp(self):
         with pytest.raises(ValueError, match="transport='tcp'"):
-            run_campaigns([], workers=1, max_frame_bytes=1 << 20)
+            run_campaigns([], workers=1,
+                          config=SweepConfig(max_frame_bytes=1 << 20))

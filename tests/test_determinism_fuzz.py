@@ -1,9 +1,9 @@
-"""Differential determinism fuzz: every scheduler ≡ serial, bit for bit.
+"""Differential determinism fuzz: every execution mode ≡ serial, bit for bit.
 
 A seed-driven loop builds randomized heterogeneous campaign matrices
 (generator kinds × faults × seeds × per-shard budgets × chunk sizes) and
-runs each through every execution mode — serial, serial-chunked, static
-pool, work-stealing pool (fixed *and* adaptive chunk sizing) and (for
+runs each through every execution mode — serial, serial-chunked,
+work-stealing pool (fixed *and* adaptive chunk sizing) and (for
 the first seed) a loopback-TCP coordinator with real worker
 subprocesses.  All modes must produce identical per-shard outcomes,
 identical merged coverage and identical deterministic
@@ -29,10 +29,6 @@ The ``*-memo`` modes additionally switch on collective checking
 (``verdict_memo=True``): sweep-wide memoized verdicts keyed by exact
 execution graph must be bit-for-bit invisible — cache-on results
 equal cache-off results in every mode, serial through loopback-TCP.
-
-The ``*-config`` modes run the same sweeps through ``config=SweepConfig(...)`` instead
-of legacy kwargs — the two configuration surfaces must be bit-for-bit
-interchangeable.
 
 The ``durable-*`` modes route the same matrices through the
 verification service (:func:`repro.harness.service.run_service_sweep`):
@@ -112,77 +108,43 @@ def test_all_schedulers_match_serial(fuzz_seed):
     reference_outcomes = outcome_view(serial)
     reference_summaries = summary_view(serial)
 
+    chunked = SweepConfig(chunk_evaluations=chunk_evaluations)
+    # Adaptive sizing moves pause points around based on measured
+    # wall-clock throughput (deliberately tiny target so sizes churn);
+    # results must still be bit-identical to serial.
+    adaptive = replace(chunked, chunk_sizing="adaptive",
+                       target_chunk_seconds=0.02)
+    # Byte-budgeted adaptive sizing: the 4 KiB budget sits well below
+    # the real checkpoint size (~9 KiB), so the budget feedback actively
+    # forces chunks to the minimum mid-sweep — pause points churn
+    # maximally, results must not move.
+    budgeted = replace(adaptive, max_checkpoint_bytes=4096)
+    # Collective checking: memoized verdicts must be bit-for-bit
+    # invisible in every reported result — only the telemetry moves.
+    memo = replace(chunked, verdict_memo=True)
     modes = {
-        "serial-chunked": dict(workers=1,
-                               chunk_evaluations=chunk_evaluations),
-        "static": dict(workers=workers, scheduler="static"),
-        "work-stealing": dict(workers=workers,
-                              chunk_evaluations=chunk_evaluations),
-        # Adaptive sizing moves pause points around based on measured
-        # wall-clock throughput (deliberately tiny target so sizes churn);
-        # results must still be bit-identical to serial.
-        "serial-adaptive": dict(workers=1,
-                                chunk_evaluations=chunk_evaluations,
-                                chunk_sizing="adaptive",
-                                target_chunk_seconds=0.02),
-        "work-stealing-adaptive": dict(workers=workers,
-                                       chunk_evaluations=chunk_evaluations,
-                                       chunk_sizing="adaptive",
-                                       target_chunk_seconds=0.02),
-        # Byte-budgeted adaptive sizing: the 4 KiB budget sits well below
-        # the real checkpoint size (~9 KiB), so the budget feedback
-        # actively forces chunks to the minimum mid-sweep — pause points
-        # churn maximally, results must not move.
-        "serial-adaptive-budget": dict(workers=1,
-                                       chunk_evaluations=chunk_evaluations,
-                                       chunk_sizing="adaptive",
-                                       target_chunk_seconds=0.02,
-                                       max_checkpoint_bytes=4096),
-        "work-stealing-adaptive-budget": dict(
-            workers=workers, chunk_evaluations=chunk_evaluations,
-            chunk_sizing="adaptive", target_chunk_seconds=0.02,
-            max_checkpoint_bytes=4096),
-        # Collective checking: memoized verdicts must be bit-for-bit
-        # invisible in every reported result — only the telemetry moves.
-        "serial-memo": dict(workers=1, chunk_evaluations=chunk_evaluations,
-                            verdict_memo=True),
-        "work-stealing-memo": dict(workers=workers,
-                                   chunk_evaluations=chunk_evaluations,
-                                   verdict_memo=True),
-        "work-stealing-adaptive-memo": dict(
-            workers=workers, chunk_evaluations=chunk_evaluations,
-            chunk_sizing="adaptive", target_chunk_seconds=0.02,
-            verdict_memo=True),
-        # SweepConfig ≡ legacy kwargs, bit for bit.
-        "serial-chunked-config": dict(
-            workers=1,
-            config=SweepConfig(chunk_evaluations=chunk_evaluations)),
-        "work-stealing-config": dict(
-            workers=workers,
-            config=SweepConfig(chunk_evaluations=chunk_evaluations,
-                               chunk_sizing="adaptive",
-                               target_chunk_seconds=0.02,
-                               verdict_memo=True)),
+        "serial-chunked": (1, chunked),
+        "work-stealing": (workers, chunked),
+        "serial-adaptive": (1, adaptive),
+        "work-stealing-adaptive": (workers, adaptive),
+        "serial-adaptive-budget": (1, budgeted),
+        "work-stealing-adaptive-budget": (workers, budgeted),
+        "serial-memo": (1, memo),
+        "work-stealing-memo": (workers, memo),
+        "work-stealing-adaptive-memo": (
+            workers, replace(adaptive, verdict_memo=True)),
     }
     if fuzz_seed == 0:
         # Loopback-TCP coordinator with real worker subprocesses: the
         # expensive modes run on one representative random matrix.
-        modes["loopback-tcp"] = dict(workers=2, transport="tcp",
-                                     chunk_evaluations=chunk_evaluations)
-        modes["loopback-tcp-adaptive"] = dict(
-            workers=2, transport="tcp",
-            chunk_evaluations=chunk_evaluations,
-            chunk_sizing="adaptive", target_chunk_seconds=0.02)
-        modes["loopback-tcp-adaptive-budget"] = dict(
-            workers=2, transport="tcp",
-            chunk_evaluations=chunk_evaluations,
-            chunk_sizing="adaptive", target_chunk_seconds=0.02,
-            max_checkpoint_bytes=4096)
-        modes["loopback-tcp-memo"] = dict(
-            workers=2, transport="tcp",
-            chunk_evaluations=chunk_evaluations, verdict_memo=True)
-    for mode, options in modes.items():
-        report = run_campaigns(specs, **options)
+        modes["loopback-tcp"] = (2, replace(chunked, transport="tcp"))
+        modes["loopback-tcp-adaptive"] = (
+            2, replace(adaptive, transport="tcp"))
+        modes["loopback-tcp-adaptive-budget"] = (
+            2, replace(budgeted, transport="tcp"))
+        modes["loopback-tcp-memo"] = (2, replace(memo, transport="tcp"))
+    for mode, (mode_workers, config) in modes.items():
+        report = run_campaigns(specs, workers=mode_workers, config=config)
         assert outcome_view(report) == reference_outcomes, (
             f"fuzz seed {fuzz_seed}: {mode} outcomes diverged from serial")
         assert summary_view(report) == reference_summaries, (

@@ -28,6 +28,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -55,6 +56,8 @@ from repro.sim.faults import Fault
 
 ENCODE, DECODE = codec_functions(CODEC_PICKLE)
 CHUNKED = SweepConfig(chunk_evaluations=2)
+TCP = SweepConfig(transport="tcp")
+TCP_CHUNKED = SweepConfig(transport="tcp", chunk_evaluations=2)
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -439,23 +442,20 @@ class TestWorkerCount:
 class TestTransportValidation:
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):
-            run_campaigns([], transport="carrier-pigeon")
+            SweepConfig(transport="carrier-pigeon")
 
     def test_coordinator_requires_tcp(self):
         with pytest.raises(ValueError, match="transport='tcp'"):
-            run_campaigns([], coordinator="127.0.0.1:1")
-
-    def test_tcp_requires_work_stealing(self):
-        with pytest.raises(ValueError, match="work-stealing"):
-            run_campaigns([], transport="tcp", scheduler="static")
+            run_campaigns([],
+                          config=SweepConfig(coordinator="127.0.0.1:1"))
 
     def test_tcp_rejects_negative_workers(self):
         with pytest.raises(ValueError, match="at least 0"):
-            run_campaigns([], transport="tcp", workers=-1)
+            run_campaigns([], config=TCP, workers=-1)
 
     def test_tcp_rejects_mp_context(self):
         with pytest.raises(ValueError, match="mp_context"):
-            run_campaigns([], transport="tcp", mp_context="fork")
+            run_campaigns([], config=TCP, mp_context="fork")
 
 
 # ----------------------------------------------------------------------
@@ -466,8 +466,7 @@ class TestLoopbackSweep:
     def test_tcp_sweep_matches_serial_bit_for_bit(self):
         specs = tiny_matrix()
         serial = run_campaigns(specs, workers=1)
-        distributed = run_campaigns(specs, workers=2, transport="tcp",
-                                    chunk_evaluations=2)
+        distributed = run_campaigns(specs, workers=2, config=TCP_CHUNKED)
         assert outcomes(serial) == outcomes(distributed)
         assert (serial.coverage.global_counts
                 == distributed.coverage.global_counts)
@@ -476,7 +475,7 @@ class TestLoopbackSweep:
             [spec.seed for spec in specs]
 
     def test_empty_sweep_over_tcp(self):
-        report = run_campaigns([], transport="tcp", workers=1)
+        report = run_campaigns([], config=TCP, workers=1)
         assert report.shards == [] and report.found_count == 0
 
     def test_per_host_progress_reaches_printer(self):
@@ -485,8 +484,7 @@ class TestLoopbackSweep:
         specs = tiny_matrix(faults=[Fault.SQ_NO_FIFO], seeds_per_cell=2,
                             max_evaluations=3)
         stream = io.StringIO()
-        run_campaigns(specs, workers=1, transport="tcp",
-                      chunk_evaluations=2, progress=True,
+        run_campaigns(specs, workers=1, config=TCP_CHUNKED, progress=True,
                       progress_stream=stream)
         text = stream.getvalue()
         assert "2/2" in text
@@ -498,7 +496,7 @@ class TestLoopbackSweep:
             system_config=SystemConfig(), fault=None,
             seed=1, max_evaluations=2)  # missing chromosome
         with pytest.raises(RuntimeError, match="failed in a worker"):
-            run_campaigns([bad, bad], workers=1, transport="tcp")
+            run_campaigns([bad, bad], workers=1, config=TCP)
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +618,7 @@ class TestChaos:
         with pytest.raises(RuntimeError,
                            match=r"worker process\(es\) exited with "
                                  r"code\(s\) \[3\]"):
-            run_campaigns(specs, workers=1, transport="tcp")
+            run_campaigns(specs, workers=1, config=TCP)
 
     def test_external_worker_joining_mid_sweep_contributes(self):
         # Unchunked shards on the correct system each run the full
@@ -714,9 +712,8 @@ class TestBringupOrdering:
         worker = threading.Thread(target=early_worker, daemon=True)
         worker.start()
         time.sleep(0.3)  # several refused connects happen in here
-        report = run_campaigns(specs, workers=0, transport="tcp",
-                               chunk_evaluations=2,
-                               coordinator=f"127.0.0.1:{port}")
+        report = run_campaigns(specs, workers=0, config=replace(
+            TCP_CHUNKED, coordinator=f"127.0.0.1:{port}"))
         assert outcomes(report) == outcomes(serial)
         worker.join(timeout=10.0)
         assert stats_box["stats"].chunks > 0

@@ -9,8 +9,8 @@ from repro.core.campaign import Campaign, CampaignResult, GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness.experiment import (BugCoverageExperiment, CoverageExperiment,
                                       ExperimentSettings)
-from repro.harness.parallel import (STATIC, WORK_STEALING, CampaignSpec,
-                                    SweepAccumulator, campaign_matrix,
+from repro.harness.parallel import (CampaignSpec, SweepAccumulator,
+                                    SweepConfig, campaign_matrix,
                                     default_workers, derive_shard_seed,
                                     iter_campaigns, run_campaigns, run_shard,
                                     run_shard_chunk)
@@ -103,29 +103,16 @@ class TestOrchestrator:
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            run_campaigns([], workers=1, scheduler="round-robin")
-
     def test_iter_campaigns_validates_eagerly(self):
         # The iterator mode must raise at call time, not on first next().
         with pytest.raises(ValueError):
             iter_campaigns([], workers=0)
-        with pytest.raises(ValueError):
-            iter_campaigns([], scheduler="typo")
-
-    def test_inapplicable_scheduler_options_rejected(self):
-        # Options only one scheduler honours must not be silently ignored.
-        with pytest.raises(ValueError, match="work-stealing"):
-            run_campaigns([], workers=4, scheduler=STATIC,
-                          chunk_evaluations=4)
-        with pytest.raises(ValueError, match="static"):
-            run_campaigns([], workers=4, scheduler=WORK_STEALING,
-                          chunksize=2)
+        with pytest.raises(ValueError, match="coordinator"):
+            iter_campaigns([], config=SweepConfig(coordinator="host:1"))
 
     def test_chunk_evaluations_must_be_positive(self):
         with pytest.raises(ValueError, match="chunk_evaluations"):
-            run_campaigns([], workers=1, chunk_evaluations=0)
+            SweepConfig(chunk_evaluations=0)
 
 
 def heterogeneous_specs(budgets=(15, 3, 3, 9, 3, 3, 12, 3)):
@@ -147,17 +134,12 @@ class TestWorkStealingScheduler:
     def test_chunked_matches_serial(self):
         specs = heterogeneous_specs()
         serial = run_campaigns(specs, workers=1)
-        chunked = run_campaigns(specs, workers=4, chunk_evaluations=2)
-        serial_chunked = run_campaigns(specs, workers=1, chunk_evaluations=2)
+        config = SweepConfig(chunk_evaluations=2)
+        chunked = run_campaigns(specs, workers=4, config=config)
+        serial_chunked = run_campaigns(specs, workers=1, config=config)
         assert outcomes(serial) == outcomes(chunked)
         assert outcomes(serial) == outcomes(serial_chunked)
         assert serial.coverage.global_counts == chunked.coverage.global_counts
-
-    def test_static_scheduler_matches_serial(self):
-        specs = heterogeneous_specs()
-        serial = run_campaigns(specs, workers=1)
-        static = run_campaigns(specs, workers=4, scheduler=STATIC)
-        assert outcomes(serial) == outcomes(static)
 
     def test_genetic_campaigns_chunk_deterministically(self):
         # GP campaigns carry a population across chunk boundaries; mixed
@@ -170,7 +152,8 @@ class TestWorkStealingScheduler:
         specs = [replace(spec, max_evaluations=budget)
                  for spec, budget in zip(specs, (10, 4, 14))]
         serial = run_campaigns(specs, workers=1)
-        chunked = run_campaigns(specs, workers=3, chunk_evaluations=3)
+        chunked = run_campaigns(specs, workers=3,
+                                config=SweepConfig(chunk_evaluations=3))
         assert outcomes(serial) == outcomes(chunked)
         assert serial.coverage.global_counts == chunked.coverage.global_counts
 
@@ -180,7 +163,7 @@ class TestWorkStealingScheduler:
                            system_config=SystemConfig(), fault=None,
                            seed=1, max_evaluations=2)  # missing chromosome
         with pytest.raises(RuntimeError, match="failed in a worker"):
-            run_campaigns([bad, bad], workers=2, scheduler=WORK_STEALING)
+            run_campaigns([bad, bad], workers=2)
 
     def test_run_shard_chunk_pauses_and_resumes(self):
         spec = heterogeneous_specs()[0]
@@ -199,7 +182,8 @@ class TestResultStreaming:
     def test_iter_campaigns_yields_every_shard_once(self):
         specs = heterogeneous_specs()
         indices = [index for index, _ in
-                   iter_campaigns(specs, workers=4, chunk_evaluations=2)]
+                   iter_campaigns(specs, workers=4,
+                                  config=SweepConfig(chunk_evaluations=2))]
         assert sorted(indices) == list(range(len(specs)))
 
     def test_on_result_streams_in_completion_order(self):

@@ -338,6 +338,40 @@ class TestServiceIntegration:
             for thread in threads:
                 thread.join(timeout=5.0)
 
+    def test_job_config_stored_with_scheduler_field_resumes(self, tmp_path):
+        """A job stored while ``SweepConfig`` still had a ``scheduler``
+        field: pickle restores the stray key by ``__dict__`` update, and
+        the recovered sweep must finish bit-identical to serial."""
+        config = SweepConfig(chunk_evaluations=2, verdict_memo=True)
+        specs = tiny_matrix()
+        serial = run_campaigns(specs, workers=1, config=config)
+        stored = SweepConfig(chunk_evaluations=2, verdict_memo=True)
+        object.__setattr__(stored, "scheduler", "work-stealing")
+        config_blob = pickle.dumps(stored)
+        assert b"scheduler" in config_blob
+        path = tmp_path / "store.sqlite"
+        store = SweepStore(path)
+        store.create_job("old", pickle.dumps(specs), config_blob,
+                         total=len(specs))
+        store.commit_outcome("old", 0, result=pickle.dumps(serial.shards[0]))
+        store.close()
+        service = VerificationService(path, start_http=False)
+        try:
+            threads = _start_worker_threads(service.address, 2, None,
+                                            CODEC_PICKLE)
+            deadline = time.monotonic() + 120
+            while service.job_status("old")["state"] == JOB_RUNNING:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            report = service.job_report("old")
+            assert outcomes(report) == outcomes(serial)
+            assert (report.coverage.global_counts
+                    == serial.coverage.global_counts)
+        finally:
+            service.close()
+            for thread in threads:
+                thread.join(timeout=5.0)
+
     def test_metrics_expose_nonzero_counters(self, tmp_path):
         service = VerificationService(tmp_path / "store.sqlite",
                                       start_http=False)

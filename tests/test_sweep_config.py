@@ -1,0 +1,140 @@
+"""A sweep has one scheduler and one config form, validated in one place.
+
+* Every rule that depends only on a :class:`SweepConfig`'s own fields is
+  checked when the config is built, so ``SweepConfig(...)``,
+  ``SweepConfig.from_json_dict(...)`` and the service's ``POST /jobs``
+  reject a bad config with the same message — no entry point can run a
+  sweep the library API would refuse.
+* No sweep entry point takes a parameter named after a ``SweepConfig``
+  field, nor a ``**kwargs`` catch-all that would swallow one: an old
+  caller passing ``scheduler=`` or ``chunk_evaluations=`` gets a
+  ``TypeError``, not a silently ignored knob.
+"""
+
+from __future__ import annotations
+
+import http.client
+import inspect
+import json
+from dataclasses import fields
+
+import pytest
+
+import repro.harness
+from repro.bridge.replay import run_replay_sweep
+from repro.core.config import GeneratorConfig
+from repro.harness import parallel
+from repro.harness.experiment import ExperimentSettings
+from repro.harness.parallel import SweepConfig, iter_campaigns, run_campaigns
+from repro.harness.scenarios import run_scenario_sweep
+from repro.harness.service import VerificationService
+from repro.sim.config import SystemConfig
+
+BAD_CONFIGS = {
+    "unknown-transport": {"transport": "bogus"},
+    "zero-chunk": {"chunk_evaluations": 0},
+    "negative-chunk": {"chunk_evaluations": -3},
+    "unknown-sizing": {"chunk_sizing": "magic"},
+    "adaptive-unchunked": {"chunk_sizing": "adaptive"},
+    "zero-budget": {"chunk_evaluations": 2, "max_checkpoint_bytes": 0},
+    "budget-unchunked": {"max_checkpoint_bytes": 4096},
+}
+
+#: A one-shard JSON matrix: building its spec simulates nothing.
+MATRIX = {"kinds": ["McVerSi-RAND"], "faults": ["none"],
+          "seeds_per_cell": 1, "max_evaluations": 1}
+
+
+@pytest.fixture(scope="module")
+def http_service(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep-config") / "store.sqlite"
+    service = VerificationService(path)
+    try:
+        yield service
+    finally:
+        service.close()
+
+
+def post_job(service, payload: dict) -> tuple[int, dict]:
+    host, port = service.http_address
+    connection = http.client.HTTPConnection(host, port, timeout=30.0)
+    try:
+        connection.request("POST", "/jobs",
+                           body=json.dumps(payload).encode("utf-8"),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("bad", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_rejected_identically_everywhere(bad, http_service):
+    with pytest.raises(ValueError) as built:
+        SweepConfig(**bad)
+    with pytest.raises(ValueError) as decoded:
+        SweepConfig.from_json_dict(bad)
+    assert str(decoded.value) == str(built.value)
+    jobs = http_service.store.jobs()
+    status, body = post_job(http_service, {"matrix": MATRIX, "config": bad})
+    assert (status, body) == (400, {"error": str(built.value)})
+    assert http_service.store.jobs() == jobs
+
+
+def test_good_config_is_accepted_by_the_service(http_service):
+    config = SweepConfig(chunk_evaluations=2, max_checkpoint_bytes=4096)
+    status, body = post_job(http_service, {"matrix": MATRIX,
+                                           "config": config.to_json_dict()})
+    assert status == 201
+    http_service.cancel_job(body["job_id"])
+
+
+SWEEP_FIELDS = {field.name for field in fields(SweepConfig)}
+ENTRY_POINTS = [iter_campaigns, run_campaigns, run_scenario_sweep,
+                run_replay_sweep, ExperimentSettings]
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS,
+                         ids=[entry.__name__ for entry in ENTRY_POINTS])
+def test_entry_point_takes_only_config(entry_point):
+    parameters = inspect.signature(entry_point).parameters.values()
+    names = {parameter.name for parameter in parameters}
+    assert names & (SWEEP_FIELDS | {"scheduler"}) == set()
+    assert all(parameter.kind is not parameter.VAR_KEYWORD
+               for parameter in parameters)
+
+
+def test_sweep_config_has_no_scheduler_field():
+    assert "scheduler" not in SWEEP_FIELDS
+    with pytest.raises(TypeError):
+        SweepConfig(scheduler="work-stealing")
+
+
+@pytest.mark.parametrize("module", [repro.harness, parallel],
+                         ids=["repro.harness", "repro.harness.parallel"])
+def test_no_scheduler_selector_is_exported(module):
+    """No constant names a scheduler or holds a scheduler's name."""
+    constants = {name: value for name, value in vars(module).items()
+                 if name.isupper()}
+    assert [name for name in constants if "SCHEDULER" in name] == []
+    names = {"static", "work-stealing"}
+    assert [name for name, value in constants.items()
+            if (isinstance(value, str) and value in names)
+            or (isinstance(value, tuple) and names & set(value))] == []
+
+
+@pytest.mark.parametrize("legacy", [{"scheduler": "work-stealing"},
+                                    {"chunk_evaluations": 2}],
+                         ids=["scheduler", "chunk_evaluations"])
+def test_legacy_kwargs_raise_type_error(legacy):
+    with pytest.raises(TypeError):
+        run_campaigns([], **legacy)
+    with pytest.raises(TypeError):
+        iter_campaigns([], **legacy)
+    with pytest.raises(TypeError):
+        run_scenario_sweep(faults=[], **legacy)
+    with pytest.raises(TypeError):
+        run_replay_sweep([], **legacy)
+    with pytest.raises(TypeError):
+        ExperimentSettings(generator_config=GeneratorConfig.quick(),
+                           system_config=SystemConfig(), **legacy)

@@ -25,8 +25,8 @@ from repro.consistency.models import SequentialConsistency, TotalStoreOrder
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.core.engine import VerificationEngine
-from repro.harness.parallel import (STATIC, CampaignSpec, ChunkOutcome,
-                                    ChunkScheduler, campaign_matrix,
+from repro.harness.parallel import (ChunkOutcome, ChunkScheduler,
+                                    SweepConfig, campaign_matrix,
                                     run_campaigns)
 from repro.sim.config import SystemConfig
 from repro.sim.testprogram import OpKind, TestOp, TestThread
@@ -314,15 +314,11 @@ class TestMemoizedSweeps:
                  tuple(shard.result.ndt_history))
                 for shard in report.shards]
 
-    def test_static_scheduler_rejects_memo(self):
-        with pytest.raises(ValueError, match="verdict_memo"):
-            run_campaigns(tiny_specs(), workers=2, scheduler=STATIC,
-                          verdict_memo=True)
-
     def test_serial_memo_matches_and_hits(self):
         specs = tiny_specs(seeds_per_cell=2, max_evaluations=6)
         base = run_campaigns(specs, workers=1)
-        memo = run_campaigns(specs, workers=1, verdict_memo=True)
+        memo = run_campaigns(specs, workers=1,
+                             config=SweepConfig(verdict_memo=True))
         assert self.fields(base) == self.fields(memo)
         assert memo.verdict_cache is not None
         assert memo.verdict_cache["hits"] > 0
@@ -330,18 +326,18 @@ class TestMemoizedSweeps:
 
     def test_multiprocessing_memo_matches_and_hits(self):
         specs = tiny_specs(seeds_per_cell=3, max_evaluations=6)
-        base = run_campaigns(specs, workers=2, scheduler="work-stealing",
-                             chunk_evaluations=3)
-        memo = run_campaigns(specs, workers=2, scheduler="work-stealing",
-                             chunk_evaluations=3, verdict_memo=True)
+        base = run_campaigns(specs, workers=2,
+                             config=SweepConfig(chunk_evaluations=3))
+        memo = run_campaigns(specs, workers=2, config=SweepConfig(
+            chunk_evaluations=3, verdict_memo=True))
         assert self.fields(base) == self.fields(memo)
         assert memo.verdict_cache["hits"] > 0
 
     def test_loopback_tcp_memo_matches_and_hits(self):
         specs = tiny_specs(seeds_per_cell=3, max_evaluations=6)
-        base = run_campaigns(specs, workers=2, scheduler="work-stealing",
-                             chunk_evaluations=3)
-        memo = run_campaigns(specs, workers=2, transport="tcp",
-                             chunk_evaluations=3, verdict_memo=True)
+        base = run_campaigns(specs, workers=2,
+                             config=SweepConfig(chunk_evaluations=3))
+        memo = run_campaigns(specs, workers=2, config=SweepConfig(
+            transport="tcp", chunk_evaluations=3, verdict_memo=True))
         assert self.fields(base) == self.fields(memo)
         assert memo.verdict_cache["hits"] > 0
