@@ -49,9 +49,9 @@ import pytest
 
 from benchmarks.conftest import bench_generator_config
 from repro.core.campaign import GeneratorKind
-from repro.harness.parallel import (ChunkOutcome, ChunkTask, SweepConfig,
-                                    campaign_matrix, default_workers,
-                                    execute_chunk_task, run_campaigns)
+from repro.harness.parallel import (ChunkTask, SweepConfig, campaign_matrix,
+                                    default_workers, execute_chunk_task,
+                                    run_campaigns)
 from repro.harness.reporting import format_speedup, format_sweep_report
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
@@ -193,8 +193,8 @@ def serialization_costs():
     assert paused.payload is not None, "chunk unexpectedly completed"
     payload = paused.payload
     checkpoint = payload.load()
-    object_outcome = ChunkOutcome(index=0, checkpoint=checkpoint,
-                                  telemetry=paused.telemetry)
+    # The old protocol's result message: the checkpoint graph itself.
+    object_outcome = (0, checkpoint, paused.telemetry)
     object_task = ChunkTask(index=0, spec=spec, checkpoint=checkpoint,
                             pause_after=24)
     payload_task = ChunkTask(index=0, spec=spec, checkpoint=payload,

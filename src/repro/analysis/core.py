@@ -36,12 +36,15 @@ DETERMINISTIC_MODULES = (
     "repro/harness/parallel.py",
 )
 
-#: Modules allowed to call ``pickle.loads``: the trusted-transport and
-#: trusted-store paths documented in docs/service.md.  Everything else
-#: must go through the restricted codec (or carry opaque bytes).
+#: Modules allowed to call ``pickle.loads``: the local pool's IPC and the
+#: worker that resumes a checkpoint (``parallel.py``) and the service
+#: store reading back its own rows (``store.py``), as documented in
+#: docs/service.md.  Everything else — the service above all, which
+#: reads sockets — must go through the wire codec (or carry opaque
+#: bytes).
 PICKLE_ALLOWED_MODULES = (
     "repro/harness/parallel.py",
-    "repro/harness/service.py",
+    "repro/harness/store.py",
 )
 
 #: Modules allowed to draw real entropy (``os.urandom``, ``uuid``,

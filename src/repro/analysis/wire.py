@@ -1,6 +1,6 @@
 """Wire-safety lint (WIRE rules).
 
-The restricted codec (:mod:`repro.harness.codec`) is only a security
+The wire codec (:mod:`repro.harness.codec`) is only a security
 boundary while its type universe stays *closed*: every class that
 crosses the coordinator/worker wire must be a frozen dataclass (or
 enum), registered, and listed — field by field — in the codec's
@@ -11,7 +11,7 @@ surface).
 
 WIRE001  a manifest-listed wire dataclass is not ``frozen=True``.
 WIRE002  ``pickle.loads``/``pickle.load``/``pickle.Unpickler`` outside
-         the allowlisted trusted-transport modules.
+         the allowlisted modules (``PICKLE_ALLOWED_MODULES``).
 WIRE003  manifest drift: a wire dataclass's declared fields differ from
          its ``WIRE_FIELDS`` entry.
 WIRE004  a dataclass/enum reachable from ``ChunkTask``/``ChunkOutcome``
@@ -172,7 +172,7 @@ class FrozenWireRule(Rule):
 @register_rule
 class PickleRule(Rule):
     code = "WIRE002"
-    summary = "pickle.loads outside trusted-transport modules"
+    summary = "pickle.loads outside the allowlisted modules"
 
     def check_module(self, module, context):
         if module.matches(PICKLE_ALLOWED_MODULES):
@@ -186,7 +186,7 @@ class PickleRule(Rule):
                         self.code, module.path, node.lineno,
                         node.col_offset,
                         f"`{name}()` deserializes arbitrary bytes; only "
-                        "the trusted-transport modules may unpickle "
+                        "the allowlisted modules may unpickle "
                         "(use repro.harness.codec elsewhere)"))
         return findings
 

@@ -373,7 +373,7 @@ def run_replay_sweep(corpus: "str | list[str]",
                          on_result=on_result, progress=progress)
 
 
-# Admit the replay wire types to the restricted codec.  The harness
+# Admit the replay wire types to the wire codec.  The harness
 # codec lazy-imports this module on first sight of one of these names
 # (``repro.harness.codec._LAZY_MODULES``); the import-time calls below
 # are what actually fill its registry.

@@ -1,16 +1,16 @@
-"""Restricted binary frame codec for untrusted workers.
+"""The wire codec: the one format for bytes the service reads off a socket.
 
-The tcp transport's frames are pickles, which is fine on a
-trusted cluster but unacceptable the moment a worker (or anything that
-can reach the socket) is not fully trusted: unpickling attacker bytes is
-arbitrary code execution.  This module provides the drop-in alternative
-the verification service (:mod:`repro.harness.service`) uses in
-``codec="restricted"`` mode: a tagged binary encoding over a *closed*
-type universe — ``None``, ``bool``, ``int``, ``float``, ``str``,
-``bytes``, ``list``/``tuple``/``dict``/``set``/``frozenset``, plus an
-explicit registry of the dataclasses and enums that legitimately cross
-the service/worker wire (:class:`~repro.harness.parallel.ChunkTask`,
-:class:`~repro.harness.parallel.ChunkOutcome` and everything reachable
+Every frame of the verification service (:mod:`repro.harness.service`)
+goes through this module: the worker plane (challenge, hello, tasks,
+outcomes), the ``POST /jobs`` octet-stream body and the
+``GET /jobs/<id>/results`` body.  Unpickling peer bytes is arbitrary
+code execution, so the encoding is a tagged binary format over a
+*closed* type universe — ``None``, ``bool``, ``int``, ``float``,
+``str``, ``bytes``, ``list``/``tuple``/``dict``/``set``/``frozenset``,
+plus an explicit registry of the dataclasses and enums that legitimately
+cross the wire (:class:`~repro.harness.parallel.ChunkTask`,
+:class:`~repro.harness.parallel.ChunkOutcome`,
+:class:`~repro.harness.parallel.SweepConfig` and everything reachable
 from them).
 
 Decoding never executes anything: every tag maps to a fixed constructor,
@@ -30,7 +30,7 @@ relies on); classes with non-dataclass state register explicit
 What stays opaque: resume checkpoints and verdict-cache shipments cross
 the wire as pre-serialized *bytes* fields (``ChunkPayload.data``,
 ``ChunkTask.cache``) and are only ever deserialized by the worker that
-resumes the chunk — the coordinator never unpickles them.  See
+resumes the chunk — the service never unpickles them.  See
 ``docs/service.md`` for the full threat model.
 """
 
@@ -45,7 +45,7 @@ from repro.harness.distributed import ProtocolError
 
 
 class CodecError(ProtocolError):
-    """A frame could not be encoded/decoded under the restricted codec."""
+    """A frame could not be encoded or decoded by the wire codec."""
 
 
 #: Maximum container/object nesting depth.  The real message graphs are
@@ -90,8 +90,7 @@ WIRE_FIELDS: dict[str, tuple[str, ...]] = {
     "ChunkTask": (
         "index", "spec", "checkpoint", "pause_after", "cache"),
     "ChunkOutcome": (
-        "index", "shard", "checkpoint", "error", "telemetry", "payload",
-        "cache_delta"),
+        "index", "shard", "error", "telemetry", "payload", "cache_delta"),
     "ChunkTelemetry": (
         "evaluations", "wall_seconds", "checkpoint_bytes",
         "checkpoint_seconds"),
@@ -146,6 +145,10 @@ WIRE_FIELDS: dict[str, tuple[str, ...]] = {
         "wall_seconds", "detail", "total_coverage", "ndt_history",
         "mean_ndt_final", "sim_seconds", "check_seconds", "stats"),
     "CoverageCollector": ("counts", "known", "run"),
+    "SweepConfig": (
+        "chunk_evaluations", "chunk_sizing", "target_chunk_seconds",
+        "max_checkpoint_bytes", "verdict_memo", "transport",
+        "coordinator", "lease_timeout", "max_frame_bytes"),
 }
 
 #: Enums admitted to the wire (encoded by value).
@@ -160,8 +163,8 @@ WIRE_HOOKS: tuple[str, ...] = ("CoverageCollector",)
 #: pickled bytes inside a registered envelope (``ChunkPayload``), never
 #: as codec-encoded fields.  The static reachability lint (WIRE004)
 #: stops here instead of demanding manifest entries for the whole
-#: checkpoint graph; unpickling stays confined to the trusted-transport
-#: modules.
+#: checkpoint graph; unpickling stays confined to the modules
+#: ``repro.analysis`` allowlists (``PICKLE_ALLOWED_MODULES``).
 WIRE_OPAQUE: tuple[str, ...] = ("CampaignCheckpoint",)
 
 #: Classes that may legitimately appear on the wire but whose defining
@@ -179,7 +182,7 @@ _LAZY_MODULES: dict[str, str] = {
 def register(cls: type, fields: Iterable[str] | None = None, *,
              encode: Callable | None = None,
              decode: Callable | None = None) -> type:
-    """Admit *cls* to the restricted wire format.
+    """Admit *cls* to the wire format.
 
     Dataclasses need nothing beyond the class itself (fields are derived
     from the dataclass definition); enums are encoded by value.  Classes
@@ -339,9 +342,8 @@ def _encode_value(out: bytearray, value: object, depth: int) -> None:
     entry = _BY_TYPE.get(kind)
     if entry is None:
         raise CodecError(
-            f"type {kind.__name__!r} is not admitted to the restricted "
-            "codec; register() it or use the pickle codec on a trusted "
-            "cluster")
+            f"type {kind.__name__!r} is not admitted to the wire codec; "
+            "register() it")
     if entry.is_enum:
         out += b"E"
         _encode_name(out, kind.__name__)
@@ -358,7 +360,7 @@ def _encode_value(out: bytearray, value: object, depth: int) -> None:
 
 
 def encode(message: object) -> bytes:
-    """Encode *message* into restricted-codec bytes.
+    """Encode *message* into codec bytes.
 
     Raises :class:`CodecError` on any value outside the closed type
     universe — encoding is exactly as restrictive as decoding, so a
@@ -516,7 +518,7 @@ def _decode_value(cursor: _Decoder, depth: int) -> object:
 
 
 def decode(data: bytes) -> object:
-    """Decode one restricted-codec frame.
+    """Decode one codec frame.
 
     Raises :class:`CodecError` — never executes embedded code, never
     over-allocates, never hangs — on anything that is not a well-formed
@@ -535,8 +537,9 @@ def decode(data: bytes) -> object:
 # ----------------------------------------------------------------------
 # The wire type universe
 #
-# Everything reachable from a ChunkTask (coordinator -> worker) or a
-# ChunkOutcome (worker -> coordinator).  Resume checkpoints and cache
+# Everything reachable from a ChunkTask (service -> worker), a
+# ChunkOutcome (worker -> service) or a job submission (specs plus a
+# SweepConfig).  Resume checkpoints and cache
 # shipments stay opaque ``bytes`` (see the module docstring), so
 # CampaignCheckpoint and the engine/population graphs are deliberately
 # *not* admitted.
@@ -550,7 +553,8 @@ def _register_wire_types() -> None:
     from repro.core.program import Chromosome
     from repro.harness.parallel import (CampaignSpec, ChunkOutcome,
                                         ChunkPayload, ChunkTask,
-                                        ChunkTelemetry, ShardResult)
+                                        ChunkTelemetry, ShardResult,
+                                        SweepConfig)
     from repro.sim.config import CacheConfig, SystemConfig, TestMemoryLayout
     from repro.sim.coverage import CoverageCollector, TransitionKey
     from repro.sim.faults import Fault
@@ -561,7 +565,7 @@ def _register_wire_types() -> None:
                 GeneratorConfig, OperationBias, Chromosome, TestOp,
                 SystemConfig, CacheConfig, TestMemoryLayout,
                 TransitionKey, VerdictCacheDelta, VerdictCacheState,
-                CachedVerdict, GeneratorKind, OpKind, Fault):
+                CachedVerdict, SweepConfig, GeneratorKind, OpKind, Fault):
         register(cls)
 
     def encode_coverage(collector: CoverageCollector) -> dict:

@@ -10,8 +10,8 @@ service protocol:
   :func:`recv_raw_frame`): an 8-byte big-endian payload length followed
   by the payload, capped at ``max_frame_bytes``.  Truncated frames,
   oversized frames and stalled peers raise :class:`ProtocolError`
-  subclasses instead of hanging.  The payload bytes belong to the
-  caller's codec (see :func:`repro.harness.service.codec_functions`);
+  subclasses instead of hanging.  The payload bytes are wire-codec
+  frames (:mod:`repro.harness.codec`);
 * the transport constants (frame cap, lease, heartbeat, handshake and
   stall timeouts, the poison-chunk re-queue cap);
 * address parsing, the bounded connect retry workers use
@@ -136,8 +136,8 @@ def send_raw_frame(sock: socket.socket, payload: bytes,
                    stall_timeout: float | None = None) -> None:
     """Send one length-prefixed payload of already-serialized bytes.
 
-    Codec-agnostic: the caller encodes (pickle or the restricted codec)
-    and this only frames.  With
+    The caller encodes (with :mod:`repro.harness.codec`) and this
+    only frames.  With
     ``stall_timeout`` set (and a short socket timeout configured), the
     transfer is performed in a progress loop: each ``send`` tick may
     time out and retry, and only ``stall_timeout`` seconds with *zero*

@@ -341,27 +341,21 @@ class ChunkOutcome:
 
     Exactly one of three shapes: a completed shard (``shard`` set), a
     paused chunk with budget remaining (``payload`` set to the
-    pre-serialized checkpoint bytes on the transport paths, or
-    ``checkpoint`` set to the materialized object on in-process paths) or
-    a failure (``error`` set to a stringified exception, so the failure
-    crosses process/host boundaries without needing the exception to be
-    picklable).  Successful outcomes additionally carry the chunk's
+    pre-serialized checkpoint bytes) or a failure (``error`` set to a
+    stringified exception, so the failure crosses process/host
+    boundaries without needing the exception to be picklable).
+    Successful outcomes additionally carry the chunk's
     :class:`ChunkTelemetry`.
     """
 
     index: int
     shard: ShardResult | None = None
-    checkpoint: CampaignCheckpoint | None = None
     error: str | None = None
     telemetry: ChunkTelemetry | None = None
     payload: ChunkPayload | None = None
     #: Verdict-cache entries this chunk discovered plus its hit/miss
     #: counters — the scheduler folds these into the sweep-wide cache.
     cache_delta: VerdictCacheDelta | None = None
-
-    def resume_state(self) -> "CampaignCheckpoint | ChunkPayload | None":
-        """Whatever a continuation task should resume from (bytes win)."""
-        return self.payload if self.payload is not None else self.checkpoint
 
 
 def _run_chunk_instrumented(
@@ -459,17 +453,15 @@ def execute_chunk_task(task: ChunkTask,
     if cache is None and task.cache is not None:
         cache = merge_shipped_cache(task.cache, None)
     try:
-        shard, checkpoint, payload, telemetry, cache_delta = (
+        # Ship only the bytes: the materialized checkpoint would hand
+        # the transport an object graph to re-pickle.
+        shard, _, payload, telemetry, cache_delta = (
             _run_chunk_instrumented(task, verdict_cache=cache))
     except Exception as error:
         return ChunkOutcome(index=task.index,
                             error=f"{type(error).__name__}: {error}")
-    # Ship only the bytes: putting the materialized checkpoint on the
-    # outcome too would hand the transport an object graph to re-pickle.
-    return ChunkOutcome(index=task.index, shard=shard,
-                        checkpoint=None if payload is not None else checkpoint,
-                        payload=payload, telemetry=telemetry,
-                        cache_delta=cache_delta)
+    return ChunkOutcome(index=task.index, shard=shard, payload=payload,
+                        telemetry=telemetry, cache_delta=cache_delta)
 
 
 # ----------------------------------------------------------------------
@@ -1020,7 +1012,7 @@ class ChunkScheduler:
                 self._queued.add(outcome.index)
                 self._queue.append(ChunkTask(
                     index=outcome.index, spec=self.specs[outcome.index],
-                    checkpoint=outcome.resume_state(),
+                    checkpoint=outcome.payload,
                     pause_after=self.chunk_evaluations))
                 return None
             self._outstanding.discard(outcome.index)
@@ -1063,52 +1055,23 @@ class ChunkScheduler:
             evictions=self.cache_evictions,
             seconds_saved=self.cache_seconds_saved)
 
-    # -- durable snapshot / restore ------------------------------------
-
-    def progress_snapshot(self) -> "SchedulerProgress":
-        """The durable image of this sweep's progress, as opaque bytes.
-
-        ``completed`` indices plus the serialized resume checkpoint of
-        every *queued* continuation (outstanding chunks are excluded on
-        purpose: their workers have not reported, so their last durable
-        state is whatever checkpoint their task was dispatched with, and
-        re-running from there replays bit-identically).  Together with
-        the per-shard results a store keeps, this is exactly what
-        :meth:`restore_progress` needs to resume the sweep.
-        """
-        with self._lock:
-            checkpoints: dict[int, bytes] = {}
-            for task in self._queue:
-                state = task.checkpoint
-                if isinstance(state, ChunkPayload):
-                    checkpoints[task.index] = state.data
-                elif state is not None:
-                    checkpoints[task.index] = pickle.dumps(
-                        state, protocol=pickle.HIGHEST_PROTOCOL)
-            cache_state = None
-            if self.verdict_cache is not None:
-                cache_state = pickle.dumps(
-                    self.verdict_cache.snapshot(),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-            return SchedulerProgress(
-                completed=frozenset(self._completed),
-                checkpoints=dict(checkpoints), cache_state=cache_state)
+    # -- durable restore -----------------------------------------------
 
     def restore_progress(self, completed: Iterable[int],
                          checkpoints: Mapping[int, bytes],
-                         cache_state: bytes | None = None) -> None:
+                         cache_state: VerdictCacheState | None = None
+                         ) -> None:
         """Rebuild mid-sweep progress on a *fresh* scheduler.
 
         The durable-store recovery path: ``completed`` shards are marked
         done (their queued fresh tasks dropped), every index in
         ``checkpoints`` resumes from its :class:`ChunkPayload` bytes
-        verbatim, and ``cache_state`` (a pickled
-        :class:`~repro.consistency.memo.VerdictCacheState`, trusted —
-        it came from this process's own store, never from a worker)
-        re-seeds the sweep-wide verdict cache.  A ``completed`` index
-        wins over a stale checkpoint for the same shard.  Calling this
-        after any dispatch or record raises: recovery happens before
-        the scheduler is ever offered to workers.
+        verbatim, and ``cache_state`` (the job's last committed
+        :class:`~repro.consistency.memo.VerdictCacheState`) re-seeds the
+        sweep-wide verdict cache.  A ``completed`` index wins over a
+        stale checkpoint for the same shard.  Calling this after any
+        dispatch or record raises: recovery happens before the
+        scheduler is ever offered to workers.
         """
         with self._lock:
             if (self._completed or self._outstanding
@@ -1135,20 +1098,7 @@ class ChunkScheduler:
             self._queue = rebuilt
             self._completed = completed_set
             if cache_state is not None and self.verdict_cache is not None:
-                self.verdict_cache.merge(pickle.loads(cache_state))
-
-
-@dataclass(frozen=True)
-class SchedulerProgress:
-    """A :meth:`ChunkScheduler.progress_snapshot` image (durable unit)."""
-
-    completed: frozenset[int]
-    #: shard index -> serialized resume-checkpoint (:class:`ChunkPayload`
-    #: bytes) of each queued continuation.
-    checkpoints: dict[int, bytes]
-    #: pickled :class:`~repro.consistency.memo.VerdictCacheState`
-    #: (``None`` when memoization is off).
-    cache_state: bytes | None = None
+                self.verdict_cache.merge(cache_state)
 
 
 def build_chunk_scheduler(specs: list[CampaignSpec], config: SweepConfig,

@@ -16,11 +16,9 @@ jobs over one worker pool.  Both are the same :class:`VerificationService`:
   :meth:`~repro.harness.parallel.ChunkScheduler.restore_progress` and
   resumes every in-flight sweep exactly where it last committed;
 * a **token-authenticated worker handshake** (HMAC-SHA256
-  challenge/response) with a restricted non-pickle frame codec
-  (:mod:`repro.harness.codec`) for untrusted workers — in
-  ``codec="restricted"`` mode the service never unpickles a worker
-  byte; the pickle codec stays for trusted/local mode (and is what the
-  tcp transport speaks, with no token);
+  challenge/response); every frame the service reads off a socket is
+  decoded by the closed-universe wire codec (:mod:`repro.harness.codec`)
+  and nothing else;
 * a ``/metrics`` endpoint exporting the existing
   :class:`~repro.harness.parallel.ChunkTelemetry` /
   :class:`~repro.harness.distributed.CoordinatorStats` / verdict-cache
@@ -40,14 +38,14 @@ asserts the resumed sweep's final report equals an uninterrupted serial
 run.
 
 Threat model: the *worker plane* (TCP) may face untrusted peers — hence
-the challenge/response token and the restricted codec.  The *job plane*
-(HTTP) is operator-facing: token-gated, but its pickle submission and
-result bodies are for trusted clients only (the JSON submission form
-carries no pickles in either direction).  Checkpoint payload bytes from
-workers are treated as opaque: stored and re-dispatched verbatim, never
-deserialized by the service — only the worker that resumes the chunk
-unpickles them, which is safe in trusted mode and documented as the
-residual trust edge of restricted mode.
+the challenge/response token and the wire codec.  The *job plane* (HTTP)
+is operator-facing and token-gated; its octet-stream submission and
+result bodies are codec frames too, and the JSON submission form carries
+no binary at all.  The store serializes its own rows.  Checkpoint
+payload bytes from workers are opaque — stored and re-dispatched
+verbatim, never deserialized by the service.  Only the worker that
+resumes a chunk deserializes them, which is the residual trust edge
+(see ``docs/service.md``).
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ import http.client
 import json
 import multiprocessing
 import os
-import pickle
 import secrets
 import shutil
 import socket
@@ -74,9 +71,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable, Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
-from repro.harness import store as store_module
-from repro.harness.codec import decode as codec_decode
-from repro.harness.codec import encode as codec_encode
+from repro.harness import codec
 from repro.harness.distributed import (DEFAULT_CONNECT_BACKOFF,
                                        DEFAULT_HANDSHAKE_TIMEOUT,
                                        DEFAULT_HEARTBEAT_INTERVAL,
@@ -102,15 +97,7 @@ from repro.harness.store import (JOB_CANCELLED, JOB_DONE, JOB_FAILED,
                                  JOB_RUNNING, JOB_STATES, SweepStore)
 
 SERVICE_MAGIC = "mcversi-service"
-SERVICE_VERSION = 3
-
-#: Wire codecs the service and its workers can speak.  ``"pickle"`` is
-#: the trusted/local mode (fast, closed cluster only); ``"restricted"``
-#: frames every message through :mod:`repro.harness.codec` so the
-#: service never unpickles worker bytes.
-CODEC_PICKLE = "pickle"
-CODEC_RESTRICTED = "restricted"
-CODECS = (CODEC_PICKLE, CODEC_RESTRICTED)
+SERVICE_VERSION = 4
 
 #: Environment variable naming the shared worker-auth token (the CLI
 #: reads it so tokens never appear in ``ps`` output).
@@ -152,33 +139,6 @@ def _maybe_crash(point: str) -> None:
     _CRASH_COUNTS[point] += 1
     if _CRASH_COUNTS[point] >= max(1, int(nth or 1)):
         os._exit(137)
-
-
-def _pickle_decode(data: bytes) -> object:
-    try:
-        return pickle.loads(data)
-    except Exception as error:
-        raise ProtocolError(f"malformed frame payload: {error}") from error
-
-
-def _pickle_encode(message: object) -> bytes:
-    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def codec_functions(codec: str) -> tuple[Callable[[object], bytes],
-                                         Callable[[bytes], object]]:
-    """The ``(encode, decode)`` pair for a wire codec name.
-
-    Both decoders map every malformed input into the
-    :class:`ProtocolError` taxonomy (the restricted codec's
-    :class:`~repro.harness.codec.CodecError` subclasses it), so a
-    hostile frame can fail the *connection*, never the service.
-    """
-    if codec == CODEC_PICKLE:
-        return _pickle_encode, _pickle_decode
-    if codec == CODEC_RESTRICTED:
-        return codec_encode, codec_decode
-    raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
 
 
 def _auth_digest(token: str, nonce: str) -> str:
@@ -245,23 +205,19 @@ class VerificationService:
     (:class:`ServiceClient`).
 
     ``token`` enables the HMAC challenge/response worker handshake and
-    gates the HTTP API (``Authorization: Bearer <token>``); ``codec``
-    selects the worker-plane frame codec (see :data:`CODECS`).
+    gates the HTTP API (``Authorization: Bearer <token>``).
     """
 
     def __init__(self, store_path: str | os.PathLike,
                  bind: str | tuple[str, int] | None = None,
                  http_bind: str | tuple[str, int] | None = None,
                  token: str | None = None,
-                 codec: str = CODEC_PICKLE,
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                  handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
                  start_http: bool = True) -> None:
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
-        self._encode, self._decode = codec_functions(codec)
-        self.codec = codec
         self._token = token
         self._lease_timeout = lease_timeout
         self._max_frame_bytes = max_frame_bytes
@@ -319,27 +275,23 @@ class VerificationService:
     def _recover(self) -> None:
         """Rebuild every stored job; resume the running ones."""
         for job_id, state, _total, error in self.store.jobs():
-            specs_blob, config_blob = self.store.job_blobs(job_id)
-            # Trusted: these bytes were written by this service (or a
-            # predecessor process over the same store), never by a worker.
-            specs = pickle.loads(specs_blob)
-            config = pickle.loads(config_blob)
+            specs, config = self.store.job_definition(job_id)
+            results = (self.store.results(job_id)
+                       if state in (JOB_RUNNING, JOB_DONE) else {})
             scheduler = None
             if state == JOB_RUNNING:
                 scheduler = build_chunk_scheduler(
                     specs, config,
                     default_max_frame_bytes=self._max_frame_bytes)
                 scheduler.restore_progress(
-                    completed=self.store.results(job_id).keys(),
+                    completed=results.keys(),
                     checkpoints=self.store.checkpoints(job_id),
                     cache_state=self.store.cache_state(job_id))
             job = _ServiceJob(job_id, specs, config, scheduler)
             job.state = state
             job.error = error
-            if state in (JOB_RUNNING, JOB_DONE):
-                for index, blob in sorted(self.store.results(job_id).items()):
-                    job.results[index] = pickle.loads(blob)
-                    job.completion_log.append(index)
+            job.results.update(results)
+            job.completion_log.extend(sorted(results))
             self._jobs[job_id] = job
             if state == JOB_RUNNING:
                 self._rotation.append(job_id)
@@ -363,8 +315,7 @@ class VerificationService:
         with self._lock:
             if job_id in self._jobs:
                 raise ValueError(f"job id {job_id!r} already exists")
-            self.store.create_job(job_id, _pickle_encode(specs),
-                                  _pickle_encode(config), len(specs))
+            self.store.create_job(job_id, specs, config)
             self._jobs[job_id] = _ServiceJob(job_id, specs, config,
                                              scheduler)
             self._rotation.append(job_id)
@@ -606,14 +557,14 @@ class VerificationService:
 
     def _send(self, connection: socket.socket, message: object,
               stall_timeout: float | None = None) -> None:
-        send_raw_frame(connection, self._encode(message),
+        send_raw_frame(connection, codec.encode(message),
                        self._max_frame_bytes, stall_timeout=stall_timeout)
 
     def _recv(self, connection: socket.socket, idle_ok: bool = False,
               stall_timeout: float | None = None) -> object:
         data = recv_raw_frame(connection, self._max_frame_bytes,
                               idle_ok=idle_ok, stall_timeout=stall_timeout)
-        return self._decode(data)
+        return codec.decode(data)
 
     def _accept_loop(self) -> None:
         while not self._draining.is_set():
@@ -857,18 +808,16 @@ class VerificationService:
                 self._fail_job(job, str(error))
                 raise ProtocolError(
                     "shard failed; dropping worker") from error
-            cache_blob = None
+            cache_state = None
             cache = scheduler.verdict_cache
             if cache is not None \
                     and cache.inserts != job.committed_cache_inserts:
-                cache_blob = _pickle_encode(cache.snapshot())
+                cache_state = cache.snapshot()
             if completed is not None:
                 index, shard = completed
-                result_blob = _pickle_encode(shard)
                 self._crash_point("before-commit")
-                self.store.commit_outcome(job_id, index,
-                                          result=result_blob,
-                                          cache_state=cache_blob)
+                self.store.commit_outcome(job_id, index, result=shard,
+                                          cache_state=cache_state)
                 self._crash_point("after-commit")
                 if cache is not None:
                     job.committed_cache_inserts = cache.inserts
@@ -884,7 +833,7 @@ class VerificationService:
                 self._crash_point("before-commit")
                 self.store.commit_outcome(job_id, outcome.index,
                                           payload=outcome.payload.data,
-                                          cache_state=cache_blob)
+                                          cache_state=cache_state)
                 self._crash_point("after-commit")
                 if cache is not None:
                     job.committed_cache_inserts = cache.inserts
@@ -945,7 +894,7 @@ MAX_HTTP_BODY_BYTES = 16 * 1024 * 1024
 
 
 def _matrix_from_json(matrix: Mapping) -> list[CampaignSpec]:
-    """Build sweep specs from a JSON matrix description (no pickles).
+    """Build sweep specs from a JSON matrix description (plain JSON).
 
     ``{"kinds": [...], "faults": [...], "seeds_per_cell": N,
     "base_seed": N, "max_evaluations": N, "memory_kib": N}`` mirrors the
@@ -977,6 +926,31 @@ def _matrix_from_json(matrix: Mapping) -> list[CampaignSpec]:
         max_evaluations=int(matrix.get("max_evaluations", 20)),
         seeds_per_cell=int(matrix.get("seeds_per_cell", 2)),
         base_seed=int(matrix.get("base_seed", 1)))
+
+
+def _submission_from_frame(body: bytes
+                           ) -> tuple[list[CampaignSpec], SweepConfig | None]:
+    """Decode a ``POST /jobs`` octet-stream body: a codec frame of
+    ``(list[CampaignSpec], SweepConfig | None)``.
+
+    A bad :class:`SweepConfig` fails its own ``__post_init__`` on
+    decode and is reported with that message, as ``SweepConfig(...)``
+    would; anything else that is not such a pair raises ``ValueError``.
+    """
+    try:
+        message = codec.decode(body)
+    except codec.CodecError as error:
+        if isinstance(error.__cause__, ValueError):
+            raise error.__cause__ from None
+        raise ValueError(f"malformed job body: {error}") from None
+    if (not isinstance(message, tuple) or len(message) != 2
+            or not isinstance(message[0], list)
+            or not all(isinstance(spec, CampaignSpec)
+                       for spec in message[0])
+            or not isinstance(message[1], (SweepConfig, type(None)))):
+        raise ValueError("job body must be a codec frame of "
+                         "(list[CampaignSpec], SweepConfig | None)")
+    return message
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
@@ -1047,8 +1021,8 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
                 cursor, shards = self.service.job_results(parts[1],
                                                           since=since)
                 self._reply(200,
-                            _pickle_encode({"next": cursor,
-                                            "shards": shards}),
+                            codec.encode({"next": cursor,
+                                          "shards": shards}),
                             "application/octet-stream")
             else:
                 self._reply_json({"error": f"no such route {path}"}, 404)
@@ -1075,9 +1049,7 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
                         config = SweepConfig.from_json_dict(
                             payload["config"])
                 else:
-                    # Pickled (specs, config): operator-plane clients
-                    # only — the worker plane never reaches this path.
-                    specs, config = pickle.loads(body)
+                    specs, config = _submission_from_frame(body)
                 job_id = self.service.submit_job(specs, config)
                 self._reply_json({"job_id": job_id}, 201)
             elif (len(parts) == 3 and parts[0] == "jobs"
@@ -1089,8 +1061,7 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
                 self._reply_json({"error": f"no such route {path}"}, 404)
         except KeyError as error:
             self._reply_json({"error": str(error)}, 404)
-        except (ValueError, RuntimeError, TypeError,
-                json.JSONDecodeError, pickle.UnpicklingError) as error:
+        except (ValueError, RuntimeError, TypeError) as error:
             self._reply_json({"error": str(error)}, 400)
 
 
@@ -1098,10 +1069,9 @@ class ServiceClient:
     """Thin HTTP client for the job API (stdlib ``http.client`` only).
 
     ``url`` is ``"host:port"`` or ``"http://host:port"`` — the service's
-    ``http_address``.  The client trusts the service it talks to: result
-    streams arrive pickled.  Submission has two forms:
-    :meth:`submit_specs` pickles ``(specs, config)`` (programmatic,
-    trusted), :meth:`submit_matrix` sends pure JSON.
+    ``http_address``.  Result streams arrive as wire-codec frames.
+    Submission has two forms: :meth:`submit_specs` sends ``(specs,
+    config)`` as a codec frame, :meth:`submit_matrix` sends pure JSON.
     """
 
     def __init__(self, url: str, token: str | None = None,
@@ -1140,7 +1110,7 @@ class ServiceClient:
     def submit_specs(self, specs: list[CampaignSpec],
                      config: SweepConfig | None = None) -> str:
         data = self._request("POST", "/jobs",
-                             body=_pickle_encode((specs, config)),
+                             body=codec.encode((list(specs), config)),
                              content_type="application/octet-stream")
         return json.loads(data)["job_id"]
 
@@ -1164,7 +1134,7 @@ class ServiceClient:
                 since: int = 0) -> tuple[int, list[tuple[int,
                                                          ShardResult]]]:
         data = self._request("GET", f"/jobs/{job_id}/results?since={since}")
-        payload = pickle.loads(data)
+        payload = codec.decode(data)
         return payload["next"], payload["shards"]
 
     def cancel(self, job_id: str) -> None:
@@ -1234,7 +1204,6 @@ class ServiceClient:
 
 
 def run_service_worker(address: object, token: str | None = None,
-                       codec: str = CODEC_PICKLE,
                        name: str | None = None,
                        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
                        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -1251,12 +1220,11 @@ def run_service_worker(address: object, token: str | None = None,
     retries a refused initial connect with exponential backoff, so the
     worker may be started before its service.  The handshake answers the
     service's challenge (with an HMAC of ``token`` when one is set) and
-    every frame goes through ``codec``.  Verdict caches are kept
+    every frame goes through the wire codec.  Verdict caches are kept
     *per job* (``task.cache`` shipments from different sweeps must not
     mix).  A worker outlives any single job: it keeps pulling until the
     service drains.
     """
-    encode, decode = codec_functions(codec)
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
     sock = connect_with_backoff(address, connect_retries=connect_retries,
                                 connect_backoff=connect_backoff)
@@ -1267,7 +1235,7 @@ def run_service_worker(address: object, token: str | None = None,
 
     def send(message: object) -> None:
         with send_lock:
-            send_raw_frame(sock, encode(message), max_frame_bytes,
+            send_raw_frame(sock, codec.encode(message), max_frame_bytes,
                            stall_timeout=SEND_TIMEOUT)
 
     def recv_reply() -> object:
@@ -1276,7 +1244,7 @@ def run_service_worker(address: object, token: str | None = None,
             try:
                 data = recv_raw_frame(sock, max_frame_bytes, idle_ok=True,
                                       stall_timeout=DEFAULT_STALL_TIMEOUT)
-                return decode(data)
+                return codec.decode(data)
             except _IdleTimeout:
                 if time.monotonic() > deadline:
                     raise ProtocolError(
@@ -1359,7 +1327,6 @@ def run_service_worker(address: object, token: str | None = None,
 
 def spawn_service_workers(address: tuple[str, int], count: int,
                           token: str | None = None,
-                          codec: str = CODEC_PICKLE,
                           name_prefix: str = "svc-worker",
                           extra_args: tuple[str, ...] = ()
                           ) -> list[subprocess.Popen]:
@@ -1376,7 +1343,7 @@ def spawn_service_workers(address: tuple[str, int], count: int,
     for index in range(count):
         command = [sys.executable, "-m", "repro.harness.service", "worker",
                    "--connect", format_address(address),
-                   "--codec", codec, "--workers", "1",
+                   "--workers", "1",
                    "--name", f"{name_prefix}-{index}", *extra_args]
         processes.append(subprocess.Popen(command, env=environment,
                                           stdout=subprocess.DEVNULL))
@@ -1384,14 +1351,14 @@ def spawn_service_workers(address: tuple[str, int], count: int,
 
 
 def _start_worker_threads(address: tuple[str, int], count: int,
-                          token: str | None, codec: str,
+                          token: str | None,
                           max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
                           ) -> list[threading.Thread]:
     """In-process worker threads (tests and :func:`run_service_sweep`)."""
 
     def target(index: int) -> None:
         try:
-            run_service_worker(address, token=token, codec=codec,
+            run_service_worker(address, token=token,
                                name=f"thread-worker-{index}",
                                max_frame_bytes=max_frame_bytes,
                                connect_retries=3)
@@ -1412,7 +1379,6 @@ def run_service_sweep(specs: list[CampaignSpec],
                       config: SweepConfig | None = None, *,
                       workers: int = 2,
                       store_path: str | os.PathLike | None = None,
-                      codec: str = CODEC_PICKLE,
                       token: str | None = None,
                       crash_point: str | None = None,
                       crash_nth: int = 1,
@@ -1433,7 +1399,7 @@ def run_service_sweep(specs: list[CampaignSpec],
         own_dir = tempfile.mkdtemp(prefix="mcversi-service-")
         store_path = os.path.join(own_dir, "service.sqlite")
     try:
-        service = VerificationService(store_path, token=token, codec=codec,
+        service = VerificationService(store_path, token=token,
                                       start_http=False)
         if crash_point is not None:
             service.arm_crash(crash_point, nth=crash_nth)
@@ -1441,7 +1407,7 @@ def run_service_sweep(specs: list[CampaignSpec],
         deadline = time.monotonic() + timeout
         while True:
             threads = _start_worker_threads(service.address, workers,
-                                            token, codec)
+                                            token)
             try:
                 while (service.job_status(job_id)["state"] == JOB_RUNNING
                        and not service.crashed):
@@ -1460,7 +1426,7 @@ def run_service_sweep(specs: list[CampaignSpec],
                 break
             # Restart from the store: the recovery path under test.
             service = VerificationService(store_path, token=token,
-                                          codec=codec, start_http=False)
+                                          start_http=False)
         status = service.job_status(job_id)
         if status["state"] != JOB_DONE:
             raise RuntimeError(f"service sweep ended {status['state']}: "
@@ -1485,7 +1451,7 @@ def iter_service_sweep(specs: list[CampaignSpec], config: SweepConfig,
     The ``transport="tcp"`` path of
     :func:`repro.harness.parallel.iter_campaigns`.  The service binds at
     call time (on ``config.coordinator``, loopback-ephemeral by default)
-    with a temp-dir store, no HTTP and the pickle codec, so external
+    with a temp-dir store and no HTTP, so external
     ``python -m repro.harness.service worker --connect`` processes may
     join at once.  ``workers`` local worker processes are spawned on
     first advance (``workers=0``: external workers only).  Completed
@@ -1580,15 +1546,13 @@ def _resolve_token(args: argparse.Namespace) -> str | None:
 def _serve_main(args: argparse.Namespace) -> int:
     service = VerificationService(
         args.store, bind=args.bind, http_bind=args.http_bind,
-        token=_resolve_token(args), codec=args.codec,
-        lease_timeout=args.lease_timeout,
+        token=_resolve_token(args), lease_timeout=args.lease_timeout,
         max_frame_bytes=args.max_frame_bytes)
     # One parseable line so wrappers (CI, tests) can find the ports.
     print(json.dumps({
         "worker": format_address(service.address),
         "http": format_address(service.http_address),
         "store": service.store.path,
-        "codec": service.codec,
         "jobs": len(service.job_ids())}), flush=True)
     try:
         while True:
@@ -1640,7 +1604,6 @@ def _worker_cli_main(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(str(error)) from None
     options = dict(address=args.connect, token=_resolve_token(args),
-                   codec=args.codec,
                    heartbeat_interval=args.heartbeat_interval,
                    max_frame_bytes=args.max_frame_bytes,
                    connect_retries=args.connect_retries,
@@ -1736,9 +1699,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker-plane host:port (port 0: ephemeral)")
     serve.add_argument("--http-bind", default="127.0.0.1:0",
                        help="job-API host:port (port 0: ephemeral)")
-    serve.add_argument("--codec", choices=CODECS, default=CODEC_PICKLE,
-                       help="worker-plane frame codec ('restricted' "
-                            "never unpickles worker bytes)")
     serve.add_argument("--lease-timeout", type=float,
                        default=DEFAULT_LEASE_TIMEOUT)
     serve.add_argument("--max-frame-bytes", type=int,
@@ -1750,7 +1710,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker", help="pull job-tagged chunks from a service")
     worker.add_argument("--connect", required=True,
                         help="service worker-plane host:port")
-    worker.add_argument("--codec", choices=CODECS, default=CODEC_PICKLE)
     worker.add_argument("--workers", type=int, default=None,
                         help="worker processes to run (default: "
                              "REPRO_WORKERS, capped at available CPUs)")

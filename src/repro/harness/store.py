@@ -20,20 +20,27 @@ result, committed in one transaction per recorded chunk
 chunk whose fold raced the commit — and chunk replays are bit-identical
 by the determinism contract, so a restart never changes any result.
 
-Trust model: the store only ever unpickles bytes this process (or a
-predecessor service process on the same host) wrote.  Worker-supplied
-checkpoint payloads are stored and re-dispatched as opaque bytes — the
-service never deserializes them, whatever the wire codec (see
+The store owns its row format: jobs, shard results and cache states go
+in and come out as objects, and pickling them happens here and nowhere
+else in the service.  Trust model: the store only ever unpickles bytes
+this process (or a predecessor service process on the same host) wrote.
+Worker-supplied checkpoint payloads are stored and re-dispatched as
+opaque bytes — the service never deserializes them (see
 ``docs/service.md``).
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sqlite3
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.locking import TracedLock, guarded_by
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.consistency.memo import VerdictCacheState
+    from repro.harness.parallel import CampaignSpec, ShardResult, SweepConfig
 
 #: ``jobs.state`` lifecycle values.
 JOB_RUNNING = "running"
@@ -97,9 +104,11 @@ class SweepStore:
 
     # -- jobs ----------------------------------------------------------
 
-    def create_job(self, job_id: str, specs_blob: bytes, config_blob: bytes,
-                   total: int) -> None:
-        """Persist a new job and its ``total`` pending shard rows."""
+    def create_job(self, job_id: str, specs: list[CampaignSpec],
+                   config: SweepConfig) -> None:
+        """Persist a new job and one pending row per spec."""
+        total = len(specs)
+        specs_blob, config_blob = _dumps(specs), _dumps(config)
         with self._lock:
             row = self._conn.execute(
                 "SELECT COALESCE(MAX(created_seq), 0) + 1 FROM jobs"
@@ -124,15 +133,16 @@ class SweepStore:
                 "ORDER BY created_seq").fetchall()
         return [(row[0], row[1], row[2], row[3]) for row in rows]
 
-    def job_blobs(self, job_id: str) -> tuple[bytes, bytes]:
-        """The pickled ``(specs, config)`` a job was created with."""
+    def job_definition(self, job_id: str
+                       ) -> tuple[list[CampaignSpec], SweepConfig]:
+        """The ``(specs, config)`` a job was created with."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT specs, config FROM jobs WHERE job_id = ?",
                 (job_id,)).fetchone()
         if row is None:
             raise KeyError(f"unknown job {job_id!r}")
-        return bytes(row[0]), bytes(row[1])
+        return pickle.loads(row[0]), pickle.loads(row[1])
 
     def set_job_state(self, job_id: str, state: str,
                       error: str | None = None) -> None:
@@ -149,35 +159,39 @@ class SweepStore:
 
     def commit_outcome(self, job_id: str, index: int,
                        payload: bytes | None = None,
-                       result: bytes | None = None,
-                       cache_state: bytes | None = None) -> None:
+                       result: ShardResult | None = None,
+                       cache_state: VerdictCacheState | None = None
+                       ) -> None:
         """Commit one folded chunk outcome in a single transaction.
 
         Exactly one of ``payload`` (the paused chunk's checkpoint
-        bytes) or ``result`` (the completed shard's pickled
-        ``ShardResult``) must be given; ``cache_state`` rides along in
-        the same transaction when the job's verdict cache changed.
+        bytes, stored verbatim) or ``result`` (the completed shard's
+        ``ShardResult``) must be given; ``cache_state`` (a
+        ``VerdictCacheState``) rides along in the same transaction when
+        the job's verdict cache changed.
         """
         if (payload is None) == (result is None):
             raise ValueError("commit_outcome needs exactly one of "
                              "payload or result")
+        result_blob = _dumps(result) if result is not None else None
+        cache_blob = _dumps(cache_state) if cache_state is not None else None
         with self._lock:
-            if result is not None:
+            if result_blob is not None:
                 self._conn.execute(
                     "UPDATE shards SET state = 'done', result = ?, "
                     "checkpoint = NULL WHERE job_id = ? AND idx = ?",
-                    (result, job_id, index))
+                    (result_blob, job_id, index))
             else:
                 self._conn.execute(
                     "UPDATE shards SET state = 'paused', checkpoint = ? "
                     "WHERE job_id = ? AND idx = ?",
                     (payload, job_id, index))
-            if cache_state is not None:
+            if cache_blob is not None:
                 self._conn.execute(
                     "INSERT INTO job_cache (job_id, state) VALUES (?, ?) "
                     "ON CONFLICT (job_id) DO UPDATE SET state = "
                     "excluded.state",
-                    (job_id, cache_state))
+                    (job_id, cache_blob))
             self._conn.commit()
             self.commits += 1
 
@@ -196,9 +210,9 @@ class SweepStore:
                    bytes(row[2]) if row[2] is not None else None,
                    bytes(row[3]) if row[3] is not None else None)
 
-    def results(self, job_id: str) -> dict[int, bytes]:
-        """Pickled ``ShardResult`` bytes of every completed shard."""
-        return {index: result
+    def results(self, job_id: str) -> dict[int, ShardResult]:
+        """The ``ShardResult`` of every completed shard."""
+        return {index: pickle.loads(result)
                 for index, state, _, result in self.shard_rows(job_id)
                 if state == "done" and result is not None}
 
@@ -208,14 +222,18 @@ class SweepStore:
                 for index, state, checkpoint, _ in self.shard_rows(job_id)
                 if state == "paused" and checkpoint is not None}
 
-    def cache_state(self, job_id: str) -> bytes | None:
-        """The job's latest committed verdict-cache snapshot bytes."""
+    def cache_state(self, job_id: str) -> VerdictCacheState | None:
+        """The job's latest committed ``VerdictCacheState``."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT state FROM job_cache WHERE job_id = ?",
                 (job_id,)).fetchone()
-        return bytes(row[0]) if row is not None else None
+        return pickle.loads(row[0]) if row is not None else None
 
     def close(self) -> None:
         with self._lock:
             self._conn.close()
+
+
+def _dumps(value: object) -> bytes:
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)

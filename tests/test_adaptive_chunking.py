@@ -211,10 +211,10 @@ class TestSizingKeys:
         # The faulty cell crawls; the clean cell has not been observed
         # (its pause reports no telemetry).
         scheduler.record(ChunkOutcome(index=faulty_task.index,
-                                      checkpoint=StubCheckpoint(),
+                                      payload=STUB_PAYLOAD,
                                       telemetry=telemetry(1, 1.0)))
         scheduler.record(ChunkOutcome(index=clean_task.index,
-                                      checkpoint=StubCheckpoint()))
+                                      payload=STUB_PAYLOAD))
         resized = {task.spec.fault: task
                    for task in (scheduler.next_task(), scheduler.next_task())}
         assert resized[Fault.SQ_NO_FIFO].pause_after == 1
@@ -302,8 +302,9 @@ def two_kind_specs() -> list[CampaignSpec]:
         system_config=SystemConfig(), max_evaluations=100, seeds_per_cell=1)
 
 
-class StubCheckpoint:
-    """Stands in for a CampaignCheckpoint in scheduler-only tests."""
+#: Stands in for a paused chunk's checkpoint bytes in scheduler-only
+#: tests.
+STUB_PAYLOAD = ChunkPayload(data=b"stub")
 
 
 class TestSchedulerSizing:
@@ -327,9 +328,9 @@ class TestSchedulerSizing:
         first, second = scheduler.next_task(), scheduler.next_task()
         assert {first.index, second.index} == {0, 1}
         assert first.pause_after == 10 and second.pause_after == 10
-        scheduler.record(ChunkOutcome(index=0, checkpoint=StubCheckpoint(),
+        scheduler.record(ChunkOutcome(index=0, payload=STUB_PAYLOAD,
                                       telemetry=telemetry(50, 1.0)))
-        scheduler.record(ChunkOutcome(index=1, checkpoint=StubCheckpoint(),
+        scheduler.record(ChunkOutcome(index=1, payload=STUB_PAYLOAD,
                                       telemetry=telemetry(1, 1.0)))
         resized = {task.spec.kind: task
                    for task in (scheduler.next_task(), scheduler.next_task())}
@@ -345,7 +346,7 @@ class TestSchedulerSizing:
         scheduler = self.adaptive_scheduler(specs)
         task = scheduler.next_task()
         scheduler.record(ChunkOutcome(index=task.index,
-                                      checkpoint=StubCheckpoint(),
+                                      payload=STUB_PAYLOAD,
                                       telemetry=telemetry(30, 1.0)))
         continuation = scheduler.next_task()
         scheduler.requeue(continuation)       # its worker died
@@ -358,7 +359,7 @@ class TestSchedulerSizing:
         scheduler = ChunkScheduler(specs, chunk_evaluations=10)
         task = scheduler.next_task()
         scheduler.record(ChunkOutcome(index=task.index,
-                                      checkpoint=StubCheckpoint(),
+                                      payload=STUB_PAYLOAD,
                                       telemetry=telemetry(5000, 1.0)))
         assert scheduler.next_task().pause_after == 10
 
@@ -481,7 +482,6 @@ class TestExecutionTelemetry:
         outcome = execute_chunk_task(ChunkTask(index=0, spec=small_spec(),
                                                pause_after=2))
         assert outcome.error is None
-        assert outcome.checkpoint is None  # transport path: bytes only
         assert outcome.payload is not None
         assert outcome.telemetry.evaluations == 2
         assert outcome.telemetry.wall_seconds > 0.0

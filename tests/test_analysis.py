@@ -276,8 +276,13 @@ class TestWireRules:
         findings = analyze(tmp_path, {"repro/core/thaw.py": source},
                            select={"WIRE002"})
         assert codes(findings) == ["WIRE002"]
-        assert analyze(tmp_path, {"repro/harness/parallel.py": source},
-                       select={"WIRE002"}) == []
+        # The service reads sockets: it must never unpickle.
+        findings = analyze(tmp_path, {"repro/harness/service.py": source},
+                           select={"WIRE002"})
+        assert codes(findings) == ["WIRE002"]
+        for trusted in ("repro/harness/parallel.py", "repro/harness/store.py"):
+            assert analyze(tmp_path, {trusted: source},
+                           select={"WIRE002"}) == []
 
     def test_wire003_manifest_drift(self, tmp_path):
         frames = WIRE_FRAMES.replace(

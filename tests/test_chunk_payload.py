@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.campaign import CampaignCheckpoint, GeneratorKind
 from repro.core.config import GeneratorConfig
+from repro.harness import codec
 from repro.harness.distributed import recv_raw_frame, send_raw_frame
 from repro.harness.parallel import (CHECKPOINT_FRAME_FRACTION, ChunkOutcome,
                                     ChunkPayload, ChunkScheduler,
@@ -27,8 +28,7 @@ from repro.harness.parallel import (CHECKPOINT_FRAME_FRACTION, ChunkOutcome,
                                     ChunkTelemetry, SweepConfig,
                                     campaign_matrix, execute_chunk_task,
                                     run_campaigns, run_shard_chunk)
-from repro.harness.service import (CODEC_PICKLE, VerificationService,
-                                   codec_functions)
+from repro.harness.service import VerificationService
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
@@ -146,19 +146,18 @@ class TestSingleSerialization:
 
     def test_tcp_framing_forwards_bytes_verbatim(self):
         """The same invariant through the real wire framing."""
-        encode, decode = codec_functions(CODEC_PICKLE)
         left, right = socket.socketpair()
         try:
             payload = ChunkPayload.of(CountingCheckpoint())
             outcome = ChunkOutcome(index=0, payload=payload)
-            send_raw_frame(left, encode(("result", outcome)))
-            kind, received = decode(recv_raw_frame(right))
+            send_raw_frame(left, codec.encode(("result", outcome)))
+            kind, received = codec.decode(recv_raw_frame(right))
             assert kind == "result"
             assert CountingCheckpoint.pickles == 1
             task = ChunkTask(index=0, spec=tiny_matrix()[0],
                              checkpoint=received.payload, pause_after=2)
-            send_raw_frame(left, encode(("task", task)))
-            kind, received_task = decode(recv_raw_frame(right))
+            send_raw_frame(left, codec.encode(("task", task)))
+            kind, received_task = codec.decode(recv_raw_frame(right))
             assert kind == "task"
             assert CountingCheckpoint.pickles == 1
             assert isinstance(received_task.checkpoint.load(),
@@ -173,7 +172,6 @@ class TestSingleSerialization:
         spec = tiny_matrix(faults=[None])[0]  # never finds: always pauses
         outcome = execute_chunk_task(ChunkTask(index=0, spec=spec,
                                                pause_after=2))
-        assert outcome.checkpoint is None
         assert isinstance(outcome.payload, ChunkPayload)
         assert isinstance(outcome.payload.load(), CampaignCheckpoint)
         assert outcome.telemetry.checkpoint_bytes == outcome.payload.nbytes

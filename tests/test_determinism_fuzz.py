@@ -35,10 +35,9 @@ verification service (:func:`repro.harness.service.run_service_sweep`):
 a job submitted to a store-backed service, pulled by authenticated
 workers, write-through committed chunk by chunk — and, in the crash
 variants, SIGKILL-equivalently interrupted at a fuzzed commit-window
-point and resumed by a restarted service over the same store.  Durable,
-restricted-codec and crash-resumed sweeps must all be bit-identical to
-serial: durability and recovery are not allowed to move a single
-reported bit.
+point and resumed by a restarted service over the same store.  Durable
+and crash-resumed sweeps must all be bit-identical to serial:
+durability and recovery are not allowed to move a single reported bit.
 """
 
 import random
@@ -166,9 +165,6 @@ def test_all_schedulers_match_serial(fuzz_seed):
     }
     if fuzz_seed == 0:
         durable_modes.update({
-            "durable-restricted": dict(
-                workers=workers, codec="restricted",
-                config=SweepConfig(chunk_evaluations=chunk_evaluations)),
             "durable-memo": dict(
                 workers=workers,
                 config=SweepConfig(chunk_evaluations=chunk_evaluations,

@@ -5,7 +5,7 @@
 coordinator.  Layers:
 
 * framing unit tests for :func:`send_raw_frame` / :func:`recv_raw_frame`
-  and the pickle decoder the tcp transport speaks: truncated frames,
+  and the wire codec the tcp transport speaks: truncated frames,
   oversized frames, stalls and connection drops mid-message raise clean
   :class:`ProtocolError`\\ s instead of hanging;
 * handshake: bad, mismatched and parent-era worker hellos are refused
@@ -34,7 +34,7 @@ import pytest
 
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
-from repro.harness import parallel
+from repro.harness import codec, parallel
 from repro.harness import service as service_module
 from repro.harness.distributed import (MAX_CHUNK_REQUEUES, ConnectionClosed,
                                        FrameTooLargeError, ProtocolError,
@@ -45,16 +45,15 @@ from repro.harness.parallel import (SweepAccumulator, SweepConfig,
                                     campaign_matrix, default_workers,
                                     execute_chunk_task, iter_campaigns,
                                     run_campaigns)
-from repro.harness.service import (CODEC_PICKLE, SERVICE_MAGIC,
-                                   SERVICE_VERSION, VerificationService,
-                                   _ServiceLease, _start_worker_threads,
-                                   codec_functions, resolve_worker_count,
-                                   run_service_worker, spawn_service_workers)
+from repro.harness.service import (SERVICE_MAGIC, SERVICE_VERSION,
+                                   VerificationService, _ServiceLease,
+                                   _start_worker_threads,
+                                   resolve_worker_count, run_service_worker,
+                                   spawn_service_workers)
 from repro.harness.store import JOB_FAILED, JOB_RUNNING
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
-ENCODE, DECODE = codec_functions(CODEC_PICKLE)
 CHUNKED = SweepConfig(chunk_evaluations=2)
 TCP = SweepConfig(transport="tcp")
 TCP_CHUNKED = SweepConfig(transport="tcp", chunk_evaluations=2)
@@ -83,15 +82,15 @@ def outcomes(report):
 
 
 def send(sock, message):
-    send_raw_frame(sock, ENCODE(message))
+    send_raw_frame(sock, codec.encode(message))
 
 
 def recv(sock):
-    return DECODE(recv_raw_frame(sock))
+    return codec.decode(recv_raw_frame(sock))
 
 
 def handshake(sock, name):
-    """Answer a service challenge as an untokened pickle-codec worker."""
+    """Answer a service challenge as an untokened worker."""
     challenge = recv(sock)
     assert challenge[:3] == ("challenge", SERVICE_MAGIC, SERVICE_VERSION)
     send(sock, ("hello", SERVICE_MAGIC, SERVICE_VERSION, name, ""))
@@ -207,8 +206,8 @@ class TestFraming:
 
     def test_malformed_payload_raises_protocol_error(self, sock_pair):
         left, right = sock_pair
-        send_raw_frame(left, b"\x80not a pickle")
-        with pytest.raises(ProtocolError, match="malformed"):
+        send_raw_frame(left, b"\x80not a codec frame")
+        with pytest.raises(ProtocolError, match="unknown frame tag"):
             recv(right)
 
 
@@ -281,9 +280,10 @@ class TestHandshake:
             self):
         """A worker of the deleted single-sweep protocol gets a clean no.
 
-        It speaks first with the old 4-tuple hello; the tcp listener
-        answers with its challenge, then an error, then EOF — no hang —
-        and the spawned workers still finish the sweep bit-identically.
+        It speaks first with the old pickled 4-tuple hello; the tcp
+        listener answers with its challenge, then drops the connection
+        without unpickling the hello (EOF, no hang), and the spawned
+        workers still finish the sweep bit-identically.
         """
         specs = tiny_matrix()
         serial = run_campaigns(specs, workers=1)
@@ -300,8 +300,7 @@ class TestHandshake:
             with pytest.raises(ConnectionClosed):
                 while True:
                     replies.append(recv(sock))
-        assert [reply[0] for reply in replies] == ["challenge", "error"]
-        assert "not a mcversi service hello" in replies[1][1]
+        assert [reply[0] for reply in replies] == ["challenge"]
         accumulator = SweepAccumulator(total=len(specs))
         for index, shard in stream:
             accumulator.add(index, shard)
@@ -562,8 +561,7 @@ class TestChaos:
                 # Reporting after the lease is gone: dropped as stale.
                 send(sock, ("result", job_id, execute_chunk_task(task)))
                 wait_for(lambda: service.stats.stale_results == 1)
-                threads = _start_worker_threads(service.address, 2, None,
-                                                CODEC_PICKLE)
+                threads = _start_worker_threads(service.address, 2, None)
                 report = finish(service, job_id)
         finally:
             service.close()

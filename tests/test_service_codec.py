@@ -1,9 +1,9 @@
-"""Adversarial battery for the restricted codec and the service handshake.
+"""Adversarial battery for the wire codec and the service handshake.
 
-The verification service's ``codec="restricted"`` mode exists so that a
-worker (or anything that can reach the socket) need not be trusted:
-decoding a frame must never execute attacker bytes, over-allocate or
-hang.  This battery attacks both layers:
+The verification service decodes every frame it reads off a socket with
+the wire codec, so that a worker (or anything that can reach the socket)
+need not be trusted: decoding a frame must never execute attacker bytes,
+over-allocate or hang.  This battery attacks both layers:
 
 * the codec itself: truncations at every byte offset, trailing garbage,
   allocation bombs, depth bombs, unknown tags/classes, smuggled pickles
@@ -12,12 +12,16 @@ hang.  This battery attacks both layers:
   taxonomy, nothing else;
 * the live service's worker plane: bad/missing tokens fail the
   challenge/response handshake with :class:`AuthenticationError`, pickle
-  frames thrown at a restricted-codec service are rejected without ever
+  frames thrown at a default-built service are rejected without ever
   being unpickled, and type-confused messages after a valid handshake
-  drop the connection, never the service.
+  drop the connection, never the service;
+* the job plane: a pickle posted as a ``POST /jobs`` octet-stream body
+  is a 400, never unpickled, and stores no job.
 """
 
 import contextlib
+import http.client
+import json
 import pickle
 import socket
 import threading
@@ -32,9 +36,9 @@ from repro.harness.codec import CodecError, MAX_DEPTH
 from repro.harness.distributed import (ConnectionClosed, ProtocolError,
                                        recv_raw_frame, send_raw_frame)
 from repro.harness.parallel import campaign_matrix, run_campaigns
-from repro.harness.service import (AuthenticationError, CODEC_RESTRICTED,
-                                   SERVICE_MAGIC, SERVICE_VERSION,
-                                   VerificationService, run_service_worker)
+from repro.harness.service import (AuthenticationError, SERVICE_MAGIC,
+                                   SERVICE_VERSION, VerificationService,
+                                   run_service_worker)
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
@@ -222,8 +226,8 @@ class TestPickleSmuggling:
 @pytest.fixture
 def restricted_service(tmp_path):
     service = VerificationService(tmp_path / "store.sqlite",
-                                  token="s3cret", codec=CODEC_RESTRICTED,
-                                  handshake_timeout=2.0, start_http=False)
+                                  token="s3cret", handshake_timeout=2.0,
+                                  start_http=False)
     yield service
     if not service.crashed:
         service.close()
@@ -265,29 +269,26 @@ class TestServiceHandshake:
     def test_wrong_token_is_authentication_error(self, restricted_service):
         with pytest.raises(AuthenticationError, match="authentication"):
             run_service_worker(restricted_service.address,
-                               token="wrong-token",
-                               codec=CODEC_RESTRICTED)
+                               token="wrong-token")
         assert _wait_for(lambda: restricted_service.auth_failures == 1)
 
     def test_missing_token_is_authentication_error(self, restricted_service):
         with pytest.raises(AuthenticationError):
-            run_service_worker(restricted_service.address, token=None,
-                               codec=CODEC_RESTRICTED)
+            run_service_worker(restricted_service.address, token=None)
         assert _wait_for(lambda: restricted_service.auth_failures == 1)
 
     def test_service_survives_auth_failures(self, restricted_service):
         for _ in range(3):
             with pytest.raises(AuthenticationError):
                 run_service_worker(restricted_service.address,
-                                   token="nope", codec=CODEC_RESTRICTED)
+                                   token="nope")
         assert _wait_for(lambda: restricted_service.auth_failures == 3)
         # A correctly-authenticated worker still gets in and drains
         # cleanly when the service shuts down.
         done = threading.Event()
 
         def good_worker():
-            run_service_worker(restricted_service.address, token="s3cret",
-                               codec=CODEC_RESTRICTED)
+            run_service_worker(restricted_service.address, token="s3cret")
             done.set()
 
         thread = threading.Thread(target=good_worker, daemon=True)
@@ -303,7 +304,9 @@ class TestServiceHandshake:
         SENTINEL_HITS.clear()
         sock = _connect(restricted_service)
         try:
-            _read_challenge(sock)
+            # Read the challenge without decoding it: the bomb is the
+            # peer's first frame whatever the service speaks.
+            recv_raw_frame(sock, 1 << 20)
             send_raw_frame(sock, pickle.dumps(_PickleBomb()), 1 << 20)
             assert _drained(sock)
         finally:
@@ -353,7 +356,6 @@ class TestServiceHandshake:
     def test_garbage_after_valid_handshake_drops_connection_only(
             self, tmp_path):
         service = VerificationService(tmp_path / "open.sqlite",
-                                      codec=CODEC_RESTRICTED,
                                       handshake_timeout=2.0,
                                       start_http=False)
         try:
@@ -378,3 +380,31 @@ class TestServiceHandshake:
             assert service.job_status(job_id)["state"] == "running"
         finally:
             service.close()
+
+
+# ----------------------------------------------------------------------
+# Job-plane body abuse
+
+
+def test_pickle_job_body_is_400_and_never_unpickled(tmp_path):
+    SENTINEL_HITS.clear()
+    service = VerificationService(tmp_path / "http.sqlite", token="s3cret")
+    try:
+        host, port = service.http_address
+        connection = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            connection.request(
+                "POST", "/jobs", body=pickle.dumps(_PickleBomb()),
+                headers={"Content-Type": "application/octet-stream",
+                         "Authorization": "Bearer s3cret"})
+            response = connection.getresponse()
+            status, body = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert SENTINEL_HITS == []
+        assert status == 400
+        assert "malformed job body" in body["error"]
+        assert service.store.jobs() == []
+        assert service.job_ids() == []
+    finally:
+        service.close()

@@ -6,7 +6,7 @@ Four layers:
   crash-safe SQLite write-through store survives close/reopen with every
   job, checkpoint, result and verdict-cache snapshot intact;
 * in-process service integration — submitted jobs complete bit-identically
-  to a serial ``run_campaigns`` pass under both codecs, overlapping jobs
+  to a serial ``run_campaigns`` pass, overlapping jobs
   multiplex one worker pool, results stream by cursor, cancellation and
   ``/metrics`` work;
 * the crash battery proper — the service is armed to fall silent
@@ -25,11 +25,13 @@ lands while the service drains gets a clean shutdown frame, not an error
 teardown) and service-started-last bringup (worker connect retries).
 """
 
+import contextlib
 import json
 import os
 import pickle
 import signal
 import socket
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -46,11 +48,11 @@ from repro.consistency.memo import (CachedVerdict, VerdictCache,
 from repro.consistency.models import SequentialConsistency, TotalStoreOrder
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
+from repro.harness import codec
 from repro.harness.distributed import recv_raw_frame, send_raw_frame
 from repro.harness.parallel import (SweepConfig, campaign_matrix,
                                     run_campaigns)
-from repro.harness.service import (CODEC_PICKLE, CODEC_RESTRICTED,
-                                   CRASH_ENV, SERVICE_MAGIC,
+from repro.harness.service import (CRASH_ENV, SERVICE_MAGIC,
                                    SERVICE_VERSION, ServiceClient,
                                    VerificationService,
                                    _start_worker_threads, run_service_sweep,
@@ -91,7 +93,7 @@ CHUNKED = SweepConfig(chunk_evaluations=2)
 #: A job's stored config as written by the previous release, whose
 #: ``SweepConfig`` still carried a field naming the checker backend:
 #: ``SweepConfig(chunk_evaluations=3, verdict_memo=True)`` with that
-#: field set to ``"matrix"``, pickled with the store's encoder.  Pickle
+#: field set to ``"matrix"``, as the store pickled it then.  Pickle
 #: restores a dataclass by ``__dict__`` update, so the stray key loads
 #: without error; it must not leak into equality or the JSON image.
 PARENT_CONFIG_BLOB = (
@@ -136,56 +138,75 @@ PARENT_CACHE_BLOB = (
     b'G?5\x7fa<\x00\x00\x00\x8c\x0fchecks_observed\x94K\x02ub.')
 
 
+def store_parent_bytes(path, sql, blob):
+    """Write ``blob`` into a store row verbatim, as a parent release did."""
+    with contextlib.closing(sqlite3.connect(path)) as connection:
+        connection.execute(sql, (blob,))
+        connection.commit()
+
+
+def cache_state(entries=()):
+    return VerdictCacheState(capacity=8, entries=tuple(entries), hits=0,
+                             misses=len(entries), evictions=0,
+                             failed_refreshes=0, seconds_saved=0.0,
+                             check_seconds_observed=0.0, checks_observed=0)
+
+
 class TestSweepStore:
     def test_job_round_trip_across_reopen(self, tmp_path):
         path = tmp_path / "store.sqlite"
+        specs = tiny_matrix()[:3]
         store = SweepStore(path)
-        store.create_job("job-a", b"specs-a", b"config-a", total=3)
+        store.create_job("job-a", specs, CHUNKED)
         store.commit_outcome("job-a", 0, payload=b"checkpoint-0")
-        store.commit_outcome("job-a", 0, result=b"result-0",
-                             cache_state=b"cache-1")
+        store.commit_outcome("job-a", 0, result="result-0",
+                             cache_state=cache_state())
         store.commit_outcome("job-a", 2, payload=b"checkpoint-2")
         store.close()
 
         reopened = SweepStore(path)
         assert reopened.jobs() == [("job-a", JOB_RUNNING, 3, None)]
-        assert reopened.job_blobs("job-a") == (b"specs-a", b"config-a")
-        assert reopened.results("job-a") == {0: b"result-0"}
+        assert reopened.job_definition("job-a") == (specs, CHUNKED)
+        assert reopened.results("job-a") == {0: "result-0"}
         assert reopened.checkpoints("job-a") == {2: b"checkpoint-2"}
-        assert reopened.cache_state("job-a") == b"cache-1"
+        assert reopened.cache_state("job-a") == cache_state()
         reopened.close()
 
     def test_done_clears_checkpoint(self, tmp_path):
         store = SweepStore(tmp_path / "store.sqlite")
-        store.create_job("job", b"s", b"c", total=1)
+        store.create_job("job", tiny_matrix()[:1], CHUNKED)
         store.commit_outcome("job", 0, payload=b"mid-shard")
-        store.commit_outcome("job", 0, result=b"final")
-        rows = list(store.shard_rows("job"))
-        assert rows == [(0, "done", None, b"final")]
+        store.commit_outcome("job", 0, result="final")
+        rows = [row[:3] for row in store.shard_rows("job")]
+        assert rows == [(0, "done", None)]
+        assert store.results("job") == {0: "final"}
+        assert store.checkpoints("job") == {}
         store.close()
 
     def test_cache_state_upserts(self, tmp_path):
         store = SweepStore(tmp_path / "store.sqlite")
-        store.create_job("job", b"s", b"c", total=1)
-        store.commit_outcome("job", 0, payload=b"p1", cache_state=b"v1")
-        store.commit_outcome("job", 0, payload=b"p2", cache_state=b"v2")
-        assert store.cache_state("job") == b"v2"
+        store.create_job("job", tiny_matrix()[:1], CHUNKED)
+        first = cache_state([("k1", CachedVerdict(True))])
+        second = cache_state([("k2", CachedVerdict(False))])
+        store.commit_outcome("job", 0, payload=b"p1", cache_state=first)
+        store.commit_outcome("job", 0, payload=b"p2", cache_state=second)
+        assert store.cache_state("job") == second
         assert store.checkpoints("job") == {0: b"p2"}
         store.close()
 
     def test_commit_needs_exactly_one_of_payload_or_result(self, tmp_path):
         store = SweepStore(tmp_path / "store.sqlite")
-        store.create_job("job", b"s", b"c", total=1)
+        store.create_job("job", tiny_matrix()[:1], CHUNKED)
         with pytest.raises(ValueError, match="exactly one"):
             store.commit_outcome("job", 0)
         with pytest.raises(ValueError, match="exactly one"):
-            store.commit_outcome("job", 0, payload=b"p", result=b"r")
+            store.commit_outcome("job", 0, payload=b"p", result="r")
         store.close()
 
     def test_job_state_transitions_persist(self, tmp_path):
         path = tmp_path / "store.sqlite"
         store = SweepStore(path)
-        store.create_job("job", b"s", b"c", total=1)
+        store.create_job("job", tiny_matrix()[:1], CHUNKED)
         store.set_job_state("job", JOB_CANCELLED)
         with pytest.raises(ValueError, match="unknown job state"):
             store.set_job_state("job", "exploded")
@@ -198,12 +219,13 @@ class TestSweepStore:
     def test_config_stored_before_backend_removal_resumes(self, tmp_path):
         path = tmp_path / "store.sqlite"
         store = SweepStore(path)
-        store.create_job("old", b"specs", PARENT_CONFIG_BLOB, total=1)
+        store.create_job("old", tiny_matrix()[:1], SweepConfig())
         store.close()
+        store_parent_bytes(path, "UPDATE jobs SET config = ?",
+                           PARENT_CONFIG_BLOB)
         reopened = SweepStore(path)
-        _, config_blob = reopened.job_blobs("old")
+        _, config = reopened.job_definition("old")
         reopened.close()
-        config = pickle.loads(config_blob)
         expected = SweepConfig(chunk_evaluations=3, verdict_memo=True)
         assert config == expected
         image = config.to_json_dict()
@@ -215,7 +237,7 @@ class TestSweepStore:
     def test_unknown_job_raises_key_error(self, tmp_path):
         store = SweepStore(tmp_path / "store.sqlite")
         with pytest.raises(KeyError):
-            store.job_blobs("nope")
+            store.job_definition("nope")
         store.close()
 
 
@@ -224,12 +246,11 @@ class TestSweepStore:
 
 
 class TestServiceIntegration:
-    @pytest.mark.parametrize("codec", [CODEC_PICKLE, CODEC_RESTRICTED])
-    def test_service_sweep_matches_serial(self, codec):
+    def test_service_sweep_matches_serial(self):
         specs = tiny_matrix()
         serial = run_campaigns(specs, workers=1,
                                config=CHUNKED)
-        report = run_service_sweep(specs, CHUNKED, workers=2, codec=codec)
+        report = run_service_sweep(specs, CHUNKED, workers=2)
         assert outcomes(report) == outcomes(serial)
         assert (report.coverage.global_counts
                 == serial.coverage.global_counts)
@@ -246,8 +267,7 @@ class TestServiceIntegration:
         try:
             job_a = service.submit_job(specs_a, CHUNKED)
             job_b = service.submit_job(specs_b, CHUNKED)
-            threads = _start_worker_threads(service.address, 2, None,
-                                            CODEC_PICKLE)
+            threads = _start_worker_threads(service.address, 2, None)
             deadline = time.monotonic() + 120
             while any(service.job_status(job)["state"] == JOB_RUNNING
                       for job in (job_a, job_b)):
@@ -266,8 +286,7 @@ class TestServiceIntegration:
         try:
             specs = tiny_matrix()
             job_id = service.submit_job(specs, CHUNKED)
-            threads = _start_worker_threads(service.address, 2, None,
-                                            CODEC_PICKLE)
+            threads = _start_worker_threads(service.address, 2, None)
             cursor, streamed = 0, []
             deadline = time.monotonic() + 120
             while service.job_status(job_id)["state"] == JOB_RUNNING:
@@ -312,15 +331,15 @@ class TestServiceIntegration:
         serial = run_campaigns(specs, workers=1, config=config)
         path = tmp_path / "store.sqlite"
         store = SweepStore(path)
-        store.create_job("old", pickle.dumps(specs), pickle.dumps(config),
-                         total=len(specs))
-        store.commit_outcome("old", 0, result=pickle.dumps(serial.shards[0]),
-                             cache_state=PARENT_CACHE_BLOB)
+        store.create_job("old", specs, config)
+        store.commit_outcome("old", 0, result=serial.shards[0])
         store.close()
+        store_parent_bytes(
+            path, "INSERT INTO job_cache (job_id, state) VALUES ('old', ?)",
+            PARENT_CACHE_BLOB)
         service = VerificationService(path, start_http=False)
         try:
-            threads = _start_worker_threads(service.address, 2, None,
-                                            CODEC_PICKLE)
+            threads = _start_worker_threads(service.address, 2, None)
             deadline = time.monotonic() + 120
             while service.job_status("old")["state"] == JOB_RUNNING:
                 assert time.monotonic() < deadline
@@ -329,7 +348,7 @@ class TestServiceIntegration:
             assert outcomes(report) == outcomes(serial)
             assert (report.coverage.global_counts
                     == serial.coverage.global_counts)
-            final = pickle.loads(service.store.cache_state("old"))
+            final = service.store.cache_state("old")
             keys = [key for key, _ in final.entries]
             assert [key for key, _ in old.entries] == keys[:2]
             assert len(keys) > 2
@@ -351,14 +370,13 @@ class TestServiceIntegration:
         assert b"scheduler" in config_blob
         path = tmp_path / "store.sqlite"
         store = SweepStore(path)
-        store.create_job("old", pickle.dumps(specs), config_blob,
-                         total=len(specs))
-        store.commit_outcome("old", 0, result=pickle.dumps(serial.shards[0]))
+        store.create_job("old", specs, config)
+        store.commit_outcome("old", 0, result=serial.shards[0])
         store.close()
+        store_parent_bytes(path, "UPDATE jobs SET config = ?", config_blob)
         service = VerificationService(path, start_http=False)
         try:
-            threads = _start_worker_threads(service.address, 2, None,
-                                            CODEC_PICKLE)
+            threads = _start_worker_threads(service.address, 2, None)
             deadline = time.monotonic() + 120
             while service.job_status("old")["state"] == JOB_RUNNING:
                 assert time.monotonic() < deadline
@@ -377,8 +395,7 @@ class TestServiceIntegration:
                                       start_http=False)
         try:
             job_id = service.submit_job(tiny_matrix(), CHUNKED)
-            threads = _start_worker_threads(service.address, 2, None,
-                                            CODEC_PICKLE)
+            threads = _start_worker_threads(service.address, 2, None)
             deadline = time.monotonic() + 120
             while service.job_status(job_id)["state"] == JOB_RUNNING:
                 assert time.monotonic() < deadline
@@ -443,8 +460,7 @@ class TestCrashRecovery:
         service.arm_crash("after-commit", nth=3)
         job_a = service.submit_job(specs_a, CHUNKED)
         job_b = service.submit_job(specs_b, CHUNKED)
-        threads = _start_worker_threads(service.address, 2, None,
-                                        CODEC_PICKLE)
+        threads = _start_worker_threads(service.address, 2, None)
         deadline = time.monotonic() + 120
         while not service.crashed:
             assert time.monotonic() < deadline
@@ -458,8 +474,7 @@ class TestCrashRecovery:
         service = VerificationService(store_path, start_http=False)
         try:
             assert set(service.job_ids()) == {job_a, job_b}
-            threads = _start_worker_threads(service.address, 2, None,
-                                            CODEC_PICKLE)
+            threads = _start_worker_threads(service.address, 2, None)
             while any(service.job_status(job)["state"] == JOB_RUNNING
                       for job in (job_a, job_b)):
                 assert time.monotonic() < deadline
@@ -484,8 +499,7 @@ class TestCrashRecovery:
         restarted = VerificationService(store_path, start_http=False)
         try:
             assert restarted.job_status(job_id)["state"] == JOB_RUNNING
-            threads = _start_worker_threads(restarted.address, 2, None,
-                                            CODEC_PICKLE)
+            threads = _start_worker_threads(restarted.address, 2, None)
             deadline = time.monotonic() + 120
             while restarted.job_status(job_id)["state"] == JOB_RUNNING:
                 assert time.monotonic() < deadline
@@ -530,7 +544,7 @@ class TestDrainAndBringup:
         sock = socket.create_connection(service.address, timeout=5.0)
         sock.settimeout(5.0)
         try:
-            challenge = pickle.loads(recv_raw_frame(sock, 1 << 20))
+            challenge = codec.decode(recv_raw_frame(sock, 1 << 20))
             assert challenge[0] == "challenge"
             # The drain starts while this worker's hello is still in
             # flight: it must receive a clean shutdown frame, not an
@@ -538,10 +552,10 @@ class TestDrainAndBringup:
             closer = threading.Thread(target=service.close, daemon=True)
             closer.start()
             time.sleep(0.1)
-            send_raw_frame(sock, pickle.dumps(
+            send_raw_frame(sock, codec.encode(
                 ("hello", SERVICE_MAGIC, SERVICE_VERSION, "late", "")),
                 1 << 20)
-            reply = pickle.loads(recv_raw_frame(sock, 1 << 20))
+            reply = codec.decode(recv_raw_frame(sock, 1 << 20))
             assert reply == ("shutdown",)
             closer.join(timeout=10.0)
             assert not closer.is_alive()

@@ -3,8 +3,8 @@
 * Every rule that depends only on a :class:`SweepConfig`'s own fields is
   checked when the config is built, so ``SweepConfig(...)``,
   ``SweepConfig.from_json_dict(...)`` and the service's ``POST /jobs``
-  reject a bad config with the same message — no entry point can run a
-  sweep the library API would refuse.
+  (JSON or wire-codec body) reject a bad config with the same message —
+  no entry point can run a sweep the library API would refuse.
 * No sweep entry point takes a parameter named after a ``SweepConfig``
   field, nor a ``**kwargs`` catch-all that would swallow one: an old
   caller passing ``scheduler=`` or ``chunk_evaluations=`` gets a
@@ -22,10 +22,12 @@ import pytest
 
 import repro.harness
 from repro.bridge.replay import run_replay_sweep
+from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
-from repro.harness import parallel
+from repro.harness import codec, parallel
 from repro.harness.experiment import ExperimentSettings
-from repro.harness.parallel import SweepConfig, iter_campaigns, run_campaigns
+from repro.harness.parallel import (SweepConfig, campaign_matrix,
+                                    iter_campaigns, run_campaigns)
 from repro.harness.scenarios import run_scenario_sweep
 from repro.harness.service import VerificationService
 from repro.sim.config import SystemConfig
@@ -56,12 +58,16 @@ def http_service(tmp_path_factory):
 
 
 def post_job(service, payload: dict) -> tuple[int, dict]:
+    return post_body(service, json.dumps(payload).encode("utf-8"),
+                     "application/json")
+
+
+def post_body(service, body: bytes, content_type: str) -> tuple[int, dict]:
     host, port = service.http_address
     connection = http.client.HTTPConnection(host, port, timeout=30.0)
     try:
-        connection.request("POST", "/jobs",
-                           body=json.dumps(payload).encode("utf-8"),
-                           headers={"Content-Type": "application/json"})
+        connection.request("POST", "/jobs", body=body,
+                           headers={"Content-Type": content_type})
         response = connection.getresponse()
         return response.status, json.loads(response.read())
     finally:
@@ -79,6 +85,59 @@ def test_bad_config_rejected_identically_everywhere(bad, http_service):
     status, body = post_job(http_service, {"matrix": MATRIX, "config": bad})
     assert (status, body) == (400, {"error": str(built.value)})
     assert http_service.store.jobs() == jobs
+
+
+def unvalidated_config(**values) -> SweepConfig:
+    """A ``SweepConfig`` whose ``__post_init__`` never ran (a hostile
+    client's frame can carry any field values)."""
+    config = object.__new__(SweepConfig)
+    for field in fields(SweepConfig):
+        object.__setattr__(config, field.name,
+                           values.get(field.name, field.default))
+    return config
+
+
+def one_spec():
+    return campaign_matrix(
+        kinds=[GeneratorKind.MCVERSI_RAND], faults=[None],
+        generator_config=GeneratorConfig.quick(memory_kib=1),
+        system_config=SystemConfig(), max_evaluations=1, seeds_per_cell=1)
+
+
+@pytest.mark.parametrize("bad", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_frame_rejected_like_the_constructor(bad, http_service):
+    with pytest.raises(ValueError) as built:
+        SweepConfig(**bad)
+    jobs = http_service.store.jobs()
+    body = codec.encode((one_spec(), unvalidated_config(**bad)))
+    status, reply = post_body(http_service, body,
+                              "application/octet-stream")
+    assert (status, reply) == (400, {"error": str(built.value)})
+    assert http_service.store.jobs() == jobs
+
+
+@pytest.mark.parametrize("message", [
+    ("specs", None), [[], None], (None, None), ([SweepConfig()], None),
+    ([], "config"), 42], ids=["str-specs", "list-pair", "none-specs",
+                              "config-as-spec", "str-config", "int"])
+def test_frame_that_is_not_a_submission_is_400(message, http_service):
+    jobs = http_service.store.jobs()
+    status, reply = post_body(http_service, codec.encode(message),
+                              "application/octet-stream")
+    assert status == 400
+    assert "job body must be" in reply["error"]
+    assert http_service.store.jobs() == jobs
+
+
+def test_good_config_frame_is_accepted(http_service):
+    config = SweepConfig(chunk_evaluations=2)
+    status, reply = post_body(http_service,
+                              codec.encode((one_spec(), config)),
+                              "application/octet-stream")
+    assert status == 201
+    job_id = reply["job_id"]
+    assert http_service.store.job_definition(job_id) == (one_spec(), config)
+    http_service.cancel_job(job_id)
 
 
 def test_good_config_is_accepted_by_the_service(http_service):
