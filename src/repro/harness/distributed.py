@@ -39,12 +39,10 @@ DEFAULT_HANDSHAKE_TIMEOUT = 10.0
 #: Bound on transmitting one (possibly checkpoint-sized) frame.
 SEND_TIMEOUT = 60.0
 #: How long a worker waits for the service to *start* replying to a
-#: request before declaring the service host dead.  Replies are sent
-#: immediately on request, so this only fires on a silent host death or a
-#: network partition that drops packets without RST/FIN.
+#: request before declaring the service host dead.  Replies come at once
+#: or after a hold far shorter than this, so it only fires on a silent
+#: host death or a network partition that drops packets without RST/FIN.
 DEFAULT_RESPONSE_TIMEOUT = 300.0
-#: How long an idle worker sleeps before re-requesting work.
-IDLE_DELAY = 0.05
 #: Fault-tolerance re-queues allowed per chunk before the job fails:
 #: a chunk that keeps killing or stalling every worker that touches it
 #: (a poison chunk) must fail the sweep loudly, not livelock it.

@@ -55,6 +55,7 @@ import contextlib
 import hmac
 import http.client
 import json
+import math
 import multiprocessing
 import os
 import secrets
@@ -68,7 +69,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.harness import codec
@@ -78,9 +79,8 @@ from repro.harness.distributed import (DEFAULT_CONNECT_BACKOFF,
                                        DEFAULT_LEASE_TIMEOUT,
                                        DEFAULT_MAX_FRAME_BYTES,
                                        DEFAULT_RESPONSE_TIMEOUT,
-                                       DEFAULT_STALL_TIMEOUT, IDLE_DELAY,
-                                       MAX_CHUNK_REQUEUES, SEND_TIMEOUT,
-                                       ConnectionClosed, CoordinatorStats,
+                                       DEFAULT_STALL_TIMEOUT, SEND_TIMEOUT,
+                                       MAX_CHUNK_REQUEUES, CoordinatorStats,
                                        FrameTooLargeError, ProtocolError,
                                        WorkerStats, _IdleTimeout,
                                        _worker_environment,
@@ -114,6 +114,11 @@ CRASH_ENV = "REPRO_SERVICE_CRASH"
 CRASH_POINTS = ("before-commit", "after-commit", "drain")
 
 _CRASH_COUNTS: Counter = Counter()
+
+#: Longest a worker's ``request`` is held when nothing is queued (a
+#: task, drain or crash ends it at once); only then is it answered
+#: ``("idle", 0.0)``.  Far below ``DEFAULT_RESPONSE_TIMEOUT``.
+REQUEST_HOLD_SECONDS = 5.0
 
 
 class AuthenticationError(ProtocolError):
@@ -227,6 +232,9 @@ class VerificationService:
         self.auth_failures = 0
         self.store = SweepStore(store_path)
         self._lock = TracedLock("service")
+        #: Notified on submit, record, re-queue, finish, fail, cancel,
+        #: disconnect, crash and drain: every event a waiter parks for.
+        self._changed = threading.Condition(self._lock)
         self._jobs: dict[str, _ServiceJob] = {}
         #: Round-robin dispatch order across running jobs.
         self._rotation: list[str] = []
@@ -244,7 +252,6 @@ class VerificationService:
         family = (socket.AF_INET6 if ":" in bind_address[0]
                   else socket.AF_INET)
         self._listener = socket.create_server(bind_address, family=family)
-        self._listener.settimeout(0.2)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._connections: list[socket.socket] = []
         self._threads: list[threading.Thread] = []
@@ -298,7 +305,7 @@ class VerificationService:
                 if scheduler.done:
                     # Every shard was already committed; only the final
                     # state flip was lost to the crash.
-                    self._finish_job(job)
+                    self._retire(job, JOB_DONE)
 
     # -- job API (in-process surface; HTTP routes through these) -------
 
@@ -319,11 +326,26 @@ class VerificationService:
             self._jobs[job_id] = _ServiceJob(job_id, specs, config,
                                              scheduler)
             self._rotation.append(job_id)
+            self._changed.notify_all()
         return job_id
 
     def job_status(self, job_id: str) -> dict:
+        return self.wait_job(job_id, timeout=0)
+
+    def wait_job(self, job_id: str, timeout: float | None = None, *,
+                 since: float = math.inf) -> dict:
+        """Wait for the job to leave ``running``; returns its status.
+
+        Also returns when the service drains or crashes, after ``timeout``
+        seconds (``None``: no bound) and, with ``since``, once the job's
+        completion log grows past that :meth:`job_results` cursor.
+        """
         with self._lock:
             job = self._job(job_id)
+            self._changed.wait_for(
+                lambda: (job.state != JOB_RUNNING
+                         or self._draining.is_set() or self._crashed.is_set()
+                         or len(job.completion_log) > since), timeout)
             return {"job_id": job.job_id, "state": job.state,
                     "total": job.total,
                     "completed": len(job.completion_log),
@@ -351,14 +373,8 @@ class VerificationService:
         """Stop a running job; its leases die and results stop folding."""
         with self._lock:
             job = self._job(job_id)
-            if job.state != JOB_RUNNING:
-                return
-            job.state = JOB_CANCELLED
-            self.store.set_job_state(job_id, JOB_CANCELLED)
-            if job_id in self._rotation:
-                self._rotation.remove(job_id)
-            for key in [key for key in self._leases if key[0] == job_id]:
-                del self._leases[key]
+            if job.state == JOB_RUNNING:
+                self._retire(job, JOB_CANCELLED)
 
     def job_report(self, job_id: str, workers: int = 1) -> SweepReport:
         """The completed job's :class:`SweepReport` (raises if not done)."""
@@ -440,63 +456,42 @@ class VerificationService:
         """The ``/metrics`` payload (Prometheus text exposition format)."""
         with self._lock:
             states = Counter(job.state for job in self._jobs.values())
-            shards_completed = sum(len(job.completion_log)
-                                   for job in self._jobs.values())
-            evaluations = 0
-            chunk_seconds = 0.0
-            checkpoint_bytes = 0
-            cache_hits = 0
-            cache_misses = 0
-            cache_seconds_saved = 0.0
-            for job in self._jobs.values():
-                scheduler = job.scheduler
-                if scheduler is None:
-                    continue
-                evaluations += scheduler.total_chunk_evaluations
-                chunk_seconds += scheduler.total_chunk_seconds
-                checkpoint_bytes += scheduler.total_checkpoint_bytes
-                cache_hits += scheduler.cache_hits
-                cache_misses += scheduler.cache_misses
-                cache_seconds_saved += scheduler.cache_seconds_saved
-            chunks = sum(self.stats.chunks_by_worker.values())
-            lines = []
+            schedulers = [job.scheduler for job in self._jobs.values()
+                          if job.scheduler is not None]
 
-            def metric(name: str, kind: str, value, labels: str = "") -> None:
-                lines.append(f"# TYPE {name} {kind}")
-                lines.append(f"{name}{labels} {value}")
+            def total(attribute: str, start: int | float = 0):
+                return sum((getattr(scheduler, attribute)
+                            for scheduler in schedulers), start)
 
-            lines.append("# TYPE mcversi_service_jobs gauge")
-            for state in JOB_STATES:
-                lines.append(f'mcversi_service_jobs{{state="{state}"}} '
-                             f"{states.get(state, 0)}")
-            metric("mcversi_service_shards_completed_total", "counter",
-                   shards_completed)
-            metric("mcversi_service_chunks_recorded_total", "counter",
-                   chunks)
-            metric("mcversi_service_evaluations_total", "counter",
-                   evaluations)
-            metric("mcversi_service_chunk_seconds_total", "counter",
-                   round(chunk_seconds, 6))
-            metric("mcversi_service_checkpoint_bytes_total", "counter",
-                   checkpoint_bytes)
-            metric("mcversi_service_requeues_total", "counter",
-                   self.stats.total_requeues)
-            metric("mcversi_service_stale_results_total", "counter",
-                   self.stats.stale_results)
-            metric("mcversi_service_disconnects_total", "counter",
-                   self.stats.disconnects)
-            metric("mcversi_service_auth_failures_total", "counter",
-                   self.auth_failures)
-            metric("mcversi_service_store_commits_total", "counter",
-                   self.store.commits)
-            metric("mcversi_service_workers_connected", "gauge",
-                   len(self._connections))
-            metric("mcversi_service_verdict_cache_hits_total", "counter",
-                   cache_hits)
-            metric("mcversi_service_verdict_cache_misses_total", "counter",
-                   cache_misses)
-            metric("mcversi_service_verdict_cache_seconds_saved", "counter",
-                   round(cache_seconds_saved, 6))
+            metrics = [
+                ("shards_completed_total", "counter",
+                 sum(len(job.completion_log) for job in self._jobs.values())),
+                ("chunks_recorded_total", "counter",
+                 sum(self.stats.chunks_by_worker.values())),
+                ("evaluations_total", "counter",
+                 total("total_chunk_evaluations")),
+                ("chunk_seconds_total", "counter",
+                 round(total("total_chunk_seconds", 0.0), 6)),
+                ("checkpoint_bytes_total", "counter",
+                 total("total_checkpoint_bytes")),
+                ("requeues_total", "counter", self.stats.total_requeues),
+                ("stale_results_total", "counter", self.stats.stale_results),
+                ("disconnects_total", "counter", self.stats.disconnects),
+                ("auth_failures_total", "counter", self.auth_failures),
+                ("store_commits_total", "counter", self.store.commits),
+                ("workers_connected", "gauge", len(self._connections)),
+                ("verdict_cache_hits_total", "counter", total("cache_hits")),
+                ("verdict_cache_misses_total", "counter",
+                 total("cache_misses")),
+                ("verdict_cache_seconds_saved", "counter",
+                 round(total("cache_seconds_saved", 0.0), 6)),
+            ]
+        lines = ["# TYPE mcversi_service_jobs gauge"]
+        lines += [f'mcversi_service_jobs{{state="{state}"}} '
+                  f"{states.get(state, 0)}" for state in JOB_STATES]
+        for name, kind, value in metrics:
+            lines += [f"# TYPE mcversi_service_{name} {kind}",
+                      f"mcversi_service_{name} {value}"]
         return "\n".join(lines) + "\n"
 
     @property
@@ -510,11 +505,10 @@ class VerificationService:
         """Drain gracefully: running jobs stay ``running`` in the store
         (a later service over the same path resumes them); workers get a
         shutdown reply on their next request."""
-        try:
+        # A crash armed at ``drain`` marks the service crashed, and the
+        # rest is then exactly :meth:`kill`.
+        with contextlib.suppress(ServiceCrash):
             self._crash_point("drain")
-        except ServiceCrash:
-            self.kill()
-            return
         self._shutdown_sockets()
         self.store.close()
 
@@ -527,23 +521,27 @@ class VerificationService:
 
     def _shutdown_sockets(self) -> None:
         self._draining.set()
+        with self._lock:
+            self._changed.notify_all()
+        if self._accept_thread.is_alive():
+            # Closing the listener does not wake a blocked accept(); a
+            # connection does, and the accept loop drops it and exits.
+            with contextlib.suppress(OSError):
+                socket.create_connection(self.address, timeout=1.0).close()
         with contextlib.suppress(OSError):  # pragma: no cover - already closed
             self._listener.close()
         self._accept_thread.join(timeout=2.0)
-        deadline = time.monotonic() + 3.0
-        # Snapshot under the lock, then join outside it (joining a
-        # handler thread that itself wants the lock would deadlock).
+        # No handler is added now.  Snapshot under the lock, join outside
+        # it (joining a handler that itself wants the lock deadlocks).
         with self._lock:
             threads = list(self._threads)
+            connections = list(self._connections)
+        deadline = time.monotonic() + 3.0
         for thread in threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        with self._lock:
-            connections = list(self._connections)
         for connection in connections:
             with contextlib.suppress(OSError):  # pragma: no cover - defensive cleanup
                 connection.close()
-        with self._lock:
-            threads = list(self._threads)
         for thread in threads:
             thread.join(timeout=1.0)
         self._monitor_thread.join(timeout=2.0)
@@ -567,13 +565,15 @@ class VerificationService:
         return codec.decode(data)
 
     def _accept_loop(self) -> None:
-        while not self._draining.is_set():
+        while True:
             try:
                 connection, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
+            if self._draining.is_set():
+                connection.close()
+                return
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             handler = threading.Thread(target=self._handle,
                                        args=(connection,), daemon=True,
                                        name="service-worker")
@@ -583,8 +583,7 @@ class VerificationService:
             handler.start()
 
     def _lease_monitor(self) -> None:
-        while not self._draining.is_set():
-            time.sleep(0.2)
+        while not self._draining.wait(0.2):
             now = time.monotonic()
             with self._lock:
                 expired = [(key, lease)
@@ -637,12 +636,10 @@ class VerificationService:
                     raise ProtocolError(f"unknown message kind {kind!r}")
         except ServiceCrash:
             return
-        except AuthenticationError:
+        except (ProtocolError, OSError) as error:
             with self._lock:
-                self.auth_failures += 1
-                self.stats.disconnects += 1
-        except (ProtocolError, OSError):
-            with self._lock:
+                if isinstance(error, AuthenticationError):
+                    self.auth_failures += 1
                 self.stats.disconnects += 1
         finally:
             self._forfeit(lease)
@@ -651,6 +648,8 @@ class VerificationService:
             with self._lock:
                 if connection in self._connections:
                     self._connections.remove(connection)
+                # A disconnect, and the exit of a crashed handler.
+                self._changed.notify_all()
 
     def _handshake(self, connection: socket.socket) -> str | None:
         """Challenge/response hello; ``None``: drained, told to shut down.
@@ -724,16 +723,22 @@ class VerificationService:
 
     def _reply_to_request(self, connection: socket.socket,
                           name: str) -> tuple[_ServiceLease | None, bool]:
+        deadline = time.monotonic() + REQUEST_HOLD_SECONDS
         with self._lock:
-            if self._draining.is_set() or self._crashed.is_set():
+            while True:
                 if self._crashed.is_set():
                     return None, True
-                self._send(connection, ("shutdown",))
-                return None, True
-            assignment = self._next_assignment()
-            if assignment is None:
-                self._send(connection, ("idle", IDLE_DELAY))
-                return None, False
+                if self._draining.is_set():
+                    self._send(connection, ("shutdown",))
+                    return None, True
+                assignment = self._next_assignment()
+                if assignment is not None:
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._send(connection, ("idle", 0.0))
+                    return None, False
+                self._changed.wait(remaining)  # the hold
             job_id, task = assignment
             lease = _ServiceLease(job_id=job_id, task=task, worker=name,
                                   deadline=(time.monotonic()
@@ -750,15 +755,13 @@ class VerificationService:
                     del self._leases[(job_id, task.index)]
                 job = self._jobs.get(job_id)
                 if job is not None and job.state == JOB_RUNNING:
-                    self._fail_job(job, f"shard {task.index} cannot be "
-                                        f"dispatched: {error}")
+                    self._retire(job, JOB_FAILED, f"shard {task.index} "
+                                 f"cannot be dispatched: {error}")
             raise
         except (OSError, ProtocolError):
             self._forfeit(lease)
             raise
-        with self._lock:
-            if self._leases.get((job_id, task.index)) is lease:
-                lease.deadline = time.monotonic() + self._lease_timeout
+        self._renew(lease)
         return lease, False
 
     def _renew(self, lease: _ServiceLease | None) -> None:
@@ -805,58 +808,50 @@ class VerificationService:
             try:
                 completed = scheduler.record(outcome)
             except ShardFailure as error:
-                self._fail_job(job, str(error))
+                self._retire(job, JOB_FAILED, str(error))
                 raise ProtocolError(
                     "shard failed; dropping worker") from error
+            # A recorded pause re-queued its continuation.
+            self._changed.notify_all()
             cache_state = None
             cache = scheduler.verdict_cache
             if cache is not None \
                     and cache.inserts != job.committed_cache_inserts:
                 cache_state = cache.snapshot()
-            if completed is not None:
-                index, shard = completed
-                self._crash_point("before-commit")
-                self.store.commit_outcome(job_id, index, result=shard,
-                                          cache_state=cache_state)
-                self._crash_point("after-commit")
-                if cache is not None:
-                    job.committed_cache_inserts = cache.inserts
-                job.results[index] = shard
-                job.completion_log.append(index)
+            if completed is None and outcome.payload is None:
+                return None
+            # The durable unit is the shard result or, for a pause, the
+            # continuation's checkpoint bytes — stored verbatim, never
+            # deserialized here (worker bytes stay opaque to the service).
+            shard = completed[1] if completed is not None else None
+            self._crash_point("before-commit")
+            self.store.commit_outcome(
+                job_id, outcome.index, result=shard,
+                payload=outcome.payload.data if shard is None else None,
+                cache_state=cache_state)
+            self._crash_point("after-commit")
+            if cache is not None:
+                job.committed_cache_inserts = cache.inserts
+            if shard is not None:
+                job.results[outcome.index] = shard
+                job.completion_log.append(outcome.index)
                 self.stats.completed_by_worker[name] += 1
                 if scheduler.done:
-                    self._finish_job(job)
-            elif outcome.payload is not None:
-                # Paused: the continuation's checkpoint bytes are the
-                # durable unit — stored verbatim, never deserialized
-                # here (worker bytes stay opaque to the service).
-                self._crash_point("before-commit")
-                self.store.commit_outcome(job_id, outcome.index,
-                                          payload=outcome.payload.data,
-                                          cache_state=cache_state)
-                self._crash_point("after-commit")
-                if cache is not None:
-                    job.committed_cache_inserts = cache.inserts
+                    self._retire(job, JOB_DONE)
         return None
 
     @requires_lock("_lock")
-    def _finish_job(self, job: _ServiceJob) -> None:
-        """Caller holds the lock; every shard of ``job`` is committed."""
-        job.state = JOB_DONE
-        self.store.set_job_state(job.job_id, JOB_DONE)
-        if job.job_id in self._rotation:
-            self._rotation.remove(job.job_id)
-
-    @requires_lock("_lock")
-    def _fail_job(self, job: _ServiceJob, error: str) -> None:
-        """Caller holds the lock."""
-        job.state = JOB_FAILED
+    def _retire(self, job: _ServiceJob, state: str,
+                error: str | None = None) -> None:
+        """Caller holds the lock; ``job`` leaves ``running`` for good."""
+        job.state = state
         job.error = error
-        self.store.set_job_state(job.job_id, JOB_FAILED, error)
+        self.store.set_job_state(job.job_id, state, error)
         if job.job_id in self._rotation:
             self._rotation.remove(job.job_id)
         for key in [key for key in self._leases if key[0] == job.job_id]:
             del self._leases[key]
+        self._changed.notify_all()
 
     def _forfeit(self, lease: _ServiceLease | None) -> None:
         if lease is None:
@@ -874,10 +869,11 @@ class VerificationService:
         if job is None or job.state != JOB_RUNNING:
             return
         job.scheduler.requeue(lease.task)
+        self._changed.notify_all()
         job.requeues[lease.task.index] += 1
         self.stats.requeues[lease.task.index] += 1
         if job.requeues[lease.task.index] > MAX_CHUNK_REQUEUES:
-            self._fail_job(job, (
+            self._retire(job, JOB_FAILED, (
                 f"shard {lease.task.index} "
                 f"({job.specs[lease.task.index].describe()}) was re-queued "
                 f"{job.requeues[lease.task.index]} times after repeated "
@@ -999,70 +995,61 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
         return self.rfile.read(length)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._route(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._route(self._post)
+
+    def _route(self, handler: Callable[..., None]) -> None:
         if not self._authorized():
             self._reply_json({"error": "missing or bad bearer token"}, 401)
             return
         path, _, query = self.path.partition("?")
-        parts = [part for part in path.split("/") if part]
         try:
-            if path == "/metrics":
-                self._reply(200,
-                            self.service.metrics_text().encode("utf-8"),
-                            "text/plain; version=0.0.4")
-            elif path == "/jobs":
-                self._reply_json(
-                    [self.service.job_status(job_id)
-                     for job_id in self.service.job_ids()])
-            elif len(parts) == 2 and parts[0] == "jobs":
-                self._reply_json(self.service.job_status(parts[1]))
-            elif (len(parts) == 3 and parts[0] == "jobs"
-                  and parts[2] == "results"):
-                since = int(parse_qs(query).get("since", ["0"])[0])
-                cursor, shards = self.service.job_results(parts[1],
-                                                          since=since)
-                self._reply(200,
-                            codec.encode({"next": cursor,
-                                          "shards": shards}),
-                            "application/octet-stream")
-            else:
-                self._reply_json({"error": f"no such route {path}"}, 404)
-        except KeyError as error:
-            self._reply_json({"error": str(error)}, 404)
-        except (ValueError, RuntimeError) as error:
-            self._reply_json({"error": str(error)}, 400)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if not self._authorized():
-            self._reply_json({"error": "missing or bad bearer token"}, 401)
-            return
-        path = self.path.partition("?")[0]
-        parts = [part for part in path.split("/") if part]
-        try:
-            if path == "/jobs":
-                body = self._body()
-                content_type = self.headers.get("Content-Type", "")
-                if content_type.startswith("application/json"):
-                    payload = json.loads(body.decode("utf-8"))
-                    specs = _matrix_from_json(payload.get("matrix", {}))
-                    config = None
-                    if payload.get("config"):
-                        config = SweepConfig.from_json_dict(
-                            payload["config"])
-                else:
-                    specs, config = _submission_from_frame(body)
-                job_id = self.service.submit_job(specs, config)
-                self._reply_json({"job_id": job_id}, 201)
-            elif (len(parts) == 3 and parts[0] == "jobs"
-                  and parts[2] == "cancel"):
-                self.service.cancel_job(parts[1])
-                self._reply_json({"job_id": parts[1],
-                                  "state": JOB_CANCELLED})
-            else:
-                self._reply_json({"error": f"no such route {path}"}, 404)
+            handler(path, [part for part in path.split("/") if part], query)
         except KeyError as error:
             self._reply_json({"error": str(error)}, 404)
         except (ValueError, RuntimeError, TypeError) as error:
             self._reply_json({"error": str(error)}, 400)
+
+    def _get(self, path: str, parts: list[str], query: str) -> None:
+        if path == "/metrics":
+            self._reply(200, self.service.metrics_text().encode("utf-8"),
+                        "text/plain; version=0.0.4")
+        elif path == "/jobs":
+            self._reply_json([self.service.job_status(job_id)
+                              for job_id in self.service.job_ids()])
+        elif len(parts) == 2 and parts[0] == "jobs":
+            self._reply_json(self.service.job_status(parts[1]))
+        elif (len(parts) == 3 and parts[0] == "jobs"
+              and parts[2] == "results"):
+            since = int(parse_qs(query).get("since", ["0"])[0])
+            cursor, shards = self.service.job_results(parts[1], since=since)
+            self._reply(200, codec.encode({"next": cursor, "shards": shards}),
+                        "application/octet-stream")
+        else:
+            self._reply_json({"error": f"no such route {path}"}, 404)
+
+    def _post(self, path: str, parts: list[str], query: str) -> None:
+        if path == "/jobs":
+            body = self._body()
+            content_type = self.headers.get("Content-Type", "")
+            if content_type.startswith("application/json"):
+                payload = json.loads(body.decode("utf-8"))
+                specs = _matrix_from_json(payload.get("matrix", {}))
+                config = None
+                if payload.get("config"):
+                    config = SweepConfig.from_json_dict(payload["config"])
+            else:
+                specs, config = _submission_from_frame(body)
+            job_id = self.service.submit_job(specs, config)
+            self._reply_json({"job_id": job_id}, 201)
+        elif (len(parts) == 3 and parts[0] == "jobs"
+              and parts[2] == "cancel"):
+            self.service.cancel_job(parts[1])
+            self._reply_json({"job_id": parts[1], "state": JOB_CANCELLED})
+        else:
+            self._reply_json({"error": f"no such route {path}"}, 404)
 
 
 class ServiceClient:
@@ -1229,6 +1216,9 @@ def run_service_worker(address: object, token: str | None = None,
     sock = connect_with_backoff(address, connect_retries=connect_retries,
                                 connect_backoff=connect_backoff)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+    # A small request right behind a large result must not wait for the
+    # result's delayed ACK (Nagle).
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.settimeout(0.5)
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -1273,18 +1263,16 @@ def run_service_worker(address: object, token: str | None = None,
         digest = _auth_digest(token, str(challenge[3])) if token else ""
         send(("hello", SERVICE_MAGIC, SERVICE_VERSION, worker_name, digest))
         welcome = recv_reply()
-        if isinstance(welcome, tuple) and welcome and welcome[0] == "error":
+        kind = welcome[0] if isinstance(welcome, tuple) and welcome else None
+        if kind == "error":
             detail = str(welcome[1]) if len(welcome) > 1 else ""
-            if "authentication" in detail:
-                raise AuthenticationError(f"service rejected worker: "
-                                          f"{detail}")
-            raise ProtocolError(f"service rejected worker: {detail}")
-        if isinstance(welcome, tuple) and welcome \
-                and welcome[0] == "shutdown":
+            rejected = (AuthenticationError if "authentication" in detail
+                        else ProtocolError)
+            raise rejected(f"service rejected worker: {detail}")
+        if kind == "shutdown":
             return stats
-        if (not isinstance(welcome, tuple) or len(welcome) != 3
-                or welcome[0] != "welcome"
-                or welcome[1] != SERVICE_MAGIC):
+        if kind != "welcome" or len(welcome) != 3 \
+                or welcome[1] != SERVICE_MAGIC:
             raise ProtocolError("service did not send a valid welcome")
         heartbeats = threading.Thread(target=heartbeat_loop, daemon=True,
                                       name="service-worker-heartbeats")
@@ -1351,21 +1339,16 @@ def spawn_service_workers(address: tuple[str, int], count: int,
 
 
 def _start_worker_threads(address: tuple[str, int], count: int,
-                          token: str | None,
-                          max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-                          ) -> list[threading.Thread]:
+                          token: str | None) -> list[threading.Thread]:
     """In-process worker threads (tests and :func:`run_service_sweep`)."""
 
     def target(index: int) -> None:
-        try:
+        # If the service dies (or the chaos battery kills it), the thread
+        # exits; a restarted service gets fresh workers.
+        with contextlib.suppress(ProtocolError, OSError):
             run_service_worker(address, token=token,
                                name=f"thread-worker-{index}",
-                               max_frame_bytes=max_frame_bytes,
                                connect_retries=3)
-        except (ProtocolError, OSError):
-            # The service died (or was killed by the chaos battery):
-            # the thread exits; a restarted service gets fresh workers.
-            pass
 
     threads = [threading.Thread(target=target, args=(index,), daemon=True,
                                 name=f"service-worker-{index}")
@@ -1373,6 +1356,107 @@ def _start_worker_threads(address: tuple[str, int], count: int,
     for thread in threads:
         thread.start()
     return threads
+
+
+#: Bound on one job wait: a worker dying unconnected sends no event.
+_WORKER_CHECK_SECONDS = 0.5
+
+
+def _exit_code(worker: threading.Thread | subprocess.Popen) -> int | None:
+    """A worker's exit code (0 for an ended thread); ``None`` if running."""
+    if isinstance(worker, threading.Thread):
+        return None if worker.is_alive() else 0
+    return worker.poll()
+
+
+def _ephemeral_sweep(specs: list[CampaignSpec], config: SweepConfig,
+                     start_workers: Callable[[tuple[str, int]], list], *,
+                     store_path: str | os.PathLike | None = None,
+                     crash_point: str | None = None, crash_nth: int = 1,
+                     timeout: float = math.inf,
+                     hosts_out: dict | None = None,
+                     telemetry_out: dict | None = None, **service_options):
+    """The one ephemeral-sweep driver, as a generator.
+
+    The first ``next`` binds a private service, submits ``specs`` as one
+    job and yields ``None``: from then on the generator sits inside its
+    clean-up, so closing or dropping it drains the service (kills a
+    crashed one), stops the workers and removes a temp store.  Later
+    advances start the workers (``start_workers(address)`` returns
+    threads or processes), yield completed shards in completion order,
+    restart the service over its store when an armed crash point fires,
+    and return ``(service, job_id)`` once the job is done.
+    """
+    options = dict(service_options, start_http=False)
+    own_dir = None
+    if store_path is None:
+        own_dir = tempfile.mkdtemp(prefix="mcversi-sweep-")
+        store_path = os.path.join(own_dir, "sweep.sqlite")
+    service: VerificationService | None = None
+    workers: list = []
+
+    def stop() -> None:
+        if service is not None:
+            (service.kill if service.crashed else service.close)()
+        for worker in workers:
+            if isinstance(worker, threading.Thread):
+                worker.join(timeout=5.0)
+        reap_workers([worker for worker in workers
+                      if not isinstance(worker, threading.Thread)])
+
+    try:
+        service = VerificationService(store_path, **options)
+        if crash_point is not None:
+            service.arm_crash(crash_point, nth=crash_nth)
+        job_id = service.submit_job(specs, config)
+        yield None
+        deadline = time.monotonic() + timeout
+        seen: set[int] = set()
+        while True:
+            workers = start_workers(service.address)
+            cursor = 0
+            while not service.crashed:
+                # Read before the status: with no spawned worker alive and
+                # no connection open, no result can land after this.
+                lost = (bool(workers) and not service.active_workers
+                        and all(_exit_code(worker) is not None
+                                for worker in workers))
+                status = service.job_status(job_id)
+                cursor, shards = service.job_results(job_id, cursor)
+                shards = [item for item in shards if item[0] not in seen]
+                if shards:
+                    seen.update(index for index, _ in shards)
+                    for out, progress in zip((hosts_out, telemetry_out),
+                                             service.job_progress(job_id)):
+                        if out is not None:
+                            out.update(progress)
+                    yield from shards
+                if status["state"] == JOB_DONE:
+                    return service, job_id
+                if status["state"] != JOB_RUNNING:
+                    raise RuntimeError(f"service sweep {status['state']}: "
+                                       f"{status['error']}")
+                if lost:
+                    codes = sorted({_exit_code(worker) for worker in workers})
+                    raise RuntimeError(
+                        f"all {len(workers)} spawned worker process(es) "
+                        f"exited with code(s) {codes} while "
+                        f"{status['total'] - status['completed']} shard(s) "
+                        "were still pending")
+                wait = min(_WORKER_CHECK_SECONDS, deadline - time.monotonic())
+                if wait <= 0:
+                    raise TimeoutError(
+                        f"service sweep incomplete after {timeout}s")
+                service.wait_job(job_id, wait, since=cursor)
+            # An armed crash point fired: restart over the same store (the
+            # recovery path under test); its rebuilt log restarts at 0.
+            stop()
+            workers = []
+            service = VerificationService(store_path, **options)
+    finally:
+        stop()
+        if own_dir is not None:
+            shutil.rmtree(own_dir, ignore_errors=True)
 
 
 def run_service_sweep(specs: list[CampaignSpec],
@@ -1386,59 +1470,25 @@ def run_service_sweep(specs: list[CampaignSpec],
     """One sweep through an ephemeral service; returns its report.
 
     The service-transport analogue of
-    :func:`repro.harness.parallel.run_campaigns` — used by the
-    determinism fuzz battery's ``*-durable`` modes.  With ``crash_point``
-    set, the service is armed to crash in-process (:meth:`arm_crash`)
-    the ``crash_nth`` time that point is reached; the helper then kills
-    it, restarts from the same store and finishes the sweep — so callers
-    can assert crash-resume ≡ uninterrupted, bit for bit.
+    :func:`repro.harness.parallel.run_campaigns`, served by ``workers``
+    in-process worker threads — used by the determinism fuzz battery's
+    ``*-durable`` modes.  With ``crash_point`` set, the service is armed
+    to crash in-process (:meth:`arm_crash`) the ``crash_nth`` time that
+    point is reached; the helper then kills it, restarts from the same
+    store and finishes the sweep — so callers can assert crash-resume ≡
+    uninterrupted, bit for bit.
     """
-    config = config if config is not None else SweepConfig()
-    own_dir = None
-    if store_path is None:
-        own_dir = tempfile.mkdtemp(prefix="mcversi-service-")
-        store_path = os.path.join(own_dir, "service.sqlite")
-    try:
-        service = VerificationService(store_path, token=token,
-                                      start_http=False)
-        if crash_point is not None:
-            service.arm_crash(crash_point, nth=crash_nth)
-        job_id = service.submit_job(specs, config)
-        deadline = time.monotonic() + timeout
-        while True:
-            threads = _start_worker_threads(service.address, workers,
-                                            token)
-            try:
-                while (service.job_status(job_id)["state"] == JOB_RUNNING
-                       and not service.crashed):
-                    if time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"service sweep incomplete after {timeout}s")
-                    time.sleep(0.02)
-            finally:
-                if service.crashed:
-                    service.kill()
-                else:
-                    service.close()
-                for thread in threads:
-                    thread.join(timeout=5.0)
-            if not service.crashed:
-                break
-            # Restart from the store: the recovery path under test.
-            service = VerificationService(store_path, token=token,
-                                          start_http=False)
-        status = service.job_status(job_id)
-        if status["state"] != JOB_DONE:
-            raise RuntimeError(f"service sweep ended {status['state']}: "
-                               f"{status['error']}")
-        return service.job_report(job_id, workers=workers)
-    finally:
-        if own_dir is not None:
-            shutil.rmtree(own_dir, ignore_errors=True)
-
-
-#: How often :func:`iter_service_sweep` polls its service for results.
-RESULT_POLL_SECONDS = 0.02
+    sweep = _ephemeral_sweep(
+        specs, config if config is not None else SweepConfig(),
+        lambda address: _start_worker_threads(address, workers, token),
+        store_path=store_path, token=token, crash_point=crash_point,
+        crash_nth=crash_nth, timeout=timeout)
+    while True:
+        try:
+            next(sweep)
+        except StopIteration as done:
+            service, job_id = done.value
+            return service.job_report(job_id, workers=workers)
 
 
 def iter_service_sweep(specs: list[CampaignSpec], config: SweepConfig,
@@ -1463,73 +1513,27 @@ def iter_service_sweep(specs: list[CampaignSpec], config: SweepConfig,
     re-queues) raises ``RuntimeError`` with the job's error, and so does
     a sweep whose spawned workers have all exited while no other worker
     is connected.  Cleanup closes the service, reaps the workers and
-    removes the store.
+    removes the store, even if the iterator is closed unadvanced.
     """
     if not specs:
         return iter(())
     max_frame_bytes = (config.max_frame_bytes
                        if config.max_frame_bytes is not None
                        else DEFAULT_MAX_FRAME_BYTES)
-    store_dir = tempfile.mkdtemp(prefix="mcversi-tcp-")
-    service = None
-    try:
-        service = VerificationService(
-            os.path.join(store_dir, "sweep.sqlite"),
-            bind=config.coordinator, lease_timeout=config.lease_timeout,
-            max_frame_bytes=max_frame_bytes, start_http=False)
-        job_id = service.submit_job(specs, config)
-    except BaseException:
-        if service is not None:
-            service.close()
-        shutil.rmtree(store_dir, ignore_errors=True)
-        raise
     worker_args: tuple[str, ...] = ()
     if max_frame_bytes != DEFAULT_MAX_FRAME_BYTES:
         # Both ends enforce the frame cap; workers must agree with it.
         worker_args = ("--max-frame-bytes", str(max_frame_bytes))
-
-    def stream() -> Iterator[tuple[int, ShardResult]]:
-        processes: list[subprocess.Popen] = []
-        try:
-            processes = spawn_service_workers(service.address, workers,
+    sweep = _ephemeral_sweep(
+        specs, config,
+        lambda address: spawn_service_workers(address, workers,
                                               name_prefix="worker",
-                                              extra_args=worker_args)
-            cursor = 0
-            while True:
-                # Read before the status: with no spawned worker alive and
-                # no connection open, no result can land after this.
-                workers_lost = (bool(processes) and not service.active_workers
-                                and all(process.poll() is not None
-                                        for process in processes))
-                status = service.job_status(job_id)
-                cursor, shards = service.job_results(job_id, cursor)
-                if shards:
-                    hosts, telemetry = service.job_progress(job_id)
-                    if hosts_out is not None:
-                        hosts_out.update(hosts)
-                    if telemetry_out is not None:
-                        telemetry_out.update(telemetry)
-                yield from shards
-                if status["state"] == JOB_DONE:
-                    return
-                if status["state"] != JOB_RUNNING:
-                    raise RuntimeError(f"tcp sweep {status['state']}: "
-                                       f"{status['error']}")
-                if workers_lost:
-                    codes = sorted({process.returncode
-                                    for process in processes})
-                    raise RuntimeError(
-                        f"all {len(processes)} spawned worker process(es) "
-                        f"exited with code(s) {codes} while "
-                        f"{status['total'] - status['completed']} shard(s) "
-                        "were still pending")
-                time.sleep(RESULT_POLL_SECONDS)
-        finally:
-            service.close()
-            reap_workers(processes)
-            shutil.rmtree(store_dir, ignore_errors=True)
-
-    return stream()
+                                              extra_args=worker_args),
+        bind=config.coordinator,
+        lease_timeout=config.lease_timeout, max_frame_bytes=max_frame_bytes,
+        hosts_out=hosts_out, telemetry_out=telemetry_out)
+    next(sweep)  # bind and submit now; the generator owns the clean-up
+    return sweep
 
 
 # ----------------------------------------------------------------------
@@ -1555,10 +1559,8 @@ def _serve_main(args: argparse.Namespace) -> int:
         "store": service.store.path,
         "jobs": len(service.job_ids())}), flush=True)
     try:
-        while True:
-            time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
+        with contextlib.suppress(KeyboardInterrupt):
+            threading.Event().wait()  # serve until Ctrl-C
     finally:
         service.close()
     return 0

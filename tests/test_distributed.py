@@ -26,6 +26,7 @@ import socket
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import replace
@@ -647,6 +648,42 @@ class TestChaos:
 
 # ----------------------------------------------------------------------
 # Drain race and bringup ordering
+
+
+class TestUnadvancedIterator:
+    @pytest.mark.parametrize("release", ["close", "del"])
+    def test_unadvanced_tcp_iterator_cleans_up(self, monkeypatch, release):
+        # The service binds when iter_campaigns is called, before any
+        # next(): closing or dropping the iterator right away must still
+        # stop the service threads, free the port and delete the store.
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        port = free_port()
+        before = set(threading.enumerate())
+        sweep = iter_campaigns(
+            tiny_matrix(faults=(None,), seeds_per_cell=1, max_evaluations=2),
+            workers=1, config=replace(TCP, coordinator=f"127.0.0.1:{port}"))
+        (store_dir,) = made
+        assert os.path.isdir(store_dir)
+        started = [thread.name for thread in threading.enumerate()
+                   if thread not in before]
+        assert {"service-accept", "service-leases"} <= set(started)
+        if release == "close":
+            sweep.close()
+        else:
+            del sweep
+        assert not [thread.name for thread in threading.enumerate()
+                    if thread not in before
+                    and thread.name.startswith("service-")]
+        assert not os.path.exists(store_dir)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5.0)
 
 
 class TestDrainRace:

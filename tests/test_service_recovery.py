@@ -268,11 +268,9 @@ class TestServiceIntegration:
             job_a = service.submit_job(specs_a, CHUNKED)
             job_b = service.submit_job(specs_b, CHUNKED)
             threads = _start_worker_threads(service.address, 2, None)
-            deadline = time.monotonic() + 120
-            while any(service.job_status(job)["state"] == JOB_RUNNING
-                      for job in (job_a, job_b)):
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            for job in (job_a, job_b):
+                assert service.wait_job(job, timeout=120)["state"] \
+                    != JOB_RUNNING
             assert outcomes(service.job_report(job_a)) == outcomes(serial_a)
             assert outcomes(service.job_report(job_b)) == outcomes(serial_b)
         finally:
@@ -340,10 +338,8 @@ class TestServiceIntegration:
         service = VerificationService(path, start_http=False)
         try:
             threads = _start_worker_threads(service.address, 2, None)
-            deadline = time.monotonic() + 120
-            while service.job_status("old")["state"] == JOB_RUNNING:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            assert service.wait_job("old", timeout=120)["state"] \
+                != JOB_RUNNING
             report = service.job_report("old")
             assert outcomes(report) == outcomes(serial)
             assert (report.coverage.global_counts
@@ -377,10 +373,8 @@ class TestServiceIntegration:
         service = VerificationService(path, start_http=False)
         try:
             threads = _start_worker_threads(service.address, 2, None)
-            deadline = time.monotonic() + 120
-            while service.job_status("old")["state"] == JOB_RUNNING:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            assert service.wait_job("old", timeout=120)["state"] \
+                != JOB_RUNNING
             report = service.job_report("old")
             assert outcomes(report) == outcomes(serial)
             assert (report.coverage.global_counts
@@ -396,10 +390,8 @@ class TestServiceIntegration:
         try:
             job_id = service.submit_job(tiny_matrix(), CHUNKED)
             threads = _start_worker_threads(service.address, 2, None)
-            deadline = time.monotonic() + 120
-            while service.job_status(job_id)["state"] == JOB_RUNNING:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            assert service.wait_job(job_id, timeout=120)["state"] \
+                != JOB_RUNNING
             metrics = {}
             for line in service.metrics_text().splitlines():
                 if line.startswith("#"):
@@ -475,10 +467,9 @@ class TestCrashRecovery:
         try:
             assert set(service.job_ids()) == {job_a, job_b}
             threads = _start_worker_threads(service.address, 2, None)
-            while any(service.job_status(job)["state"] == JOB_RUNNING
-                      for job in (job_a, job_b)):
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            for job in (job_a, job_b):
+                assert service.wait_job(job, timeout=120)["state"] \
+                    != JOB_RUNNING
             assert outcomes(service.job_report(job_a)) == outcomes(serial_a)
             assert outcomes(service.job_report(job_b)) == outcomes(serial_b)
         finally:
@@ -500,10 +491,8 @@ class TestCrashRecovery:
         try:
             assert restarted.job_status(job_id)["state"] == JOB_RUNNING
             threads = _start_worker_threads(restarted.address, 2, None)
-            deadline = time.monotonic() + 120
-            while restarted.job_status(job_id)["state"] == JOB_RUNNING:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            assert restarted.wait_job(job_id, timeout=120)["state"] \
+                != JOB_RUNNING
             serial = run_campaigns(specs, workers=1, config=CHUNKED)
             assert outcomes(restarted.job_report(job_id)) \
                 == outcomes(serial)
@@ -589,10 +578,8 @@ class TestDrainAndBringup:
             specs = tiny_matrix(faults=(None,), seeds_per_cell=1,
                                 max_evaluations=2)
             job_id = service.submit_job(specs, CHUNKED)
-            deadline = time.monotonic() + 120
-            while service.job_status(job_id)["state"] == JOB_RUNNING:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            assert service.wait_job(job_id, timeout=120)["state"] \
+                != JOB_RUNNING
             serial = run_campaigns(specs, workers=1, config=CHUNKED)
             assert outcomes(service.job_report(job_id)) == outcomes(serial)
         finally:
