@@ -55,6 +55,8 @@ class TestRunResult:
     check_seconds: float = 0.0
     loads_squashed: int = 0
     ticks: int = 0
+    kernel_events: int = 0
+    messages_sent: int = 0
 
     @property
     def ndt(self) -> float:
@@ -174,6 +176,8 @@ class VerificationEngine:
         check_seconds = 0.0
         loads_squashed = 0
         ticks = 0
+        kernel_events = 0
+        messages_sent = 0
         iterations_run = 0
 
         for _ in range(self.generator_config.iterations):
@@ -190,6 +194,8 @@ class VerificationEngine:
             sim_seconds += time.perf_counter() - started
             loads_squashed += iteration.loads_squashed
             ticks += iteration.ticks
+            kernel_events += iteration.kernel_events
+            messages_sent += iteration.messages_sent
             if iteration.protocol_error is not None:
                 violations.append(f"protocol error: {iteration.protocol_error}")
                 bug_found = True
@@ -217,4 +223,6 @@ class VerificationEngine:
                              bug_found=bug_found, violations=violations,
                              iterations_run=iterations_run,
                              sim_seconds=sim_seconds, check_seconds=check_seconds,
-                             loads_squashed=loads_squashed, ticks=ticks)
+                             loads_squashed=loads_squashed, ticks=ticks,
+                             kernel_events=kernel_events,
+                             messages_sent=messages_sent)

@@ -556,7 +556,8 @@ def _register_wire_types() -> None:
                                         ChunkTelemetry, ShardResult,
                                         SweepConfig)
     from repro.sim.config import CacheConfig, SystemConfig, TestMemoryLayout
-    from repro.sim.coverage import CoverageCollector, TransitionKey
+    from repro.sim.coverage import (CoverageCollector, TransitionKey,
+                                    raw_transition, transition_key)
     from repro.sim.faults import Fault
     from repro.sim.testprogram import OpKind, TestOp
 
@@ -571,13 +572,17 @@ def _register_wire_types() -> None:
     def encode_coverage(collector: CoverageCollector) -> dict:
         # The known/run transition sets are sorted so the encoded frame
         # is byte-identical regardless of insertion order or hash seed
-        # (the counts tuple keeps Counter insertion order: resume
-        # bit-identity depends on it and it is already deterministic).
+        # (the counts tuple keeps first-record order: resume bit-identity
+        # depends on it and it is already deterministic).  Raw tuples
+        # sort exactly as their keys do.
         return {
-            "counts": tuple((key, count) for key, count
-                            in collector.global_counts.items()),
-            "known": tuple(sorted(collector._known)),
-            "run": tuple(sorted(collector._run_transitions)),
+            "counts": tuple((transition_key(*transition), count)
+                            for transition, count
+                            in collector._counts.items()),
+            "known": tuple(transition_key(*transition)
+                           for transition in sorted(collector._known)),
+            "run": tuple(transition_key(*transition)
+                         for transition in sorted(collector._run)),
         }
 
     def decode_coverage(fields: dict) -> CoverageCollector:
@@ -586,13 +591,14 @@ def _register_wire_types() -> None:
             if not isinstance(key, TransitionKey) or not isinstance(count,
                                                                     int):
                 raise CodecError("malformed coverage counter entry")
-            collector.global_counts[key] = count
+            collector._counts[raw_transition(key)] = count
         for name in ("known", "run"):
             if any(not isinstance(key, TransitionKey)
                    for key in fields[name]):
                 raise CodecError(f"malformed coverage {name!r} entry")
         collector.declare(fields["known"])
-        collector._run_transitions.update(fields["run"])
+        collector._run.update(
+            dict.fromkeys(map(raw_transition, fields["run"])))
         return collector
 
     register(CoverageCollector, WIRE_FIELDS["CoverageCollector"],

@@ -15,7 +15,7 @@ from typing import Iterator
 from repro.sim.config import CacheConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """One cache line: tag (line address), protocol state, word data."""
 
@@ -43,12 +43,10 @@ class CacheArray:
         # ``CacheConfig.set_index``/``line_address`` on these.
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
+        self._ways = config.ways
         self._sets: list[dict[int, CacheLine]] = [
             {} for _ in range(self._num_sets)]
         self._use_counter = 0
-
-    def _set_for(self, line_address: int) -> dict[int, CacheLine]:
-        return self._sets[(line_address // self._line_bytes) % self._num_sets]
 
     def line_address(self, address: int) -> int:
         return address - address % self._line_bytes
@@ -67,26 +65,29 @@ class CacheArray:
     def allocate(self, line_address: int, state: str,
                  words: dict[int, int] | None = None) -> CacheLine:
         """Insert a new line.  The set must have a free way (see needs_victim)."""
-        if line_address % self._line_bytes != 0:
+        line_bytes = self._line_bytes
+        if line_address % line_bytes != 0:
             raise ValueError(f"unaligned line address {line_address:#x}")
-        cache_set = self._set_for(line_address)
+        cache_set = self._sets[(line_address // line_bytes) % self._num_sets]
         if line_address in cache_set:
             raise ValueError(f"line {line_address:#x} already present")
-        if len(cache_set) >= self.config.ways:
+        if len(cache_set) >= self._ways:
             raise ValueError(
                 f"set for {line_address:#x} is full; evict a victim first")
         self._use_counter += 1
         line = CacheLine(line_address=line_address, state=state,
-                         words=dict(words or {}), last_use=self._use_counter)
+                         words=dict(words) if words else {},
+                         last_use=self._use_counter)
         cache_set[line_address] = line
         return line
 
     def needs_victim(self, line_address: int) -> bool:
         """True when allocating *line_address* requires evicting a line."""
-        line_address = self.line_address(line_address)
-        cache_set = self._set_for(line_address)
+        line_bytes = self._line_bytes
+        line_address -= line_address % line_bytes
+        cache_set = self._sets[(line_address // line_bytes) % self._num_sets]
         return (line_address not in cache_set
-                and len(cache_set) >= self.config.ways)
+                and len(cache_set) >= self._ways)
 
     def select_victim(self, line_address: int,
                       exclude_states: tuple[str, ...] = ()) -> CacheLine | None:
@@ -96,7 +97,9 @@ class CacheArray:
         pass those states via *exclude_states*.  Returns None when every
         line in the set is excluded (the requester must retry later).
         """
-        cache_set = self._set_for(self.line_address(line_address))
+        line_bytes = self._line_bytes
+        line_address -= line_address % line_bytes
+        cache_set = self._sets[(line_address // line_bytes) % self._num_sets]
         candidates = [line for line in cache_set.values()
                       if line.state not in exclude_states]
         if not candidates:
@@ -105,7 +108,8 @@ class CacheArray:
 
     def evict(self, line_address: int) -> CacheLine:
         """Remove and return the line (must be present)."""
-        cache_set = self._set_for(line_address)
+        cache_set = self._sets[(line_address // self._line_bytes)
+                               % self._num_sets]
         try:
             return cache_set.pop(line_address)
         except KeyError:

@@ -44,6 +44,9 @@ class CoherenceController:
         # one Python frame (``record``), not two.
         self.record_transition = partial(coverage.record,
                                          self.controller_kind)
+        # ``send(kind, dst, line_address, extra_latency=0, **payload)``:
+        # the network's one send, with this controller as the source.
+        self.send = partial(network.send, src=name)
         network.register(name, self.handle_message)
 
     # -- coverage / errors -------------------------------------------------
@@ -52,12 +55,6 @@ class CoherenceController:
         raise ProtocolError(self.controller_kind, state, event, detail)
 
     # -- messaging ---------------------------------------------------------
-
-    def send(self, kind: str, dst: str, line_address: int,
-             extra_latency: int = 0, **payload: object) -> None:
-        message = Message(kind=kind, src=self.name, dst=dst,
-                          line_address=line_address, payload=payload)
-        self.network.send(message, extra_latency=extra_latency)
 
     def handle_message(self, message: Message) -> None:  # pragma: no cover
         raise NotImplementedError

@@ -20,6 +20,7 @@ The injected MESI bugs of paper §5.3 live at the marked call sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.sim.cache import CacheArray, CacheLine
@@ -75,6 +76,7 @@ class MesiL1Cache(CoherenceController):
         self.config = config
         self.directory_name = directory_name
         self.array = CacheArray(config.l1)
+        self._line_bytes = config.l1.line_bytes
         self.stride = 16
         self._mshrs: dict[int, _Mshr] = {}
         self._evicting: dict[int, _Evicting] = {}
@@ -87,22 +89,28 @@ class MesiL1Cache(CoherenceController):
     # ------------------------------------------------------------------
 
     def load(self, address: int, callback: Callable[[int], None]) -> None:
-        self._cpu_request(lambda: self._do_load(address, callback),
-                          self.array.line_address(address))
+        if self._evicting and self._deferred(self._do_load, address, callback):
+            return
+        self._do_load(address, callback)
 
     def store(self, address: int, value: int,
               callback: Callable[[int], None]) -> None:
-        self._cpu_request(lambda: self._do_store(address, value, callback),
-                          self.array.line_address(address))
+        if self._evicting and self._deferred(self._do_store, address, value,
+                                             callback):
+            return
+        self._do_store(address, value, callback)
 
     def rmw(self, address: int, value: int,
             callback: Callable[[int, int], None]) -> None:
-        self._cpu_request(lambda: self._do_rmw(address, value, callback),
-                          self.array.line_address(address))
+        if self._evicting and self._deferred(self._do_rmw, address, value,
+                                             callback):
+            return
+        self._do_rmw(address, value, callback)
 
     def flush(self, address: int, callback: Callable[[], None]) -> None:
-        self._cpu_request(lambda: self._do_flush(address, callback),
-                          self.array.line_address(address))
+        if self._evicting and self._deferred(self._do_flush, address, callback):
+            return
+        self._do_flush(address, callback)
 
     def quiescent(self) -> bool:
         return (not self._mshrs and not self._evicting
@@ -112,12 +120,15 @@ class MesiL1Cache(CoherenceController):
     # Request dispatch helpers
     # ------------------------------------------------------------------
 
-    def _cpu_request(self, action: Callable[[], None], line_address: int) -> None:
-        """Run a CPU request now, or defer it while the line is evicting."""
-        if line_address in self._evicting:
-            self._deferred_cpu.setdefault(line_address, []).append(action)
-            return
-        action()
+    def _deferred(self, action: Callable[..., None], address: int,
+                  *args: object) -> bool:
+        """Queue a CPU request while its line is evicting; True if queued."""
+        line_address = address - address % self._line_bytes
+        if line_address not in self._evicting:
+            return False
+        self._deferred_cpu.setdefault(line_address, []).append(
+            partial(action, address, *args))
+        return True
 
     def _retry_later(self, action: Callable[[], None]) -> None:
         self._pending_retries += 1
@@ -176,7 +187,7 @@ class MesiL1Cache(CoherenceController):
     # ------------------------------------------------------------------
 
     def _do_load(self, address: int, callback: Callable[[int], None]) -> None:
-        line_address = self.array.line_address(address)
+        line_address = address - address % self._line_bytes
         line = self.array.lookup(address)
         if line is None:
             if not self._make_room(line_address):
@@ -216,7 +227,7 @@ class MesiL1Cache(CoherenceController):
 
     def _do_store(self, address: int, value: int,
                   callback: Callable[[int], None]) -> None:
-        line_address = self.array.line_address(address)
+        line_address = address - address % self._line_bytes
         line = self.array.lookup(address)
         if line is None:
             if not self._make_room(line_address):
@@ -256,7 +267,7 @@ class MesiL1Cache(CoherenceController):
 
     def _do_rmw(self, address: int, value: int,
                 callback: Callable[[int, int], None]) -> None:
-        line_address = self.array.line_address(address)
+        line_address = address - address % self._line_bytes
         line = self.array.lookup(address)
         if line is None:
             if not self._make_room(line_address):
@@ -291,7 +302,7 @@ class MesiL1Cache(CoherenceController):
             self.invalid_transition(state, "RMW")
 
     def _do_flush(self, address: int, callback: Callable[[], None]) -> None:
-        line_address = self.array.line_address(address)
+        line_address = address - address % self._line_bytes
         line = self.array.lookup(address)
         if line is None or line.state in _TRANSIENT_ARRAY_STATES:
             self.record_transition("I", "Flush")
@@ -322,7 +333,8 @@ class MesiL1Cache(CoherenceController):
 
     def _on_data(self, message: Message) -> None:
         line_address = message.line_address
-        words: dict[int, int] = dict(message.payload.get("words", {}))
+        # Every data grant carries its own copy of the words: take it.
+        words: dict[int, int] = message.payload.get("words", {})
         line = self.array.lookup(line_address, touch=False)
         if line is None or line_address not in self._mshrs:
             self.invalid_transition("I", message.kind, "data without MSHR")

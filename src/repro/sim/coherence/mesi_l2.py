@@ -160,7 +160,7 @@ class MesiDirectory(CoherenceController):
 
     def _complete_memory_fetch(self, line: CacheLine, words: dict[int, int]) -> None:
         requestor = str(line.meta.pop("requestor"))
-        line.words = dict(words)
+        line.words = words
         if line.state == "NP_D_S":
             self.record_transition("NP_D_S", "MemData")
             # No other sharers exist: grant Exclusive (clean).
@@ -250,7 +250,7 @@ class MesiDirectory(CoherenceController):
         if kind in ("PutM", "PutE") and state in ("EE", "MT") and owner == sender:
             self.record_transition(state, kind)
             if kind == "PutM":
-                words = dict(message.payload.get("words", {}))
+                words = message.payload.get("words", {})
                 line.words.update(words)
                 self.memory.write_line(line.words)
             line.state = "SS"
@@ -274,7 +274,7 @@ class MesiDirectory(CoherenceController):
                                         "writeback raced with forward")
             self.record_transition(state, f"{kind}-race")
             if kind == "PutM":
-                words = dict(message.payload.get("words", {}))
+                words = message.payload.get("words", {})
                 line.words.update(words)
                 self.memory.write_line(line.words)
             self.send("WBAck", sender, line_address)
@@ -283,7 +283,7 @@ class MesiDirectory(CoherenceController):
         if state == "MT_SB" and kind in ("PutM", "PutE") and owner == sender:
             self.record_transition(state, f"{kind}-race")
             if kind == "PutM":
-                words = dict(message.payload.get("words", {}))
+                words = message.payload.get("words", {})
                 line.words.update(words)
                 self.memory.write_line(line.words)
             self.send("WBAck", sender, line_address)
@@ -311,7 +311,7 @@ class MesiDirectory(CoherenceController):
         if evicting.state == "MT_EV" and sender == evicting.owner:
             self.record_transition("MT_EV", kind)
             if kind == "PutM":
-                words = dict(message.payload.get("words", {}))
+                words = message.payload.get("words", {})
                 evicting.words.update(words)
             self.memory.write_line(evicting.words)
             self.send("WBAck", sender, line_address)
@@ -361,7 +361,7 @@ class MesiDirectory(CoherenceController):
         sender = str(message.payload["sender"])
         dirty = bool(message.payload.get("dirty", False))
         not_present = bool(message.payload.get("not_present", False))
-        words = dict(message.payload.get("words", {}))
+        words = message.payload.get("words", {})
         evicting = self._evicting.get(line_address)
         if evicting is not None and evicting.state == "MT_EV":
             if sender != evicting.owner:

@@ -55,6 +55,7 @@ class TsoCcL1Cache(CoherenceController):
         self.config = config
         self.directory_name = directory_name
         self.array = CacheArray(config.l1)
+        self._line_bytes = config.l1.line_bytes
         self._mshrs: dict[int, _ReadMshr] = {}
         self._write_acks: dict[int, list[tuple[int, Callable[[Message], None]]]] = {}
         self._outstanding_writes = 0
@@ -76,7 +77,7 @@ class TsoCcL1Cache(CoherenceController):
     # ------------------------------------------------------------------
 
     def load(self, address: int, callback: Callable[[int], None]) -> None:
-        line_address = self.array.line_address(address)
+        line_address = address - address % self._line_bytes
         line = self.array.lookup(address)
         if line is not None and line.state == "V":
             accesses = int(line.meta.get("accesses", 0))
@@ -101,7 +102,7 @@ class TsoCcL1Cache(CoherenceController):
         self._start_read_miss(address, callback)
 
     def _start_read_miss(self, address: int, callback: Callable[[int], None]) -> None:
-        line_address = self.array.line_address(address)
+        line_address = address - address % self._line_bytes
         if line_address in self._mshrs:
             self._mshrs[line_address].pending_loads.append((address, callback))
             return
@@ -120,6 +121,7 @@ class TsoCcL1Cache(CoherenceController):
 
     def store(self, address: int, value: int,
               callback: Callable[[int], None]) -> None:
+        line_address = address - address % self._line_bytes
         self.record_transition("V" if self.array.contains(address) else "I",
                                "StoreThrough")
         self._outstanding_writes += 1
@@ -130,14 +132,14 @@ class TsoCcL1Cache(CoherenceController):
             self._apply_own_write(address, value, message)
             callback(overwritten)
 
-        self.send("WriteReq", self.directory_name,
-                  self.array.line_address(address), sender=self.name,
-                  address=address, value=value)
-        self._write_acks.setdefault(self.array.line_address(address), []).append(
+        self.send("WriteReq", self.directory_name, line_address,
+                  sender=self.name, address=address, value=value)
+        self._write_acks.setdefault(line_address, []).append(
             (address, on_ack))
 
     def rmw(self, address: int, value: int,
             callback: Callable[[int, int], None]) -> None:
+        line_address = address - address % self._line_bytes
         self.record_transition("V" if self.array.contains(address) else "I", "RMW")
         self._outstanding_writes += 1
 
@@ -151,14 +153,13 @@ class TsoCcL1Cache(CoherenceController):
             self._apply_own_write(address, value, message)
             callback(read_value, overwritten)
 
-        self.send("RMWReq", self.directory_name,
-                  self.array.line_address(address), sender=self.name,
-                  address=address, value=value)
-        self._write_acks.setdefault(self.array.line_address(address), []).append(
+        self.send("RMWReq", self.directory_name, line_address,
+                  sender=self.name, address=address, value=value)
+        self._write_acks.setdefault(line_address, []).append(
             (address, on_ack))
 
     def flush(self, address: int, callback: Callable[[], None]) -> None:
-        line_address = self.array.line_address(address)
+        line_address = address - address % self._line_bytes
         line = self.array.lookup(address, touch=False)
         self.record_transition(line.state if line is not None else "I", "Flush")
         if line is not None and line.state == "V":
@@ -185,7 +186,8 @@ class TsoCcL1Cache(CoherenceController):
         if mshr is None:
             self.invalid_transition("I", "ReadResp", "response without request")
             return
-        words = dict(message.payload.get("words", {}))
+        # A fresh ``MainMemory.read_line`` result: take it.
+        words = message.payload.get("words", {})
         writer = message.payload.get("writer")
         ts = int(message.payload.get("ts", 0))
         epoch = int(message.payload.get("epoch", 0))

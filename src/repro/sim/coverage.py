@@ -12,40 +12,34 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
+from operator import attrgetter
 from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
 class TransitionKey:
-    """One protocol transition: controller kind x state x triggering event."""
+    """One protocol transition: controller kind x state x triggering event.
+
+    Its generated hash is ``hash((controller, state, event))``, the hash
+    of the raw tuple the collector counts, so sets and dicts keep the
+    same order whichever of the two they hold.
+    """
 
     controller: str
     state: str
     event: str
 
-    # Every recorded transition hashes its key into ``global_counts`` and
-    # the run set, so the hash is computed once, here.  It is the value
-    # the generated ``__hash__`` would return, so set and Counter orders
-    # do not change.  String hashes differ between processes: the cached
-    # value never leaves one, and is rebuilt on unpickle and on codec
-    # decode (which calls ``__init__``).
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash",
-                           hash((self.controller, self.state, self.event)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __getstate__(self) -> dict[str, str]:
-        return {"controller": self.controller, "state": self.state,
-                "event": self.event}
-
-    def __setstate__(self, state: dict[str, str]) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.controller}:{self.state}--{self.event}"
+
+
+#: ``transition_key(controller, state, event)``: the key of a raw
+#: transition, built on first use at a boundary and cached (the
+#: transition space is finite, so the cache stays small).
+transition_key = cache(TransitionKey)
+#: ``raw_transition(key)``: a key's raw ``(controller, state, event)``.
+raw_transition = attrgetter("controller", "state", "event")
 
 
 @dataclass(frozen=True)
@@ -67,27 +61,17 @@ class CoverageCollector:
     ``record`` is called by the coherence controllers on every transition.
     The engine calls :meth:`begin_run` before a test-run and reads
     :meth:`run_transitions` afterwards.
+
+    Transitions are counted on the raw ``(controller, state, event)``
+    tuple, which hashes in C; :class:`TransitionKey` objects are built
+    only where transitions leave the collector.  The run set is a dict,
+    so it remembers first-record order.
     """
 
     def __init__(self) -> None:
-        self.global_counts: Counter[TransitionKey] = Counter()
-        self._run_transitions: set[TransitionKey] = set()
-        self._known: set[TransitionKey] = set()
-        # Interned keys by raw ``(controller, state, event)``: every key
-        # here is also in ``_known``.  Raw tuples hash in C; the
-        # dataclass keys hash in Python.
-        self._interned: dict[tuple[str, str, str], TransitionKey] = {}
-
-    def __getstate__(self) -> dict:
-        # The intern table is a cache rebuilt on demand: keep it out of
-        # pickles, so shard results cross the wire as before.
-        state = dict(self.__dict__)
-        del state["_interned"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._interned = {}
+        self._counts: dict[tuple[str, str, str], int] = {}
+        self._run: dict[tuple[str, str, str], None] = {}
+        self._known: set[tuple[str, str, str]] = set()
 
     def declare(self, transitions: Iterable[TransitionKey]) -> None:
         """Declare transitions that exist in the protocol specification.
@@ -95,38 +79,47 @@ class CoverageCollector:
         Declaring the full transition space lets total coverage be reported
         as a fraction (Table 6) even for transitions never exercised.
         """
-        self._known.update(transitions)
+        self._known.update(map(raw_transition, transitions))
 
-    def record(self, controller: str, state: str, event: str) -> TransitionKey:
-        raw = (controller, state, event)
-        key = self._interned.get(raw)
-        if key is None:
-            key = self._interned[raw] = TransitionKey(controller, state, event)
-            self._known.add(key)
-        self.global_counts[key] += 1
-        self._run_transitions.add(key)
-        return key
+    def record(self, controller: str, state: str, event: str) -> None:
+        transition = (controller, state, event)
+        counts = self._counts
+        count = counts.get(transition)
+        if count is None:
+            count = 0
+            self._known.add(transition)
+        counts[transition] = count + 1
+        self._run[transition] = None
 
     def begin_run(self) -> None:
         """Reset the per-test-run transition set (global counts persist)."""
-        self._run_transitions = set()
+        self._run = {}
+
+    @property
+    def global_counts(self) -> Counter[TransitionKey]:
+        """Count per transition since simulation start, in first-record order."""
+        return Counter({transition_key(*transition): count
+                        for transition, count in self._counts.items()})
 
     def run_transitions(self) -> frozenset[TransitionKey]:
-        return frozenset(self._run_transitions)
+        return frozenset({transition_key(*transition)
+                          for transition in self._run})
 
     @property
     def known_transitions(self) -> frozenset[TransitionKey]:
-        return frozenset(self._known)
+        return frozenset({transition_key(*transition)
+                          for transition in self._known})
 
     @property
     def covered_transitions(self) -> frozenset[TransitionKey]:
-        return frozenset(self.global_counts)
+        return frozenset(transition_key(*transition)
+                         for transition in self._counts)
 
     def total_coverage(self) -> float:
         """Fraction of known transitions covered at least once (Table 6)."""
         if not self._known:
             return 0.0
-        return len(self.global_counts) / len(self._known)
+        return len(self._counts) / len(self._known)
 
     def rare_transitions(self, cutoff: int) -> frozenset[TransitionKey]:
         """Transitions whose global count is below ``cutoff`` (plus unseen).
@@ -134,24 +127,29 @@ class CoverageCollector:
         This is the transition set the adaptive fitness function focuses on
         (paper §3.2: frequent transitions are excluded from coverage).
         """
-        rare = {key for key in self._known if self.global_counts[key] < cutoff}
-        return frozenset(rare)
+        counts = self._counts
+        return frozenset({transition_key(*transition)
+                          for transition in self._known
+                          if counts.get(transition, 0) < cutoff})
 
     def merge(self, other: "CoverageCollector") -> None:
         """Fold another collector's observations into this one."""
-        self.global_counts.update(other.global_counts)
+        counts = self._counts
+        for transition, count in other._counts.items():
+            counts[transition] = count + counts.get(transition, 0)
         self._known.update(other._known)
 
     # -- checkpoint/resume (chunked campaign scheduling) -------------------
 
     def checkpoint(self) -> CoverageState:
         """Snapshot the cumulative counts and known set between test-runs."""
-        return CoverageState(counts=tuple(self.global_counts.items()),
-                             known=frozenset(self._known))
+        return CoverageState(
+            counts=tuple((transition_key(*transition), count)
+                         for transition, count in self._counts.items()),
+            known=self.known_transitions)
 
     def restore(self, state: CoverageState) -> None:
         """Replace this collector's cumulative state with a snapshot."""
-        self.global_counts = Counter(dict(state.counts))
-        self._known = set(state.known)
-        self._run_transitions = set()
-        self._interned = {}
+        self._counts = {raw_transition(key): count for key, count in state.counts}
+        self._known = set(map(raw_transition, state.known))
+        self._run = {}

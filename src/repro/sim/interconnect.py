@@ -12,14 +12,15 @@ guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from heapq import heappush
 from typing import Callable
 
 from repro.sim.kernel import SimKernel
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A coherence/network message."""
 
@@ -27,7 +28,7 @@ class Message:
     src: str
     dst: str
     line_address: int
-    payload: dict[str, object] = field(default_factory=dict)
+    payload: dict[str, object]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{self.kind} {self.src}->{self.dst} "
@@ -45,23 +46,30 @@ class Interconnect:
         self.latency_max = latency_max
         self._endpoints: dict[str, Callable[[Message], None]] = {}
         self.messages_sent = 0
+        # ``send`` inlines ``kernel.jitter(latency_min, latency_max)``.
+        self._width = latency_max - latency_min + 1
+        self._bits = self._width.bit_length()
+        self._getrandbits = kernel.rng.getrandbits
 
     def register(self, name: str, handler: Callable[[Message], None]) -> None:
         if name in self._endpoints:
             raise ValueError(f"endpoint {name!r} already registered")
         self._endpoints[name] = handler
 
-    def unregister_all(self) -> None:
-        self._endpoints.clear()
-
-    def send(self, message: Message, extra_latency: int = 0) -> None:
-        """Deliver *message* to its destination after a random latency."""
-        if message.dst not in self._endpoints:
-            raise KeyError(f"unknown endpoint {message.dst!r}")
+    def send(self, kind: str, dst: str, line_address: int,
+             extra_latency: int = 0, *, src: str, **payload: object) -> None:
+        """Deliver a message to *dst* after a random latency."""
+        try:
+            handler = self._endpoints[dst]
+        except KeyError:
+            raise KeyError(f"unknown endpoint {dst!r}") from None
         self.messages_sent += 1
-        latency = self.kernel.jitter(self.latency_min, self.latency_max)
-        self.kernel.schedule(latency + extra_latency,
-                             partial(self._endpoints[message.dst], message))
-
-    def endpoints(self) -> tuple[str, ...]:
-        return tuple(self._endpoints)
+        offset = self._getrandbits(self._bits)
+        while offset >= self._width:
+            offset = self._getrandbits(self._bits)
+        kernel = self.kernel
+        heappush(kernel.queue,
+                 [kernel.now + self.latency_min + offset + extra_latency,
+                  kernel.next_seq(),
+                  partial(handler, Message(kind, src, dst, line_address,
+                                           payload))])

@@ -9,14 +9,17 @@ consecutive test executions in a continuously running full-system simulation
 are perturbed differently (paper §5.1).
 
 Queue entries are plain ``[time, seq, callback]`` lists, so heap
-comparisons run in C.  ``seq`` is unique, so two entries never compare
-their callbacks.
+comparisons run in C.  Every ``seq`` comes from the kernel's one counter,
+``next_seq``, so it is unique and two entries never compare their
+callbacks; hot callers push ``[time, kernel.next_seq(), callback]`` onto
+``kernel.queue`` directly, and same-tick entries run in push order.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
+from itertools import count
 from typing import Callable
 
 
@@ -34,16 +37,17 @@ class SimKernel:
         self.now = 0
         self.max_ticks = max_ticks
         self.max_events = max_events
-        self._queue: list[list] = []
-        self._seq = 0
+        self.queue: list[list] = []
+        self.next_seq = count().__next__
+        self.until: Callable[[], bool] | None = None  # see ``run``
         self._events_executed = 0
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule *callback* to run ``delay`` ticks from now (delay >= 0)."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        heappush(self._queue, [self.now + int(delay), self._seq, callback])
-        self._seq += 1
+        heappush(self.queue, [self.now + int(delay), self.next_seq(),
+                              callback])
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule *callback* at an absolute tick (must not be in the past)."""
@@ -69,16 +73,19 @@ class SimKernel:
         """Run until the queue drains or *until* returns true.
 
         *until* is evaluated before every event, so the run stops before
-        the first event after it turns true.  Returns the tick at which
+        the first event after it turns true.  A callback may arm one
+        mid-run by setting :attr:`until`.  Returns the tick at which
         the run stopped: the time of the last executed event.  Raises
         :class:`SimulationLimitError` if the tick or event budget is
         exceeded, which normally indicates a deadlock/livelock in the
         simulated system (itself a reportable verification outcome).
         """
-        queue = self._queue
+        self.until = until
+        queue = self.queue
         max_ticks = self.max_ticks
         max_events = self.max_events
         while queue:
+            until = self.until
             if until is not None and until():
                 break
             time, _, callback = heappop(queue)

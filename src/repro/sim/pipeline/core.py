@@ -22,6 +22,8 @@ observes - is exact.
 from __future__ import annotations
 
 import random
+from heapq import heappush
+from typing import Callable
 
 from repro.sim.coherence.base import InvalidationReason
 from repro.sim.config import SystemConfig
@@ -67,15 +69,19 @@ class CoreEngine:
         # True once the thread has issued, committed and drained every
         # op.  It never turns false again, and it is refreshed wherever
         # it can turn true: start, the end of a tick and a store-buffer
-        # completion.
+        # completion.  ``on_done`` is called once, when it turns true.
         self.done = False
+        self.on_done: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
 
     def _refresh_done(self) -> bool:
-        self.done = (self._started
-                     and self.next_op_index >= len(self.thread.ops)
-                     and not self.rob and not self.store_buffer.entries)
+        if (not self.done and self._started
+                and self.next_op_index >= len(self.thread.ops)
+                and not self.rob and not self.store_buffer.entries):
+            self.done = True
+            if self.on_done is not None:
+                self.on_done()
         return self.done
 
     def start(self) -> None:
@@ -91,7 +97,9 @@ class CoreEngine:
         self._quiet = False
         if not self._tick_scheduled and not self.done:
             self._tick_scheduled = True
-            self.kernel.schedule(1, self._tick)
+            kernel = self.kernel
+            heappush(kernel.queue,
+                     [kernel.now + 1, kernel.next_seq(), self._tick])
 
     # ------------------------------------------------------------------
     # Invalidation notifications from the L1 (the LQ squash rule)
@@ -110,87 +118,140 @@ class CoreEngine:
             self._wake()
 
     # ------------------------------------------------------------------
-    # Pipeline stages
+    # The pipeline: one tick runs issue, execute, commit and drain
     # ------------------------------------------------------------------
 
     def _tick(self) -> None:
+        kernel = self.kernel
         if self._quiet:
             # Still polled, so event counts, sequence numbers and the
             # heap order stay exactly those of a full idle tick.
-            self.kernel.schedule(_IDLE_TICK, self._tick)
+            heappush(kernel.queue,
+                     [kernel.now + _IDLE_TICK, kernel.next_seq(), self._tick])
             return
         self._tick_scheduled = False
-        progress = False
-        progress |= self._issue_stage()
-        progress |= self._execute_stage()
-        progress |= self._commit_stage()
-        progress |= self._drain_stage()
-        if self._refresh_done():
+        rob = self.rob
+        ops = self.thread.ops
+        num_ops = len(ops)
+        rob_entries = self.config.rob_entries
+
+        # Issue: up to ``issue_width`` ops into the ROB, in program order.
+        index = self.next_op_index
+        issue_end = min(num_ops, index + self.config.issue_width,
+                        index + rob_entries - len(rob))
+        progress = index < issue_end
+        while index < issue_end:
+            op = ops[index]
+            rob.append(RobEntry(op=op, delay_remaining=op.delay))
+            index += 1
+        self.next_op_index = index
+
+        # Execute: perform every load that may, and start an RMW at the
+        # ROB head.  One pass in program order carries what a load checks
+        # about its older entries.  ``fenced``: an older RMW has not
+        # committed (a locked RMW acts as a fence; an entry leaves the ROB
+        # when it commits, below).  ``older_unperformed``: an older load
+        # has not performed.  Entries only become performed in later
+        # events, or here at their own turn (store forwarding).  A
+        # synchronous invalidation may squash older loads during the pass,
+        # but only loads younger than an unperformed one, which already
+        # set the flag.
+        fenced = False
+        older_unperformed = False
+        for position, entry in enumerate(rob):
+            kind = entry.op.kind
+            if kind.is_load:
+                if entry.performed:
+                    continue
+                if not (entry.request_outstanding or fenced
+                        or (older_unperformed
+                            and kind is OpKind.READ_ADDR_DP)):
+                    self._execute_load(entry, position)
+                    progress = True
+                    if entry.performed:
+                        continue
+                older_unperformed = True
+            elif kind is OpKind.RMW:
+                if not (entry.rmw_started or entry.performed or position
+                        or self.store_buffer.entries):
+                    # At the ROB head with the store buffer drained.
+                    self._start_rmw(entry)
+                    progress = True
+                fenced = True
+
+        # Commit: up to ``_COMMIT_WIDTH`` entries from the ROB head.
+        committed = 0
+        store_buffer = self.store_buffer
+        trace = self.trace
+        while rob and committed < _COMMIT_WIDTH:
+            head = rob[0]
+            op = head.op
+            kind = op.kind
+            if kind.is_load:
+                if not head.performed:
+                    break
+                assert head.value is not None and op.address is not None
+                trace.record_read(op.op_id, self.core_id, op.address,
+                                  head.value)
+            elif kind is OpKind.WRITE or kind is OpKind.CACHE_FLUSH:
+                if len(store_buffer.entries) >= store_buffer.capacity:
+                    break
+                store_buffer.push(op)
+                if kind is OpKind.WRITE:
+                    trace.record_commit(op.op_id, self.core_id)
+            elif kind is OpKind.RMW:
+                if not head.performed:
+                    break
+                assert (head.value is not None and head.overwritten is not None
+                        and op.address is not None)
+                trace.record_rmw(op.op_id, self.core_id, op.address,
+                                 head.value, op.value, head.overwritten)
+            elif kind is OpKind.DELAY and head.delay_remaining > 0:
+                head.delay_remaining -= 1
+                committed += 1
+                break
+            head.committed = True
+            rob.pop(0)
+            committed += 1
+        if committed:
+            progress = True
+
+        # Drain: start the next store-buffer entry to the L1.
+        if store_buffer.entries:
+            entry = store_buffer.next_to_drain()
+            if entry is not None:
+                self._drain(entry)
+                progress = True
+
+        if index >= num_ops and not rob and not store_buffer.entries:
+            self._refresh_done()
             return
-        if progress or self._issue_possible():
+        if progress or (index < num_ops and len(rob) < rob_entries):
             delay = 1
         else:
             delay = _IDLE_TICK
             self._quiet = True
         self._tick_scheduled = True
-        self.kernel.schedule(delay, self._tick)
+        heappush(kernel.queue, [kernel.now + delay, kernel.next_seq(),
+                                self._tick])
 
-    def _issue_possible(self) -> bool:
-        return (self.next_op_index < len(self.thread.ops)
-                and len(self.rob) < self.config.rob_entries)
-
-    def _issue_stage(self) -> bool:
-        ops = self.thread.ops
-        rob = self.rob
-        rob_entries = self.config.rob_entries
-        issued = 0
-        while (issued < self.config.issue_width
-               and self.next_op_index < len(ops) and len(rob) < rob_entries):
-            op = ops[self.next_op_index]
-            rob.append(RobEntry(op=op, delay_remaining=op.delay))
-            self.next_op_index += 1
-            issued += 1
-        return issued > 0
-
-    def _execute_stage(self) -> bool:
-        """Perform every load that may, and start an RMW at the ROB head.
-
-        One pass in program order carries what a load checks about its
-        older entries.  ``fenced``: an older RMW has not committed (a
-        locked RMW acts as a fence); commits happen only in the commit
-        stage.  ``older_unperformed``: an older load has not performed.
-        Entries only become performed in later events, or here at their
-        own turn (store forwarding).  A synchronous invalidation may
-        squash older loads during the pass, but only loads younger than
-        an unperformed one, which already set the flag.
-        """
-        progress = False
-        fenced = False
-        older_unperformed = False
-        for index, entry in enumerate(self.rob):
-            kind = entry.op.kind
-            if kind.is_load:
-                if not (entry.performed or entry.committed
-                        or entry.request_outstanding or fenced
-                        or (older_unperformed
-                            and kind is OpKind.READ_ADDR_DP)):
-                    progress |= self._execute_load(entry, index)
-                if not entry.performed:
-                    older_unperformed = True
-            elif kind is OpKind.RMW:
-                progress |= self._maybe_start_rmw(index, entry)
-                if not entry.committed:
-                    fenced = True
-        return progress
-
-    def _execute_load(self, entry: RobEntry, index: int) -> bool:
+    def _execute_load(self, entry: RobEntry, index: int) -> None:
+        """Perform a load: forward from an older store, or ask the L1."""
         address = entry.op.address
         assert address is not None
-        forwarded = self._forwarded_value(index, address)
+        rob = self.rob
+        for older_index in range(index - 1, -1, -1):
+            op = rob[older_index].op
+            if op.kind.writes_memory and op.address == address:
+                entry.performed = True
+                entry.value = op.value
+                return
+        # TSO store->load forwarding from older, not yet visible stores.
+        forwarded = self.store_buffer.forward_value(address)
         if forwarded is not None:
             entry.performed = True
             entry.value = forwarded
-            return True
+            return
         entry.request_outstanding = True
         generation = entry.generation
         self.loads_issued += 1
@@ -205,22 +266,8 @@ class CoreEngine:
             self._wake()
 
         self.l1.load(address, on_value)
-        return True
 
-    def _forwarded_value(self, index: int, address: int) -> int | None:
-        """TSO store->load forwarding from older, not yet visible stores."""
-        rob = self.rob
-        for older_index in range(index - 1, -1, -1):
-            op = rob[older_index].op
-            if op.kind.writes_memory and op.address == address:
-                return op.value
-        return self.store_buffer.forward_value(address)
-
-    def _maybe_start_rmw(self, index: int, entry: RobEntry) -> bool:
-        if entry.rmw_started or entry.performed or index != 0:
-            return False
-        if not self.store_buffer.empty:
-            return False  # fence: drain the store buffer first
+    def _start_rmw(self, entry: RobEntry) -> None:
         entry.rmw_started = True
         address = entry.op.address
         assert address is not None
@@ -233,46 +280,8 @@ class CoreEngine:
             self._wake()
 
         self.l1.rmw(address, entry.op.value, on_done)
-        return True
 
-    def _commit_stage(self) -> bool:
-        committed = 0
-        while self.rob and committed < _COMMIT_WIDTH:
-            head = self.rob[0]
-            kind = head.op.kind
-            if kind.is_load:
-                if not head.performed:
-                    break
-                assert head.value is not None and head.op.address is not None
-                self.trace.record_read(head.op.op_id, self.core_id,
-                                       head.op.address, head.value)
-            elif kind is OpKind.WRITE or kind is OpKind.CACHE_FLUSH:
-                if self.store_buffer.full:
-                    break
-                self.store_buffer.push(head.op)
-                if kind is OpKind.WRITE:
-                    self.trace.record_commit(head.op.op_id, self.core_id)
-            elif kind is OpKind.RMW:
-                if not head.performed:
-                    break
-                assert (head.value is not None and head.overwritten is not None
-                        and head.op.address is not None)
-                self.trace.record_rmw(head.op.op_id, self.core_id,
-                                      head.op.address, head.value,
-                                      head.op.value, head.overwritten)
-            elif kind is OpKind.DELAY and head.delay_remaining > 0:
-                head.delay_remaining -= 1
-                committed += 1
-                break
-            head.committed = True
-            self.rob.pop(0)
-            committed += 1
-        return committed > 0
-
-    def _drain_stage(self) -> bool:
-        entry = self.store_buffer.next_to_drain()
-        if entry is None:
-            return False
+    def _drain(self, entry: StoreBufferEntry) -> None:
         entry.draining = True
         op = entry.op
         assert op.address is not None
@@ -297,4 +306,3 @@ class CoreEngine:
                 self._wake()
 
             self.l1.flush(op.address, on_flushed)
-        return True

@@ -21,7 +21,7 @@ from repro.sim.faults import Fault, FaultSet
 from repro.sim.testprogram import TestOp
 
 
-@dataclass
+@dataclass(slots=True)
 class RobEntry:
     """One in-flight operation in the reorder buffer."""
 
@@ -74,7 +74,7 @@ class LoadQueueRule:
         return to_squash
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreBufferEntry:
     """A committed store (or cache flush) waiting to become globally visible."""
 

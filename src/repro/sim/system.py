@@ -99,26 +99,30 @@ class System:
             cores.append(core)
             l1s.append(l1)
 
-        for core in cores:
-            core.start()
-
-        # Core completion is monotone, so finished cores leave the
-        # still-running list for good; the caches are scanned only once
-        # it is empty.  The check itself still runs before every event,
-        # so the run stops at exactly the same tick.
-        running = cores[::-1]
-
-        def finished() -> bool:
-            while running:
-                if not running[-1].done:
-                    return False
-                running.pop()
+        def quiescent() -> bool:
             return (all(l1.quiescent() for l1 in l1s)
                     and directory.quiescent())
 
+        # The run stops once every core is done and the caches and the
+        # directory are quiescent.  Completion is monotone, so the last
+        # core to finish arms the quiescence scan, which then runs before
+        # every event: the run stops before exactly the event a check of
+        # both before every event would stop it at.
+        running = len(cores)
+
+        def core_done() -> None:
+            nonlocal running
+            running -= 1
+            if not running:
+                kernel.until = quiescent
+
+        for core in cores:
+            core.on_done = core_done
+            core.start()
+
         result = IterationResult(trace=trace)
         try:
-            result.ticks = kernel.run(until=finished)
+            result.ticks = kernel.run(None if running else quiescent)
         except ProtocolError as error:
             # Both error paths record the tick the run stopped at: the
             # time of the event that raised.
@@ -128,7 +132,7 @@ class System:
             result.deadlock = True
             result.ticks = kernel.now
         else:
-            if not finished():
+            if running or not quiescent():
                 # The event queue drained before every core finished: the
                 # system is stuck (e.g. a lost wakeup or protocol deadlock).
                 result.deadlock = True

@@ -1,5 +1,7 @@
 """Unit tests for the cache array, main memory and interconnect."""
 
+import random
+
 import pytest
 
 from repro.sim.cache import CacheArray
@@ -124,7 +126,7 @@ class TestInterconnect:
         arrivals = []
         network.register("dst", lambda msg: arrivals.append((kernel.now, msg)))
         for index in range(20):
-            network.send(Message("Ping", "src", "dst", 0x40, {"i": index}))
+            network.send("Ping", "dst", 0x40, src="src", i=index)
         kernel.run()
         assert len(arrivals) == 20
         assert all(4 <= time <= 18 for time, _ in arrivals)
@@ -136,7 +138,7 @@ class TestInterconnect:
         arrivals = []
         network.register("dst", lambda msg: arrivals.append(msg.payload["i"]))
         for index in range(40):
-            network.send(Message("Ping", "src", "dst", 0, {"i": index}))
+            network.send("Ping", "dst", 0, src="src", i=index)
         kernel.run()
         assert arrivals != sorted(arrivals)
 
@@ -144,7 +146,7 @@ class TestInterconnect:
         kernel = SimKernel(seed=1)
         network = Interconnect(kernel, 1, 2)
         with pytest.raises(KeyError):
-            network.send(Message("Ping", "a", "nowhere", 0))
+            network.send("Ping", "nowhere", 0, src="a")
 
     def test_duplicate_endpoint_rejected(self):
         kernel = SimKernel(seed=1)
@@ -158,6 +160,42 @@ class TestInterconnect:
         network = Interconnect(kernel, 1, 1)
         arrivals = []
         network.register("dst", lambda msg: arrivals.append(kernel.now))
-        network.send(Message("Ping", "src", "dst", 0), extra_latency=100)
+        network.send("Ping", "dst", 0, extra_latency=100, src="src")
         kernel.run()
         assert arrivals == [101]
+
+    def test_delivery_times_are_kernel_jitter_draws(self):
+        """Each send draws exactly ``jitter(min, max)`` from the kernel RNG."""
+        kernel = SimKernel(seed=12)
+        twin = SimKernel(seed=12)
+        extras = random.Random(3)
+        for low, high in ((1, 1), (4, 18), (3, 64), (7, 10)):
+            network = Interconnect(kernel, low, high)
+            arrivals = []
+            network.register("dst", lambda msg: arrivals.append(
+                (msg.payload["i"], kernel.now)))
+            expected = []
+            start = kernel.now
+            for index in range(2500):
+                extra = extras.choice((0, 0, 1, 5, 40))
+                network.send("Ping", "dst", 0, extra, src="src", i=index)
+                expected.append(
+                    (index, start + twin.jitter(low, high) + extra))
+            kernel.run()
+            assert sorted(arrivals) == expected
+            assert network.messages_sent == 2500
+        # Both RNGs took the same draws, so their next draws agree.
+        assert kernel.rng.getrandbits(64) == twin.rng.getrandbits(64)
+
+    def test_message_carries_the_send(self):
+        kernel = SimKernel(seed=1)
+        network = Interconnect(kernel, 1, 2)
+        received = []
+        network.register("dst", received.append)
+        network.send("Data", "dst", 0x40, src="l1_0", words={0x40: 3})
+        kernel.run()
+        (message,) = received
+        assert isinstance(message, Message)
+        assert (message.kind, message.src, message.dst,
+                message.line_address, message.payload) == (
+            "Data", "l1_0", "dst", 0x40, {"words": {0x40: 3}})

@@ -1,14 +1,19 @@
 """Unit tests for coverage collection and fault definitions."""
 
 import copy
+import dataclasses
 import os
 import pickle
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.harness import codec
+from repro.harness.codec import encode
 from repro.sim.coverage import CoverageCollector, CoverageState, TransitionKey
 from repro.sim.faults import (ALL_FAULTS, Fault, FaultSet, ProtocolError,
                               fault_by_paper_name)
@@ -145,12 +150,6 @@ class TestCoverageInterning:
         assert _recorded().checkpoint() == CoverageState(
             counts=tuple(zip(keys, (3, 2, 1, 1))), known=frozenset(keys))
 
-    def test_record_returns_one_key_per_transition(self):
-        coverage = CoverageCollector()
-        first = coverage.record("L1", "I", "Load")
-        assert coverage.record("L1", "I", "Load") is first
-        assert first == TransitionKey("L1", "I", "Load")
-
     def test_run_transitions_after_interning(self):
         coverage = _recorded()
         coverage.begin_run()
@@ -199,6 +198,120 @@ class TestCoverageInterning:
         clone.record("L2", "MT", "Recall")
         assert clone.global_counts[TransitionKey("L1", "I", "Load")] == 4
         assert TransitionKey("L2", "MT", "Recall") in clone.known_transitions
+
+
+class ReferenceCollector:
+    """A collector storing ``TransitionKey`` objects throughout.
+
+    This is how transitions were stored before the collector counted raw
+    ``(controller, state, event)`` tuples: a Counter, a run set and a
+    known set of keys.  Everything the real collector hands out must
+    equal what this one does, in the same order where order is visible.
+    """
+
+    def __init__(self) -> None:
+        self.global_counts: Counter[TransitionKey] = Counter()
+        self.run: set[TransitionKey] = set()
+        self.known: set[TransitionKey] = set()
+
+    def declare(self, keys) -> None:
+        self.known.update(keys)
+
+    def record(self, controller: str, state: str, event: str) -> None:
+        key = TransitionKey(controller, state, event)
+        self.known.add(key)
+        self.global_counts[key] += 1
+        self.run.add(key)
+
+    def begin_run(self) -> None:
+        self.run = set()
+
+    def run_transitions(self) -> frozenset[TransitionKey]:
+        return frozenset(self.run)
+
+    def rare_transitions(self, cutoff: int) -> frozenset[TransitionKey]:
+        return frozenset({key for key in self.known
+                          if self.global_counts[key] < cutoff})
+
+    def merge(self, other: "ReferenceCollector") -> None:
+        self.global_counts.update(other.global_counts)
+        self.known.update(other.known)
+
+    def checkpoint(self) -> CoverageState:
+        return CoverageState(counts=tuple(self.global_counts.items()),
+                             known=frozenset(self.known))
+
+
+def _reference_fields(reference: ReferenceCollector) -> dict:
+    """The codec's coverage fields, built from keys."""
+    return {"counts": tuple(reference.global_counts.items()),
+            "known": tuple(sorted(reference.known)),
+            "run": tuple(sorted(reference.run))}
+
+
+def _transitions(seed: int, count: int) -> list[tuple[str, str, str]]:
+    """A seeded sequence with repeats over a space of 3 x 6 x 8."""
+    rng = random.Random(seed)
+    return [(rng.choice(("L1", "L2", "L1_TSOCC")), f"S{rng.randrange(6)}",
+             f"E{rng.randrange(8)}") for _ in range(count)]
+
+
+class TestBoundaryContract:
+    """Raw-tuple counting hands out what key storage handed out."""
+
+    @staticmethod
+    def _pair(declared, *sequences):
+        real, reference = CoverageCollector(), ReferenceCollector()
+        for collector in (real, reference):
+            collector.declare(declared)
+            for index, sequence in enumerate(sequences):
+                if index:
+                    collector.begin_run()
+                for transition in sequence:
+                    collector.record(*transition)
+        return real, reference
+
+    def _assert_same(self, real, reference):
+        assert (list(real.global_counts.items())
+                == list(reference.global_counts.items()))
+        assert list(real.run_transitions()) == list(
+            reference.run_transitions())
+        assert real.checkpoint() == reference.checkpoint()
+        for cutoff in (1, 3, 10):
+            assert (real.rare_transitions(cutoff)
+                    == reference.rare_transitions(cutoff))
+        entry = codec._BY_TYPE[CoverageCollector]
+        assert entry.encode_fn(real) == _reference_fields(reference)
+
+    def test_one_recorded_sequence(self):
+        declared = [TransitionKey("L2", f"S{index}", "E9")
+                    for index in range(6)]
+        real, reference = self._pair(declared, _transitions(1, 400),
+                                     _transitions(2, 120))
+        self._assert_same(real, reference)
+
+    def test_merge(self):
+        real, reference = self._pair([], _transitions(3, 200))
+        real_other, reference_other = self._pair(
+            [TransitionKey("L2", "MT", "Recall")], _transitions(4, 200),
+            _transitions(5, 50))
+        real.merge(real_other)
+        reference.merge(reference_other)
+        self._assert_same(real, reference)
+
+    def test_codec_bytes(self, monkeypatch):
+        real, reference = self._pair([TransitionKey("L2", "MT", "Recall")],
+                                     _transitions(6, 300),
+                                     _transitions(7, 80))
+        # The reference, framed under the collector's wire name with the
+        # field builder above.
+        framed = type("CoverageCollector", (ReferenceCollector,), {})
+        entry = codec._BY_TYPE[CoverageCollector]
+        monkeypatch.setitem(codec._BY_TYPE, framed, dataclasses.replace(
+            entry, cls=framed, encode_fn=_reference_fields))
+        twin = framed()
+        twin.__dict__.update(reference.__dict__)
+        assert encode(real) == encode(twin)
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

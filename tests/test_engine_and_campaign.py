@@ -35,6 +35,26 @@ class TestVerificationEngine:
         assert 0.0 <= result.fitness.fitness <= 1.0
         assert result.sim_seconds > 0.0
 
+    def test_run_sums_the_iteration_counters(self):
+        config = tiny_config()
+        engine = VerificationEngine(config, SystemConfig(), seed=5)
+        iterations = []
+        run_iteration = engine.system.run_iteration
+
+        def recording(threads, seed):
+            iterations.append(run_iteration(threads, seed))
+            return iterations[-1]
+
+        engine.system.run_iteration = recording
+        generator = RandomTestGenerator(config, random.Random(5))
+        result = engine.run_test(generator.generate())
+        assert len(iterations) == result.iterations_run == config.iterations
+        for name in ("kernel_events", "messages_sent", "ticks",
+                     "loads_squashed"):
+            assert getattr(result, name) == sum(
+                getattr(iteration, name) for iteration in iterations), name
+        assert result.kernel_events > result.messages_sent > 0
+
     def test_buggy_run_stops_early_and_reports(self):
         config = tiny_config()
         engine = VerificationEngine(config, SystemConfig(),

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import random
+from heapq import heappush
 
 import pytest
 
@@ -61,6 +62,30 @@ class TestScheduling:
             kernel.schedule(5, lambda n=name: order.append(n))
         kernel.run()
         assert order == ["a", "b", "c", "d", "late"]
+
+    def test_schedule_and_direct_pushes_share_one_sequence(self):
+        kernel = SimKernel(seed=1)
+        order = []
+
+        def push(name):
+            heappush(kernel.queue, [5, kernel.next_seq(),
+                                    lambda: order.append(name)])
+
+        kernel.schedule(5, lambda: order.append("a"))
+        push("b")
+        kernel.schedule_at(5, lambda: order.append("c"))
+        push("d")
+        kernel.schedule(5, lambda: order.append("e"))
+
+        def from_callback():
+            # Runs at tick 4; both ways land at tick 5 after "f".
+            push("g")
+            kernel.schedule(1, lambda: order.append("h"))
+
+        kernel.schedule(4, from_callback)
+        push("f")
+        kernel.run()
+        assert order == list("abcdefgh")
 
     def test_negative_delay_rejected(self):
         kernel = SimKernel(seed=1)

@@ -34,13 +34,17 @@ ITERATIONS = 3
 
 
 class CountingCore(CoreEngine):
-    """The production engine, counting issue-stage runs."""
+    """The production engine, counting issue-stage runs.
+
+    Every tick that is not quiet runs the issue stage once.
+    """
 
     issue_stages = 0
 
-    def _issue_stage(self) -> bool:
-        type(self).issue_stages += 1
-        return super()._issue_stage()
+    def _tick(self) -> None:
+        if not self._quiet:
+            type(self).issue_stages += 1
+        super()._tick()
 
 
 class AlwaysPollCore(CountingCore):
