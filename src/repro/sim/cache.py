@@ -48,9 +48,6 @@ class CacheArray:
             {} for _ in range(self._num_sets)]
         self._use_counter = 0
 
-    def line_address(self, address: int) -> int:
-        return address - address % self._line_bytes
-
     def lookup(self, address: int, touch: bool = True) -> CacheLine | None:
         """Find the line containing *address* (None on miss)."""
         line_bytes = self._line_bytes

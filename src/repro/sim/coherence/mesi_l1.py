@@ -423,12 +423,6 @@ class MesiL1Cache(CoherenceController):
             self.kernel.schedule(1, lambda a=address, v=value, cb=callback:
                                  self.rmw(a, v, cb))
 
-    def _redispatch_after_invalidation(self, line_address: int, mshr: _Mshr) -> None:
-        for address, callback in mshr.loads_after_inv:
-            self.kernel.schedule(1, lambda a=address, cb=callback: self.load(a, cb))
-        self._redispatch_writes(mshr)
-        self._run_deferred_cpu(line_address)
-
     # -- invalidations ------------------------------------------------------
 
     def _on_inv(self, message: Message) -> None:

@@ -35,6 +35,11 @@ from repro.sim.trace import ExecutionTrace
 
 _COMMIT_WIDTH = 4
 _IDLE_TICK = 25
+# The op kinds the tick tests, as module globals: reading an enum member
+# off its class takes several times as long as a global read.
+_READ_ADDR_DP, _WRITE, _RMW, _CACHE_FLUSH, _DELAY = (
+    OpKind.READ_ADDR_DP, OpKind.WRITE, OpKind.RMW, OpKind.CACHE_FLUSH,
+    OpKind.DELAY)
 
 
 class CoreEngine:
@@ -43,7 +48,7 @@ class CoreEngine:
     def __init__(self, core_id: int, kernel: SimKernel, l1: object,
                  thread: TestThread, trace: ExecutionTrace,
                  config: SystemConfig, faults: FaultSet,
-                 rng: random.Random, start_tick: int = 0) -> None:
+                 rng: random.Random | None, start_tick: int = 0) -> None:
         self.core_id = core_id
         self.kernel = kernel
         self.l1 = l1
@@ -147,15 +152,11 @@ class CoreEngine:
         self.next_op_index = index
 
         # Execute: perform every load that may, and start an RMW at the
-        # ROB head.  One pass in program order carries what a load checks
-        # about its older entries.  ``fenced``: an older RMW has not
-        # committed (a locked RMW acts as a fence; an entry leaves the ROB
-        # when it commits, below).  ``older_unperformed``: an older load
-        # has not performed.  Entries only become performed in later
-        # events, or here at their own turn (store forwarding).  A
-        # synchronous invalidation may squash older loads during the pass,
-        # but only loads younger than an unperformed one, which already
-        # set the flag.
+        # ROB head, in one pass in program order.  ``fenced``: an older
+        # RMW is in the ROB, so uncommitted (a locked RMW is a fence).
+        # ``older_unperformed``: an older load has not performed.  A
+        # synchronous invalidation may squash loads during the pass, but
+        # only loads younger than an unperformed one, which set the flag.
         fenced = False
         older_unperformed = False
         for position, entry in enumerate(rob):
@@ -163,15 +164,14 @@ class CoreEngine:
             if kind.is_load:
                 if entry.performed:
                     continue
-                if not (entry.request_outstanding or fenced
-                        or (older_unperformed
-                            and kind is OpKind.READ_ADDR_DP)):
+                if not (entry.request_outstanding or fenced or (
+                        older_unperformed and kind is _READ_ADDR_DP)):
                     self._execute_load(entry, position)
                     progress = True
                     if entry.performed:
                         continue
                 older_unperformed = True
-            elif kind is OpKind.RMW:
+            elif kind is _RMW:
                 if not (entry.rmw_started or entry.performed or position
                         or self.store_buffer.entries):
                     # At the ROB head with the store buffer drained.
@@ -193,20 +193,20 @@ class CoreEngine:
                 assert head.value is not None and op.address is not None
                 trace.record_read(op.op_id, self.core_id, op.address,
                                   head.value)
-            elif kind is OpKind.WRITE or kind is OpKind.CACHE_FLUSH:
+            elif kind is _WRITE or kind is _CACHE_FLUSH:
                 if len(store_buffer.entries) >= store_buffer.capacity:
                     break
                 store_buffer.push(op)
-                if kind is OpKind.WRITE:
+                if kind is _WRITE:
                     trace.record_commit(op.op_id, self.core_id)
-            elif kind is OpKind.RMW:
+            elif kind is _RMW:
                 if not head.performed:
                     break
                 assert (head.value is not None and head.overwritten is not None
                         and op.address is not None)
                 trace.record_rmw(op.op_id, self.core_id, op.address,
                                  head.value, op.value, head.overwritten)
-            elif kind is OpKind.DELAY and head.delay_remaining > 0:
+            elif kind is _DELAY and head.delay_remaining > 0:
                 head.delay_remaining -= 1
                 committed += 1
                 break
@@ -285,7 +285,7 @@ class CoreEngine:
         entry.draining = True
         op = entry.op
         assert op.address is not None
-        if op.kind is OpKind.WRITE:
+        if op.kind is _WRITE:
 
             def on_written(overwritten: int, entry: StoreBufferEntry = entry,
                            op: TestOp = op) -> None:

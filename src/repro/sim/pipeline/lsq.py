@@ -85,7 +85,8 @@ class StoreBufferEntry:
 class StoreBuffer:
     """Bounded FIFO store buffer (the SQ of the paper)."""
 
-    def __init__(self, capacity: int, faults: FaultSet, rng: random.Random) -> None:
+    def __init__(self, capacity: int, faults: FaultSet,
+                 rng: random.Random | None) -> None:
         self.capacity = capacity
         self.faults = faults
         self.rng = rng

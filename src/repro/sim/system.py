@@ -18,7 +18,7 @@ from repro.sim.coherence.mesi_l2 import MesiDirectory
 from repro.sim.coherence.tso_cc import TsoCcDirectory, TsoCcL1Cache
 from repro.sim.config import SystemConfig
 from repro.sim.coverage import CoverageCollector
-from repro.sim.faults import FaultSet, ProtocolError
+from repro.sim.faults import Fault, FaultSet, ProtocolError
 from repro.sim.host import HostAssistedBarrier
 from repro.sim.interconnect import Interconnect
 from repro.sim.kernel import SimKernel, SimulationLimitError
@@ -86,6 +86,8 @@ class System:
 
         rng = random.Random(seed ^ 0x5EED)
         offsets = self.barrier.start_offsets(len(threads), rng)
+        # A core's RNG feeds only the SQ+no-FIFO drain order.
+        no_fifo = self.faults.enabled(Fault.SQ_NO_FIFO)
         cores: list[CoreEngine] = []
         l1s = []
         for thread in threads:
@@ -93,7 +95,8 @@ class System:
                           self.coverage, self.faults)
             core = CoreEngine(thread.pid, kernel, l1, thread, trace,
                               self.config, self.faults,
-                              random.Random(seed * 31 + thread.pid),
+                              random.Random(seed * 31 + thread.pid)
+                              if no_fifo else None,
                               start_tick=offsets[thread.pid % len(offsets)])
             l1.invalidation_listener = core.on_invalidation
             cores.append(core)
