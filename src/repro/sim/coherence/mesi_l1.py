@@ -108,7 +108,8 @@ class MesiL1Cache(CoherenceController):
         self._do_rmw(address, value, callback)
 
     def flush(self, address: int, callback: Callable[[], None]) -> None:
-        if self._evicting and self._deferred(self._do_flush, address, callback):
+        if self._evicting and self._deferred(self._do_flush, address,
+                                             callback):
             return
         self._do_flush(address, callback)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable
 
@@ -35,9 +35,9 @@ class TransitionKey:
 
 
 #: ``transition_key(controller, state, event)``: the key of a raw
-#: transition, built on first use at a boundary and cached (the
-#: transition space is finite, so the cache stays small).
-transition_key = cache(TransitionKey)
+#: transition, built on first use at a boundary and cached.  The bound
+#: is well above the protocols' transition space.
+transition_key = lru_cache(maxsize=4096)(TransitionKey)
 #: ``raw_transition(key)``: a key's raw ``(controller, state, event)``.
 raw_transition = attrgetter("controller", "state", "event")
 
@@ -97,7 +97,7 @@ class CoverageCollector:
 
     @property
     def global_counts(self) -> Counter[TransitionKey]:
-        """Count per transition since simulation start, in first-record order."""
+        """Count per transition since simulation start, first-record order."""
         return Counter({transition_key(*transition): count
                         for transition, count in self._counts.items()})
 
@@ -150,6 +150,7 @@ class CoverageCollector:
 
     def restore(self, state: CoverageState) -> None:
         """Replace this collector's cumulative state with a snapshot."""
-        self._counts = {raw_transition(key): count for key, count in state.counts}
+        self._counts = {raw_transition(key): count
+                        for key, count in state.counts}
         self._known = set(map(raw_transition, state.known))
         self._run = {}

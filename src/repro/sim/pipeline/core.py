@@ -239,6 +239,8 @@ class CoreEngine:
         """Perform a load: forward from an older store, or ask the L1."""
         address = entry.op.address
         assert address is not None
+        # TSO store->load forwarding from older, not yet visible stores:
+        # the youngest older one in the ROB, else the store buffer's.
         rob = self.rob
         for older_index in range(index - 1, -1, -1):
             op = rob[older_index].op
@@ -246,7 +248,6 @@ class CoreEngine:
                 entry.performed = True
                 entry.value = op.value
                 return
-        # TSO store->load forwarding from older, not yet visible stores.
         forwarded = self.store_buffer.forward_value(address)
         if forwarded is not None:
             entry.performed = True
