@@ -80,7 +80,7 @@ class MesiL1Cache(CoherenceController):
         self.stride = 16
         self._mshrs: dict[int, _Mshr] = {}
         self._evicting: dict[int, _Evicting] = {}
-        self._deferred_cpu: dict[int, list[Callable[[], None]]] = {}
+        self._deferred_cpu: dict[int, list[tuple]] = {}
         self._pending_retries = 0
         self.invalidation_listener: InvalidationListener | None = None
 
@@ -89,26 +89,27 @@ class MesiL1Cache(CoherenceController):
     # ------------------------------------------------------------------
 
     def load(self, address: int, callback: Callable[[int], None]) -> None:
-        if self._evicting and self._deferred(self._do_load, address, callback):
+        if self._evicting and self._deferred(MesiL1Cache._do_load, address,
+                                             callback):
             return
         self._do_load(address, callback)
 
     def store(self, address: int, value: int,
               callback: Callable[[int], None]) -> None:
-        if self._evicting and self._deferred(self._do_store, address, value,
-                                             callback):
+        if self._evicting and self._deferred(MesiL1Cache._do_store, address,
+                                             value, callback):
             return
         self._do_store(address, value, callback)
 
     def rmw(self, address: int, value: int,
             callback: Callable[[int, int], None]) -> None:
-        if self._evicting and self._deferred(self._do_rmw, address, value,
-                                             callback):
+        if self._evicting and self._deferred(MesiL1Cache._do_rmw, address,
+                                             value, callback):
             return
         self._do_rmw(address, value, callback)
 
     def flush(self, address: int, callback: Callable[[], None]) -> None:
-        if self._evicting and self._deferred(self._do_flush, address,
+        if self._evicting and self._deferred(MesiL1Cache._do_flush, address,
                                              callback):
             return
         self._do_flush(address, callback)
@@ -123,12 +124,17 @@ class MesiL1Cache(CoherenceController):
 
     def _deferred(self, action: Callable[..., None], address: int,
                   *args: object) -> bool:
-        """Queue a CPU request while its line is evicting; True if queued."""
+        """Queue a CPU request while its line is evicting; True if queued.
+
+        *action* is the unbound handler, so a queued request does not
+        refer back to this controller: requests still queued when a run
+        stops leave no reference cycle.
+        """
         line_address = address - address % self._line_bytes
         if line_address not in self._evicting:
             return False
         self._deferred_cpu.setdefault(line_address, []).append(
-            partial(action, address, *args))
+            (action, address, *args))
         return True
 
     def _retry_later(self, action: Callable[[], None]) -> None:
@@ -562,5 +568,5 @@ class MesiL1Cache(CoherenceController):
         deferred = self._deferred_cpu.pop(line_address, None)
         if not deferred:
             return
-        for action in deferred:
-            self.kernel.schedule(1, action)
+        for action, *request in deferred:
+            self.kernel.schedule(1, partial(action, self, *request))

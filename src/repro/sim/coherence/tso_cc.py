@@ -57,7 +57,11 @@ class TsoCcL1Cache(CoherenceController):
         self.array = CacheArray(config.l1)
         self._line_bytes = config.l1.line_bytes
         self._mshrs: dict[int, _ReadMshr] = {}
-        self._write_acks: dict[int, list[tuple[int, Callable[[Message], None]]]] = {}
+        # Per line: (address, value, callback, is_rmw) of each write
+        # awaiting its ack.  No entry refers back to this controller, so
+        # writes still in flight when a run stops leave no cycle.
+        self._write_acks: dict[
+            int, list[tuple[int, int, Callable[..., None], bool]]] = {}
         self._outstanding_writes = 0
         self.last_seen: dict[str, int] = {}
         self.last_epoch: dict[str, int] = {}
@@ -125,38 +129,20 @@ class TsoCcL1Cache(CoherenceController):
         self.record_transition("V" if self.array.contains(address) else "I",
                                "StoreThrough")
         self._outstanding_writes += 1
-
-        def on_ack(message: Message) -> None:
-            self._outstanding_writes -= 1
-            overwritten = int(message.payload["overwritten"])
-            self._apply_own_write(address, value, message)
-            callback(overwritten)
-
         self.send("WriteReq", self.directory_name, line_address,
                   sender=self.name, address=address, value=value)
         self._write_acks.setdefault(line_address, []).append(
-            (address, on_ack))
+            (address, value, callback, False))
 
     def rmw(self, address: int, value: int,
             callback: Callable[[int, int], None]) -> None:
         line_address = address - address % self._line_bytes
         self.record_transition("V" if self.array.contains(address) else "I", "RMW")
         self._outstanding_writes += 1
-
-        def on_ack(message: Message) -> None:
-            self._outstanding_writes -= 1
-            read_value = int(message.payload["read_value"])
-            overwritten = int(message.payload["overwritten"])
-            # An RMW acts as a fence: conservatively drop every cached line
-            # so later loads observe up-to-date data.
-            self._self_invalidate(exclude=None, reason=InvalidationReason.FENCE)
-            self._apply_own_write(address, value, message)
-            callback(read_value, overwritten)
-
         self.send("RMWReq", self.directory_name, line_address,
                   sender=self.name, address=address, value=value)
         self._write_acks.setdefault(line_address, []).append(
-            (address, on_ack))
+            (address, value, callback, True))
 
     def flush(self, address: int, callback: Callable[[], None]) -> None:
         line_address = address - address % self._line_bytes
@@ -264,13 +250,27 @@ class TsoCcL1Cache(CoherenceController):
         line_address = message.line_address
         address = int(message.payload["address"])
         waiters = self._write_acks.get(line_address, [])
-        for index, (waiting_address, handler) in enumerate(waiters):
-            if waiting_address == address:
-                waiters.pop(index)
-                if not waiters:
-                    self._write_acks.pop(line_address, None)
-                handler(message)
-                return
+        for index, waiter in enumerate(waiters):
+            waiting_address, value, callback, is_rmw = waiter
+            if waiting_address != address:
+                continue
+            waiters.pop(index)
+            if not waiters:
+                self._write_acks.pop(line_address, None)
+            self._outstanding_writes -= 1
+            overwritten = int(message.payload["overwritten"])
+            if is_rmw:
+                read_value = int(message.payload["read_value"])
+                # An RMW acts as a fence: conservatively drop every cached
+                # line so later loads observe up-to-date data.
+                self._self_invalidate(exclude=None,
+                                      reason=InvalidationReason.FENCE)
+                self._apply_own_write(address, value, message)
+                callback(read_value, overwritten)
+            else:
+                self._apply_own_write(address, value, message)
+                callback(overwritten)
+            return
         self.invalid_transition("I", message.kind, "ack without request")
 
 

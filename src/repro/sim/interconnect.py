@@ -56,6 +56,10 @@ class Interconnect:
             raise ValueError(f"endpoint {name!r} already registered")
         self._endpoints[name] = handler
 
+    def close(self) -> None:
+        """Drop every endpoint: the network delivers nothing more."""
+        self._endpoints.clear()
+
     def send(self, kind: str, dst: str, line_address: int,
              extra_latency: int = 0, *, src: str, **payload: object) -> None:
         """Deliver a message to *dst* after a random latency."""

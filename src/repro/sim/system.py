@@ -51,9 +51,12 @@ class System:
     """Factory/runner for single test iterations.
 
     A fresh micro-architectural state (caches, network) is built per
-    iteration; non-determinism between iterations comes from the iteration
-    seed, mirroring the differently perturbed executions of the continuously
-    running simulation in the paper (§5.1).
+    iteration and torn down when it returns: the teardown cuts every
+    reference cycle, so reference counting frees the iteration's graph
+    and the cyclic garbage collector never runs on it.  Non-determinism
+    between iterations comes from the iteration seed, mirroring the
+    differently perturbed executions of the continuously running
+    simulation in the paper (§5.1).
     """
 
     config: SystemConfig = field(default_factory=SystemConfig)
@@ -139,6 +142,23 @@ class System:
                 # The event queue drained before every core finished: the
                 # system is stuck (e.g. a lost wakeup or protocol deadlock).
                 result.deadlock = True
+        finally:
+            # Cut every back-reference, so that reference counting frees
+            # this iteration's graph on return, on every exit path, and
+            # the cyclic collector never has to.  Pending events hold
+            # their owners, which hold the kernel; the endpoint table
+            # holds the controllers, which hold the network; ``until``
+            # and ``on_done`` hold the L1s, the directory and the kernel.
+            # An L1 holds its core (the invalidation listener, and the
+            # callbacks an interrupted run leaves in its miss state), so
+            # the core drops the L1.
+            kernel.queue.clear()
+            kernel.until = None
+            network.close()
+            for core in cores:
+                core.on_done = None
+                core.l1 = None
+        # The teardown leaves every counter as the run left it.
         result.loads_squashed = sum(core.loads_squashed for core in cores)
         result.kernel_events = kernel.events_executed
         result.messages_sent = network.messages_sent
