@@ -200,6 +200,19 @@ class Campaign:
         results because every piece of cross-evaluation state travels in the
         checkpoint.
         """
+        try:
+            return self._run_chunk(max_evaluations, time_limit_seconds,
+                                   checkpoint, pause_after)
+        finally:
+            # The simulated machine is not campaign state: free it with
+            # the chunk, and let the next chunk build its own.
+            self.engine.close()
+
+    def _run_chunk(self, max_evaluations: int,
+                   time_limit_seconds: float | None,
+                   checkpoint: CampaignCheckpoint | None,
+                   pause_after: int | None
+                   ) -> tuple[CampaignResult | None, CampaignCheckpoint | None]:
         if self.kind is GeneratorKind.DIRECTED and self.chromosome is None:
             raise ValueError(
                 "a directed campaign needs the fixed chromosome to "

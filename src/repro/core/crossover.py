@@ -18,7 +18,7 @@ import random
 
 from repro.core.config import GeneratorConfig
 from repro.core.generator import RandomTestGenerator
-from repro.core.nondeterminism import TestRunStats
+from repro.core.nondeterminism import TestRunStats, fit_fraction
 from repro.core.program import Chromosome, make_chromosome
 from repro.sim.testprogram import TestOp
 
@@ -30,8 +30,11 @@ def _random_bool(rng: random.Random, probability: float) -> bool:
 
 def fitaddr_fraction(test: Chromosome, stats: TestRunStats) -> float:
     """Fraction of memory operations guaranteed to be selected (Algorithm 1)."""
-    addresses = [op.address for _, op in test.memory_ops() if op.address is not None]
-    return stats.fitaddr_fraction(addresses)
+    return stats.fitaddr_fraction(_memory_addresses(test))
+
+
+def _memory_addresses(test: Chromosome) -> list[int]:
+    return [op.address for _, op in test.memory_ops() if op.address is not None]
 
 
 def selective_crossover_mutate(test1: Chromosome, test2: Chromosome,
@@ -45,8 +48,10 @@ def selective_crossover_mutate(test1: Chromosome, test2: Chromosome,
     p_usel = config.unconditional_selection_probability
     fit1 = stats1.fit_addresses()
     fit2 = stats2.fit_addresses()
-    a1 = fitaddr_fraction(test1, stats1)
-    a2 = fitaddr_fraction(test2, stats2)
+    # The PBFA pool, sorted once: ``random_address`` draws from a sorted set.
+    fit_pool = sorted(fit1 | fit2)
+    a1 = fit_fraction(_memory_addresses(test1), fit1)
+    a2 = fit_fraction(_memory_addresses(test2), fit2)
     p_select1 = a1 + p_usel - (a1 * p_usel)
     p_select2 = a2 + p_usel - (a2 * p_usel)
 
@@ -67,10 +72,9 @@ def selective_crossover_mutate(test1: Chromosome, test2: Chromosome,
         elif not select1 and not select2:
             mutations += 1
             constrain = (_random_bool(rng, config.fitaddr_bias)
-                         and bool(fit1 or fit2))
+                         and bool(fit_pool))
             child[index] = (
-                generator.random_slot(index,
-                                      constrain_addresses=fit1 | fit2)
+                generator.random_slot(index, constrain_addresses=fit_pool)
                 if constrain else generator.random_slot(index))
         # else: retain child[index] (the slot from test1).
 

@@ -1,11 +1,12 @@
 """The verification engine: run test-runs, observe, check, score.
 
 This is the host-side driver of the paper's Algorithm 2.  For each test-run
-it executes the test for the configured number of iterations on a freshly
-perturbed system, observes the conflict orders of every iteration, checks
-every candidate execution against the target memory model, folds the
-conflict orders into the test's rfcoRUN union (for NDT/NDe), and finally
-computes the test's fitness from the coverage the run achieved.
+it executes the test for the configured number of iterations, each on the
+simulated machine reset and reseeded, observes the conflict orders of every
+iteration, checks every candidate execution against the target memory
+model, folds the conflict orders into the test's rfcoRUN union (for
+NDT/NDe), and finally computes the test's fitness from the coverage the run
+achieved.
 
 A bug is "found" when any iteration yields (a) an axiomatic-model violation,
 (b) an inconsistent trace (memory corruption / lost update), (c) a protocol
@@ -69,8 +70,8 @@ class EngineCheckpoint:
 
     Captures everything that persists across test-runs — the per-run seed
     sequence, the cumulative coverage and the adaptive fitness counters.
-    The simulated system itself holds no cross-run state (a fresh
-    micro-architecture is built per iteration), so an engine reconstructed
+    The simulated machine holds no cross-run state (it is reset before
+    every iteration), so an engine reconstructed
     from the same configs and restored from this checkpoint continues the
     campaign bit-for-bit identically to one that was never interrupted.
     """
@@ -129,6 +130,10 @@ class VerificationEngine:
                              max_ticks=max_ticks)
         self._seed_sequence = random.Random(seed)
         self.test_runs = 0
+
+    def close(self) -> None:
+        """Free the simulated machine now (see :meth:`System.close`)."""
+        self.system.close()
 
     # -- checkpoint/resume (chunked campaign scheduling) ---------------
 

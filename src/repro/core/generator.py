@@ -10,6 +10,8 @@ constrained to a given set (the PBFA-biased mutation of Algorithm 1).
 from __future__ import annotations
 
 import random
+from collections.abc import Collection, Set
+from itertools import accumulate
 
 from repro.core.config import GeneratorConfig
 from repro.core.program import Chromosome, make_chromosome
@@ -24,24 +26,34 @@ class RandomTestGenerator:
         self.rng = rng
         weights = config.bias.normalised()
         self._kinds = list(weights)
-        self._weights = [weights[kind] for kind in self._kinds]
+        # ``choices`` accumulates ``weights=`` into exactly this list on
+        # every call; passing it as ``cum_weights=`` draws the same kinds.
+        self._cum_weights = list(accumulate(
+            weights[kind] for kind in self._kinds))
         self._addresses = config.memory.all_addresses()
 
     # ------------------------------------------------------------------
 
-    def random_address(self, constrain_to: set[int] | None = None) -> int:
-        """A stride-aligned address, optionally constrained to a set."""
+    def random_address(self, constrain_to: Collection[int] | None = None
+                       ) -> int:
+        """A stride-aligned address, optionally constrained to a pool.
+
+        A set is drawn from in sorted order; a caller drawing many
+        addresses from one set passes it sorted once.
+        """
         if constrain_to:
-            pool = sorted(constrain_to)
-            return self.rng.choice(pool)
+            if isinstance(constrain_to, Set):
+                constrain_to = sorted(constrain_to)
+            return self.rng.choice(constrain_to)
         return self.rng.choice(self._addresses)
 
     def random_slot(self, index: int,
-                    constrain_addresses: set[int] | None = None
+                    constrain_addresses: Collection[int] | None = None
                     ) -> tuple[int, TestOp]:
         """A random ``(pid, op)`` slot anchored at *index*."""
         pid = self.rng.randrange(self.config.num_threads)
-        kind = self.rng.choices(self._kinds, weights=self._weights, k=1)[0]
+        kind = self.rng.choices(self._kinds,
+                                cum_weights=self._cum_weights)[0]
         if kind is OpKind.DELAY:
             op = TestOp(op_id=index, kind=kind,
                         delay=self.rng.randint(1, self.config.delay_max))

@@ -18,6 +18,13 @@ EventId = tuple
 ConflictEdge = tuple[EventId, EventId]
 
 
+def fit_fraction(addresses: list[int], fit: set[int]) -> float:
+    """Fraction of *addresses* that are fit addresses."""
+    if not addresses:
+        return 0.0
+    return sum(1 for address in addresses if address in fit) / len(addresses)
+
+
 @dataclass
 class TestRunStats:
     """Accumulates conflict orders and derives NDT / NDe / fitaddrs."""
@@ -61,8 +68,4 @@ class TestRunStats:
 
     def fitaddr_fraction(self, memory_op_addresses: list[int]) -> float:
         """Fraction of memory operations whose address is a fit address."""
-        if not memory_op_addresses:
-            return 0.0
-        fit = self.fit_addresses()
-        selected = sum(1 for address in memory_op_addresses if address in fit)
-        return selected / len(memory_op_addresses)
+        return fit_fraction(memory_op_addresses, self.fit_addresses())

@@ -92,8 +92,11 @@ def reslot(op: TestOp, index: int) -> TestOp:
 
     Keeps kind/address/delay but rewrites ``op_id`` (and the unique write
     value for writes) so the chromosome invariants hold after crossover.
+    An op already anchored at *index* is returned as is.
     """
     value = index + 1 if op.kind.writes_memory else 0
+    if op.op_id == index and op.value == value:
+        return op
     return TestOp(op_id=index, kind=op.kind, address=op.address,
                   value=value, delay=op.delay)
 

@@ -46,6 +46,12 @@ class CacheArray:
         self._ways = config.ways
         self._sets: list[dict[int, CacheLine]] = [
             {} for _ in range(self._num_sets)]
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty every set and restart the LRU clock."""
+        for cache_set in self._sets:
+            cache_set.clear()
         self._use_counter = 0
 
     def lookup(self, address: int, touch: bool = True) -> CacheLine | None:

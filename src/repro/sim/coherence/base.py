@@ -59,5 +59,13 @@ class CoherenceController:
     def handle_message(self, message: Message) -> None:  # pragma: no cover
         raise NotImplementedError
 
+    def reset(self) -> None:  # pragma: no cover
+        """Drop every line and all in-flight state, as if just built.
+
+        The one place a controller's per-iteration state is assigned:
+        each constructor calls it last.
+        """
+        raise NotImplementedError
+
     def quiescent(self) -> bool:  # pragma: no cover
         raise NotImplementedError

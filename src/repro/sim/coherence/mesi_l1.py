@@ -78,11 +78,15 @@ class MesiL1Cache(CoherenceController):
         self.array = CacheArray(config.l1)
         self._line_bytes = config.l1.line_bytes
         self.stride = 16
+        self.invalidation_listener: InvalidationListener | None = None
+        self.reset()
+
+    def reset(self) -> None:
+        self.array.reset()
         self._mshrs: dict[int, _Mshr] = {}
         self._evicting: dict[int, _Evicting] = {}
         self._deferred_cpu: dict[int, list[tuple]] = {}
         self._pending_retries = 0
-        self.invalidation_listener: InvalidationListener | None = None
 
     # ------------------------------------------------------------------
     # CPU-side interface

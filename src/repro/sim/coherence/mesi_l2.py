@@ -65,6 +65,10 @@ class MesiDirectory(CoherenceController):
         self.memory = memory
         self.array = CacheArray(config.l2)
         self.stride = 16
+        self.reset()
+
+    def reset(self) -> None:
+        self.array.reset()
         self._evicting: dict[int, _Evicting] = {}
         self._queued: dict[int, deque[Message]] = {}
         self._pending_fetches = 0

@@ -56,6 +56,11 @@ class TsoCcL1Cache(CoherenceController):
         self.directory_name = directory_name
         self.array = CacheArray(config.l1)
         self._line_bytes = config.l1.line_bytes
+        self.invalidation_listener: InvalidationListener | None = None
+        self.reset()
+
+    def reset(self) -> None:
+        self.array.reset()
         self._mshrs: dict[int, _ReadMshr] = {}
         # Per line: (address, value, callback, is_rmw) of each write
         # awaiting its ack.  No entry refers back to this controller, so
@@ -65,7 +70,6 @@ class TsoCcL1Cache(CoherenceController):
         self._outstanding_writes = 0
         self.last_seen: dict[str, int] = {}
         self.last_epoch: dict[str, int] = {}
-        self.invalidation_listener: InvalidationListener | None = None
 
     # ------------------------------------------------------------------
 
@@ -294,6 +298,9 @@ class TsoCcDirectory(CoherenceController):
         self.config = config
         self.memory = memory
         self.stride = 16
+        self.reset()
+
+    def reset(self) -> None:
         self.line_meta: dict[int, dict[str, object]] = {}
         self.write_counts: dict[str, int] = {}
         self.timestamps: dict[str, int] = {}

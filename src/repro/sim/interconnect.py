@@ -45,11 +45,15 @@ class Interconnect:
         self.latency_min = latency_min
         self.latency_max = latency_max
         self._endpoints: dict[str, Callable[[Message], None]] = {}
-        self.messages_sent = 0
         # ``send`` inlines ``kernel.jitter(latency_min, latency_max)``.
         self._width = latency_max - latency_min + 1
         self._bits = self._width.bit_length()
         self._getrandbits = kernel.rng.getrandbits
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero the message count; the endpoints stay registered."""
+        self.messages_sent = 0
 
     def register(self, name: str, handler: Callable[[Message], None]) -> None:
         if name in self._endpoints:

@@ -32,11 +32,23 @@ class SimKernel:
 
     def __init__(self, seed: int = 0, max_ticks: int = 50_000_000,
                  max_events: int = 20_000_000) -> None:
+        # One generator for the kernel's life: ``reset`` reseeds it in
+        # place, so the ``getrandbits`` bound here and by the network
+        # stays valid.
         self.rng = random.Random(seed)
         self._getrandbits = self.rng.getrandbits
-        self.now = 0
         self.max_ticks = max_ticks
         self.max_events = max_events
+        self.reset(seed)
+
+    def reset(self, seed: int) -> None:
+        """Start over at tick 0 with an empty queue and the RNG at *seed*.
+
+        ``Random.seed(seed)`` yields the same stream as ``Random(seed)``,
+        so a reset kernel runs exactly as a new one would.
+        """
+        self.rng.seed(seed)
+        self.now = 0
         self.queue: list[list] = []
         self.next_seq = count().__next__
         self.until: Callable[[], bool] | None = None  # see ``run``

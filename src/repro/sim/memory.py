@@ -21,7 +21,7 @@ class MainMemory:
             raise ValueError("invalid memory latency range")
         self.latency_min = latency_min
         self.latency_max = latency_max
-        self._words: dict[int, int] = {}
+        self.clear()
 
     def read(self, address: int) -> int:
         return self._words.get(address, self.INITIAL_VALUE)
@@ -52,7 +52,8 @@ class MainMemory:
             self._words.pop(address, None)
 
     def clear(self) -> None:
-        self._words.clear()
+        """Reset every word to the initial value."""
+        self._words: dict[int, int] = {}
 
     def snapshot(self) -> dict[int, int]:
         return dict(self._words)

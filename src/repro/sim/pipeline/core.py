@@ -52,17 +52,27 @@ class CoreEngine:
         self.core_id = core_id
         self.kernel = kernel
         self.l1 = l1
-        self.thread = thread
-        self.trace = trace
         self.config = config
         self.faults = faults
-        self.rng = rng
-        self.start_tick = start_tick
-        self.rob: list[RobEntry] = []
         self.store_buffer = StoreBuffer(config.lsq_entries, faults, rng)
         self.lq_rule = LoadQueueRule(faults)
+        self.on_done: Callable[[], None] | None = None
+        self.reset(thread, trace, rng, start_tick)
+
+    def reset(self, thread: TestThread, trace: ExecutionTrace,
+              rng: random.Random | None, start_tick: int = 0) -> None:
+        """Load *thread* onto an empty pipeline, to record into *trace*.
+
+        The one place per-iteration state is assigned (the constructor
+        calls it last): a reset core runs exactly as a new one would.
+        """
+        self.thread = thread
+        self.trace = trace
+        self.start_tick = start_tick
+        self.rob: list[RobEntry] = []
+        self.store_buffer.reset(rng)
+        self.lq_rule.reset()
         self.next_op_index = 0
-        self.loads_issued = 0
         self.loads_squashed = 0
         self._tick_scheduled = False
         self._started = False
@@ -72,11 +82,10 @@ class CoreEngine:
         # find exactly what the idle tick found: nothing to do.
         self._quiet = False
         # True once the thread has issued, committed and drained every
-        # op.  It never turns false again, and it is refreshed wherever
+        # op.  Only ``reset`` turns it false again; it is refreshed wherever
         # it can turn true: start, the end of a tick and a store-buffer
         # completion.  ``on_done`` is called once, when it turns true.
         self.done = False
-        self.on_done: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
 
@@ -255,7 +264,6 @@ class CoreEngine:
             return
         entry.request_outstanding = True
         generation = entry.generation
-        self.loads_issued += 1
 
         def on_value(value: int, entry: RobEntry = entry,
                      generation: int = generation) -> None:

@@ -41,8 +41,11 @@ class LoadQueueRule:
 
     def __init__(self, faults: FaultSet) -> None:
         self.faults = faults
-        self.squashes = 0
         self._no_tso = faults.enabled(Fault.LQ_NO_TSO)
+        self.reset()
+
+    def reset(self) -> None:
+        self.squashes = 0
 
     def apply(self, rob: Sequence[RobEntry]) -> list[RobEntry]:
         """Return the entries that must be squashed (retried).
@@ -89,9 +92,13 @@ class StoreBuffer:
                  rng: random.Random | None) -> None:
         self.capacity = capacity
         self.faults = faults
+        self._no_fifo = faults.enabled(Fault.SQ_NO_FIFO)
+        self.reset(rng)
+
+    def reset(self, rng: random.Random | None) -> None:
+        """Empty the buffer; *rng* feeds the SQ+no-FIFO drain order."""
         self.rng = rng
         self.entries: list[StoreBufferEntry] = []
-        self._no_fifo = faults.enabled(Fault.SQ_NO_FIFO)
         # The entry last returned by next_to_drain.  Only such an entry
         # is ever marked draining, and while it drains no other is
         # offered, so it is the only one to check.
