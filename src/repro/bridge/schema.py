@@ -63,7 +63,7 @@ class TraceFormatError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceEvent:
     """One abstract memory event, decoded from any supported format.
 
@@ -71,6 +71,12 @@ class TraceEvent:
     ``None`` on a load means the observation is missing.
     ``read_value``/``overwritten`` are only meaningful for RMW and
     store/RMW events respectively.
+
+    Ingest builds one per event, so ``__init__`` is written by hand: it
+    fills the instance ``__dict__`` in one call instead of one
+    ``object.__setattr__`` per field, at about half the cost.  A new
+    field must be added to it too (``tests/test_record_init.py`` fails
+    otherwise).
     """
 
     kind: str
@@ -80,6 +86,13 @@ class TraceEvent:
     value: int | None = None
     read_value: int | None = None
     overwritten: int = 0
+
+    def __init__(self, kind: str, tid: int, op_id: int, address: int,
+                 value: int | None = None, read_value: int | None = None,
+                 overwritten: int = 0) -> None:
+        self.__dict__.update(kind=kind, tid=tid, op_id=op_id,
+                             address=address, value=value,
+                             read_value=read_value, overwritten=overwritten)
 
 
 @dataclass
@@ -146,34 +159,55 @@ def _optional_value(record: dict, key: str, context: str) -> int | None:
 
 
 def parse_event(record: dict, context: str) -> TraceEvent:
-    """Decode and validate one native-format event object."""
+    """Decode and validate one native-format event object.
+
+    Each field is first tested with a condition that is sufficient on
+    its own (an exact ``int`` in range, or ``None`` where allowed); a
+    value that fails it goes to :func:`_require_int` /
+    :func:`_optional_value`, in field order, which accept an ``int``
+    subclass or word the error.  New validation belongs in those
+    helpers, never in the fast test.
+    """
     if not isinstance(record, dict):
         raise TraceFormatError(f"{context}: expected a JSON object, "
                                f"got {type(record).__name__}")
-    kind = record.get("event")
+    get = record.get
+    kind = get("event")
     if kind not in EVENT_KINDS:
         raise TraceFormatError(
             f"{context}: unknown event kind {kind!r}; expected one of "
             f"{', '.join(EVENT_KINDS)}")
-    tid = _require_int(record, "tid", context)
-    op_id = _require_int(record, "op", context)
-    address = _require_int(record, "addr", context)
+    tid = get("tid")
+    if type(tid) is not int or tid < 0:
+        tid = _require_int(record, "tid", context)
+    op_id = get("op")
+    if type(op_id) is not int or op_id < 0:
+        op_id = _require_int(record, "op", context)
+    address = get("addr")
+    if type(address) is not int or address < 0:
+        address = _require_int(record, "addr", context)
+    value = get("value")
     if kind == LD_PERFORM:
-        return TraceEvent(kind=kind, tid=tid, op_id=op_id, address=address,
-                          value=_optional_value(record, "value", context))
-    overwritten = (_require_int(record, "overwritten", context)
-                   if "overwritten" in record else 0)
-    value = _require_int(record, "value", context, minimum=1)
+        if value is not None and (type(value) is not int or value < 0):
+            value = _optional_value(record, "value", context)
+        return TraceEvent(kind, tid, op_id, address, value)
+    # An absent "overwritten" reads as 0; a present one must be valid.
+    overwritten = get("overwritten", 0)
+    if type(overwritten) is not int or overwritten < 0:
+        overwritten = _require_int(record, "overwritten", context)
+    if type(value) is not int or value < 1:
+        value = _require_int(record, "value", context, minimum=1)
     if kind == ST_GLOBALLY_PERFORM:
-        return TraceEvent(kind=kind, tid=tid, op_id=op_id, address=address,
-                          value=value, overwritten=overwritten)
-    read_value = _optional_value(record, "read_value", context)
-    if read_value is None:
-        raise TraceFormatError(
-            f"{context}: rmw_perform requires an observed read_value")
-    return TraceEvent(kind=kind, tid=tid, op_id=op_id, address=address,
-                      value=value, read_value=read_value,
-                      overwritten=overwritten)
+        return TraceEvent(kind, tid, op_id, address, value, None,
+                          overwritten)
+    read_value = get("read_value")
+    if type(read_value) is not int or read_value < 0:
+        read_value = _optional_value(record, "read_value", context)
+        if read_value is None:
+            raise TraceFormatError(
+                f"{context}: rmw_perform requires an observed read_value")
+    return TraceEvent(kind, tid, op_id, address, value, read_value,
+                      overwritten)
 
 
 def parse_header(line: str, context: str) -> dict:
@@ -224,47 +258,44 @@ def document_from_events(events: list[TraceEvent], source: str,
     ops_by_tid: dict[int, list[TestOp]] = {
         tid: [] for tid in range(num_threads)}
     trace = ExecutionTrace()
+    record_read, record_commit = trace.record_read, trace.record_commit
+    record_write, record_rmw = trace.record_write, trace.record_rmw
+    read, write, rmw = OpKind.READ, OpKind.WRITE, OpKind.RMW
     op_owner: dict[int, int] = {}
     write_values: dict[int, int] = {}
+    # Error text is formatted only on the raise path.
     for index, event in enumerate(events):
-        where = f"{context}: event {index}"
-        if event.op_id in op_owner:
+        op_id, tid, address, value = (event.op_id, event.tid,
+                                      event.address, event.value)
+        if op_id in op_owner:
             raise TraceFormatError(
-                f"{where}: op id {event.op_id} already used by thread "
-                f"{op_owner[event.op_id]}; op ids must be globally "
+                f"{context}: event {index}: op id {op_id} already used "
+                f"by thread {op_owner[op_id]}; op ids must be globally "
                 "unique")
-        op_owner[event.op_id] = event.tid
-        if event.kind == LD_PERFORM:
-            ops_by_tid[event.tid].append(
-                TestOp(op_id=event.op_id, kind=OpKind.READ,
-                       address=event.address))
-            if event.value is None:
+        op_owner[op_id] = tid
+        kind = event.kind
+        if kind == LD_PERFORM:
+            ops_by_tid[tid].append(TestOp(op_id, read, address))
+            if value is None:
                 # Preserve the op with no observation: the checker
                 # reports the missing read as a corruption verdict.
-                trace.record_commit(event.op_id, event.tid)
+                record_commit(op_id, tid)
             else:
-                trace.record_read(event.op_id, event.tid, event.address,
-                                  event.value)
+                record_read(op_id, tid, address, value)
             continue
-        if event.value in write_values:
+        if value in write_values:
             raise TraceFormatError(
-                f"{where}: write value {event.value} already produced "
-                f"by op {write_values[event.value]}; write values must "
-                "be globally unique")
-        write_values[event.value] = event.op_id
-        if event.kind == ST_GLOBALLY_PERFORM:
-            ops_by_tid[event.tid].append(
-                TestOp(op_id=event.op_id, kind=OpKind.WRITE,
-                       address=event.address, value=event.value))
-            trace.record_write(event.op_id, event.tid, event.address,
-                               event.value, event.overwritten)
+                f"{context}: event {index}: write value {value} already "
+                f"produced by op {write_values[value]}; write values "
+                "must be globally unique")
+        write_values[value] = op_id
+        if kind == ST_GLOBALLY_PERFORM:
+            ops_by_tid[tid].append(TestOp(op_id, write, address, value))
+            record_write(op_id, tid, address, value, event.overwritten)
         else:
-            ops_by_tid[event.tid].append(
-                TestOp(op_id=event.op_id, kind=OpKind.RMW,
-                       address=event.address, value=event.value))
-            trace.record_rmw(event.op_id, event.tid, event.address,
-                             event.read_value, event.value,
-                             event.overwritten)
+            ops_by_tid[tid].append(TestOp(op_id, rmw, address, value))
+            record_rmw(op_id, tid, address, event.read_value, value,
+                       event.overwritten)
     trace.validate()
     threads = [TestThread(pid=tid, ops=tuple(ops))
                for tid, ops in sorted(ops_by_tid.items())]

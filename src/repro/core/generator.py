@@ -10,8 +10,10 @@ constrained to a given set (the PBFA-biased mutation of Algorithm 1).
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from collections.abc import Collection, Set
 from itertools import accumulate
+from math import isfinite
 
 from repro.core.config import GeneratorConfig
 from repro.core.program import Chromosome, make_chromosome
@@ -26,10 +28,16 @@ class RandomTestGenerator:
         self.rng = rng
         weights = config.bias.normalised()
         self._kinds = list(weights)
-        # ``choices`` accumulates ``weights=`` into exactly this list on
-        # every call; passing it as ``cum_weights=`` draws the same kinds.
+        # ``choices(kinds, weights=...)`` accumulates the weights into
+        # exactly this list and draws ``kinds[bisect(cum, random() *
+        # total, 0, len(kinds) - 1)]``; ``random_slot`` makes that draw
+        # itself, without the call's per-draw checks and result list.
         self._cum_weights = list(accumulate(
             weights[kind] for kind in self._kinds))
+        self._total = self._cum_weights[-1] + 0.0
+        if not isfinite(self._total):
+            raise ValueError("Total of weights must be finite")
+        self._last = len(self._kinds) - 1
         self._addresses = config.memory.all_addresses()
 
     # ------------------------------------------------------------------
@@ -51,17 +59,16 @@ class RandomTestGenerator:
                     constrain_addresses: Collection[int] | None = None
                     ) -> tuple[int, TestOp]:
         """A random ``(pid, op)`` slot anchored at *index*."""
-        pid = self.rng.randrange(self.config.num_threads)
-        kind = self.rng.choices(self._kinds,
-                                cum_weights=self._cum_weights)[0]
+        rng = self.rng
+        pid = rng.randrange(self.config.num_threads)
+        kind = self._kinds[bisect(self._cum_weights,
+                                  rng.random() * self._total, 0, self._last)]
         if kind is OpKind.DELAY:
-            op = TestOp(op_id=index, kind=kind,
-                        delay=self.rng.randint(1, self.config.delay_max))
-        else:
-            address = self.random_address(constrain_addresses)
-            value = index + 1 if kind.writes_memory else 0
-            op = TestOp(op_id=index, kind=kind, address=address, value=value)
-        return pid, op
+            return pid, TestOp(index, kind, None, 0,
+                               rng.randint(1, self.config.delay_max))
+        return pid, TestOp(index, kind,
+                           self.random_address(constrain_addresses),
+                           index + 1 if kind.writes_memory else 0)
 
     def generate(self) -> Chromosome:
         """Generate one complete random test."""

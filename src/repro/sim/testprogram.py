@@ -42,15 +42,28 @@ class OpKind(Enum):
         return member
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TestOp:
-    """One executable operation of a test thread."""
+    """One executable operation of a test thread.
+
+    GP draws one per slot and trace ingest builds one per event, so
+    ``__init__`` is written by hand: it fills the instance ``__dict__``
+    in one call instead of one ``object.__setattr__`` per field, then
+    validates in :meth:`__post_init__`.  A new field must be added to it
+    too (``tests/test_record_init.py`` fails otherwise).
+    """
 
     op_id: int                 # global slot index; doubles as the event id
     kind: OpKind
     address: int | None = None
     value: int = 0             # unique write id for WRITE / RMW
     delay: int = 0             # cycles for DELAY
+
+    def __init__(self, op_id: int, kind: OpKind, address: int | None = None,
+                 value: int = 0, delay: int = 0) -> None:
+        self.__dict__.update(op_id=op_id, kind=kind, address=address,
+                             value=value, delay=delay)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind.is_memory and self.address is None:

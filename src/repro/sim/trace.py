@@ -13,19 +13,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+# The simulator records one per event and trace ingest one per line, so
+# each record's ``__init__`` is written by hand: it fills the instance
+# ``__dict__`` in one call instead of one ``object.__setattr__`` per
+# field.  A new field must be added there too
+# (``tests/test_record_init.py`` fails otherwise).
+
+
+@dataclass(frozen=True, init=False)
 class ReadRecord:
-    """One committed read: which value (write id) it observed."""
+    """One committed read: which value (write id) it observed.
+
+    ``__init__`` is hand-written for construction cost (see above); a new
+    field must be added to it too.
+    """
 
     op_id: int
     pid: int
     address: int
     value: int
 
+    def __init__(self, op_id: int, pid: int, address: int,
+                 value: int) -> None:
+        self.__dict__.update(op_id=op_id, pid=pid, address=address,
+                             value=value)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class WriteRecord:
-    """One serialised write: its value and the value it overwrote."""
+    """One serialised write: its value and the value it overwrote.
+
+    ``__init__`` is hand-written for construction cost (see above); a new
+    field must be added to it too.
+    """
 
     op_id: int
     pid: int
@@ -33,10 +53,19 @@ class WriteRecord:
     value: int
     overwritten: int
 
+    def __init__(self, op_id: int, pid: int, address: int, value: int,
+                 overwritten: int) -> None:
+        self.__dict__.update(op_id=op_id, pid=pid, address=address,
+                             value=value, overwritten=overwritten)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class RmwRecord:
-    """One atomic read-modify-write (maps to a read and a write event)."""
+    """One atomic read-modify-write (maps to a read and a write event).
+
+    ``__init__`` is hand-written for construction cost (see above); a new
+    field must be added to it too.
+    """
 
     op_id: int
     pid: int
@@ -44,6 +73,13 @@ class RmwRecord:
     read_value: int
     written_value: int
     overwritten: int
+
+    def __init__(self, op_id: int, pid: int, address: int, read_value: int,
+                 written_value: int, overwritten: int) -> None:
+        self.__dict__.update(op_id=op_id, pid=pid, address=address,
+                             read_value=read_value,
+                             written_value=written_value,
+                             overwritten=overwritten)
 
 
 @dataclass

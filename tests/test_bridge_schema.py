@@ -196,6 +196,21 @@ class TestLoadTrace:
         assert sniff_format("x.dat", '{"schema": "..."}') == FORMAT_NATIVE
         assert sniff_format("x.dat", "100: cpu0: ld_perform") == FORMAT_GEM5
 
+    def test_sniffs_the_first_non_blank_line(self, tmp_path):
+        # The native parser skips blank lines, so the sniff must too: a
+        # leading blank line once sent x.ndjson to the gem5 parser.
+        text = "\n  \n" + native(st(0, 0, 64, 1), ld(1, 1, 64, 1))
+        documents = []
+        for name in ("x.ndjson", "x.jsonl"):
+            path = tmp_path / name
+            path.write_text(text)
+            documents.append(load_trace(str(path)))
+        assert [len(doc.events) for doc in documents] == [2, 2]
+        assert documents[0].trace == documents[1].trace
+        gem5 = tmp_path / "x.dat"
+        gem5.write_text("\n\n 5: system.cpu0: ld_perform addr=0x40 data=0\n")
+        assert len(load_trace(str(gem5)).events) == 1
+
     def test_binary_junk_is_a_format_error(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_bytes(b"\xff\xfe\x00\x01binary")
