@@ -13,19 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-# The simulator records one per event and trace ingest one per line, so
-# each record's ``__init__`` is written by hand: it fills the instance
-# ``__dict__`` in one call instead of one ``object.__setattr__`` per
-# field.  A new field must be added there too
-# (``tests/test_record_init.py`` fails otherwise).
-
-
 @dataclass(frozen=True, init=False)
 class ReadRecord:
     """One committed read: which value (write id) it observed.
 
-    ``__init__`` is hand-written for construction cost (see above); a new
-    field must be added to it too.
+    The simulator and trace ingest build one per event, so ``__init__``
+    is hand-written: one ``__dict__`` update instead of an
+    ``object.__setattr__`` per field.  A new field must be added to it
+    too (``tests/test_record_init.py`` fails otherwise).
     """
 
     op_id: int
@@ -43,8 +38,10 @@ class ReadRecord:
 class WriteRecord:
     """One serialised write: its value and the value it overwrote.
 
-    ``__init__`` is hand-written for construction cost (see above); a new
-    field must be added to it too.
+    The simulator and trace ingest build one per event, so ``__init__``
+    is hand-written: one ``__dict__`` update instead of an
+    ``object.__setattr__`` per field.  A new field must be added to it
+    too (``tests/test_record_init.py`` fails otherwise).
     """
 
     op_id: int
@@ -63,8 +60,10 @@ class WriteRecord:
 class RmwRecord:
     """One atomic read-modify-write (maps to a read and a write event).
 
-    ``__init__`` is hand-written for construction cost (see above); a new
-    field must be added to it too.
+    The simulator and trace ingest build one per event, so ``__init__``
+    is hand-written: one ``__dict__`` update instead of an
+    ``object.__setattr__`` per field.  A new field must be added to it
+    too (``tests/test_record_init.py`` fails otherwise).
     """
 
     op_id: int

@@ -1,8 +1,9 @@
 """GP offspring are built with less work and the very same draws.
 
-``RandomTestGenerator.random_slot`` passes cumulative weights it keeps,
-where it used to pass the weights for ``Random.choices`` to accumulate
-on every call; the selective crossover sorts its constrained address
+``RandomTestGenerator.random_slot`` bisects one ``random()`` into
+cumulative weights it keeps, the draw ``Random.choices`` makes, where
+it used to pass the weights for ``choices`` to accumulate on every
+call; the selective crossover sorts its constrained address
 pool once, where each constrained draw used to sort it; and ``reslot``
 returns an op already anchored at its slot instead of rebuilding it.
 Each check here runs the new path against the old one, written out, on
@@ -92,3 +93,16 @@ def test_make_chromosome_matches_reslotting_every_op(seed):
     made = make_chromosome(list(first.slots), config.num_threads)
     assert all(new is old for (_, new), (_, old)
                in zip(made.slots, first.slots))
+
+
+def test_non_finite_bias_is_refused_as_choices_refused_it():
+    # The inlined kind draw checks at construction what ``choices``
+    # checked on every draw.
+    config = GeneratorConfig(test_size=8,
+                             bias=OperationBias(read=float("inf")))
+    weights = config.bias.normalised()
+    with pytest.raises(ValueError, match="must be finite"):
+        random.Random(0).choices(list(weights),
+                                 weights=list(weights.values()))
+    with pytest.raises(ValueError, match="must be finite"):
+        RandomTestGenerator(config, random.Random(0))
