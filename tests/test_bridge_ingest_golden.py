@@ -165,7 +165,7 @@ def _replace_line(text: str, number: int, *new: str) -> str:
 def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
     """``(case id, file name, content)`` for the seeded mutation corpus."""
     rng = random.Random(MUTATION_SEED)
-    cases = []
+    result = []
     for kind, fields in EVENT_FIELDS.items():
         trace, number = rng.choice(_lines_of_kind(texts, kind))
         record = json.loads(texts[trace].splitlines()[number])
@@ -176,9 +176,9 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
                     del mutated[field]
                 else:
                     mutated[field] = replacement
-                cases.append((f"field-{kind}-{field}-{name}", ".jsonl",
-                              _replace_line(texts[trace], number,
-                                            json.dumps(mutated))))
+                result.append((f"field-{kind}-{field}-{name}", ".jsonl",
+                               _replace_line(texts[trace], number,
+                                             json.dumps(mutated))))
 
     def pick() -> tuple[str, int, str]:
         text = texts[rng.randrange(len(texts))]
@@ -187,8 +187,8 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
 
     def line_case(case_id: str, build) -> None:
         text, number, line = pick()
-        cases.append((case_id, ".jsonl",
-                      _replace_line(text, number, *build(line))))
+        result.append((case_id, ".jsonl",
+                       _replace_line(text, number, *build(line))))
 
     line_case("line-unknown-kind",
               lambda line: [line.replace('"event": "', '"event": "x')])
@@ -227,15 +227,17 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
 
     for index in (3, 11, 17):
         text = texts[index]
-        cases.append((f"crlf-s{index}", ".jsonl", text.replace("\n", "\r\n")))
-        cases.append((f"blank-lines-s{index}", ".jsonl",
-                      "\n\n" + text.replace("\n", "\n\n  \n")))
-        cases.append((f"no-final-newline-s{index}", ".jsonl",
-                      text.rstrip("\n")))
-        cases.append((f"cr-only-s{index}", ".jsonl", text.replace("\n", "\r")))
-        cases.append((f"sniff-content-s{index}", ".ndjson", text))
-        cases.append((f"header-only-s{index}", ".jsonl",
-                      text.splitlines()[0] + "\n"))
+        result.append((f"crlf-s{index}", ".jsonl",
+                       text.replace("\n", "\r\n")))
+        result.append((f"blank-lines-s{index}", ".jsonl",
+                       "\n\n" + text.replace("\n", "\n\n  \n")))
+        result.append((f"no-final-newline-s{index}", ".jsonl",
+                       text.rstrip("\n")))
+        result.append((f"cr-only-s{index}", ".jsonl",
+                       text.replace("\n", "\r")))
+        result.append((f"sniff-content-s{index}", ".ndjson", text))
+        result.append((f"header-only-s{index}", ".jsonl",
+                       text.splitlines()[0] + "\n"))
 
     for name, header in (
             ("wrong-schema", _header(schema="repro.bridge/other")),
@@ -258,8 +260,8 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
             ("array", "[]"),
             ("malformed", "{oops"),
             ("leading-space", " " + _header())):
-        cases.append((f"header-{name}", ".jsonl",
-                      "\n".join([header, _ST0, _LD1]) + "\n"))
+        result.append((f"header-{name}", ".jsonl",
+                       "\n".join([header, _ST0, _LD1]) + "\n"))
     for name, text in (
             ("empty", ""), ("whitespace", " \n\t\n\n"),
             ("op-reused", "\n".join([_header(), _ST0, _LD1.replace(
@@ -268,7 +270,7 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
                 '"op": 0', '"op": 5')]) + "\n"),
             ("tid-outside", "\n".join([_header(), _ST0, _LD1.replace(
                 '"tid": 1', '"tid": 2')]) + "\n")):
-        cases.append((f"document-{name}", ".jsonl", text))
+        result.append((f"document-{name}", ".jsonl", text))
 
     for name, text in (
             ("valid", _GEM5),
@@ -284,10 +286,10 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
             ("noise-only", "1: system.mem: refill\n"),
             ("unknown-read", _GEM5.replace("data=11 [sn:9]",
                                            "data=99 [sn:9]"))):
-        cases.append((f"gem5-{name}", ".log", text))
-        cases.append((f"gem5-sniff-{name}", ".dat", text))
-    cases.append(("binary-junk", ".jsonl", b"\xff\xfe\x00\x01binary"))
-    return cases
+        result.append((f"gem5-{name}", ".log", text))
+        result.append((f"gem5-sniff-{name}", ".dat", text))
+    result.append(("binary-junk", ".jsonl", b"\xff\xfe\x00\x01binary"))
+    return result
 
 
 def cases() -> list[tuple[str, str, str | bytes]]:
