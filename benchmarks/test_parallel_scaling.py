@@ -10,20 +10,12 @@ Two Table-4-style sweeps are measured:
   with chunked campaigns — chunking lets idle workers pick up the long
   shards' continuations instead of waiting behind them.
 
-The same heterogeneous sweep is additionally run with
-``chunk_sizing="adaptive"`` against the fixed-chunk work-stealing
-baseline: the controller targets a small per-chunk wall-clock, so chunks
-shrink toward the sweep's tail and the last straggler chunk is finer
-grained — measured here as *tail latency*, the gap between the last two
-shard completions.  Both wall-clock and tail latency land in the JSON
-artifact as the adaptive-vs-fixed row.
-
 A serialization row compares the checkpoint transport protocols on a
 real mid-campaign checkpoint: the old double-serialization path (the
 checkpoint graph pickled for telemetry and again on every hop) against
 the current single-serialization ``ChunkPayload`` path (pickled once on
-the worker, bytes forwarded verbatim) — pickle seconds and bytes saved
-per paused chunk land in the JSON artifact's ``serialization`` row.
+the worker, bytes forwarded verbatim) — pickle seconds per paused chunk
+land in the JSON artifact's ``serialization`` row.
 
 Per-shard results are bit-identical regardless of transport, worker count
 or chunking (seeds derive from the matrix position and checkpoints carry
@@ -60,12 +52,6 @@ WORKERS = 4
 TCP_WORKERS = 2
 SEEDS = 8
 CHUNK_EVALUATIONS = 4
-#: Fixed chunk size of the adaptive-vs-fixed comparison: deliberately
-#: coarse so the fixed baseline pays a visible last-chunk straggler tax.
-COARSE_CHUNK_EVALUATIONS = 12
-#: Adaptive target: small enough that the controller shrinks chunks well
-#: below the coarse seed once it has measured the evaluation rate.
-TARGET_CHUNK_SECONDS = 0.05
 #: Per-shard budgets of the heterogeneous sweep: two stragglers in front
 #: among short shards.
 HETERO_BUDGETS = (36, 36, 6, 6, 6, 6, 6, 6)
@@ -154,24 +140,6 @@ def tcp_sweep():
                              chunk_evaluations=CHUNK_EVALUATIONS))
 
 
-def _run_with_tail(specs, config):
-    """Run a sweep recording tail latency (gap of the last two finishes).
-
-    The straggler signature of a chunked sweep: if the final chunk is
-    coarse, the last shard finishes long after the second-to-last while
-    every other worker idles.  Adaptive sizing should shrink that gap.
-    """
-    finish_times = []
-    started = time.perf_counter()
-    report = run_campaigns(
-        specs, workers=WORKERS, config=config,
-        on_result=lambda shard: finish_times.append(
-            time.perf_counter() - started))
-    tail = (finish_times[-1] - finish_times[-2]
-            if len(finish_times) >= 2 else 0.0)
-    return report, tail
-
-
 #: Serialization-benchmark loop count: enough repetitions that the
 #: per-pause pickle costs rise above timer noise.
 SERIALIZATION_ROUNDS = 200
@@ -224,7 +192,6 @@ def serialization_costs():
         "single_serialization_seconds_per_pause": single_seconds,
         "seconds_saved_per_pause": double_seconds - single_seconds,
         "graph_pickles_avoided_per_pause": 2,
-        "bytes_saved_per_pause": 2 * payload.nbytes,
     }, paused, payload
 
 
@@ -308,18 +275,6 @@ def test_replay_memoization_preserves_verdicts(replay_sweeps, capsys):
               f"memo hit_rate={memo.verdict_cache['hit_rate']:.0%}")
 
 
-@pytest.fixture(scope="module")
-def adaptive_sweeps():
-    """Fixed-coarse vs adaptive work-stealing on the heterogeneous matrix."""
-    specs = _hetero_specs()
-    fixed_config = SweepConfig(chunk_evaluations=COARSE_CHUNK_EVALUATIONS)
-    fixed, fixed_tail = _run_with_tail(specs, fixed_config)
-    adaptive, adaptive_tail = _run_with_tail(specs, replace(
-        fixed_config, chunk_sizing="adaptive",
-        target_chunk_seconds=TARGET_CHUNK_SECONDS))
-    return (fixed, fixed_tail), (adaptive, adaptive_tail)
-
-
 def test_parallel_results_match_serial(sweeps, capsys):
     serial, parallel = sweeps
     assert _outcomes(serial) == _outcomes(parallel)
@@ -362,39 +317,6 @@ def test_parallel_speedup(sweeps, benchmark, capsys):
             "expected >= 2x speedup at 4 workers on an 8-seed sweep: "
             + format_speedup(serial.wall_seconds, parallel.wall_seconds,
                              WORKERS))
-
-
-def test_adaptive_matches_serial(hetero_sweeps, adaptive_sweeps):
-    """Adaptive sizing moves pause points, never results."""
-    serial, _ = hetero_sweeps
-    (fixed, _), (adaptive, _) = adaptive_sweeps
-    assert _outcomes(serial) == _outcomes(fixed)
-    assert _outcomes(serial) == _outcomes(adaptive)
-    assert serial.coverage.global_counts == adaptive.coverage.global_counts
-
-
-def test_adaptive_reduces_tail_latency(adaptive_sweeps, benchmark, capsys):
-    """Adaptive chunks shrink the last-chunk straggler gap.
-
-    With a coarse fixed chunk the sweep's final chunk runs
-    ``COARSE_CHUNK_EVALUATIONS`` evaluations while every other worker
-    idles; the adaptive controller, targeting a small per-chunk
-    wall-clock, dispatches much finer chunks by the time the tail is
-    reached.
-    """
-    (fixed, fixed_tail), (adaptive, adaptive_tail) = adaptive_sweeps
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    with capsys.disabled():
-        print()
-        print(f"fixed chunks ({COARSE_CHUNK_EVALUATIONS} evals): "
-              f"wall={fixed.wall_seconds:.2f}s tail={fixed_tail:.3f}s")
-        print(f"adaptive (target {TARGET_CHUNK_SECONDS}s/chunk): "
-              f"wall={adaptive.wall_seconds:.2f}s tail={adaptive_tail:.3f}s")
-    if _scaling_assertions_enabled("adaptive tail latency"):
-        assert adaptive_tail < fixed_tail, (
-            "adaptive chunk sizing should shrink the last-chunk straggler "
-            f"gap: adaptive_tail={adaptive_tail:.3f}s "
-            f"fixed_tail={fixed_tail:.3f}s")
 
 
 def test_memoized_results_match_unmemoized(memo_sweeps):
@@ -477,15 +399,14 @@ def test_single_serialization_beats_double(serialization_costs, benchmark,
 
 
 def test_bench_json_artifact(sweeps, hetero_sweeps, tcp_sweep,
-                             adaptive_sweeps, serialization_costs,
-                             memo_sweeps, replay_sweeps):
+                             serialization_costs, memo_sweeps,
+                             replay_sweeps):
     """Dump the measured numbers for CI's BENCH_parallel.json artifact."""
     path = os.environ.get("REPRO_BENCH_JSON")
     if not path:
         pytest.skip("REPRO_BENCH_JSON not set; no artifact requested")
     serial, parallel = sweeps
     hetero_serial, stealing = hetero_sweeps
-    (fixed, fixed_tail), (adaptive, adaptive_tail) = adaptive_sweeps
     serialization, _, _ = serialization_costs
     ((_, plain_check, plain_wall, _),
      (memo_shards, memo_check, memo_wall, memo_cache)) = memo_sweeps
@@ -509,20 +430,6 @@ def test_bench_json_artifact(sweeps, hetero_sweeps, tcp_sweep,
             "chunk_evaluations": CHUNK_EVALUATIONS,
             "serial_seconds": hetero_serial.wall_seconds,
             "work_stealing_seconds": stealing.wall_seconds,
-        },
-        "adaptive_chunking": {
-            # Same heterogeneous sweep, fixed-coarse vs adaptive chunk
-            # sizing: wall-clock and tail latency (the gap between the
-            # last two shard completions — the straggler signature
-            # adaptive sizing attacks).
-            "shards": len(fixed.shards),
-            "budgets": list(HETERO_BUDGETS),
-            "chunk_evaluations": COARSE_CHUNK_EVALUATIONS,
-            "target_chunk_seconds": TARGET_CHUNK_SECONDS,
-            "fixed_seconds": fixed.wall_seconds,
-            "fixed_tail_seconds": fixed_tail,
-            "adaptive_seconds": adaptive.wall_seconds,
-            "adaptive_tail_seconds": adaptive_tail,
         },
         "serialization": {
             # Checkpoint transport cost per paused chunk, old

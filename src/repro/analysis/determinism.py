@@ -31,7 +31,7 @@ from repro.analysis.core import (AnalysisContext, ENTROPY_ALLOWED_MODULES,
 
 #: Call targets that read the wall clock.  ``time.perf_counter`` /
 #: ``time.monotonic`` are sanctioned for telemetry (timings are excluded
-#: from the determinism contract like the sizing EWMAs are).
+#: from the determinism contract).
 WALL_CLOCK_CALLS = {
     "time.time", "time.time_ns", "time.localtime", "time.gmtime",
     "time.ctime", "time.strftime",

@@ -5,7 +5,7 @@ simulator.  External traces — from a gem5 run, another simulator, or a
 previous campaign's export — are parsed into the same
 ``(threads, trace)`` objects the checker consumes, then sharded through
 the existing parallel campaign orchestrator as a *replay* campaign:
-checkpoint/resume, adaptive chunk sizing, verdict memoization and both
+checkpoint/resume, chunking, verdict memoization and both
 transports all apply unchanged.
 
 Layers:

@@ -58,16 +58,38 @@ CORPUS_EXTENSIONS = (".jsonl", ".log", ".txt", ".trace")
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def _split_lines(text: str) -> list[str]:
+    """*text*'s lines, split only at ``\\n``, ``\\r\\n`` and ``\\r``.
+
+    ``str.splitlines`` also splits at U+2028, U+2029, U+0085, ``\\v``,
+    ``\\f`` and ``\\x1c``–``\\x1e``; the first three are legal raw
+    inside a JSON string, and none ends a JSON Lines record.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _file_line(lines: list[str], position: int) -> int:
+    """The 1-based file line of the *position*-th non-blank line."""
+    return [number for number, line in enumerate(lines, start=1)
+            if line.strip()][position]
+
+
 def parse_native_jsonl(text: str, path: str | None = None) -> TraceDocument:
-    """Parse one native JSONL trace into a checker-ready document."""
+    """Parse one native JSONL trace into a checker-ready document.
+
+    Blank lines are skipped; error messages name the file line.
+    """
     context = path or "<native trace>"
-    lines = [line for line in text.splitlines() if line.strip()]
+    file_lines = _split_lines(text)
+    lines = [line for line in file_lines if line.strip()]
     if not lines:
         raise TraceFormatError(f"{context}: empty trace file")
     header = parse_header(lines[0], context)
     events: list[TraceEvent] = []
     append = events.append
-    for number, line in enumerate(lines[1:], start=2):
+    for position, line in enumerate(lines[1:], start=1):
         # ``raw_decode`` neither skips surrounding whitespace nor rejects
         # trailing data, so its result stands only when it consumed the
         # whole line; ``json.loads`` decides every other line, which
@@ -81,8 +103,8 @@ def parse_native_jsonl(text: str, path: str | None = None) -> TraceDocument:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
                 raise TraceFormatError(
-                    f"{context}: line {number}: malformed JSON: {error}"
-                ) from None
+                    f"{context}: line {_file_line(file_lines, position)}: "
+                    f"malformed JSON: {error}") from None
         try:
             event = parse_event(record, context)
         except TraceFormatError:
@@ -90,7 +112,8 @@ def parse_native_jsonl(text: str, path: str | None = None) -> TraceDocument:
         if event is None:
             # The line is named only on the raise path: parsing again
             # raises the same error with it.
-            parse_event(record, f"{context}: line {number}")
+            parse_event(record,
+                        f"{context}: line {_file_line(file_lines, position)}")
         append(event)
     return document_from_events(
         events, source=str(header.get("source") or context),
@@ -245,7 +268,7 @@ def load_trace(path: str, format: str = FORMAT_AUTO) -> TraceDocument:
         # Split the text only when the extension does not decide; the
         # native parser skips blank lines, so the sniff does too.
         format = _format_by_extension(path) or sniff_format(
-            path, next((line for line in text.splitlines()
+            path, next((line for line in _split_lines(text)
                         if line.strip()), ""))
     if format == FORMAT_NATIVE:
         return parse_native_jsonl(text, path=path)

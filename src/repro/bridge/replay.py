@@ -7,7 +7,7 @@ trace file and checks it against the memory model.  Because it exposes
 the same ``run_chunk``/checkpoint/restore surface as
 :class:`repro.core.campaign.Campaign`, every piece of the existing
 orchestration — the chunked work-stealing scheduler, checkpoint/resume,
-adaptive chunk sizing, sweep-wide verdict memoization, and both
+sweep-wide verdict memoization, and both
 transports (multiprocessing pool and TCP coordinator) — drives replay
 shards unchanged.
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from repro.locking import TracedLock, guarded_by, requires_lock
 
 #: Default LRU bound: entries are ~100 pickled bytes, so a full cache
-#: snapshots to a couple of MiB — comfortably inside the chunk-dispatch
-#: byte budgets.
+#: snapshots to a couple of MiB — comfortably inside the cache-shipment
+#: cap of a task frame.
 DEFAULT_CACHE_CAPACITY = 16384
 
 #: Cap on the entries an engine checkpoint carries.  Checkpoint cache

@@ -115,10 +115,6 @@ class CampaignCheckpoint:
     transport payload (:class:`repro.harness.parallel.ChunkPayload`) and
     yields the serialization seconds/bytes reported on each
     :class:`repro.harness.parallel.ChunkTelemetry` record.
-    ``chunk_sizing="adaptive"`` uses those measurements to grow chunks
-    for fast campaigns automatically, and ``max_checkpoint_bytes``
-    shrinks a cell's chunks when its checkpoints approach the
-    transport's frame budget.
     """
 
     kind: GeneratorKind

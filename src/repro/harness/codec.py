@@ -146,9 +146,8 @@ WIRE_FIELDS: dict[str, tuple[str, ...]] = {
         "mean_ndt_final", "sim_seconds", "check_seconds", "stats"),
     "CoverageCollector": ("counts", "known", "run"),
     "SweepConfig": (
-        "chunk_evaluations", "chunk_sizing", "target_chunk_seconds",
-        "max_checkpoint_bytes", "verdict_memo", "transport",
-        "coordinator", "lease_timeout", "max_frame_bytes"),
+        "chunk_evaluations", "verdict_memo", "transport", "coordinator",
+        "lease_timeout", "max_frame_bytes"),
 }
 
 #: Enums admitted to the wire (encoded by value).

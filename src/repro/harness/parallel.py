@@ -58,22 +58,6 @@ verification service, with per-worker leases and fault-tolerant chunk
 re-queue, so a sweep can shard across hosts without touching the
 determinism contract.
 
-Adaptive chunk sizing
----------------------
-Every executed chunk reports a :class:`ChunkTelemetry` record (wall time,
-evaluations completed, checkpoint-serialization cost) on its
-:class:`ChunkOutcome`.  With ``chunk_sizing="adaptive"`` a
-:class:`ChunkSizeController` folds those records into an EWMA of
-evaluations/second per ``(campaign kind, fault)`` cell and re-sizes every
-dispatched chunk to take ``target_chunk_seconds`` of worker time (clamped
-to a min/max): slow or faulty configurations get smaller chunks (finer
-re-balancing, less tail latency behind stragglers), fast ones get bigger
-chunks (less framing/pickling overhead).  Sizing only moves the *pause
-points* of a campaign — checkpointed resumption is bit-exact — so the
-determinism guarantee above is unaffected;
-``tests/test_determinism_fuzz.py`` asserts it for adaptive mode across
-every transport.
-
 Single-serialization checkpoint transport
 -----------------------------------------
 A paused chunk's resume checkpoint is pickled exactly once, on the
@@ -88,15 +72,13 @@ checkpoint object graph is never re-serialized on the host.  It is
 deserialized exactly once, by whichever worker resumes the chunk
 (:func:`run_shard_chunk` resolves a :class:`ChunkPayload` lazily).
 
-On top of the payload path sits a *byte budget*:
-``max_checkpoint_bytes`` (on the TCP transport derived from
-``max_frame_bytes`` by default) feeds the observed ``checkpoint_bytes``
-back into the :class:`ChunkSizeController`, which shrinks a cell's
-``pause_after`` as its checkpoints approach the cap — an outgrowing
-checkpoint becomes a smaller next chunk (minimal growth per hop, frame
-headroom preserved) rather than marching into the sweep-fatal
-``FrameTooLargeError``, which remains only as a backstop for
-checkpoints no chunk size can keep under the frame cap.
+Every executed chunk also reports a :class:`ChunkTelemetry` record (wall
+time, evaluations completed, checkpoint-serialization cost) on its
+:class:`ChunkOutcome`; the scheduler sums them into the live telemetry
+shown by :mod:`repro.harness.reporting`.  Chunk size is fixed per sweep
+(``chunk_evaluations``) and only moves the *pause points* of a campaign,
+so it never changes a result.  A checkpoint too large for a transport's
+``max_frame_bytes`` aborts the sweep with ``FrameTooLargeError``.
 """
 
 from __future__ import annotations
@@ -298,7 +280,7 @@ class ChunkTask:
     pause_after: int | None = None
     #: Sweep-wide verdict-cache shipment (a pickled
     #: :class:`~repro.consistency.memo.VerdictCacheState`), stamped at
-    #: dispatch like ``pause_after``.  Presence is what switches
+    #: dispatch.  Presence is what switches
     #: memoization on worker-side — an empty-but-present state means
     #: "memoize, nothing known yet".  Pre-serialized for the same reason
     #: as :class:`ChunkPayload`: the bytes ride every hop verbatim.
@@ -313,9 +295,9 @@ class ChunkTelemetry:
     side (the in-process pool and the TCP coordinator alike) can see what
     each chunk actually cost: how many evaluations it completed, how long
     they took on the worker's wall clock, and what pausing cost on top
-    (serializing the resume checkpoint).  This is the raw signal the
-    :class:`ChunkSizeController` turns into adaptive chunk sizes and the
-    live telemetry shown by :mod:`repro.harness.reporting`.
+    (serializing the resume checkpoint).  The :class:`ChunkScheduler`
+    sums these into the live telemetry shown by
+    :mod:`repro.harness.reporting`.
     """
 
     #: Evaluations completed in this chunk (not cumulative for the shard).
@@ -326,13 +308,6 @@ class ChunkTelemetry:
     checkpoint_bytes: int = 0
     #: Seconds spent serializing the resume checkpoint (0 on completion).
     checkpoint_seconds: float = 0.0
-
-    @property
-    def evaluations_per_second(self) -> float | None:
-        """The chunk's throughput, or ``None`` if it cannot be measured."""
-        if self.evaluations <= 0 or self.wall_seconds <= 0.0:
-            return None
-        return self.evaluations / self.wall_seconds
 
 
 @dataclass(frozen=True)
@@ -359,28 +334,15 @@ class ChunkOutcome:
 
 
 def _run_chunk_instrumented(
-        task: ChunkTask, serialize_checkpoint: bool = True,
-        verdict_cache: VerdictCache | None = None
-) -> tuple[ShardResult | None, "CampaignCheckpoint | None",
-           "ChunkPayload | None", ChunkTelemetry,
+        task: ChunkTask, verdict_cache: VerdictCache | None = None
+) -> tuple[ShardResult | None, "CampaignCheckpoint | None", ChunkTelemetry,
            "VerdictCacheDelta | None"]:
     """Run one chunk and measure what it cost (exceptions propagate).
 
     The measured evaluation count is the chunk's *delta* (resumed
-    checkpoints carry the cumulative count).  With
-    ``serialize_checkpoint=True`` a pause performs the checkpoint's single
-    ``pickle.dumps``: the timed result *is* the transport payload
-    (:class:`ChunkPayload`), so the telemetry's
-    ``checkpoint_bytes``/``checkpoint_seconds`` measure exactly the bytes
-    the queue or TCP frame will carry — no second serialization ever
-    happens.  The materialized checkpoint is returned *alongside* the
-    payload: an in-process caller (the serial byte-budgeted path) resumes
-    from the object and skips the re-``loads``, while transport callers
-    (:func:`execute_chunk_task`) ship only the bytes.
-    ``serialize_checkpoint=False`` skips the measurement entirely
-    (reporting zero cost): the in-process serial path never serializes
-    checkpoints at all unless a byte budget needs the measurement, so
-    there a ``dumps`` would be pure overhead, not real work.
+    checkpoints carry the cumulative count).  The telemetry reports no
+    checkpoint cost: only :func:`execute_chunk_task` serializes a
+    paused checkpoint, and it adds the cost of doing so.
     """
     resume_from = task.checkpoint
     if isinstance(resume_from, ChunkPayload):
@@ -394,22 +356,11 @@ def _run_chunk_instrumented(
     wall_seconds = time.perf_counter() - started
     cache_delta = (verdict_cache.delta(cache_mark)
                    if verdict_cache is not None else None)
-    payload = None
-    checkpoint_bytes = 0
-    checkpoint_seconds = 0.0
-    if checkpoint is not None:
-        evaluations = checkpoint.evaluations - already_done
-        if serialize_checkpoint:
-            serialize_started = time.perf_counter()
-            payload = ChunkPayload.of(checkpoint)
-            checkpoint_seconds = time.perf_counter() - serialize_started
-            checkpoint_bytes = payload.nbytes
-    else:
-        evaluations = shard.result.evaluations - already_done
-    return shard, checkpoint, payload, ChunkTelemetry(
-        evaluations=evaluations, wall_seconds=wall_seconds,
-        checkpoint_bytes=checkpoint_bytes,
-        checkpoint_seconds=checkpoint_seconds), cache_delta
+    done = (checkpoint.evaluations if checkpoint is not None
+            else shard.result.evaluations)
+    return shard, checkpoint, ChunkTelemetry(
+        evaluations=done - already_done,
+        wall_seconds=wall_seconds), cache_delta
 
 
 def merge_shipped_cache(data: bytes,
@@ -453,10 +404,17 @@ def execute_chunk_task(task: ChunkTask,
     if cache is None and task.cache is not None:
         cache = merge_shipped_cache(task.cache, None)
     try:
-        # Ship only the bytes: the materialized checkpoint would hand
-        # the transport an object graph to re-pickle.
-        shard, _, payload, telemetry, cache_delta = (
+        shard, checkpoint, telemetry, cache_delta = (
             _run_chunk_instrumented(task, verdict_cache=cache))
+        payload = None
+        if checkpoint is not None:
+            # Ship only the bytes: the materialized checkpoint would
+            # hand the transport an object graph to re-pickle.
+            started = time.perf_counter()
+            payload = ChunkPayload.of(checkpoint)
+            telemetry = replace(
+                telemetry, checkpoint_bytes=payload.nbytes,
+                checkpoint_seconds=time.perf_counter() - started)
     except Exception as error:
         return ChunkOutcome(index=task.index,
                             error=f"{type(error).__name__}: {error}")
@@ -464,269 +422,28 @@ def execute_chunk_task(task: ChunkTask,
                         telemetry=telemetry, cache_delta=cache_delta)
 
 
-# ----------------------------------------------------------------------
-# Adaptive chunk sizing
-
-
-CHUNK_SIZING_FIXED = "fixed"
-CHUNK_SIZING_ADAPTIVE = "adaptive"
-CHUNK_SIZING_MODES = (CHUNK_SIZING_FIXED, CHUNK_SIZING_ADAPTIVE)
-
-#: How much worker wall-clock one adaptively sized chunk should take.
-DEFAULT_TARGET_CHUNK_SECONDS = 2.0
-#: Upper clamp of adaptive sizing, as a multiple of the seed chunk size,
-#: when no explicit ``max_chunk_evaluations`` is configured.
-DEFAULT_MAX_CHUNK_GROWTH = 32
-#: Fraction of ``max_checkpoint_bytes`` at which the byte budget starts
-#: shrinking chunks.  Below it checkpoints are considered comfortably
-#: small; between it and the cap, chunk sizes scale down linearly toward
-#: ``min_chunk_evaluations``.
-BYTE_BUDGET_SOFT_FRACTION = 0.5
-#: The default checkpoint byte budget is this fraction of a transport's
-#: ``max_frame_bytes``: the task frame adds the spec and framing
-#: overhead on top of the checkpoint payload, and the budget steers an
-#: EWMA, so it needs generous headroom below the hard frame cap.  (Also
-#: the fraction capping one verdict-cache shipment.)
-CHECKPOINT_FRAME_FRACTION = 4
-
-
-def sizing_key(spec: CampaignSpec) -> tuple:
-    """The cell a spec's telemetry is pooled under: ``(kind, fault)``.
-
-    Keying by kind alone conflates fault-injected cells with clean cells
-    of the same generator kind — a slow faulty configuration would shrink
-    the clean cell's chunks (and vice versa) even though their
-    evaluation rates differ systematically.  Seeds of one cell *are*
-    pooled: they run statistically identical workloads.
-    """
-    return (spec.kind, spec.fault)
-
-
-def sizing_label(key: object) -> str:
-    """Human-readable display label for a sizing key (not always unique).
-
-    Tuples render part-wise: a ``(kind, fault)`` key becomes e.g.
-    ``"McVerSi-RAND|SQ+no-FIFO"`` (``None``, the correct system, renders
-    as ``"correct"``).  Uniqueness is the caller's problem — see
-    :meth:`ChunkSizeController.snapshot`, which disambiguates collisions
-    instead of silently overwriting entries.
-    """
-    if isinstance(key, tuple):
-        return "|".join(sizing_label(part) for part in key)
-    if key is None:
-        return "correct"
-    for attribute in ("paper_name", "value"):
-        label = getattr(key, attribute, None)
-        if label is not None:
-            return str(label)
-    return str(key)
-
-
-class ChunkSizeController:
-    """Sizes chunks from per-chunk telemetry (or keeps them fixed).
-
-    In ``"fixed"`` mode :meth:`chunk_for` always returns the configured
-    ``chunk_evaluations`` — the controller is a pure no-op pass-through,
-    which is what every scheduler used before adaptive sizing existed.
-
-    In ``"adaptive"`` mode the controller maintains an exponentially
-    weighted moving average of evaluations/second *per sizing key* — the
-    scheduler keys by ``(campaign kind, fault)`` cell, see
-    :func:`sizing_key` — fed by :meth:`observe`, and sizes each
-    dispatched chunk so it takes about ``target_chunk_seconds`` of worker
-    wall-clock:
-    ``clamp(rate * target, min_chunk_evaluations, max_chunk_evaluations)``.
-    Until a key has been observed it falls back to the seed
-    ``chunk_evaluations``.  Slow or faulty configurations therefore get
-    smaller chunks (finer-grained re-balancing and shorter stragglers at
-    the sweep's tail) while fast ones get bigger chunks (fewer
-    checkpoint/framing round-trips).
-
-    ``max_checkpoint_bytes`` adds a *byte budget* in either mode: the
-    controller also EWMAs each key's observed ``checkpoint_bytes``, and
-    once those approach the budget (beyond
-    ``BYTE_BUDGET_SOFT_FRACTION`` of it) the key's chunks shrink
-    linearly toward ``min_chunk_evaluations`` — so a checkpoint
-    outgrowing the transport's frame cap yields smaller (hence
-    slower-growing, sooner-completing) chunks instead of a sweep-fatal
-    ``FrameTooLargeError``.
-
-    Chunk size only decides *where* a campaign pauses; checkpointed
-    resumption is bit-exact, so any sizing policy — including one driven
-    by nondeterministic wall-clock measurements — preserves the
-    ``workers=1`` ≡ ``workers=N`` determinism contract.
-
-    Not thread-safe by itself; the TCP coordinator calls it under its
-    scheduler lock (single-threaded transports need no locking).
-    """
-
-    def __init__(self, mode: str = CHUNK_SIZING_FIXED,
-                 chunk_evaluations: int | None = None,
-                 target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS,
-                 min_chunk_evaluations: int = 1,
-                 max_chunk_evaluations: int | None = None,
-                 smoothing: float = 0.5,
-                 max_checkpoint_bytes: int | None = None) -> None:
-        if mode not in CHUNK_SIZING_MODES:
-            raise ValueError(f"unknown chunk_sizing {mode!r}; expected one "
-                             f"of {CHUNK_SIZING_MODES}")
-        if mode == CHUNK_SIZING_ADAPTIVE:
-            if chunk_evaluations is None:
-                raise ValueError(
-                    "chunk_sizing='adaptive' needs a seed chunk_evaluations "
-                    "to start from (and to re-size around)")
-            if target_chunk_seconds <= 0:
-                raise ValueError("target_chunk_seconds must be positive")
-        if min_chunk_evaluations < 1:
-            raise ValueError("min_chunk_evaluations must be at least 1")
-        if max_chunk_evaluations is None and chunk_evaluations is not None:
-            max_chunk_evaluations = (chunk_evaluations
-                                     * DEFAULT_MAX_CHUNK_GROWTH)
-        if (max_chunk_evaluations is not None
-                and max_chunk_evaluations < min_chunk_evaluations):
-            raise ValueError("max_chunk_evaluations must be >= "
-                             "min_chunk_evaluations")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if max_checkpoint_bytes is not None and max_checkpoint_bytes < 1:
-            raise ValueError("max_checkpoint_bytes must be positive")
-        self.mode = mode
-        self.chunk_evaluations = chunk_evaluations
-        self.target_chunk_seconds = target_chunk_seconds
-        self.min_chunk_evaluations = min_chunk_evaluations
-        self.max_chunk_evaluations = max_chunk_evaluations
-        self.smoothing = smoothing
-        self.max_checkpoint_bytes = max_checkpoint_bytes
-        self._rates: dict[object, float] = {}
-        self._checkpoint_bytes: dict[object, float] = {}
-
-    @property
-    def adaptive(self) -> bool:
-        return self.mode == CHUNK_SIZING_ADAPTIVE
-
-    def observe(self, key: object, telemetry: ChunkTelemetry | None) -> None:
-        """Fold one chunk's telemetry into the key's EWMAs."""
-        if telemetry is None:
-            return
-        if telemetry.checkpoint_bytes > 0:
-            self._checkpoint_bytes[key] = self._ewma(
-                self._checkpoint_bytes.get(key),
-                float(telemetry.checkpoint_bytes))
-        rate = telemetry.evaluations_per_second
-        if rate is None:
-            return
-        self._rates[key] = self._ewma(self._rates.get(key), rate)
-
-    def _ewma(self, previous: float | None, value: float) -> float:
-        if previous is None:
-            return value
-        return self.smoothing * value + (1.0 - self.smoothing) * previous
-
-    def rate(self, key: object) -> float | None:
-        """The key's current evaluations/second estimate (EWMA)."""
-        return self._rates.get(key)
-
-    def checkpoint_bytes(self, key: object) -> float | None:
-        """The key's current checkpoint-size estimate (EWMA of bytes)."""
-        return self._checkpoint_bytes.get(key)
-
-    def byte_budget_scale(self, key: object) -> float:
-        """Chunk-shrink factor in ``(0, 1]`` from checkpoint-size pressure.
-
-        ``1.0`` while the key's observed checkpoints sit below
-        ``BYTE_BUDGET_SOFT_FRACTION`` of ``max_checkpoint_bytes`` (or no
-        budget / no observation exists); then a linear ramp down to
-        ``0.0`` as they approach the full budget, which the clamp in
-        :meth:`chunk_for` turns into ``min_chunk_evaluations``.
-        """
-        if self.max_checkpoint_bytes is None:
-            return 1.0
-        observed = self._checkpoint_bytes.get(key)
-        if observed is None:
-            return 1.0
-        pressure = observed / self.max_checkpoint_bytes
-        if pressure <= BYTE_BUDGET_SOFT_FRACTION:
-            return 1.0
-        return max(0.0, (1.0 - pressure) / (1.0 - BYTE_BUDGET_SOFT_FRACTION))
-
-    def chunk_for(self, key: object) -> int | None:
-        """Evaluations the next chunk of a ``key`` campaign should run.
-
-        ``None`` means "run the shard monolithically" (no chunking was
-        configured at all, so there is nothing to size).  The byte
-        budget applies in *both* modes: even fixed-size sweeps must
-        shrink a cell's chunks rather than outgrow the transport frame.
-        """
-        if self.chunk_evaluations is None:
-            return None
-        if self.adaptive:
-            rate = self._rates.get(key)
-            value = (self.chunk_evaluations if rate is None
-                     else round(rate * self.target_chunk_seconds))
-        else:
-            value = self.chunk_evaluations
-        scale = self.byte_budget_scale(key)
-        if scale < 1.0:
-            value = round(value * scale)
-        return self._clamp(value)
-
-    def _clamp(self, value: int) -> int:
-        value = max(self.min_chunk_evaluations, value)
-        if self.max_chunk_evaluations is not None:
-            value = min(self.max_chunk_evaluations, value)
-        return value
-
-    def snapshot(self) -> dict[str, dict[str, float | int]]:
-        """Current per-cell telemetry for live reporting.
-
-        Keyed by each sizing key's display label (:func:`sizing_label`);
-        each entry carries the throughput EWMA and the chunk size the
-        controller would hand out next.  Two keys rendering to the same
-        label get ``#2``/``#3``… suffixes instead of silently
-        overwriting each other.
-        """
-        view: dict[str, dict[str, float | int]] = {}
-        for key, rate in self._rates.items():
-            label = base_label = sizing_label(key)
-            suffix = 2
-            while label in view:
-                label = f"{base_label}#{suffix}"
-                suffix += 1
-            view[label] = {"evals_per_second": round(rate, 2),
-                           "chunk_evaluations": self.chunk_for(key)}
-            bytes_estimate = self._checkpoint_bytes.get(key)
-            if bytes_estimate is not None:
-                view[label]["checkpoint_bytes"] = round(bytes_estimate)
-        return view
-
-
 class ShardFailure(RuntimeError):
     """A shard raised inside a worker; carries the stringified cause."""
 
 
-def _telemetry_view(controller: ChunkSizeController,
-                    total_evaluations: int,
+def _telemetry_view(total_evaluations: int,
                     total_seconds: float,
                     checkpoint_bytes: int = 0,
-                    bytes_saved: int = 0,
                     verdict_cache: dict | None = None) -> dict[str, object]:
     """The ``telemetry_out`` shape every execution path publishes.
 
     Single point of truth for the live-telemetry mapping consumed by
-    :func:`repro.harness.reporting.format_telemetry`: per-cell controller
-    state under ``"kinds"``, the sweep-wide aggregate rate, when
-    checkpoints actually crossed a transport the serialized checkpoint
-    bytes plus the re-pickle bytes the payload path saved, and — with
-    memoization on — the sweep-wide verdict-cache view under
-    ``"verdict_cache"``, so the serial, pooled and TCP paths can never
-    drift apart.
+    :func:`repro.harness.reporting.format_telemetry`: the sweep-wide
+    aggregate rate, when checkpoints actually crossed a transport the
+    serialized checkpoint bytes, and — with memoization on — the
+    sweep-wide verdict-cache view under ``"verdict_cache"``, so the
+    serial, pooled and TCP paths can never drift apart.
     """
-    view: dict[str, object] = {"kinds": controller.snapshot()}
+    view: dict[str, object] = {}
     if total_seconds > 0.0:
         view["evals_per_second"] = round(total_evaluations / total_seconds, 2)
-    if checkpoint_bytes or bytes_saved:
-        view["checkpoint"] = {"bytes": checkpoint_bytes,
-                              "saved_bytes": bytes_saved}
+    if checkpoint_bytes:
+        view["checkpoint"] = {"bytes": checkpoint_bytes}
     if verdict_cache is not None:
         view["verdict_cache"] = verdict_cache
     return view
@@ -751,9 +468,9 @@ def _cache_counters_view(entries: int, hits: int, misses: int,
 @guarded_by("_lock", "_queue", "_completed", "_queued", "_outstanding",
             "_cache_shipment", "_cache_shipment_inserts", "stale_pauses",
             "total_chunk_evaluations", "total_chunk_seconds",
-            "total_checkpoint_bytes", "total_payload_bytes_saved",
-            "cache_hits", "cache_misses", "cache_failed_refreshes",
-            "cache_evictions", "cache_seconds_saved")
+            "total_checkpoint_bytes", "cache_hits", "cache_misses",
+            "cache_failed_refreshes", "cache_evictions",
+            "cache_seconds_saved")
 class ChunkScheduler:
     """The transport-agnostic task source / result sink of one sweep.
 
@@ -778,13 +495,8 @@ class ChunkScheduler:
     the continuation task untouched, deserialized only by the worker that
     eventually resumes it.
 
-    Chunk sizes are decided at *dispatch* time: :meth:`next_task` stamps
-    each task's ``pause_after`` with whatever the
-    :class:`ChunkSizeController` currently says for the shard's
-    ``(kind, fault)`` sizing cell, and :meth:`record` feeds every
-    outcome's :class:`ChunkTelemetry` back into the controller — so under
-    ``chunk_sizing="adaptive"`` (or a byte budget) a re-queued
-    continuation is re-sized with the freshest estimates, whichever
+    Every task, first chunk or continuation, pauses after
+    ``chunk_evaluations`` evaluations (``None``: never), whichever
     transport carries it.
 
     Thread-safe: the TCP coordinator and the verification service drive
@@ -798,16 +510,11 @@ class ChunkScheduler:
 
     def __init__(self, specs: list[CampaignSpec],
                  chunk_evaluations: int | None = None,
-                 controller: ChunkSizeController | None = None,
                  verdict_memo: bool = False,
                  memo_capacity: int = DEFAULT_CACHE_CAPACITY,
                  max_cache_bytes: int | None = None) -> None:
-        if controller is None:
-            controller = ChunkSizeController(
-                mode=CHUNK_SIZING_FIXED, chunk_evaluations=chunk_evaluations)
         self.specs = specs
         self.chunk_evaluations = chunk_evaluations
-        self.controller = controller
         self._lock = TracedLock("chunk_scheduler")
         #: Sweep-wide verdict cache (collective checking): outcomes'
         #: deltas fold in via :meth:`record`, and :meth:`next_task` stamps
@@ -844,14 +551,6 @@ class ChunkScheduler:
         self.total_chunk_evaluations = 0
         self.total_chunk_seconds = 0.0
         self.total_checkpoint_bytes = 0
-        #: Transport bytes the payload path avoided re-pickling: under the
-        #: old double-serialization protocol the checkpoint graph was
-        #: serialized again on every transport hop.  Credited per hop that
-        #: actually happens — ``nbytes`` when a payload-bearing outcome is
-        #: recorded (the result hop) and ``nbytes`` when a payload-bearing
-        #: continuation is dispatched (the task hop) — so dropped stale
-        #: pauses never inflate the figure.
-        self.total_payload_bytes_saved = 0
 
     @property
     def total(self) -> int:
@@ -878,11 +577,8 @@ class ChunkScheduler:
     def next_task(self) -> ChunkTask | None:
         """The next task to hand to an idle worker (``None``: none queued).
 
-        The task's ``pause_after`` is stamped here, at dispatch time, so
-        an adaptively sized (or byte-budgeted) sweep always uses the
-        controller's *current* estimate — including for continuations
-        queued before the estimate moved and for chunks re-queued after a
-        worker was lost.
+        On memoized sweeps the task carries the sweep-wide verdict cache
+        as it stands at dispatch.
         """
         with self._lock:
             while self._queue:
@@ -893,20 +589,10 @@ class ChunkScheduler:
                     # completion arrived from another worker: skip it.
                     continue
                 self._outstanding.add(task.index)
-                if isinstance(task.checkpoint, ChunkPayload):
-                    # This dispatch forwards pre-serialized bytes where
-                    # the old protocol would have re-pickled the graph.
-                    self.total_payload_bytes_saved += \
-                        task.checkpoint.nbytes
-                pause_after = self.controller.chunk_for(
-                    sizing_key(task.spec))
-                if pause_after != task.pause_after:
-                    task = replace(task, pause_after=pause_after)
                 if self.verdict_cache is not None:
-                    # Piggyback the sweep-wide cache like the sizing
-                    # EWMAs: stamped at dispatch with the *current*
-                    # state, pickled lazily (re-serialized only after
-                    # new entries arrived).
+                    # Stamped at dispatch with the *current* state,
+                    # pickled lazily (re-serialized only after new
+                    # entries arrived).
                     task = replace(task, cache=self._shipment_bytes())
                 return task
             return None
@@ -960,9 +646,9 @@ class ChunkScheduler:
         both dropped, since re-runs are bit-identical and the re-queued
         task already represents the shard.  Raises :class:`ShardFailure`
         on a worker-side error.  The outcome's :class:`ChunkTelemetry`
-        (if any) is folded into the :class:`ChunkSizeController` and the
-        scheduler's aggregate counters before the dedup checks, so even a
-        stale-but-successful replay still improves the estimates.
+        (if any) is added to the scheduler's aggregate counters before
+        the dedup checks: a stale-but-successful replay still did the
+        work it reports.
         """
         if outcome.error is not None:
             raise ShardFailure(
@@ -971,19 +657,11 @@ class ChunkScheduler:
                 f"worker: {outcome.error}")
         with self._lock:
             if outcome.telemetry is not None:
-                self.controller.observe(
-                    sizing_key(self.specs[outcome.index]),
-                    outcome.telemetry)
                 self.total_chunk_evaluations += \
                     outcome.telemetry.evaluations
                 self.total_chunk_seconds += outcome.telemetry.wall_seconds
                 self.total_checkpoint_bytes += \
                     outcome.telemetry.checkpoint_bytes
-            if outcome.payload is not None:
-                # The result hop that just happened forwarded bytes
-                # verbatim (the dispatch hop is credited when/if the
-                # continuation is actually handed out).
-                self.total_payload_bytes_saved += outcome.payload.nbytes
             if outcome.cache_delta is not None \
                     and self.verdict_cache is not None:
                 # Folded before the dedup checks, like the telemetry:
@@ -1022,21 +700,16 @@ class ChunkScheduler:
     def telemetry_snapshot(self) -> dict[str, object]:
         """Live telemetry for progress displays.
 
-        ``"kinds"`` maps each observed sizing cell to its throughput
-        EWMA and current chunk size (see
-        :meth:`ChunkSizeController.snapshot`); ``"evals_per_second"`` is
-        the sweep-wide aggregate rate over every recorded chunk;
-        ``"checkpoint"`` aggregates serialized checkpoint bytes and the
-        transport bytes the single-serialization payload path saved;
-        ``"verdict_cache"`` (memoized sweeps) aggregates hit/miss
-        counters and checker-seconds saved across every worker's deltas.
+        ``"evals_per_second"`` is the sweep-wide aggregate rate over
+        every recorded chunk; ``"checkpoint"`` aggregates serialized
+        checkpoint bytes; ``"verdict_cache"`` (memoized sweeps)
+        aggregates hit/miss counters and checker-seconds saved across
+        every worker's deltas.
         """
         with self._lock:
             return _telemetry_view(
-                self.controller, self.total_chunk_evaluations,
-                self.total_chunk_seconds,
+                self.total_chunk_evaluations, self.total_chunk_seconds,
                 checkpoint_bytes=self.total_checkpoint_bytes,
-                bytes_saved=self.total_payload_bytes_saved,
                 verdict_cache=self._cache_telemetry_locked())
 
     def cache_telemetry(self) -> dict[str, object] | None:
@@ -1101,41 +774,30 @@ class ChunkScheduler:
                 self.verdict_cache.merge(cache_state)
 
 
+#: A verdict-cache shipment is capped at this fraction of a transport's
+#: ``max_frame_bytes``: the task frame carries the spec and the resume
+#: checkpoint on top of it.
+CHECKPOINT_FRAME_FRACTION = 4
+
+
 def build_chunk_scheduler(specs: list[CampaignSpec], config: SweepConfig,
                           default_max_frame_bytes: int | None = None
                           ) -> ChunkScheduler:
     """Build the :class:`ChunkScheduler` a :class:`SweepConfig` describes.
 
     The single mapping point for the verification service
-    (:mod:`repro.harness.service`), which runs every TCP sweep:
-    checkpoint and cache-shipment byte budgets are derived from the
-    frame cap (``config.max_frame_bytes``, falling back to
+    (:mod:`repro.harness.service`), which runs every TCP sweep: the
+    cache-shipment byte cap is derived from the frame cap
+    (``config.max_frame_bytes``, falling back to
     ``default_max_frame_bytes`` — the service's cap), so a sweep
     recovered from a durable store re-derives the identical scheduler.
     """
     max_frame_bytes = config.max_frame_bytes
     if max_frame_bytes is None:
         max_frame_bytes = default_max_frame_bytes
-    max_checkpoint_bytes = config.max_checkpoint_bytes
-    if (max_checkpoint_bytes is None and config.chunk_evaluations is not None
-            and max_frame_bytes is not None):
-        # Leave framing headroom: the task frame carries the spec and
-        # tuple overhead on top of the checkpoint payload, and the
-        # budget is a soft EWMA-driven target, not a hard cap.
-        max_checkpoint_bytes = max(1, max_frame_bytes
-                                   // CHECKPOINT_FRAME_FRACTION)
-    controller = ChunkSizeController(
-        mode=config.chunk_sizing,
-        chunk_evaluations=config.chunk_evaluations,
-        target_chunk_seconds=config.target_chunk_seconds,
-        max_checkpoint_bytes=max_checkpoint_bytes)
-    # Cache shipments share each task frame with the spec and resume
-    # checkpoint; cap them at the checkpoint budget's fraction so a full
-    # cache can never push a frame over the cap.
     max_cache_bytes = (max(1, max_frame_bytes // CHECKPOINT_FRAME_FRACTION)
                        if max_frame_bytes is not None else None)
     return ChunkScheduler(specs, config.chunk_evaluations,
-                          controller=controller,
                           verdict_memo=config.verdict_memo,
                           max_cache_bytes=max_cache_bytes)
 
@@ -1427,22 +1089,7 @@ class SweepConfig:
 
     ``chunk_evaluations`` splits long campaigns into resumable chunks of
     that many evaluations (``None``: each shard runs in one piece).
-
-    ``chunk_sizing="adaptive"`` re-sizes chunks from per-chunk telemetry
-    so each takes about ``target_chunk_seconds`` of worker wall-clock
-    (see :class:`ChunkSizeController`); it needs ``chunk_evaluations``
-    as the seed size.  Sizing only moves pause points.
-
-    ``max_checkpoint_bytes`` adds a byte budget in either sizing mode: a
-    cell whose resume checkpoints approach the cap gets smaller chunks
-    (on the tcp transport it defaults to a quarter of
-    ``max_frame_bytes``, keeping generous frame headroom).  Checkpoint
-    size mostly grows with *cumulative* campaign progress, so the budget
-    minimizes growth per hop and buys time to finish — a campaign whose
-    checkpoint fundamentally exceeds ``max_frame_bytes`` still aborts via
-    the frame-cap backstop (raise ``max_frame_bytes`` or lower the
-    evaluation budget).  It needs ``chunk_evaluations``: an unchunked
-    shard never serializes a checkpoint.
+    The size only moves pause points.
 
     ``verdict_memo=True`` turns on collective checking: checker verdicts
     are memoized by exact execution graph in a sweep-wide
@@ -1465,9 +1112,6 @@ class SweepConfig:
     """
 
     chunk_evaluations: int | None = None
-    chunk_sizing: str = CHUNK_SIZING_FIXED
-    target_chunk_seconds: float = DEFAULT_TARGET_CHUNK_SECONDS
-    max_checkpoint_bytes: int | None = None
     verdict_memo: bool = False
     transport: str = TRANSPORT_LOCAL
     coordinator: object = None
@@ -1480,21 +1124,6 @@ class SweepConfig:
                              f"expected one of {TRANSPORTS}")
         if self.chunk_evaluations is not None and self.chunk_evaluations < 1:
             raise ValueError("chunk_evaluations must be at least 1")
-        if self.chunk_sizing not in CHUNK_SIZING_MODES:
-            raise ValueError(f"unknown chunk_sizing {self.chunk_sizing!r}; "
-                             f"expected one of {CHUNK_SIZING_MODES}")
-        if (self.chunk_sizing == CHUNK_SIZING_ADAPTIVE
-                and self.chunk_evaluations is None):
-            raise ValueError("chunk_sizing='adaptive' needs "
-                             "chunk_evaluations as the seed chunk size")
-        if self.max_checkpoint_bytes is not None:
-            if self.max_checkpoint_bytes < 1:
-                raise ValueError("max_checkpoint_bytes must be positive")
-            if self.chunk_evaluations is None:
-                raise ValueError("max_checkpoint_bytes budgets resumable "
-                                 "chunks; it needs chunk_evaluations (an "
-                                 "unchunked shard never serializes a "
-                                 "checkpoint)")
 
     def to_json_dict(self) -> dict:
         """A JSON-portable image of this config (service job API).
@@ -1556,46 +1185,35 @@ def _worker_loop(task_queue, result_queue) -> None:
 
 def _iter_serial(specs: list[CampaignSpec],
                  chunk_evaluations: int | None,
-                 controller: ChunkSizeController | None = None,
                  telemetry_out: dict | None = None,
                  verdict_memo: bool = False
                  ) -> Iterator[tuple[int, ShardResult]]:
     """In-process execution in matrix order (the workers=1 fallback).
 
-    Honours ``chunk_evaluations`` (and adaptive sizing plus the byte
-    budget, via ``controller``) so the checkpoint/resume and telemetry
+    Honours ``chunk_evaluations`` so the checkpoint/resume and telemetry
     paths are exercised — and therefore debuggable — without any
-    multiprocessing.  Exceptions propagate directly, with their original
-    type, because no process boundary forces them to be stringified.
-    With ``verdict_memo`` one in-process sweep-wide
+    multiprocessing.  A paused chunk resumes from the checkpoint object
+    itself: no transport is crossed, so nothing is serialized.
+    Exceptions propagate directly, with their original type, because no
+    process boundary forces them to be stringified.  With
+    ``verdict_memo`` one in-process sweep-wide
     :class:`~repro.consistency.memo.VerdictCache` is shared by every
     shard directly — no shipments, no deltas to fold.
     """
-    if controller is None:
-        controller = ChunkSizeController(chunk_evaluations=chunk_evaluations)
     verdict_cache = VerdictCache() if verdict_memo else None
-    # No transport will serialize the checkpoint in-process, so there is
-    # normally no real serialization cost to measure — except under a
-    # byte budget, whose feedback loop *is* the measured payload size.
-    # Even then the continuation resumes from the materialized object:
-    # the dumps is the measurement, a loads would be pure overhead.
-    serialize = controller.max_checkpoint_bytes is not None
     total_evaluations, total_seconds = 0, 0.0
     for index, spec in enumerate(specs):
         checkpoint = None
         while True:
             task = ChunkTask(index=index, spec=spec, checkpoint=checkpoint,
-                             pause_after=controller.chunk_for(
-                                 sizing_key(spec)))
-            shard, checkpoint, _, telemetry, _ = _run_chunk_instrumented(
-                task, serialize_checkpoint=serialize,
-                verdict_cache=verdict_cache)
-            controller.observe(sizing_key(spec), telemetry)
+                             pause_after=chunk_evaluations)
+            shard, checkpoint, telemetry, _ = _run_chunk_instrumented(
+                task, verdict_cache=verdict_cache)
             total_evaluations += telemetry.evaluations
             total_seconds += telemetry.wall_seconds
             if telemetry_out is not None:
                 telemetry_out.update(_telemetry_view(
-                    controller, total_evaluations, total_seconds,
+                    total_evaluations, total_seconds,
                     verdict_cache=(verdict_cache.stats()
                                    if verdict_cache is not None else None)))
             if shard is not None:
@@ -1606,7 +1224,6 @@ def _iter_serial(specs: list[CampaignSpec],
 def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
                         mp_context: str | None,
                         chunk_evaluations: int | None,
-                        controller: ChunkSizeController | None = None,
                         telemetry_out: dict | None = None,
                         verdict_memo: bool = False
                         ) -> Iterator[tuple[int, ShardResult]]:
@@ -1620,7 +1237,6 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
     context = multiprocessing.get_context(mp_context)
     processes = min(workers, len(specs))
     scheduler = ChunkScheduler(specs, chunk_evaluations,
-                               controller=controller,
                                verdict_memo=verdict_memo)
     task_queue = context.Queue()
     result_queue = context.Queue()
@@ -1689,9 +1305,9 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     ``workers`` local ``service worker`` processes are spawned against
     the ephemeral service (``workers=0``: none — remote workers connect
     on their own).  ``telemetry_out`` (any mutable mapping) is updated in
-    place with live telemetry — per-cell throughput, current chunk sizes
-    and checkpoint bytes moved/saved, plus per-host rates on the tcp
-    transport — for progress displays.
+    place with live telemetry — sweep-wide throughput and checkpoint
+    bytes moved, plus per-host rates on the tcp transport — for progress
+    displays.
     """
     config = config if config is not None else SweepConfig()
     if config.transport == TRANSPORT_TCP:
@@ -1715,17 +1331,12 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
                          "it requires transport='tcp'")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    chunk_evaluations = config.chunk_evaluations
-    controller = ChunkSizeController(
-        mode=config.chunk_sizing, chunk_evaluations=chunk_evaluations,
-        target_chunk_seconds=config.target_chunk_seconds,
-        max_checkpoint_bytes=config.max_checkpoint_bytes)
     if workers == 1 or len(specs) <= 1:
-        return _iter_serial(specs, chunk_evaluations, controller=controller,
+        return _iter_serial(specs, config.chunk_evaluations,
                             telemetry_out=telemetry_out,
                             verdict_memo=config.verdict_memo)
     return _iter_work_stealing(specs, workers, mp_context,
-                               chunk_evaluations, controller=controller,
+                               config.chunk_evaluations,
                                telemetry_out=telemetry_out,
                                verdict_memo=config.verdict_memo)
 
@@ -1801,7 +1412,7 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
     completion order, while other shards are still running; ``progress=True``
     additionally maintains a live one-line progress display (stderr by
     default) including per-host completion counts on the tcp transport and
-    live telemetry (per-kind evaluations/second and current chunk sizes)
+    live telemetry (sweep-wide evaluations/second and checkpoint bytes)
     when chunking is enabled.  The returned report always lists shards in
     matrix order, so downstream tables are independent of completion order.
     """

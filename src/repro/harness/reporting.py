@@ -111,11 +111,9 @@ def format_telemetry(telemetry: dict) -> str:
     ``telemetry`` is the mapping the orchestrator maintains via
     ``telemetry_out`` (see
     :func:`repro.harness.parallel.iter_campaigns`): an optional
-    sweep-wide ``"evals_per_second"`` aggregate, a ``"kinds"`` mapping of
-    sizing-cell label to its throughput EWMA and current chunk size, an
-    optional ``"checkpoint"`` aggregate (serialized checkpoint bytes
-    moved and the transport bytes the single-serialization payload path
-    saved), an optional ``"verdict_cache"`` aggregate (collective-checking
+    sweep-wide ``"evals_per_second"`` aggregate, an optional
+    ``"checkpoint"`` aggregate (serialized checkpoint bytes moved), an
+    optional ``"verdict_cache"`` aggregate (collective-checking
     hit/miss counters and the checker seconds memoization saved), and —
     on the tcp transport — a ``"hosts"`` mapping of worker name to
     measured evaluations/second.  Snapshot-copied before
@@ -126,17 +124,10 @@ def format_telemetry(telemetry: dict) -> str:
     rate = telemetry.get("evals_per_second")
     if rate:
         parts.append(f"evals/s={rate:g}")
-    kinds = telemetry.get("kinds") or {}
-    for label, view in sorted(dict(kinds).items()):
-        parts.append(f"chunk[{label}]={view['chunk_evaluations']}"
-                     f"@{view['evals_per_second']:g}/s")
     checkpoint = telemetry.get("checkpoint")
     if checkpoint:
         checkpoint = dict(checkpoint)
         parts.append(f"ckpt={format_bytes(checkpoint.get('bytes', 0))}")
-        saved = checkpoint.get("saved_bytes", 0)
-        if saved:
-            parts.append(f"saved={format_bytes(saved)}")
     cache = telemetry.get("verdict_cache")
     if cache:
         cache = dict(cache)
@@ -158,8 +149,8 @@ def format_progress_line(completed: int, total: int, found: int,
 
     ``hosts`` (worker name -> completed shards, maintained by the tcp
     transport) appends per-host progress for tcp sweeps;
-    ``telemetry`` (see :func:`format_telemetry`) appends live per-kind
-    throughput, current chunk sizes and per-host evaluation rates.
+    ``telemetry`` (see :func:`format_telemetry`) appends live sweep-wide
+    throughput, checkpoint bytes and per-host evaluation rates.
     """
     percent = completed / total if total else 1.0
     line = (f"[{completed}/{total} shards, {percent:.0%}] "

@@ -18,9 +18,10 @@ seeded executions exported with :func:`repro.bridge.export.trace_to_text`
 change cannot move this file), and a seeded mutation corpus built from
 them: each field of each event kind deleted or replaced by a wrong
 value, bad lines, JSON split or joined across lines, whitespace and
-line-ending variants, header variants, cross-event errors and a few
-gem5 logs.  Regenerate the data file only for a change that is meant to
-alter ingest results::
+line-ending variants, blank lines before an error, characters
+``str.splitlines`` would split at, header variants, cross-event errors
+and a few gem5 logs.  Regenerate the data file only for a change that
+is meant to alter ingest results::
 
     PYTHONPATH=src python tests/test_bridge_ingest_golden.py --regenerate
 """
@@ -140,6 +141,11 @@ _ST0 = json.dumps({"event": ST_GLOBALLY_PERFORM, "tid": 0, "op": 0,
                    "addr": 64, "value": 1, "overwritten": 0})
 _LD1 = json.dumps({"event": LD_PERFORM, "tid": 1, "op": 1, "addr": 64,
                    "value": 1})
+#: Characters ``str.splitlines`` splits at that do not end a JSON Lines
+#: record; the first three are legal raw inside a JSON string.
+_NON_NEWLINES = (("u2028", "\u2028"), ("u2029", "\u2029"),
+                 ("u0085", "\x85"), ("vt", "\v"), ("ff", "\f"),
+                 ("fs", "\x1c"), ("gs", "\x1d"), ("rs", "\x1e"))
 _GEM5 = (" 1000: system.cpu0.dcache: st_globally_perform addr=0x40 "
          "data=11 old=0 [sn:3]\n"
          " 1010: system.cpu1.dcache: st_globally_perform addr=0x80 "
@@ -289,6 +295,27 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
         result.append((f"gem5-{name}", ".log", text))
         result.append((f"gem5-sniff-{name}", ".dat", text))
     result.append(("binary-junk", ".jsonl", b"\xff\xfe\x00\x01binary"))
+
+    # Errors name the file line, counting the blank lines before it.
+    bad_event = _LD1.replace('"tid": 1', '"tid": "1"')
+    for name, lines in (
+            ("malformed-start", ["", "  ", _header(), _ST0, "{bad"]),
+            ("malformed-middle", [_header(), "", "", "{bad"]),
+            ("bad-event-start", ["", "\t", "", _header(), _ST0, bad_event]),
+            ("bad-event-middle", [_header(), _ST0, "", " ", bad_event])):
+        result.append((f"blank-before-{name}", ".jsonl",
+                       "\n".join(lines) + "\n"))
+    for name, char in _NON_NEWLINES:
+        header = _header(source="a@b").replace("@", char)
+        event = _LD1[:-1] + f', "note": "a{char}b"}}'
+        for where, lines in (("in-header", [header, _ST0, _LD1]),
+                             ("in-event", [_header(), _ST0, event]),
+                             ("between-records",
+                              [_header(), _ST0 + char + _LD1])):
+            if (name, where) == ("u2028", "in-header"):
+                continue  # the header-source-line-separator case
+            result.append((f"non-newline-{name}-{where}", ".jsonl",
+                           "\n".join(lines) + "\n"))
     return result
 
 

@@ -1,4 +1,4 @@
-"""Single-serialization checkpoint transport (ChunkPayload) + byte budget.
+"""Single-serialization checkpoint transport (ChunkPayload).
 
 The tentpole contract: a paused chunk's resume checkpoint is pickled
 exactly *once*, on the worker that paused it, and those bytes travel
@@ -8,9 +8,8 @@ forward an opaque ``bytes`` field instead of re-serializing the
 checkpoint object graph.  A counting test double (a checkpoint whose
 ``__reduce__`` tallies every pickle) proves it hop by hop; the
 round-trip tests prove the bytes path is bit-for-bit equivalent to the
-object path on real campaigns; and the byte-budget tests prove that a
-checkpoint approaching ``max_checkpoint_bytes`` shrinks the next chunk
-instead of ever raising ``FrameTooLargeError``.
+object path on real campaigns, also through a TCP sweep whose frame cap
+is only a few checkpoints wide.
 """
 
 import pickle
@@ -23,8 +22,7 @@ from repro.core.config import GeneratorConfig
 from repro.harness import codec
 from repro.harness.distributed import recv_raw_frame, send_raw_frame
 from repro.harness.parallel import (CHECKPOINT_FRAME_FRACTION, ChunkOutcome,
-                                    ChunkPayload, ChunkScheduler,
-                                    ChunkSizeController, ChunkTask,
+                                    ChunkPayload, ChunkScheduler, ChunkTask,
                                     ChunkTelemetry, SweepConfig,
                                     campaign_matrix, execute_chunk_task,
                                     run_campaigns, run_shard_chunk)
@@ -88,19 +86,19 @@ def _reset_counter():
 
 
 @pytest.fixture
-def service_budget(tmp_path):
-    """Submit a one-shard job; return its scheduler's checkpoint budget."""
+def service_cache_cap(tmp_path):
+    """Submit a one-shard job; return its scheduler's cache-shipment cap."""
     services = []
 
-    def budget(config, **options):
+    def cap(config, **options):
         service = VerificationService(tmp_path / f"{len(services)}.sqlite",
                                       start_http=False, **options)
         services.append(service)
         job_id = service.submit_job(tiny_matrix(seeds_per_cell=1)[:1],
                                     config)
-        return service._jobs[job_id].scheduler.controller.max_checkpoint_bytes
+        return service._jobs[job_id].scheduler.max_cache_bytes
 
-    yield budget
+    yield cap
     for service in services:
         service.close()
 
@@ -214,88 +212,27 @@ class TestRoundTripEquivalence:
         assert (shard.coverage.global_counts
                 == monolithic.coverage.global_counts)
 
-
-class TestByteBudgetEndToEnd:
-    def test_oversized_checkpoint_shrinks_next_chunk(self):
-        """The adaptive feedback at the scheduler surface: a cell whose
-        checkpoints hit the budget dispatches minimal chunks next."""
-        specs = tiny_matrix(max_evaluations=100, seeds_per_cell=1,
-                            faults=[None])
-        controller = ChunkSizeController(mode="adaptive",
-                                         chunk_evaluations=10,
-                                         target_chunk_seconds=1.0,
-                                         max_checkpoint_bytes=1000)
-        scheduler = ChunkScheduler(specs, chunk_evaluations=10,
-                                   controller=controller)
-        task = scheduler.next_task()
-        assert task.pause_after == 10
-        scheduler.record(ChunkOutcome(
-            index=task.index, payload=ChunkPayload(data=b"x" * 999),
-            telemetry=ChunkTelemetry(evaluations=10, wall_seconds=1.0,
-                                     checkpoint_bytes=999)))
-        shrunk = scheduler.next_task()
-        assert shrunk.pause_after == 1
-
-    def test_budgeted_tcp_sweep_never_raises_frame_too_large(self):
-        """Checkpoints (~9 KiB here) exceed the derived budget the whole
-        sweep, so every dispatch runs at minimum chunk size — and the
-        sweep completes instead of dying on an oversized frame."""
+    def test_small_frame_tcp_sweep_matches_serial(self):
+        """Checkpoints (~9 KiB here) ride a 32 KiB frame cap through
+        every pause of a tcp sweep, bit-identical to serial."""
         specs = tiny_matrix(max_evaluations=4, seeds_per_cell=1)
         serial = run_campaigns(specs, workers=1)
-        budgeted = run_campaigns(specs, workers=1, config=SweepConfig(
-            transport="tcp", chunk_evaluations=2, chunk_sizing="adaptive",
-            target_chunk_seconds=0.02, max_frame_bytes=32768))
-        assert outcomes(serial) == outcomes(budgeted)
+        small_frames = run_campaigns(specs, workers=1, config=SweepConfig(
+            transport="tcp", chunk_evaluations=2, max_frame_bytes=32768))
+        assert outcomes(serial) == outcomes(small_frames)
         assert (serial.coverage.global_counts
-                == budgeted.coverage.global_counts)
+                == small_frames.coverage.global_counts)
 
-    def test_budgeted_local_pool_matches_serial(self):
-        specs = tiny_matrix(max_evaluations=5)
-        serial = run_campaigns(specs, workers=1)
-        budgeted = run_campaigns(specs, workers=2, config=SweepConfig(
-            chunk_evaluations=2, max_checkpoint_bytes=4096))
-        assert outcomes(serial) == outcomes(budgeted)
 
-    def test_serial_budget_exercises_payload_path(self):
-        """workers=1 with a budget measures real payloads (debuggable)."""
-        specs = tiny_matrix(max_evaluations=4, seeds_per_cell=1,
-                            faults=[None])
-        serial_plain = run_campaigns(specs, workers=1)
-        serial_budget = run_campaigns(specs, workers=1, config=SweepConfig(
-            chunk_evaluations=2, max_checkpoint_bytes=4096))
-        assert outcomes(serial_plain) == outcomes(serial_budget)
-
-    def test_service_derives_budget_from_frame_cap(self, service_budget):
-        assert service_budget(SweepConfig(chunk_evaluations=2),
-                              max_frame_bytes=1 << 20) == \
+class TestFrameCap:
+    def test_service_derives_cache_cap_from_frame_cap(self,
+                                                      service_cache_cap):
+        assert service_cache_cap(SweepConfig(chunk_evaluations=2),
+                                 max_frame_bytes=1 << 20) == \
             (1 << 20) // CHECKPOINT_FRAME_FRACTION
-
-    def test_service_explicit_budget_wins(self, service_budget):
-        assert service_budget(SweepConfig(chunk_evaluations=2,
-                                          max_checkpoint_bytes=12345)) \
-            == 12345
-
-    def test_unchunked_service_has_no_budget(self, service_budget):
-        """No chunking means no checkpoints: nothing to budget."""
-        assert service_budget(SweepConfig()) is None
-
-    def test_unchunked_service_rejects_explicit_budget(self,
-                                                       service_budget):
-        """An explicit budget without chunking would be silently inert;
-        the config itself rejects it, so no service is handed one."""
-        with pytest.raises(ValueError, match="chunk_evaluations"):
-            service_budget(SweepConfig(max_checkpoint_bytes=4096))
 
 
 class TestValidation:
-    def test_budget_requires_chunking(self):
-        with pytest.raises(ValueError, match="chunk_evaluations"):
-            SweepConfig(max_checkpoint_bytes=1024)
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_checkpoint_bytes"):
-            SweepConfig(chunk_evaluations=2, max_checkpoint_bytes=0)
-
     def test_frame_cap_requires_tcp(self):
         with pytest.raises(ValueError, match="transport='tcp'"):
             run_campaigns([], workers=1,

@@ -3,23 +3,12 @@
 A seed-driven loop builds randomized heterogeneous campaign matrices
 (generator kinds × faults × seeds × per-shard budgets × chunk sizes) and
 runs each through every execution mode — serial, serial-chunked,
-work-stealing pool (fixed *and* adaptive chunk sizing) and (for
-the first seed) a loopback-TCP coordinator with real worker
-subprocesses.  All modes must produce identical per-shard outcomes,
-identical merged coverage and identical deterministic
-:class:`CampaignSummary` fields.  Timing fields
+work-stealing pool and (for the first seed) a loopback-TCP coordinator
+with real worker subprocesses.  All modes must produce identical
+per-shard outcomes, identical merged coverage and identical
+deterministic :class:`CampaignSummary` fields.  Timing fields
 (``sim_seconds``/``check_seconds``/``wall_seconds``) are measured
 wall-clock and are the one deliberate exclusion.
-
-Adaptive chunk sizing is the sharpest probe of the contract: it re-sizes
-chunks from *nondeterministic wall-clock telemetry*, so every run pauses
-campaigns at different points — yet checkpointed resumption is bit-exact,
-so the reported results must not move at all.  The adaptive runs use a
-tiny ``target_chunk_seconds`` to force the controller to actually move
-chunk sizes around mid-sweep.  The byte-budgeted variants additionally
-set ``max_checkpoint_bytes`` below the real checkpoint size, so the byte
-budget actively shrinks chunks (and continuations travel as
-pre-serialized ``ChunkPayload`` bytes) — still bit-identical.
 
 This is the determinism contract that makes cross-host sharding safe: a
 chunk may be re-queued, re-run or migrated anywhere without changing any
@@ -108,39 +97,19 @@ def test_all_schedulers_match_serial(fuzz_seed):
     reference_summaries = summary_view(serial)
 
     chunked = SweepConfig(chunk_evaluations=chunk_evaluations)
-    # Adaptive sizing moves pause points around based on measured
-    # wall-clock throughput (deliberately tiny target so sizes churn);
-    # results must still be bit-identical to serial.
-    adaptive = replace(chunked, chunk_sizing="adaptive",
-                       target_chunk_seconds=0.02)
-    # Byte-budgeted adaptive sizing: the 4 KiB budget sits well below
-    # the real checkpoint size (~9 KiB), so the budget feedback actively
-    # forces chunks to the minimum mid-sweep — pause points churn
-    # maximally, results must not move.
-    budgeted = replace(adaptive, max_checkpoint_bytes=4096)
     # Collective checking: memoized verdicts must be bit-for-bit
     # invisible in every reported result — only the telemetry moves.
     memo = replace(chunked, verdict_memo=True)
     modes = {
         "serial-chunked": (1, chunked),
         "work-stealing": (workers, chunked),
-        "serial-adaptive": (1, adaptive),
-        "work-stealing-adaptive": (workers, adaptive),
-        "serial-adaptive-budget": (1, budgeted),
-        "work-stealing-adaptive-budget": (workers, budgeted),
         "serial-memo": (1, memo),
         "work-stealing-memo": (workers, memo),
-        "work-stealing-adaptive-memo": (
-            workers, replace(adaptive, verdict_memo=True)),
     }
     if fuzz_seed == 0:
         # Loopback-TCP coordinator with real worker subprocesses: the
         # expensive modes run on one representative random matrix.
         modes["loopback-tcp"] = (2, replace(chunked, transport="tcp"))
-        modes["loopback-tcp-adaptive"] = (
-            2, replace(adaptive, transport="tcp"))
-        modes["loopback-tcp-adaptive-budget"] = (
-            2, replace(budgeted, transport="tcp"))
         modes["loopback-tcp-memo"] = (2, replace(memo, transport="tcp"))
     for mode, (mode_workers, config) in modes.items():
         report = run_campaigns(specs, workers=mode_workers, config=config)

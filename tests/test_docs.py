@@ -115,9 +115,9 @@ def test_api_reference_identifiers_import():
 
 
 def test_api_reference_covers_new_controller_surface():
-    """The adaptive-sizing API must stay documented."""
+    """The chunk-scheduling and service API must stay documented."""
     text = (DOCS_DIR / "api.md").read_text(encoding="utf-8")
-    for identifier in ("ChunkSizeController", "ChunkTelemetry",
+    for identifier in ("ChunkTelemetry",
                       "ChunkScheduler", "VerificationService",
                       "iter_service_sweep",
                       "ExperimentSettings", "run_campaigns",

@@ -9,10 +9,13 @@ from repro.core.campaign import Campaign, CampaignResult, GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness.experiment import (BugCoverageExperiment, CoverageExperiment,
                                       ExperimentSettings)
-from repro.harness.parallel import (CampaignSpec, SweepAccumulator,
+from repro.harness.parallel import (CampaignSpec, ChunkOutcome,
+                                    ChunkPayload, ChunkScheduler, ChunkTask,
+                                    ChunkTelemetry, SweepAccumulator,
                                     SweepConfig, campaign_matrix,
                                     default_workers, derive_shard_seed,
-                                    iter_campaigns, run_campaigns, run_shard,
+                                    execute_chunk_task, iter_campaigns,
+                                    run_campaigns, run_shard,
                                     run_shard_chunk)
 from repro.harness.reporting import (ProgressPrinter, format_progress_line,
                                      format_speedup, format_sweep_report)
@@ -176,6 +179,156 @@ class TestWorkStealingScheduler:
             (reference.result.found, reference.result.evaluations_to_find)
         assert (shard.coverage.global_counts
                 == reference.coverage.global_counts)
+
+
+def two_kind_specs() -> list[CampaignSpec]:
+    """One RAND shard and one litmus shard, both with room to pause."""
+    return tiny_matrix([None], seeds_per_cell=1, max_evaluations=100,
+                       kinds=(GeneratorKind.MCVERSI_RAND,
+                              GeneratorKind.DIY_LITMUS))
+
+
+def telemetry(evaluations: int, wall_seconds: float) -> ChunkTelemetry:
+    return ChunkTelemetry(evaluations=evaluations, wall_seconds=wall_seconds)
+
+
+#: Stands in for a paused chunk's checkpoint bytes in scheduler-only
+#: tests.
+STUB_PAYLOAD = ChunkPayload(data=b"stub")
+
+
+class TestChunkScheduler:
+    """The task source / result sink, driven with fabricated outcomes."""
+
+    def test_every_dispatch_uses_the_chunk_size(self):
+        """Continuations and re-queued chunks keep ``chunk_evaluations``,
+        whatever the telemetry says."""
+        scheduler = ChunkScheduler(two_kind_specs(), chunk_evaluations=10)
+        task = scheduler.next_task()
+        assert task.pause_after == 10
+        scheduler.record(ChunkOutcome(index=task.index,
+                                      payload=STUB_PAYLOAD,
+                                      telemetry=telemetry(5000, 1.0)))
+        scheduler.next_task()
+        continuation = scheduler.next_task()
+        assert continuation.index == task.index
+        assert continuation.pause_after == 10
+        scheduler.requeue(continuation)       # its worker died
+        redispatched = scheduler.next_task()
+        assert redispatched.index == task.index
+        assert redispatched.pause_after == 10
+
+    def test_aggregate_telemetry_accumulates(self):
+        scheduler = ChunkScheduler(two_kind_specs(), chunk_evaluations=10)
+        scheduler.next_task()
+        scheduler.next_task()  # drain both initial (payload-free) tasks
+        scheduler.record(ChunkOutcome(
+            index=0, payload=ChunkPayload(data=b"x" * 128),
+            telemetry=ChunkTelemetry(evaluations=10, wall_seconds=2.0,
+                                     checkpoint_bytes=128)))
+        assert scheduler.total_chunk_evaluations == 10
+        assert scheduler.total_chunk_seconds == 2.0
+        assert scheduler.total_checkpoint_bytes == 128
+        assert scheduler.telemetry_snapshot() == {
+            "evals_per_second": 5.0, "checkpoint": {"bytes": 128}}
+
+    def test_stale_pause_after_requeue_is_dropped(self):
+        """The duplicate-pause regression (presumed-dead worker heard
+        from after all).
+
+        Sequence: a chunk is dispatched, its worker goes silent, the
+        task is re-queued for another worker — and *then* the original
+        worker's paused outcome arrives.  Recording that late pause used
+        to pass the completed-shard dedup and enqueue a second
+        continuation for the same shard, double-running it; the
+        scheduler must drop it instead.
+        """
+        scheduler = ChunkScheduler(two_kind_specs(), chunk_evaluations=10)
+        task = scheduler.next_task()
+        other = scheduler.next_task()
+        scheduler.requeue(task)  # presumed dead
+        late_pause = ChunkOutcome(index=task.index,
+                                  payload=ChunkPayload(data=b"stale"),
+                                  telemetry=telemetry(10, 1.0))
+        assert scheduler.record(late_pause) is None
+        assert scheduler.stale_pauses == 1
+        # Exactly one task for the shard remains: the re-queued original.
+        indices = []
+        while (queued := scheduler.next_task()) is not None:
+            indices.append(queued.index)
+        assert indices == [task.index]
+        assert other.index not in indices
+        # Telemetry still counted: the work genuinely happened.
+        assert scheduler.total_chunk_evaluations == 10
+
+    def test_duplicate_requeue_is_idempotent(self):
+        scheduler = ChunkScheduler(two_kind_specs(), chunk_evaluations=10)
+        task = scheduler.next_task()
+        scheduler.next_task()
+        scheduler.requeue(task)
+        scheduler.requeue(task)  # double forfeit (monitor + disconnect)
+        indices = []
+        while (queued := scheduler.next_task()) is not None:
+            indices.append(queued.index)
+        assert indices.count(task.index) == 1
+
+    def test_stale_continuation_skipped_after_completion(self):
+        """A queued continuation whose shard completed elsewhere is
+        skipped by next_task, not handed to a worker."""
+        scheduler = ChunkScheduler(two_kind_specs(), chunk_evaluations=10)
+        task = scheduler.next_task()
+        other = scheduler.next_task()
+        scheduler.requeue(task)
+        # The original worker completes the shard after all (a stale
+        # *completion* is accepted: replays are bit-identical).
+        shard = object()
+        outcome = ChunkOutcome(index=task.index, shard=shard,
+                               telemetry=telemetry(10, 1.0))
+        assert scheduler.record(outcome) == (task.index, shard)
+        # The re-queued duplicate must now be skipped.
+        assert scheduler.next_task() is None
+        assert scheduler.pending == 1  # only `other` is still live
+        assert other.index != task.index
+
+
+def pausing_spec(max_evaluations: int = 6) -> CampaignSpec:
+    """A shard on the correct system: it never finds, so it pauses."""
+    return tiny_matrix([None], seeds_per_cell=1,
+                       max_evaluations=max_evaluations)[0]
+
+
+class TestExecutionTelemetry:
+    def test_paused_chunk_reports_telemetry(self):
+        outcome = execute_chunk_task(ChunkTask(index=0, spec=pausing_spec(),
+                                               pause_after=2))
+        assert outcome.error is None
+        assert outcome.payload is not None
+        assert outcome.telemetry.evaluations == 2
+        assert outcome.telemetry.wall_seconds > 0.0
+        # The telemetry measures the payload itself: one and the same
+        # serialization.
+        assert outcome.telemetry.checkpoint_bytes == outcome.payload.nbytes
+        assert outcome.telemetry.checkpoint_bytes > 0
+        assert outcome.telemetry.checkpoint_seconds >= 0.0
+
+    def test_resumed_chunk_reports_delta_not_cumulative(self):
+        spec = pausing_spec()
+        first = execute_chunk_task(ChunkTask(index=0, spec=spec,
+                                             pause_after=2))
+        second = execute_chunk_task(ChunkTask(index=0, spec=spec,
+                                              checkpoint=first.payload,
+                                              pause_after=3))
+        assert second.telemetry.evaluations == 3
+
+    def test_completed_shard_has_no_checkpoint_cost(self):
+        outcome = execute_chunk_task(ChunkTask(index=0,
+                                               spec=pausing_spec(2),
+                                               pause_after=None))
+        assert outcome.shard is not None
+        assert outcome.telemetry.checkpoint_bytes == 0
+        assert outcome.telemetry.checkpoint_seconds == 0.0
+        assert (outcome.telemetry.evaluations
+                == outcome.shard.result.evaluations)
 
 
 class TestResultStreaming:

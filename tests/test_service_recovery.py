@@ -112,6 +112,25 @@ PARENT_CONFIG_BLOB = (
     b'\x8c\rlease_timeout\x94G@>\x00\x00\x00\x00\x00\x00'
     b'\x8c\x0fmax_frame_bytes\x94Nub.')
 
+#: A job's stored config as written by the release before chunk sizing
+#: was fixed: ``SweepConfig(chunk_evaluations=3, chunk_sizing="adaptive",
+#: target_chunk_seconds=0.5, max_checkpoint_bytes=4096,
+#: verdict_memo=True)``, as the store pickled it then.  The three sizing
+#: keys load as stray attributes, outside the dataclass fields.
+SIZING_CONFIG_BLOB = (
+    b'\x80\x05\x95\xfb\x00\x00\x00\x00\x00\x00\x00'
+    b'\x8c\x16repro.harness.parallel\x94'
+    b'\x8c\x0bSweepConfig\x94\x93\x94)\x81\x94}\x94('
+    b'\x8c\x11chunk_evaluations\x94K\x03'
+    b'\x8c\x0cchunk_sizing\x94\x8c\x08adaptive\x94'
+    b'\x8c\x14target_chunk_seconds\x94G?\xe0\x00\x00\x00\x00\x00\x00'
+    b'\x8c\x14max_checkpoint_bytes\x94M\x00\x10'
+    b'\x8c\x0cverdict_memo\x94\x88'
+    b'\x8c\ttransport\x94\x8c\x05local\x94'
+    b'\x8c\x0bcoordinator\x94N'
+    b'\x8c\rlease_timeout\x94G@>\x00\x00\x00\x00\x00\x00'
+    b'\x8c\x0fmax_frame_bytes\x94Nub.')
+
 #: A job's verdict-cache snapshot as written by the release that keyed
 #: verdicts on a canonical, renaming-invariant digest: the state carried
 #: a ``keying`` field and each ``CachedVerdict`` its violation kinds.
@@ -233,6 +252,39 @@ class TestSweepStore:
         assert set(image) == {field.name for field in fields(SweepConfig)}
         assert SweepConfig.from_json_dict(json.loads(json.dumps(image))) \
             == expected
+
+    def test_config_stored_before_sizing_removal_resumes(self, tmp_path):
+        """A job stored with the removed sizing fields reopens as the
+        current config and finishes bit-identical to serial."""
+        expected = SweepConfig(chunk_evaluations=3, verdict_memo=True)
+        specs = tiny_matrix()
+        serial = run_campaigns(specs, workers=1, config=expected)
+        path = tmp_path / "store.sqlite"
+        store = SweepStore(path)
+        store.create_job("old", specs, SweepConfig())
+        store.commit_outcome("old", 0, result=serial.shards[0])
+        store.close()
+        store_parent_bytes(path, "UPDATE jobs SET config = ?",
+                           SIZING_CONFIG_BLOB)
+        reopened = SweepStore(path)
+        _, config = reopened.job_definition("old")
+        reopened.close()
+        assert config == expected
+        assert config.to_json_dict() == expected.to_json_dict()
+        assert len(fields(SweepConfig)) == 6
+        service = VerificationService(path, start_http=False)
+        try:
+            threads = _start_worker_threads(service.address, 2, None)
+            assert service.wait_job("old", timeout=120)["state"] \
+                != JOB_RUNNING
+            report = service.job_report("old")
+            assert outcomes(report) == outcomes(serial)
+            assert (report.coverage.global_counts
+                    == serial.coverage.global_counts)
+        finally:
+            service.close()
+            for thread in threads:
+                thread.join(timeout=5.0)
 
     def test_unknown_job_raises_key_error(self, tmp_path):
         store = SweepStore(tmp_path / "store.sqlite")

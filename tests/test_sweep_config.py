@@ -9,6 +9,10 @@
   field, nor a ``**kwargs`` catch-all that would swallow one: an old
   caller passing ``scheduler=`` or ``chunk_evaluations=`` gets a
   ``TypeError``, not a silently ignored knob.
+* A field ``SweepConfig`` no longer has (the chunk-sizing mode, its
+  target seconds and the checkpoint byte budget) is refused by every
+  surface: ``TypeError`` from the constructor, ``ValueError`` from
+  ``from_json_dict`` and HTTP 400 for a JSON or codec-frame job.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from __future__ import annotations
 import http.client
 import inspect
 import json
+import pickle
 from dataclasses import fields
 
 import pytest
+from test_service_recovery import SIZING_CONFIG_BLOB
 
 import repro.harness
 from repro.bridge.replay import run_replay_sweep
@@ -36,10 +42,20 @@ BAD_CONFIGS = {
     "unknown-transport": {"transport": "bogus"},
     "zero-chunk": {"chunk_evaluations": 0},
     "negative-chunk": {"chunk_evaluations": -3},
-    "unknown-sizing": {"chunk_sizing": "magic"},
-    "adaptive-unchunked": {"chunk_sizing": "adaptive"},
-    "zero-budget": {"chunk_evaluations": 2, "max_checkpoint_bytes": 0},
-    "budget-unchunked": {"max_checkpoint_bytes": 4096},
+}
+
+SWEEP_FIELDS = {field.name for field in fields(SweepConfig)}
+
+#: The config image a client built against the parent-era
+#: ``SweepConfig`` sends; its keys outside today's fields are the ones
+#: chunk sizing and the checkpoint byte budget took with them.
+PARENT_IMAGE = vars(pickle.loads(SIZING_CONFIG_BLOB))
+REMOVED_FIELDS = sorted(set(PARENT_IMAGE) - SWEEP_FIELDS)
+#: One config per removed field, plus the whole parent-era image.
+REMOVED_FIELD_CONFIGS = {
+    **{name: {"chunk_evaluations": 3, name: PARENT_IMAGE[name]}
+       for name in REMOVED_FIELDS},
+    "parent-image": PARENT_IMAGE,
 }
 
 #: A one-shard JSON matrix: building its spec simulates nothing.
@@ -141,14 +157,63 @@ def test_good_config_frame_is_accepted(http_service):
 
 
 def test_good_config_is_accepted_by_the_service(http_service):
-    config = SweepConfig(chunk_evaluations=2, max_checkpoint_bytes=4096)
+    config = SweepConfig(chunk_evaluations=2, verdict_memo=True)
     status, body = post_job(http_service, {"matrix": MATRIX,
                                            "config": config.to_json_dict()})
     assert status == 201
     http_service.cancel_job(body["job_id"])
 
 
-SWEEP_FIELDS = {field.name for field in fields(SweepConfig)}
+def removed_names(config: dict) -> list[str]:
+    return sorted(set(config) - SWEEP_FIELDS)
+
+
+@pytest.mark.parametrize("config", REMOVED_FIELD_CONFIGS.values(),
+                         ids=REMOVED_FIELD_CONFIGS.keys())
+def test_removed_field_rejected_everywhere(config, http_service):
+    assert len(REMOVED_FIELDS) == 3
+    assert removed_names(config)
+    with pytest.raises(TypeError):
+        SweepConfig(**config)
+    message = f"unknown SweepConfig field(s) {removed_names(config)}"
+    with pytest.raises(ValueError) as decoded:
+        SweepConfig.from_json_dict(config)
+    assert str(decoded.value) == message
+    jobs = http_service.store.jobs()
+    status, body = post_job(http_service, {"matrix": MATRIX,
+                                           "config": config})
+    assert (status, body) == (400, {"error": message})
+    assert http_service.store.jobs() == jobs
+
+
+def frame_with_config_fields(values: dict) -> bytes:
+    """A ``(specs, SweepConfig)`` job frame whose config object carries
+    exactly *values*, hand-built the way a client whose ``SweepConfig``
+    had other fields would encode it."""
+    def name(text: str) -> bytes:
+        return len(text).to_bytes(2, "big") + text.encode()
+
+    config = (b"O" + name("SweepConfig") + len(values).to_bytes(4, "big")
+              + b"".join(name(key) + codec.encode(value)
+                         for key, value in values.items()))
+    return b"t" + (2).to_bytes(4, "big") + codec.encode(one_spec()) + config
+
+
+@pytest.mark.parametrize("config", REMOVED_FIELD_CONFIGS.values(),
+                         ids=REMOVED_FIELD_CONFIGS.keys())
+def test_removed_field_frame_is_400(config, http_service):
+    current = SweepConfig(chunk_evaluations=3).to_json_dict()
+    assert codec.decode(frame_with_config_fields(current)) \
+        == (one_spec(), SweepConfig(chunk_evaluations=3))
+    jobs = http_service.store.jobs()
+    status, reply = post_body(http_service,
+                              frame_with_config_fields({**current,
+                                                        **config}),
+                              "application/octet-stream")
+    assert (status, reply) == (400, {
+        "error": "malformed job body: SweepConfig frame carries unknown "
+                 f"field(s) {removed_names(config)}"})
+    assert http_service.store.jobs() == jobs
 ENTRY_POINTS = [iter_campaigns, run_campaigns, run_scenario_sweep,
                 run_replay_sweep, ExperimentSettings]
 
