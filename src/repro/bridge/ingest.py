@@ -63,7 +63,8 @@ def _split_lines(text: str) -> list[str]:
 
     ``str.splitlines`` also splits at U+2028, U+2029, U+0085, ``\\v``,
     ``\\f`` and ``\\x1c``–``\\x1e``; the first three are legal raw
-    inside a JSON string, and none ends a JSON Lines record.
+    inside a JSON string, and none ends a JSON Lines record or a gem5
+    log line.  Both parsers split here, so their errors name file lines.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -153,7 +154,7 @@ def parse_gem5_log(text: str, path: str | None = None,
     """
     context = path or "<gem5 log>"
     raw: list[tuple[str, int, int | None, int, dict[str, int]]] = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(_split_lines(text), start=1):
         match = _GEM5_LINE.match(line)
         if match is None:
             continue

@@ -6,9 +6,11 @@ sweep pays full checker cost only on graphs it has not checked yet.
 Like ``CoverageCollector`` it is built to *fold across shards*: ``mark()`` /
 ``delta()`` extract exactly the entries a chunk discovered,
 ``merge()`` folds states or deltas from other workers in, and
-``snapshot()`` / ``restore()`` round-trip the whole cache through
-checkpoints.  All state is plain picklable data, so shipments ride the
-existing chunk-dispatch and outcome hops unchanged.
+``snapshot()`` captures the whole cache as the state a dispatch ships
+and the durable store keeps.  All state is plain picklable data, so
+shipments ride the existing chunk-dispatch and outcome hops unchanged.
+Engine checkpoints carry no cache state: the dispatch that resumes a
+paused chunk already ships every entry the sweep has learned.
 
 The determinism contract (cache-on bit-for-bit ≡ cache-off) is enforced
 one layer up, in :class:`~repro.consistency.checker.Checker`: only
@@ -32,12 +34,6 @@ from repro.locking import TracedLock, guarded_by, requires_lock
 #: snapshots to a couple of MiB — comfortably inside the cache-shipment
 #: cap of a task frame.
 DEFAULT_CACHE_CAPACITY = 16384
-
-#: Cap on the entries an engine checkpoint carries.  Checkpoint cache
-#: state is a warm-start optimization only (verdicts are
-#: cache-independent), so a resumed chunk losing cold entries costs at
-#: most re-checks — never correctness — while checkpoints stay lean.
-CHECKPOINT_STATE_MAX_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -237,43 +233,19 @@ class VerdictCache:
                     self.evictions += 1
             return adopted
 
-    def snapshot(self, max_entries: int | None = None) -> VerdictCacheState:
-        """A picklable state (optionally only the *max_entries* newest)."""
+    def snapshot(self) -> VerdictCacheState:
+        """A picklable state of every entry (oldest first) and counter."""
         with self._lock:
-            entries = tuple((key, entry[0])
-                            for key, entry in self._entries.items())
-            if max_entries is not None and len(entries) > max_entries:
-                entries = entries[len(entries) - max_entries:]
             return VerdictCacheState(
-                capacity=self.capacity, entries=entries, hits=self.hits,
-                misses=self.misses, evictions=self.evictions,
+                capacity=self.capacity,
+                entries=tuple((key, entry[0])
+                              for key, entry in self._entries.items()),
+                hits=self.hits, misses=self.misses,
+                evictions=self.evictions,
                 failed_refreshes=self.failed_refreshes,
                 seconds_saved=self.seconds_saved,
                 check_seconds_observed=self.check_seconds_observed,
                 checks_observed=self.checks_observed)
-
-    def restore(self, state: VerdictCacheState) -> None:
-        """Replace all cache contents and counters with *state*."""
-        with self._lock:
-            self.capacity = state.capacity
-            self._entries = OrderedDict()
-            self._insert_seq = 0
-            for key, verdict in state.entries:
-                self._entries[key] = (verdict, self._insert_seq)
-                self._insert_seq += 1
-            self.hits = state.hits
-            self.misses = state.misses
-            self.evictions = state.evictions
-            self.failed_refreshes = state.failed_refreshes
-            self.seconds_saved = state.seconds_saved
-            self.check_seconds_observed = state.check_seconds_observed
-            self.checks_observed = state.checks_observed
-
-    @classmethod
-    def from_state(cls, state: VerdictCacheState) -> "VerdictCache":
-        cache = cls(capacity=state.capacity)
-        cache.restore(state)
-        return cache
 
     def stats(self) -> dict:
         """Telemetry view: entry count, hit-rate and seconds saved."""

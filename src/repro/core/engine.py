@@ -22,8 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.consistency.checker import Checker
-from repro.consistency.memo import (CHECKPOINT_STATE_MAX_ENTRIES, VerdictCache,
-                                    VerdictCacheState)
+from repro.consistency.memo import VerdictCache
 from repro.consistency.models import MemoryModel, TotalStoreOrder
 from repro.core.config import GeneratorConfig
 from repro.core.fitness import AdaptiveCoverageFitness, FitnessReport
@@ -74,17 +73,16 @@ class EngineCheckpoint:
     every iteration), so an engine reconstructed
     from the same configs and restored from this checkpoint continues the
     campaign bit-for-bit identically to one that was never interrupted.
+    The verdict cache is not part of it: verdicts never depend on the
+    cache, and the dispatch that resumes a chunk ships the sweep's
+    entries.  A checkpoint pickled by an older release may still carry a
+    ``verdict_cache`` attribute, which nothing reads.
     """
 
     rng_state: object
     test_runs: int
     coverage: CoverageState
     fitness: dict[str, object]
-    #: Warm-start state of the verdict cache, when memoization is on.
-    #: Verdicts are cache-independent (only passing entries short-circuit a
-    #: check), so this field affects resumed hit-rates, never results; it is
-    #: capped to the newest entries to keep checkpoints lean.
-    verdict_cache: VerdictCacheState | None = None
 
 
 class VerificationEngine:
@@ -139,15 +137,10 @@ class VerificationEngine:
 
     def checkpoint(self) -> EngineCheckpoint:
         """Snapshot the engine's cross-run state between two test-runs."""
-        cache_state = None
-        if self.verdict_cache is not None:
-            cache_state = self.verdict_cache.snapshot(
-                max_entries=CHECKPOINT_STATE_MAX_ENTRIES)
         return EngineCheckpoint(rng_state=self._seed_sequence.getstate(),
                                 test_runs=self.test_runs,
                                 coverage=self.coverage.checkpoint(),
-                                fitness=self.fitness.checkpoint(),
-                                verdict_cache=cache_state)
+                                fitness=self.fitness.checkpoint())
 
     def restore(self, checkpoint: EngineCheckpoint) -> None:
         """Restore cross-run state captured by :meth:`checkpoint`."""
@@ -155,11 +148,6 @@ class VerificationEngine:
         self.test_runs = checkpoint.test_runs
         self.coverage.restore(checkpoint.coverage)
         self.fitness.restore(checkpoint.fitness)
-        if checkpoint.verdict_cache is not None and self.verdict_cache is not None:
-            # Merge, don't overwrite: the live cache may already hold
-            # sweep-wide entries shipped at dispatch; both sources only
-            # add warm-start entries, never change verdicts.
-            self.verdict_cache.merge(checkpoint.verdict_cache)
 
     # ------------------------------------------------------------------
 

@@ -94,8 +94,8 @@ from dataclasses import (asdict, dataclass, field,
 from statistics import mean
 from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
-from repro.consistency.memo import (DEFAULT_CACHE_CAPACITY, VerdictCache,
-                                    VerdictCacheDelta, VerdictCacheState)
+from repro.consistency.memo import (VerdictCache, VerdictCacheDelta,
+                                    VerdictCacheState)
 from repro.core.campaign import (Campaign, CampaignCheckpoint, CampaignResult,
                                  GeneratorKind)
 from repro.core.config import GeneratorConfig
@@ -363,24 +363,6 @@ def _run_chunk_instrumented(
         wall_seconds=wall_seconds), cache_delta
 
 
-def merge_shipped_cache(data: bytes,
-                        cache: VerdictCache | None) -> VerdictCache:
-    """Fold a task's pickled cache shipment into a worker's persistent cache.
-
-    Creates the cache on first use (sized from the shipment's capacity)
-    and merges the shipped entries in — idempotently, so re-deliveries
-    and overlapping shipments are harmless.  Both worker
-    loops (multiprocessing and TCP) call this once per cache-bearing task,
-    which is how a worker's cache keeps accruing the sweep-wide entries
-    the scheduler learned from *other* workers.
-    """
-    state: VerdictCacheState = pickle.loads(data)
-    if cache is None:
-        cache = VerdictCache(capacity=state.capacity)
-    cache.merge(state)
-    return cache
-
-
 def execute_chunk_task(task: ChunkTask,
                        verdict_cache: VerdictCache | None = None
                        ) -> ChunkOutcome:
@@ -394,15 +376,19 @@ def execute_chunk_task(task: ChunkTask,
     stringified so they cross process/host boundaries without needing the
     exception itself to be picklable.
 
-    *verdict_cache* is the worker's persistent cache (seeded from
-    ``task.cache`` via :func:`merge_shipped_cache` by the worker loops);
-    callers holding no persistent cache may pass ``None`` even for a
-    cache-bearing task, in which case the shipment is adopted for just
-    this chunk.
+    This is also the one place a worker folds a cache shipment.  With
+    ``task.cache`` set, the shipped state is merged into *verdict_cache*
+    (the worker's per-sweep or per-job cache, so it keeps accruing the
+    entries other workers found) or, when that is ``None``, into a new
+    cache for just this chunk, and the chunk runs memoized.  Merges are
+    idempotent, so re-deliveries and overlapping shipments are harmless.
+    A task without a shipment belongs to an unmemoized sweep and runs
+    without a cache.
     """
-    cache = verdict_cache
-    if cache is None and task.cache is not None:
-        cache = merge_shipped_cache(task.cache, None)
+    cache = None
+    if task.cache is not None:
+        cache = verdict_cache if verdict_cache is not None else VerdictCache()
+        cache.merge(pickle.loads(task.cache))
     try:
         shard, checkpoint, telemetry, cache_delta = (
             _run_chunk_instrumented(task, verdict_cache=cache))
@@ -511,7 +497,6 @@ class ChunkScheduler:
     def __init__(self, specs: list[CampaignSpec],
                  chunk_evaluations: int | None = None,
                  verdict_memo: bool = False,
-                 memo_capacity: int = DEFAULT_CACHE_CAPACITY,
                  max_cache_bytes: int | None = None) -> None:
         self.specs = specs
         self.chunk_evaluations = chunk_evaluations
@@ -520,8 +505,7 @@ class ChunkScheduler:
         #: deltas fold in via :meth:`record`, and :meth:`next_task` stamps
         #: the current state onto every dispatched task so each worker
         #: benefits from what every other worker already checked.
-        self.verdict_cache = (VerdictCache(capacity=memo_capacity)
-                              if verdict_memo else None)
+        self.verdict_cache = VerdictCache() if verdict_memo else None
         #: Byte budget for one pickled cache shipment (``None``: uncapped;
         #: the TCP coordinator sets a fraction of ``max_frame_bytes``).
         #: Over-budget shipments drop oldest entries until they fit —
@@ -1165,22 +1149,18 @@ def _worker_loop(task_queue, result_queue) -> None:
     propagate: on Ctrl-C the worker must exit promptly, not keep draining
     the queue.
 
-    On memoized sweeps the worker keeps one persistent
-    :class:`~repro.consistency.memo.VerdictCache` across all the tasks it
-    runs, folding each task's sweep-wide shipment in — so it hits both on
-    its own history and on what other workers discovered.
+    The worker keeps one :class:`~repro.consistency.memo.VerdictCache`
+    across all the tasks it runs; on memoized sweeps
+    :func:`execute_chunk_task` folds each task's sweep-wide shipment into
+    it, so it hits both on its own history and on what other workers
+    discovered.
     """
-    verdict_cache: VerdictCache | None = None
+    verdict_cache = VerdictCache()
     while True:
         task = task_queue.get()
         if task is None:
             return
-        if task.cache is not None:
-            verdict_cache = merge_shipped_cache(task.cache, verdict_cache)
-            result_queue.put(
-                execute_chunk_task(task, verdict_cache=verdict_cache))
-        else:
-            result_queue.put(execute_chunk_task(task))
+        result_queue.put(execute_chunk_task(task, verdict_cache=verdict_cache))
 
 
 def _iter_serial(specs: list[CampaignSpec],
@@ -1222,7 +1202,6 @@ def _iter_serial(specs: list[CampaignSpec],
 
 
 def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
-                        mp_context: str | None,
                         chunk_evaluations: int | None,
                         telemetry_out: dict | None = None,
                         verdict_memo: bool = False
@@ -1234,14 +1213,14 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
     steal while long campaigns make round-robin progress.  Results are
     yielded in completion order, as soon as each shard finishes.
     """
-    context = multiprocessing.get_context(mp_context)
     processes = min(workers, len(specs))
     scheduler = ChunkScheduler(specs, chunk_evaluations,
                                verdict_memo=verdict_memo)
-    task_queue = context.Queue()
-    result_queue = context.Queue()
-    pool = [context.Process(target=_worker_loop,
-                            args=(task_queue, result_queue), daemon=True)
+    task_queue = multiprocessing.Queue()
+    result_queue = multiprocessing.Queue()
+    pool = [multiprocessing.Process(target=_worker_loop,
+                                    args=(task_queue, result_queue),
+                                    daemon=True)
             for _ in range(processes)]
     for process in pool:
         process.start()
@@ -1285,7 +1264,6 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
 
 
 def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
-                   mp_context: str | None = None,
                    config: SweepConfig | None = None,
                    hosts_out: dict | None = None,
                    telemetry_out: dict | None = None
@@ -1299,8 +1277,8 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     is first advanced.
 
     ``config`` describes the sweep (see :class:`SweepConfig`; ``None``
-    means ``SweepConfig()``).  ``workers``, ``mp_context`` and the
-    ``*_out`` mappings are per-call arguments: they describe this
+    means ``SweepConfig()``).  ``workers`` and the ``*_out`` mappings
+    are per-call arguments: they describe this
     process's resources, not the sweep.  On the tcp transport
     ``workers`` local ``service worker`` processes are spawned against
     the ephemeral service (``workers=0``: none — remote workers connect
@@ -1311,11 +1289,6 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     """
     config = config if config is not None else SweepConfig()
     if config.transport == TRANSPORT_TCP:
-        if mp_context is not None:
-            raise ValueError("mp_context configures the local "
-                             "multiprocessing transport; tcp workers are "
-                             "separate processes with their own start "
-                             "method")
         if workers < 0:
             raise ValueError("workers must be at least 0 for the tcp "
                              "transport (0: external workers only)")
@@ -1335,8 +1308,7 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
         return _iter_serial(specs, config.chunk_evaluations,
                             telemetry_out=telemetry_out,
                             verdict_memo=config.verdict_memo)
-    return _iter_work_stealing(specs, workers, mp_context,
-                               config.chunk_evaluations,
+    return _iter_work_stealing(specs, workers, config.chunk_evaluations,
                                telemetry_out=telemetry_out,
                                verdict_memo=config.verdict_memo)
 
@@ -1394,7 +1366,6 @@ class SweepAccumulator:
 
 
 def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
-                  mp_context: str | None = None,
                   config: SweepConfig | None = None,
                   on_result: Callable[[ShardResult], None] | None = None,
                   progress: bool = False,
@@ -1430,7 +1401,6 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
 
         printer = ProgressPrinter(total=len(specs), stream=progress_stream)
     for index, shard in iter_campaigns(specs, workers=workers,
-                                       mp_context=mp_context,
                                        config=config,
                                        hosts_out=hosts,
                                        telemetry_out=telemetry):

@@ -66,12 +66,13 @@ import sys
 import tempfile
 import threading
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
+from repro.consistency.memo import VerdictCache
 from repro.harness import codec
 from repro.harness.distributed import (DEFAULT_CONNECT_BACKOFF,
                                        DEFAULT_HANDSHAKE_TIMEOUT,
@@ -91,7 +92,7 @@ from repro.harness.parallel import (CampaignSpec, ChunkTask, ShardFailure,
                                     ShardResult, SweepAccumulator,
                                     SweepConfig, SweepReport,
                                     build_chunk_scheduler, default_workers,
-                                    execute_chunk_task, merge_shipped_cache)
+                                    execute_chunk_task)
 from repro.locking import TracedLock, guarded_by, requires_lock
 from repro.harness.store import (JOB_CANCELLED, JOB_DONE, JOB_FAILED,
                                  JOB_RUNNING, JOB_STATES, SweepStore)
@@ -1277,7 +1278,7 @@ def run_service_worker(address: object, token: str | None = None,
         heartbeats = threading.Thread(target=heartbeat_loop, daemon=True,
                                       name="service-worker-heartbeats")
         heartbeats.start()
-        caches: dict[str, object] = {}
+        caches: defaultdict[str, VerdictCache] = defaultdict(VerdictCache)
         while True:
             send(("request",))
             message = recv_reply()
@@ -1296,13 +1297,7 @@ def run_service_worker(address: object, token: str | None = None,
             if kind != "task" or len(message) != 3:
                 raise ProtocolError(f"unknown service message {kind!r}")
             job_id, task = str(message[1]), message[2]
-            if task.cache is not None:
-                caches[job_id] = merge_shipped_cache(task.cache,
-                                                     caches.get(job_id))
-                outcome = execute_chunk_task(
-                    task, verdict_cache=caches[job_id])
-            else:
-                outcome = execute_chunk_task(task)
+            outcome = execute_chunk_task(task, verdict_cache=caches[job_id])
             stats.chunks += 1
             if outcome.shard is not None:
                 stats.shards_completed += 1

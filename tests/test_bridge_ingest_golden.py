@@ -316,6 +316,15 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
                 continue  # the header-source-line-separator case
             result.append((f"non-newline-{name}-{where}", ".jsonl",
                            "\n".join(lines) + "\n"))
+    # gem5 logs split only at line ends too: a noise line holding one of
+    # these characters is one file line, and so is an event line.
+    no_addr = _GEM5.replace("addr=0x80 data=23", "data=23")
+    for name, char in _NON_NEWLINES:
+        result.append((f"gem5-non-newline-{name}-in-noise", ".log",
+                       f"1: system.mem: refill{char} more\n" + no_addr))
+        result.append((f"gem5-non-newline-{name}-in-event", ".log",
+                       _GEM5.replace("addr=0x40 data=11 [sn:9]",
+                                     f"addr=0x40{char}data=11 [sn:9]")))
     return result
 
 

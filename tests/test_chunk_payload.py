@@ -14,9 +14,12 @@ is only a few checkpoints wide.
 
 import pickle
 import socket
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from repro.consistency.memo import VerdictCache, VerdictCacheState
 from repro.core.campaign import CampaignCheckpoint, GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness import codec
@@ -53,8 +56,6 @@ def outcomes(report):
 
 def deterministic_result_view(result):
     """Every CampaignResult field except the measured wall-clock ones."""
-    from dataclasses import fields
-
     return {field.name: getattr(result, field.name)
             for field in fields(result)
             if field.name not in ("wall_seconds", "sim_seconds",
@@ -222,6 +223,54 @@ class TestRoundTripEquivalence:
         assert outcomes(serial) == outcomes(small_frames)
         assert (serial.coverage.global_counts
                 == small_frames.coverage.global_counts)
+
+
+#: A paused chunk's ``ChunkPayload.data`` from a release whose engine
+#: checkpoints still carried verdict-cache state: the first 3 of
+#: :func:`parent_era_spec`'s 6 evaluations, run through
+#: ``execute_chunk_task`` with a fresh ``VerdictCache``.
+PARENT_PAYLOAD = Path(__file__).parent / "data" / "parent_chunk_payload.pickle"
+
+
+def parent_era_spec():
+    return campaign_matrix(kinds=[GeneratorKind.MCVERSI_ALL], faults=[None],
+                           generator_config=GeneratorConfig.quick(
+                               memory_kib=1, test_size=16, iterations=2,
+                               population_size=4),
+                           system_config=SystemConfig(), max_evaluations=6,
+                           seeds_per_cell=1, base_seed=27)[0]
+
+
+class TestParentEraPayload:
+    """A stored payload whose checkpoint carries a cache copy resumes."""
+
+    def test_old_cache_field_is_an_ignored_attribute(self):
+        checkpoint = ChunkPayload(PARENT_PAYLOAD.read_bytes()).load()
+        assert checkpoint.evaluations == 3
+        stale = checkpoint.engine.verdict_cache
+        assert isinstance(stale, VerdictCacheState) and stale.entries
+        assert "verdict_cache" not in {
+            field.name for field in fields(checkpoint.engine)}
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["off", "memo"])
+    def test_resumes_bit_identical_to_serial(self, memo):
+        spec = parent_era_spec()
+        serial, _ = run_shard_chunk(spec, None, None)
+        scheduler = ChunkScheduler([spec], chunk_evaluations=2,
+                                   verdict_memo=memo)
+        scheduler.restore_progress(
+            completed=[], checkpoints={0: PARENT_PAYLOAD.read_bytes()})
+        worker = VerdictCache()
+        completed = None
+        while completed is None:
+            task = scheduler.next_task()
+            completed = scheduler.record(
+                execute_chunk_task(task, verdict_cache=worker))
+        _, shard = completed
+        assert (deterministic_result_view(shard.result)
+                == deterministic_result_view(serial.result))
+        assert shard.coverage.global_counts == serial.coverage.global_counts
+        assert (len(worker) > 0) is memo
 
 
 class TestFrameCap:

@@ -453,10 +453,6 @@ class TestTransportValidation:
         with pytest.raises(ValueError, match="at least 0"):
             run_campaigns([], config=TCP, workers=-1)
 
-    def test_tcp_rejects_mp_context(self):
-        with pytest.raises(ValueError, match="mp_context"):
-            run_campaigns([], config=TCP, mp_context="fork")
-
 
 # ----------------------------------------------------------------------
 # Loopback integration

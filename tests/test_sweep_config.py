@@ -248,8 +248,9 @@ def test_no_scheduler_selector_is_exported(module):
 
 
 @pytest.mark.parametrize("legacy", [{"scheduler": "work-stealing"},
-                                    {"chunk_evaluations": 2}],
-                         ids=["scheduler", "chunk_evaluations"])
+                                    {"chunk_evaluations": 2},
+                                    {"mp_context": "fork"}],
+                         ids=["scheduler", "chunk_evaluations", "mp_context"])
 def test_legacy_kwargs_raise_type_error(legacy):
     with pytest.raises(TypeError):
         run_campaigns([], **legacy)

@@ -6,26 +6,28 @@ Three layers under test:
    mark/delta/merge/snapshot protocol the sweep fold is built on.
 2. The memoized :class:`Checker` path — bit-identical results with the
    cache on, passing hits short-circuiting, failing hits re-checked.
-3. The orchestration fold — engine checkpoints carrying warm-start
-   state, the scheduler folding chunk deltas into the sweep-wide cache
-   and stamping byte-budgeted shipments onto dispatches, and full
+3. The orchestration fold — the scheduler folding chunk deltas into the
+   sweep-wide cache and stamping byte-budgeted shipments onto
+   dispatches, :func:`execute_chunk_task` folding a shipment into the
+   worker's cache (paused checkpoints carry no cache state), and full
    ``run_campaigns`` sweeps proving memo-on ≡ memo-off with a non-trivial
    hit-rate on both the multiprocessing and the loopback-TCP transport.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.consistency.checker import Checker
-from repro.consistency.memo import (CHECKPOINT_STATE_MAX_ENTRIES,
-                                    CachedVerdict, VerdictCache,
+from repro.consistency.memo import (CachedVerdict, VerdictCache,
                                     VerdictCacheDelta, VerdictCacheState)
 from repro.consistency.models import SequentialConsistency, TotalStoreOrder
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
-from repro.core.engine import VerificationEngine
-from repro.harness.parallel import (ChunkOutcome, ChunkScheduler,
+from repro.harness.parallel import (ChunkOutcome, ChunkPayload,
+                                    ChunkScheduler, ChunkTask,
+                                    execute_chunk_task,
                                     SweepConfig, campaign_matrix,
                                     run_campaigns)
 from repro.sim.config import SystemConfig
@@ -126,26 +128,18 @@ class TestVerdictCacheUnit:
         assert cache.lookup("known").passed    # the original verdict won
         assert cache.hits == 1                 # counters never merged
 
-    def test_snapshot_restore_round_trip(self):
+    def test_snapshot_captures_entries_and_counters(self):
         cache = VerdictCache(capacity=8)
         cache.store("a", CachedVerdict(True))
         cache.store("b", CachedVerdict(False))
         cache.lookup("a")
         state = cache.snapshot()
-        clone = VerdictCache.from_state(state)
-        assert len(clone) == 2 and clone.capacity == 8
-        assert clone.hits == cache.hits and clone.misses == cache.misses
-        assert clone.snapshot() == clone.snapshot()
-        restored = VerdictCache()
-        restored.restore(state)
-        assert "a" in restored and "b" in restored
-
-    def test_snapshot_cap_keeps_newest_entries(self):
-        cache = VerdictCache()
-        for index in range(10):
-            cache.store(f"k{index}", CachedVerdict(True))
-        state = cache.snapshot(max_entries=3)
-        assert [key for key, _ in state.entries] == ["k7", "k8", "k9"]
+        assert state.capacity == 8 and state.hits == 1
+        assert state.entries == (("b", CachedVerdict(False)),
+                                 ("a", CachedVerdict(True)))
+        clone = VerdictCache(capacity=8)
+        assert clone.merge(state) == 2
+        assert "a" in clone and "b" in clone and clone.hits == 0
 
     def test_stats_hit_rate(self):
         cache = VerdictCache()
@@ -199,41 +193,6 @@ class TestMemoizedChecker:
         assert result.violations[0].kind == "corruption"
         assert result.trace is trace
         assert len(cache) == 0 and cache.misses == 0
-
-
-class TestEngineCheckpointCache:
-    def make_engine(self, cache):
-        return VerificationEngine(
-            generator_config=GeneratorConfig.quick(memory_kib=1),
-            system_config=SystemConfig(), verdict_cache=cache)
-
-    def test_checkpoint_captures_capped_cache_state(self):
-        cache = VerdictCache()
-        for index in range(CHECKPOINT_STATE_MAX_ENTRIES + 10):
-            cache.store(f"k{index}", CachedVerdict(True))
-        engine = self.make_engine(cache)
-        checkpoint = engine.checkpoint()
-        assert isinstance(checkpoint.verdict_cache, VerdictCacheState)
-        assert (len(checkpoint.verdict_cache.entries)
-                == CHECKPOINT_STATE_MAX_ENTRIES)
-        # Newest-first retention: the final key is present, the first not.
-        keys = {key for key, _ in checkpoint.verdict_cache.entries}
-        assert f"k{CHECKPOINT_STATE_MAX_ENTRIES + 9}" in keys
-        assert "k0" not in keys
-
-    def test_checkpoint_without_cache_is_none(self):
-        engine = self.make_engine(None)
-        assert engine.checkpoint().verdict_cache is None
-
-    def test_restore_merges_instead_of_overwriting(self):
-        warm = VerdictCache()
-        warm.store("from-checkpoint", CachedVerdict(True))
-        checkpoint = self.make_engine(warm).checkpoint()
-        live = VerdictCache()
-        live.store("from-shipment", CachedVerdict(True))
-        engine = self.make_engine(live)
-        engine.restore(checkpoint)
-        assert "from-checkpoint" in live and "from-shipment" in live
 
 
 def tiny_specs(seeds_per_cell=2, max_evaluations=4):
@@ -303,6 +262,75 @@ class TestSchedulerCacheFold:
         assert state.entries            # trimmed, not emptied
         # Oldest-first trimming: the newest entry always survives.
         assert state.entries[-1][0] == entries[-1][0]
+
+
+def shipment(cache):
+    return pickle.dumps(cache.snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def untimed_bytes(payload):
+    """A paused payload re-pickled with its wall-clock fields zeroed.
+
+    Those three fields differ between any two runs of a chunk; every
+    other byte is the campaign's state.
+    """
+    checkpoint = replace(payload.load(), elapsed_seconds=0.0,
+                         sim_seconds=0.0, check_seconds=0.0)
+    return ChunkPayload.of(checkpoint).data
+
+
+class TestWorkerShipmentFold:
+    """``execute_chunk_task`` is where a worker folds a cache shipment."""
+
+    def first_chunk(self, spec, shipped=None):
+        return ChunkTask(index=0, spec=spec, checkpoint=None, pause_after=2,
+                         cache=shipped)
+
+    def test_shipment_merges_into_the_callers_cache(self):
+        spec = tiny_specs(seeds_per_cell=1)[0]
+        source = VerdictCache()
+        source.store("shipped", CachedVerdict(True))
+        worker = VerdictCache()
+        outcome = execute_chunk_task(
+            self.first_chunk(spec, shipment(source)), verdict_cache=worker)
+        assert "shipped" in worker
+        assert outcome.cache_delta is not None
+        assert outcome.cache_delta.misses > 0
+        assert "shipped" not in dict(outcome.cache_delta.entries)
+
+    def test_shipment_without_a_persistent_cache_still_memoizes(self):
+        spec = tiny_specs(seeds_per_cell=1)[0]
+        outcome = execute_chunk_task(
+            self.first_chunk(spec, shipment(VerdictCache())))
+        assert outcome.cache_delta is not None
+        assert outcome.cache_delta.entries
+
+    def test_no_shipment_means_no_memo(self):
+        spec = tiny_specs(seeds_per_cell=1)[0]
+        worker = VerdictCache()
+        outcome = execute_chunk_task(self.first_chunk(spec),
+                                     verdict_cache=worker)
+        assert outcome.cache_delta is None
+        assert len(worker) == 0 and worker.misses == 0
+
+    def test_paused_payload_is_independent_of_the_cache(self):
+        spec = tiny_specs(seeds_per_cell=1)[0]
+        off = execute_chunk_task(self.first_chunk(spec))
+        cold = execute_chunk_task(
+            self.first_chunk(spec, shipment(VerdictCache())),
+            verdict_cache=VerdictCache())
+        warm_cache = VerdictCache()
+        execute_chunk_task(
+            ChunkTask(index=0, spec=spec, checkpoint=None, pause_after=None,
+                      cache=shipment(warm_cache)),
+            verdict_cache=warm_cache)
+        warm = execute_chunk_task(
+            self.first_chunk(spec, shipment(warm_cache)),
+            verdict_cache=warm_cache)
+        assert warm.cache_delta.hits > 0
+        assert off.payload is not None
+        assert untimed_bytes(cold.payload) == untimed_bytes(off.payload)
+        assert untimed_bytes(warm.payload) == untimed_bytes(off.payload)
 
 
 class TestMemoizedSweeps:
