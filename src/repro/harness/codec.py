@@ -13,6 +13,25 @@ cross the wire (:class:`~repro.harness.parallel.ChunkTask`,
 :class:`~repro.harness.parallel.SweepConfig` and everything reachable
 from them).
 
+Each value is a one-byte tag and its body.  Integers are big-endian;
+``u16``/``u32`` are unsigned lengths and counts:
+
+* ``N``, ``T``, ``F``: ``None``, ``True``, ``False``; no body.
+* ``i``: an ``int`` within i64, 8 bytes signed.
+* ``I``: any other ``int``, ``u32`` length and decimal ASCII.
+* ``f``: a ``float``, an 8-byte IEEE double.
+* ``s``: a ``str``, ``u32`` length and utf-8.
+* ``b``: ``bytes``, ``u32`` length and the raw bytes.
+* ``l``, ``t``, ``S``, ``R``: a ``list``, ``tuple``, ``set`` or
+  ``frozenset``; ``u32`` count and that many values.
+* ``A``: packed ints; ``l`` or ``t`` for the container, ``u32`` count
+  and that many i64s.  Every non-empty list or tuple whose items are
+  exact ``int`` objects within i64 is encoded this way.
+* ``d``: a ``dict``; ``u32`` count and that many key, value pairs.
+* ``E``: an enum member; ``u16``-length class name and its value.
+* ``O``: a registered object; ``u16``-length class name, ``u32`` field
+  count, and each field's ``u16``-length name and value.
+
 Decoding never executes anything: every tag maps to a fixed constructor,
 unknown tags and unknown class names raise :class:`CodecError`, every
 length and count is bounds-checked against the remaining buffer before
@@ -25,7 +44,10 @@ Registered dataclasses are encoded field-by-field (their
 ``__post_init__`` validation runs on decode, so malformed field values
 from a hostile peer are rejected by the same invariants trusted code
 relies on); classes with non-dataclass state register explicit
-``encode``/``decode`` hooks (:class:`~repro.sim.coverage.CoverageCollector`).
+``encode``/``decode`` hooks.  The one hook,
+:class:`~repro.sim.coverage.CoverageCollector`'s, writes a string table
+and packed index and count columns, and its decode builds the raw
+``(controller, state, event)`` tuples straight from them.
 
 What stays opaque: resume checkpoints and verdict-cache shipments cross
 the wire as pre-serialized *bytes* fields (``ChunkPayload.data``,
@@ -39,6 +61,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable
 
 from repro.harness.distributed import ProtocolError
@@ -73,6 +96,10 @@ class _Registered:
     encode_fn: Callable | None
     decode_fn: Callable | None
     is_enum: bool
+    #: The ``E``/``O`` tag and the encoded class name.
+    header: bytes
+    #: Each of ``fields``' encoded names (none for hook classes).
+    field_names: tuple[bytes, ...]
 
 
 _BY_NAME: dict[str, _Registered] = {}
@@ -144,7 +171,7 @@ WIRE_FIELDS: dict[str, tuple[str, ...]] = {
         "kind", "found", "evaluations", "evaluations_to_find",
         "wall_seconds", "detail", "total_coverage", "ndt_history",
         "mean_ndt_final", "sim_seconds", "check_seconds", "stats"),
-    "CoverageCollector": ("counts", "known", "run"),
+    "CoverageCollector": ("strings", "counted", "counts", "known", "run"),
     "SweepConfig": (
         "chunk_evaluations", "verdict_memo", "transport", "coordinator",
         "lease_timeout", "max_frame_bytes"),
@@ -217,8 +244,11 @@ def register(cls: type, fields: Iterable[str] | None = None, *,
         fields = tuple(fields) if fields is not None else None
     _validate_against_manifest(cls, fields, is_enum,
                                has_hooks=encode is not None)
-    entry = _Registered(cls=cls, fields=fields, encode_fn=encode,
-                        decode_fn=decode, is_enum=is_enum)
+    entry = _Registered(
+        cls=cls, fields=fields, encode_fn=encode, decode_fn=decode,
+        is_enum=is_enum, header=(b"E" if is_enum else b"O") + _name(name),
+        field_names=(tuple(map(_name, fields))
+                     if fields is not None and encode is None else ()))
     _BY_NAME[name] = entry
     _BY_TYPE[cls] = entry
     return cls
@@ -287,12 +317,30 @@ def _encode_str(out: bytearray, tag: bytes, text: str) -> None:
     out += data
 
 
-def _encode_name(out: bytearray, name: str) -> None:
+def _name(name: str) -> bytes:
+    """A class or field name as it goes on the wire."""
     data = name.encode("utf-8")
     if len(data) > 0xFFFF:
         raise CodecError(f"name too long to encode ({len(data)} bytes)")
-    out += _U16.pack(len(data))
-    out += data
+    return _U16.pack(len(data)) + data
+
+
+_INT_ONLY = frozenset({int})
+
+
+def _packed(value: list | tuple) -> bytes | None:
+    """*value* as a column of big-endian i64s, if it is one.
+
+    A non-empty list or tuple qualifies when every item is an exact
+    ``int`` (not a ``bool``) within i64; ``struct`` does the range check.
+    """
+    if not value or type(value[0]) is not int \
+            or set(map(type, value)) != _INT_ONLY:
+        return None
+    try:
+        return struct.pack(f">{len(value)}q", *value)
+    except struct.error:
+        return None
 
 
 def _encode_value(out: bytearray, value: object, depth: int) -> None:
@@ -326,6 +374,14 @@ def _encode_value(out: bytearray, value: object, depth: int) -> None:
         return
     if kind in (list, tuple, set, frozenset):
         tag = {list: b"l", tuple: b"t", set: b"S", frozenset: b"R"}[kind]
+        if kind is list or kind is tuple:
+            column = _packed(value)
+            if column is not None:
+                out += b"A"
+                out += tag
+                out += _U32.pack(len(value))
+                out += column
+                return
         out += tag
         out += _U32.pack(len(value))
         for item in value:
@@ -343,19 +399,21 @@ def _encode_value(out: bytearray, value: object, depth: int) -> None:
         raise CodecError(
             f"type {kind.__name__!r} is not admitted to the wire codec; "
             "register() it")
+    out += entry.header
     if entry.is_enum:
-        out += b"E"
-        _encode_name(out, kind.__name__)
         _encode_value(out, value.value, depth + 1)
         return
-    out += b"O"
-    _encode_name(out, kind.__name__)
-    fields = (entry.encode_fn(value) if entry.encode_fn is not None
-              else {name: getattr(value, name) for name in entry.fields})
-    out += _U32.pack(len(fields))
-    for name, item in fields.items():
-        _encode_name(out, name)
-        _encode_value(out, item, depth + 1)
+    if entry.encode_fn is not None:
+        fields = entry.encode_fn(value)
+        out += _U32.pack(len(fields))
+        for name, item in fields.items():
+            out += _name(name)
+            _encode_value(out, item, depth + 1)
+        return
+    out += _U32.pack(len(entry.fields))
+    for name, encoded in zip(entry.fields, entry.field_names):
+        out += encoded
+        _encode_value(out, getattr(value, name), depth + 1)
 
 
 def encode(message: object) -> bytes:
@@ -374,31 +432,36 @@ def encode(message: object) -> bytes:
 # ----------------------------------------------------------------------
 # Decoding
 
+# Tags as the ints that indexing ``bytes`` yields.
+_NONE, _TRUE, _FALSE = ord("N"), ord("T"), ord("F")
+_INT, _BIG_INT, _FLOAT = ord("i"), ord("I"), ord("f")
+_STR, _BYTES, _PACKED = ord("s"), ord("b"), ord("A")
+_LIST, _TUPLE, _SET, _FROZENSET = ord("l"), ord("t"), ord("S"), ord("R")
+_DICT, _ENUM, _OBJECT = ord("d"), ord("E"), ord("O")
+
 
 class _Decoder:
-    """Cursor over one frame; every read is bounds-checked first."""
+    """Offset reads over one frame; every read is bounds-checked first."""
+
+    __slots__ = ("data", "pos", "end")
 
     def __init__(self, data: bytes) -> None:
-        self.data = memoryview(data)
+        self.data = data if type(data) is bytes else bytes(data)
         self.pos = 0
+        self.end = len(self.data)
 
-    def take(self, count: int) -> memoryview:
-        if count < 0 or self.pos + count > len(self.data):
+    def skip(self, count: int) -> int:
+        """Step over *count* bytes; returns the offset they start at."""
+        pos = self.pos
+        if count < 0 or pos + count > self.end:
             raise CodecError(
                 f"truncated frame: needed {count} bytes at offset "
-                f"{self.pos} of {len(self.data)}")
-        view = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return view
-
-    def tag(self) -> bytes:
-        return bytes(self.take(1))
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(_U16.size))[0]
+                f"{pos} of {self.end}")
+        self.pos = pos + count
+        return pos
 
     def u32(self) -> int:
-        return _U32.unpack(self.take(_U32.size))[0]
+        return _U32.unpack_from(self.data, self.skip(4))[0]
 
     def count(self, length: int) -> int:
         """A container count, sanity-bounded by the remaining bytes.
@@ -407,93 +470,131 @@ class _Decoder:
         exceeding the unread remainder is hostile (an allocation bomb)
         and rejected before any allocation happens.
         """
-        if length > len(self.data) - self.pos:
+        if length > self.end - self.pos:
             raise CodecError(
                 f"frame announces {length} elements with only "
-                f"{len(self.data) - self.pos} bytes left")
+                f"{self.end - self.pos} bytes left")
         return length
 
+    def span(self, length: int, width: int = 1) -> int:
+        """Step over *length* announced elements of *width* bytes each.
+
+        Returns the offset they start at.  Like :meth:`count`, a length
+        the remainder cannot hold is rejected before anything is
+        allocated.
+        """
+        pos = self.pos
+        if length * width > self.end - pos:
+            raise CodecError(
+                f"frame announces {length} elements with only "
+                f"{self.end - pos} bytes left")
+        self.pos = pos + length * width
+        return pos
+
     def text(self) -> str:
+        pos = self.span(_U32.unpack_from(self.data, self.skip(4))[0])
         try:
-            return str(self.take(self.count(self.u32())), "utf-8")
+            return str(self.data[pos:self.pos], "utf-8")
         except UnicodeDecodeError as error:
             raise CodecError(f"invalid utf-8 in frame: {error}") from error
 
     def name(self) -> str:
+        pos = self.span(_U16.unpack_from(self.data, self.skip(2))[0])
         try:
-            return str(self.take(self.count(self.u16())), "utf-8")
+            return str(self.data[pos:self.pos], "utf-8")
         except UnicodeDecodeError as error:
             raise CodecError(f"invalid utf-8 in frame: {error}") from error
 
-
-def _decode_value(cursor: _Decoder, depth: int) -> object:
-    if depth > MAX_DEPTH:
-        raise CodecError(f"frame nests deeper than {MAX_DEPTH} levels")
-    tag = cursor.tag()
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"i":
-        return _I64.unpack(cursor.take(_I64.size))[0]
-    if tag == b"I":
-        text = cursor.text()
-        try:
-            return int(text)
-        except ValueError as error:
-            raise CodecError(f"invalid big-integer literal: {error}") \
-                from error
-    if tag == b"f":
-        return _F64.unpack(cursor.take(_F64.size))[0]
-    if tag == b"s":
-        return cursor.text()
-    if tag == b"b":
-        return bytes(cursor.take(cursor.count(cursor.u32())))
-    if tag in (b"l", b"t", b"S", b"R"):
-        length = cursor.count(cursor.u32())
-        items = [_decode_value(cursor, depth + 1) for _ in range(length)]
-        try:
-            if tag == b"l":
+    def value(self, depth: int) -> object:
+        if depth > MAX_DEPTH:
+            raise CodecError(f"frame nests deeper than {MAX_DEPTH} levels")
+        pos = self.pos
+        if pos >= self.end:
+            self.skip(1)  # raises the truncation error
+        tag = self.data[pos]
+        self.pos = pos + 1
+        if tag == _STR:
+            return self.text()
+        if tag == _INT:
+            return _I64.unpack_from(self.data, self.skip(8))[0]
+        if tag == _OBJECT:
+            return self.instance(depth)
+        if tag == _NONE:
+            return None
+        if tag == _TRUE:
+            return True
+        if tag == _FALSE:
+            return False
+        if tag == _FLOAT:
+            return _F64.unpack_from(self.data, self.skip(8))[0]
+        if tag == _LIST or tag == _TUPLE or tag == _SET or tag == _FROZENSET:
+            length = self.count(self.u32())
+            items = [self.value(depth + 1) for _ in range(length)]
+            if tag == _LIST:
                 return items
-            if tag == b"t":
+            if tag == _TUPLE:
                 return tuple(items)
-            return set(items) if tag == b"S" else frozenset(items)
-        except TypeError as error:
-            raise CodecError(f"unhashable set element: {error}") from error
-    if tag == b"d":
-        length = cursor.count(cursor.u32())
-        result = {}
-        try:
-            for _ in range(length):
-                key = _decode_value(cursor, depth + 1)
-                result[key] = _decode_value(cursor, depth + 1)
-        except TypeError as error:
-            raise CodecError(f"unhashable dict key: {error}") from error
-        return result
-    if tag == b"E":
-        entry = _entry_for_name(cursor.name())
-        if not entry.is_enum:
-            raise CodecError(
-                f"{entry.cls.__name__!r} encoded as an enum but is not one")
-        value = _decode_value(cursor, depth + 1)
-        try:
-            return entry.cls(value)
-        except ValueError as error:
-            raise CodecError(f"invalid {entry.cls.__name__} value "
-                             f"{value!r}") from error
-    if tag == b"O":
-        entry = _entry_for_name(cursor.name())
+            try:
+                return set(items) if tag == _SET else frozenset(items)
+            except TypeError as error:
+                raise CodecError(f"unhashable set element: {error}") \
+                    from error
+        if tag == _PACKED:
+            container = self.data[self.skip(1)]
+            if container != _LIST and container != _TUPLE:
+                raise CodecError(f"unknown packed container tag "
+                                 f"{bytes([container])!r}")
+            length = self.u32()
+            items = struct.unpack_from(f">{length}q", self.data,
+                                       self.span(length, 8))
+            return list(items) if container == _LIST else items
+        if tag == _BYTES:
+            pos = self.span(self.u32())
+            return self.data[pos:self.pos]
+        if tag == _DICT:
+            length = self.count(self.u32())
+            result = {}
+            try:
+                for _ in range(length):
+                    key = self.value(depth + 1)
+                    result[key] = self.value(depth + 1)
+            except TypeError as error:
+                raise CodecError(f"unhashable dict key: {error}") from error
+            return result
+        if tag == _BIG_INT:
+            text = self.text()
+            try:
+                return int(text)
+            except ValueError as error:
+                raise CodecError(f"invalid big-integer literal: {error}") \
+                    from error
+        if tag == _ENUM:
+            entry = _entry_for_name(self.name())
+            if not entry.is_enum:
+                raise CodecError(
+                    f"{entry.cls.__name__!r} encoded as an enum but is not "
+                    "one")
+            value = self.value(depth + 1)
+            try:
+                return entry.cls(value)
+            except ValueError as error:
+                raise CodecError(f"invalid {entry.cls.__name__} value "
+                                 f"{value!r}") from error
+        raise CodecError(f"unknown frame tag {bytes([tag])!r} at offset "
+                         f"{self.pos - 1}")
+
+    def instance(self, depth: int) -> object:
+        """The registered object after an ``O`` tag."""
+        entry = _entry_for_name(self.name())
         if entry.is_enum:
             raise CodecError(
                 f"{entry.cls.__name__!r} encoded as an object but is an "
                 "enum")
-        length = cursor.count(cursor.u32())
+        length = self.count(self.u32())
         fields: dict[str, object] = {}
         for _ in range(length):
-            field_name = cursor.name()
-            fields[field_name] = _decode_value(cursor, depth + 1)
+            field_name = self.name()
+            fields[field_name] = self.value(depth + 1)
         allowed = entry.fields
         if allowed is not None:
             unknown = set(fields) - set(allowed)
@@ -512,8 +613,6 @@ def _decode_value(cursor: _Decoder, depth: int) -> object:
             # rejected the field values: hostile or corrupt content.
             raise CodecError(
                 f"invalid {entry.cls.__name__} content: {error}") from error
-    raise CodecError(f"unknown frame tag {tag!r} at offset "
-                     f"{cursor.pos - 1}")
 
 
 def decode(data: bytes) -> object:
@@ -525,10 +624,10 @@ def decode(data: bytes) -> object:
     trailing-garbage frames.
     """
     cursor = _Decoder(data)
-    value = _decode_value(cursor, 0)
-    if cursor.pos != len(cursor.data):
+    value = cursor.value(0)
+    if cursor.pos != cursor.end:
         raise CodecError(
-            f"{len(cursor.data) - cursor.pos} trailing byte(s) after the "
+            f"{cursor.end - cursor.pos} trailing byte(s) after the "
             "frame payload")
     return value
 
@@ -555,8 +654,7 @@ def _register_wire_types() -> None:
                                         ChunkTelemetry, ShardResult,
                                         SweepConfig)
     from repro.sim.config import CacheConfig, SystemConfig, TestMemoryLayout
-    from repro.sim.coverage import (CoverageCollector, TransitionKey,
-                                    raw_transition, transition_key)
+    from repro.sim.coverage import CoverageCollector, TransitionKey
     from repro.sim.faults import Fault
     from repro.sim.testprogram import OpKind, TestOp
 
@@ -569,35 +667,57 @@ def _register_wire_types() -> None:
         register(cls)
 
     def encode_coverage(collector: CoverageCollector) -> dict:
-        # The known/run transition sets are sorted so the encoded frame
-        # is byte-identical regardless of insertion order or hash seed
-        # (the counts tuple keeps first-record order: resume bit-identity
-        # depends on it and it is already deterministic).  Raw tuples
-        # sort exactly as their keys do.
-        return {
-            "counts": tuple((transition_key(*transition), count)
-                            for transition, count
-                            in collector._counts.items()),
-            "known": tuple(transition_key(*transition)
-                           for transition in sorted(collector._known)),
-            "run": tuple(transition_key(*transition)
-                         for transition in sorted(collector._run)),
-        }
+        # Each transition is three indices into one string table.  The
+        # known set is sorted, so the frame is byte-identical whatever
+        # the insertion history or hash seed; counts and the run set
+        # keep first-record order, which resume bit-identity needs.
+        counted = tuple(collector._counts)
+        known = sorted(collector._known)
+        run = tuple(collector._run)
+        strings = tuple(dict.fromkeys(chain.from_iterable(
+            chain(counted, known, run))))
+        number = {text: index for index, text in enumerate(strings)}
+
+        def column(transitions) -> tuple[int, ...]:
+            return tuple(map(number.__getitem__,
+                             chain.from_iterable(transitions)))
+
+        return {"strings": strings, "counted": column(counted),
+                "counts": tuple(collector._counts.values()),
+                "known": column(known), "run": column(run)}
 
     def decode_coverage(fields: dict) -> CoverageCollector:
+        strings = fields["strings"]
+        if type(strings) is not tuple or not set(map(type, strings)) <= {str}:
+            raise CodecError("coverage string table holds a non-string")
+
+        def ints(name: str) -> tuple[int, ...]:
+            column = fields[name]
+            if type(column) is not tuple \
+                    or not set(map(type, column)) <= _INT_ONLY:
+                raise CodecError(f"coverage {name!r} column is not a tuple "
+                                 "of ints")
+            return column
+
+        def transitions(name: str) -> list[tuple[str, str, str]]:
+            column = ints(name)
+            if len(column) % 3:
+                raise CodecError(f"coverage {name!r} column is not "
+                                 "index triples")
+            if column and (min(column) < 0 or max(column) >= len(strings)):
+                raise CodecError(f"coverage {name!r} index out of range")
+            texts = map(strings.__getitem__, column)
+            return list(zip(texts, texts, texts))
+
+        counted, counts = transitions("counted"), ints("counts")
+        if len(counts) != len(counted):
+            raise CodecError(
+                f"coverage columns disagree: {len(counted)} counted "
+                f"transitions, {len(counts)} counts")
         collector = CoverageCollector()
-        for key, count in fields["counts"]:
-            if not isinstance(key, TransitionKey) or not isinstance(count,
-                                                                    int):
-                raise CodecError("malformed coverage counter entry")
-            collector._counts[raw_transition(key)] = count
-        for name in ("known", "run"):
-            if any(not isinstance(key, TransitionKey)
-                   for key in fields[name]):
-                raise CodecError(f"malformed coverage {name!r} entry")
-        collector.declare(fields["known"])
-        collector._run.update(
-            dict.fromkeys(map(raw_transition, fields["run"])))
+        collector._counts = dict(zip(counted, counts))
+        collector._known = set(transitions("known"))
+        collector._run = dict.fromkeys(transitions("run"))
         return collector
 
     register(CoverageCollector, WIRE_FIELDS["CoverageCollector"],

@@ -98,7 +98,7 @@ from repro.harness.store import (JOB_CANCELLED, JOB_DONE, JOB_FAILED,
                                  JOB_RUNNING, JOB_STATES, SweepStore)
 
 SERVICE_MAGIC = "mcversi-service"
-SERVICE_VERSION = 4
+SERVICE_VERSION = 5
 
 #: Environment variable naming the shared worker-auth token (the CLI
 #: reads it so tokens never appear in ``ps`` output).

@@ -204,14 +204,15 @@ class ReferenceCollector:
     """A collector storing ``TransitionKey`` objects throughout.
 
     This is how transitions were stored before the collector counted raw
-    ``(controller, state, event)`` tuples: a Counter, a run set and a
+    ``(controller, state, event)`` tuples: a Counter, a run set (here a
+    dict, so the wire frame's first-record run order is visible) and a
     known set of keys.  Everything the real collector hands out must
     equal what this one does, in the same order where order is visible.
     """
 
     def __init__(self) -> None:
         self.global_counts: Counter[TransitionKey] = Counter()
-        self.run: set[TransitionKey] = set()
+        self.run: dict[TransitionKey, None] = {}
         self.known: set[TransitionKey] = set()
 
     def declare(self, keys) -> None:
@@ -221,13 +222,15 @@ class ReferenceCollector:
         key = TransitionKey(controller, state, event)
         self.known.add(key)
         self.global_counts[key] += 1
-        self.run.add(key)
+        self.run[key] = None
 
     def begin_run(self) -> None:
-        self.run = set()
+        self.run = {}
 
     def run_transitions(self) -> frozenset[TransitionKey]:
-        return frozenset(self.run)
+        # Grown one key at a time, as the run set it models was, so the
+        # frozenset iterates in the same order.
+        return frozenset({key for key in self.run})
 
     def rare_transitions(self, cutoff: int) -> frozenset[TransitionKey]:
         return frozenset({key for key in self.known
@@ -243,10 +246,27 @@ class ReferenceCollector:
 
 
 def _reference_fields(reference: ReferenceCollector) -> dict:
-    """The codec's coverage fields, built from keys."""
-    return {"counts": tuple(reference.global_counts.items()),
-            "known": tuple(sorted(reference.known)),
-            "run": tuple(sorted(reference.run))}
+    """The codec's coverage fields, built from keys.
+
+    One string table, in first-appearance order over the counted, the
+    sorted known and the run keys; each key is three indices into it.
+    """
+    counted = list(reference.global_counts)
+    known = sorted(reference.known)
+    run = list(reference.run)
+    strings: list[str] = []
+    for key in counted + known + run:
+        for text in (key.controller, key.state, key.event):
+            if text not in strings:
+                strings.append(text)
+
+    def column(keys) -> tuple[int, ...]:
+        return tuple(strings.index(text) for key in keys
+                     for text in (key.controller, key.state, key.event))
+
+    return {"strings": tuple(strings), "counted": column(counted),
+            "counts": tuple(reference.global_counts.values()),
+            "known": column(known), "run": column(run)}
 
 
 def _transitions(seed: int, count: int) -> list[tuple[str, str, str]]:

@@ -5,9 +5,9 @@ on deterministic paths; these tests pin the behaviour of the sites
 that were fixed to comply, so a revert fails a test and not just the
 lint:
 
-* the codec's coverage frame sorts the ``known``/``run`` transition
-  sets, so encoded bytes are identical regardless of declare order or
-  the process's hash seed;
+* the codec's coverage frame sorts the ``known`` transition set and
+  keeps the run set's first-record order, so encoded bytes are
+  identical regardless of declare order or the process's hash seed;
 * ``execution_from_trace`` and ``cycle_witness_execution`` build the
   per-address coherence chains in sorted address order, so relation
   iteration (and everything derived from it, e.g. signatures) is
@@ -64,16 +64,16 @@ class TestCoverageFrameStability:
         assert encode(one) == encode(other)
 
     def test_bytes_identical_after_round_trip(self):
-        # decode() repopulates the known/run sets from the (sorted)
-        # frame, i.e. with a different insertion history than the
-        # original collector — re-encoding must not notice.
+        # decode() repopulates the known set from the (sorted) frame,
+        # i.e. with a different insertion history than the original
+        # collector — re-encoding must not notice.
         original = _populated(_keys())
         frame = encode(original)
         assert encode(decode(frame)) == frame
 
     def test_bytes_identical_across_hash_seeds(self):
         # String hashing is salted per process; the frame only stays
-        # byte-stable across processes because the sets are sorted.
+        # byte-stable across processes because the known set is sorted.
         script = (
             "from repro.harness.codec import encode\n"
             "from repro.sim.coverage import CoverageCollector\n"

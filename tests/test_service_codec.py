@@ -408,3 +408,203 @@ def test_pickle_job_body_is_400_and_never_unpickled(tmp_path):
         assert service.job_ids() == []
     finally:
         service.close()
+
+
+# ----------------------------------------------------------------------
+# Packed int columns and the table-coded coverage frame
+
+
+def _u32(value):
+    return value.to_bytes(4, "big")
+
+
+def _object_frame(class_name, fields):
+    """A hand-built ``O`` frame whose field values are codec-encoded."""
+    def name(text):
+        return len(text).to_bytes(2, "big") + text.encode()
+
+    return (b"O" + name(class_name) + _u32(len(fields))
+            + b"".join(name(key) + codec.encode(value)
+                       for key, value in fields.items()))
+
+
+def seeded_collector(seed):
+    """A collector with declared, merged and per-run transitions."""
+    import random
+
+    from repro.sim.coverage import CoverageCollector, TransitionKey
+
+    rng = random.Random(seed)
+
+    def transition():
+        return (rng.choice(("L1", "L2", "L1_TSOCC")), f"S{rng.randrange(7)}",
+                f"E{rng.randrange(9)}")
+
+    collector = CoverageCollector()
+    collector.declare(TransitionKey(*transition()) for _ in range(20))
+    other = CoverageCollector()
+    for _ in range(60):
+        other.record(*transition())
+    for _ in range(3):
+        collector.begin_run()
+        for _ in range(rng.randrange(20, 120)):
+            collector.record(*transition())
+        collector.merge(other)
+    return collector
+
+
+def _coverage_fields(seed=1):
+    from repro.sim.coverage import CoverageCollector
+
+    entry = codec._BY_TYPE[CoverageCollector]
+    return entry.encode_fn(seeded_collector(seed))
+
+
+class TestPackedColumns:
+    def test_int_sequences_pack_and_keep_their_type(self):
+        for value in ([1, -2, 3], (1 << 62, -(1 << 63), (1 << 63) - 1)):
+            frame = codec.encode(value)
+            assert frame[:2] == b"A" + (b"l" if type(value) is list
+                                         else b"t")
+            assert len(frame) == 6 + 8 * len(value)
+            back = codec.decode(frame)
+            assert back == value and type(back) is type(value)
+
+    def test_only_exact_i64_ints_pack(self):
+        for value in ([], (), [True, 1], [1, 2.0], [1, None],
+                      [1, 1 << 63], (-(1 << 63) - 1,)):
+            frame = codec.encode(value)
+            assert frame[:1] != b"A"
+            back = codec.decode(frame)
+            assert back == value and type(back) is type(value)
+            assert [type(item) for item in back] == [type(item)
+                                                     for item in value]
+
+    def test_packed_column_truncated_at_every_byte(self):
+        blob = codec.encode(("head", list(range(-5, 40)), (7, 8), "tail"))
+        assert blob.count(b"Al") == 1 and blob.count(b"At") == 1
+        for cut in range(len(blob)):
+            with pytest.raises(CodecError):
+                codec.decode(blob[:cut])
+
+    def test_count_overrunning_its_width_rejected_before_allocating(self):
+        # 64 bytes left would hold 64 one-byte elements but only 8 packed
+        # ints: a count of 32 must fail on its width.
+        frame = b"Al" + _u32(32) + bytes(64)
+        with pytest.raises(CodecError, match="32 elements"):
+            codec.decode(frame)
+        started = time.monotonic()
+        with pytest.raises(CodecError, match="elements"):
+            codec.decode(b"At" + _u32(0xFFFFFFFF) + bytes(16))
+        assert time.monotonic() - started < 1.0
+
+    def test_unknown_packed_container_rejected(self):
+        for container in (b"S", b"R", b"d", b"A", b"\x00"):
+            with pytest.raises(CodecError, match="packed container"):
+                codec.decode(b"A" + container + _u32(1) + bytes(8))
+
+
+class TestCoverageFrames:
+    def test_well_formed_fields_decode(self):
+        frame = _object_frame("CoverageCollector", _coverage_fields())
+        collector = codec.decode(frame)
+        assert codec.encode(collector) == frame
+
+    @pytest.mark.parametrize("column", ["counted", "known", "run"])
+    @pytest.mark.parametrize("where", ["negative", "past-the-table"])
+    def test_out_of_range_index_rejected(self, column, where):
+        fields = _coverage_fields()
+        bad = -1 if where == "negative" else len(fields["strings"])
+        fields[column] = (bad,) + fields[column][1:]
+        with pytest.raises(CodecError, match="index out of range"):
+            codec.decode(_object_frame("CoverageCollector", fields))
+
+    @pytest.mark.parametrize("entry", [5, None, b"L1", ("L1",), 1.5])
+    def test_non_str_string_table_entry_rejected(self, entry):
+        fields = _coverage_fields()
+        fields["strings"] = fields["strings"][:1] + (entry,) \
+            + fields["strings"][2:]
+        with pytest.raises(CodecError, match="non-string"):
+            codec.decode(_object_frame("CoverageCollector", fields))
+
+    @pytest.mark.parametrize("column", ["counted", "known", "run"])
+    def test_column_not_index_triples_rejected(self, column):
+        fields = _coverage_fields()
+        fields[column] = fields[column][:-1]
+        with pytest.raises(CodecError, match="triples"):
+            codec.decode(_object_frame("CoverageCollector", fields))
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_counts_of_another_width_rejected(self, change):
+        fields = _coverage_fields()
+        counts = fields["counts"]
+        fields["counts"] = counts[:-1] if change < 0 else counts + (1,)
+        with pytest.raises(CodecError, match="columns disagree"):
+            codec.decode(_object_frame("CoverageCollector", fields))
+
+    @pytest.mark.parametrize("column", ["counted", "counts", "known", "run"])
+    @pytest.mark.parametrize("bad", [[0, 1, 2], (0, 1.0, 2), (0, True, 2),
+                                     "012"])
+    def test_column_that_is_not_an_int_tuple_rejected(self, column, bad):
+        fields = _coverage_fields()
+        fields[column] = bad
+        with pytest.raises(CodecError, match="not a tuple of ints"):
+            codec.decode(_object_frame("CoverageCollector", fields))
+
+    def test_missing_column_rejected(self):
+        fields = _coverage_fields()
+        del fields["run"]
+        with pytest.raises(CodecError, match="invalid CoverageCollector"):
+            codec.decode(_object_frame("CoverageCollector", fields))
+
+
+class TestCoverageRoundTrip:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_round_trip_keeps_counts_known_and_run_order(self, seed):
+        original = seeded_collector(seed)
+        back = codec.decode(codec.encode(original))
+        assert list(back._counts.items()) == list(original._counts.items())
+        assert back._known == original._known
+        assert list(back._run) == list(original._run)
+        assert all(type(transition) is tuple
+                   for transition in (*back._counts, *back._known,
+                                      *back._run))
+
+    def test_bytes_identical_under_another_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        tests = Path(__file__).resolve().parent
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(tests)!r})\n"
+            "from repro.harness.codec import encode\n"
+            "from test_service_codec import seeded_collector\n"
+            "print(' '.join(encode(seeded_collector(seed)).hex()\n"
+            "               for seed in range(6)))\n")
+        env = dict(os.environ, PYTHONHASHSEED="4242",
+                   PYTHONPATH=str(tests.parent / "src"))
+        other = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, check=True)
+        here = " ".join(codec.encode(seeded_collector(seed)).hex()
+                        for seed in range(6))
+        assert other.stdout.split() == here.split()
+
+
+def test_previous_version_worker_refused_at_handshake(restricted_service):
+    sock = _connect(restricted_service)
+    try:
+        _read_challenge(sock)
+        send_raw_frame(sock, codec.encode(
+            ("hello", SERVICE_MAGIC, SERVICE_VERSION - 1, "old", "")),
+            1 << 20)
+        reply = codec.decode(recv_raw_frame(sock, 1 << 20))
+        assert reply == ("error", "protocol version mismatch: service "
+                         f"speaks {SERVICE_VERSION}, worker speaks "
+                         f"{SERVICE_VERSION - 1}")
+        assert _drained(sock)
+    finally:
+        sock.close()
+    assert restricted_service.auth_failures == 0
