@@ -98,7 +98,7 @@ class _Registered:
     is_enum: bool
     #: The ``E``/``O`` tag and the encoded class name.
     header: bytes
-    #: Each of ``fields``' encoded names (none for hook classes).
+    #: Each of ``fields``' encoded names, in order.
     field_names: tuple[bytes, ...]
 
 
@@ -247,8 +247,7 @@ def register(cls: type, fields: Iterable[str] | None = None, *,
     entry = _Registered(
         cls=cls, fields=fields, encode_fn=encode, decode_fn=decode,
         is_enum=is_enum, header=(b"E" if is_enum else b"O") + _name(name),
-        field_names=(tuple(map(_name, fields))
-                     if fields is not None and encode is None else ()))
+        field_names=tuple(map(_name, fields or ())))
     _BY_NAME[name] = entry
     _BY_TYPE[cls] = entry
     return cls
@@ -346,13 +345,7 @@ def _packed(value: list | tuple) -> bytes | None:
 def _encode_value(out: bytearray, value: object, depth: int) -> None:
     if depth > MAX_DEPTH:
         raise CodecError(f"value nests deeper than {MAX_DEPTH} levels")
-    if value is None:
-        out += b"N"
-        return
     kind = type(value)
-    if kind is bool:
-        out += b"T" if value else b"F"
-        return
     if kind is int:
         if _I64_MIN <= value <= _I64_MAX:
             out += b"i"
@@ -360,12 +353,18 @@ def _encode_value(out: bytearray, value: object, depth: int) -> None:
         else:
             _encode_str(out, b"I", str(value))
         return
+    if kind is str:
+        _encode_str(out, b"s", value)
+        return
     if kind is float:
         out += b"f"
         out += _F64.pack(value)
         return
-    if kind is str:
-        _encode_str(out, b"s", value)
+    if value is None:
+        out += b"N"
+        return
+    if kind is bool:
+        out += b"T" if value else b"F"
         return
     if kind is bytes:
         out += b"b"
@@ -513,10 +512,12 @@ class _Decoder:
             self.skip(1)  # raises the truncation error
         tag = self.data[pos]
         self.pos = pos + 1
-        if tag == _STR:
-            return self.text()
         if tag == _INT:
             return _I64.unpack_from(self.data, self.skip(8))[0]
+        if tag == _STR:
+            return self.text()
+        if tag == _FLOAT:
+            return _F64.unpack_from(self.data, self.skip(8))[0]
         if tag == _OBJECT:
             return self.instance(depth)
         if tag == _NONE:
@@ -525,8 +526,6 @@ class _Decoder:
             return True
         if tag == _FALSE:
             return False
-        if tag == _FLOAT:
-            return _F64.unpack_from(self.data, self.skip(8))[0]
         if tag == _LIST or tag == _TUPLE or tag == _SET or tag == _FROZENSET:
             length = self.count(self.u32())
             items = [self.value(depth + 1) for _ in range(length)]
@@ -592,12 +591,19 @@ class _Decoder:
                 "enum")
         length = self.count(self.u32())
         fields: dict[str, object] = {}
+        # Encoders write the fields in manifest order, so each name is
+        # first compared with the expected one's bytes in place.
+        expected = zip(entry.fields or (), entry.field_names)
         for _ in range(length):
-            field_name = self.name()
+            field_name, encoded = next(expected, (None, b""))
+            if encoded and self.data.startswith(encoded, self.pos):
+                self.pos += len(encoded)
+            else:
+                field_name = self.name()
             fields[field_name] = self.value(depth + 1)
         allowed = entry.fields
         if allowed is not None:
-            unknown = set(fields) - set(allowed)
+            unknown = fields.keys() - allowed
             if unknown:
                 raise CodecError(
                     f"{entry.cls.__name__} frame carries unknown "
