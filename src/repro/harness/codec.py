@@ -491,7 +491,7 @@ class _Decoder:
         return pos
 
     def text(self) -> str:
-        pos = self.span(_U32.unpack_from(self.data, self.skip(4))[0])
+        pos = self.span(self.u32())
         try:
             return str(self.data[pos:self.pos], "utf-8")
         except UnicodeDecodeError as error:
@@ -526,7 +526,7 @@ class _Decoder:
             return True
         if tag == _FALSE:
             return False
-        if tag == _LIST or tag == _TUPLE or tag == _SET or tag == _FROZENSET:
+        if tag in (_LIST, _TUPLE, _SET, _FROZENSET):
             length = self.count(self.u32())
             items = [self.value(depth + 1) for _ in range(length)]
             if tag == _LIST:
@@ -540,7 +540,7 @@ class _Decoder:
                     from error
         if tag == _PACKED:
             container = self.data[self.skip(1)]
-            if container != _LIST and container != _TUPLE:
+            if container not in (_LIST, _TUPLE):
                 raise CodecError(f"unknown packed container tag "
                                  f"{bytes([container])!r}")
             length = self.u32()

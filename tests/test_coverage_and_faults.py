@@ -230,7 +230,10 @@ class ReferenceCollector:
     def run_transitions(self) -> frozenset[TransitionKey]:
         # Grown one key at a time, as the run set it models was, so the
         # frozenset iterates in the same order.
-        return frozenset({key for key in self.run})
+        run = set()
+        for key in self.run:
+            run.add(key)
+        return frozenset(run)
 
     def rare_transitions(self, cutoff: int) -> frozenset[TransitionKey]:
         return frozenset({key for key in self.known

@@ -515,15 +515,15 @@ class TestCoverageFrames:
     def test_out_of_range_index_rejected(self, column, where):
         fields = _coverage_fields()
         bad = -1 if where == "negative" else len(fields["strings"])
-        fields[column] = (bad,) + fields[column][1:]
+        fields[column] = (bad, *fields[column][1:])
         with pytest.raises(CodecError, match="index out of range"):
             codec.decode(_object_frame("CoverageCollector", fields))
 
     @pytest.mark.parametrize("entry", [5, None, b"L1", ("L1",), 1.5])
     def test_non_str_string_table_entry_rejected(self, entry):
         fields = _coverage_fields()
-        fields["strings"] = fields["strings"][:1] + (entry,) \
-            + fields["strings"][2:]
+        strings = fields["strings"]
+        fields["strings"] = (*strings[:1], entry, *strings[2:])
         with pytest.raises(CodecError, match="non-string"):
             codec.decode(_object_frame("CoverageCollector", fields))
 
@@ -538,7 +538,7 @@ class TestCoverageFrames:
     def test_counts_of_another_width_rejected(self, change):
         fields = _coverage_fields()
         counts = fields["counts"]
-        fields["counts"] = counts[:-1] if change < 0 else counts + (1,)
+        fields["counts"] = counts[:-1] if change < 0 else (*counts, 1)
         with pytest.raises(CodecError, match="columns disagree"):
             codec.decode(_object_frame("CoverageCollector", fields))
 
