@@ -277,6 +277,32 @@ def _mutations(texts: list[str]) -> list[tuple[str, str, str]]:
             ("tid-outside", "\n".join([_header(), _ST0, _LD1.replace(
                 '"tid": 1', '"tid": 2')]) + "\n")):
         result.append((f"document-{name}", ".jsonl", text))
+    # Several faults in one file: a line error wins over every
+    # cross-event fault, even one on an earlier line; then no events,
+    # then a tid out of range, then op-id or value reuse in event order
+    # (within one event, the op id first).
+    op_reused = _LD1.replace('"op": 1', '"op": 0')
+    value_reused = _ST0.replace('"op": 0', '"op": 5')
+    for name, lines in (
+            ("op-reused-then-malformed", [_ST0, op_reused, "{bad"]),
+            ("op-reused-then-bad-field",
+             [_ST0, op_reused, _LD1.replace('"op": 1', '"op": 7').replace(
+                 '"addr": 64', '"addr": -1')]),
+            ("op-reused-then-tid-outside",
+             [_ST0, op_reused, _LD1.replace('"op": 1', '"op": 7').replace(
+                 '"tid": 1', '"tid": 5')]),
+            ("two-tids-outside",
+             [_LD1.replace('"tid": 1', '"tid": 5'),
+              _ST0.replace('"tid": 0', '"tid": 3')]),
+            ("tid-outside-then-malformed",
+             [_LD1.replace('"tid": 1', '"tid": 4'), _ST0, "[1"]),
+            ("value-reused-then-op-reused",
+             [_ST0, value_reused, op_reused]),
+            ("op-and-value-reused", [_ST0, _ST0]),
+            ("value-reused-then-bad-kind",
+             [_ST0, value_reused, _LD1.replace("ld_perform", "ld")])):
+        result.append((f"precedence-{name}", ".jsonl",
+                       "\n".join([_header(), *lines]) + "\n"))
 
     for name, text in (
             ("valid", _GEM5),
