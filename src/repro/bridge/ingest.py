@@ -37,9 +37,8 @@ import re
 
 from repro.bridge.schema import (LD_PERFORM, RMW_PERFORM,
                                  ST_GLOBALLY_PERFORM, TraceDocument,
-                                 TraceEvent, TraceFormatError,
-                                 document_from_events, parse_event,
-                                 parse_header)
+                                 TraceFormatError, document_from_rows,
+                                 event_row, parse_header)
 
 FORMAT_AUTO = "auto"
 FORMAT_NATIVE = "native"
@@ -54,8 +53,11 @@ CORPUS_EXTENSIONS = (".jsonl", ".log", ".txt", ".trace")
 
 
 #: Decodes event lines without the whitespace scans ``json.loads`` wraps
-#: around the same decoder (about half its cost per line).
-_raw_decode = json.JSONDecoder().raw_decode
+#: around the same decoder (about half its cost per line).  This is the
+#: scanner ``JSONDecoder.raw_decode`` calls, called directly to save a
+#: Python frame per line: it returns ``(value, end)`` and raises
+#: ``StopIteration`` where ``raw_decode`` raises "Expecting value".
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _split_lines(text: str) -> list[str]:
@@ -80,7 +82,10 @@ def _file_line(lines: list[str], position: int) -> int:
 def parse_native_jsonl(text: str, path: str | None = None) -> TraceDocument:
     """Parse one native JSONL trace into a checker-ready document.
 
-    Blank lines are skipped; error messages name the file line.
+    Blank lines are skipped; error messages name the file line.  Each
+    event line becomes one plain row (no
+    :class:`~repro.bridge.schema.TraceEvent`), so every malformed line
+    is reported before any fault between events.
     """
     context = path or "<native trace>"
     file_lines = _split_lines(text)
@@ -88,16 +93,16 @@ def parse_native_jsonl(text: str, path: str | None = None) -> TraceDocument:
     if not lines:
         raise TraceFormatError(f"{context}: empty trace file")
     header = parse_header(lines[0], context)
-    events: list[TraceEvent] = []
-    append = events.append
+    rows: list[tuple] = []
+    append = rows.append
     for position, line in enumerate(lines[1:], start=1):
-        # ``raw_decode`` neither skips surrounding whitespace nor rejects
+        # The scanner neither skips surrounding whitespace nor rejects
         # trailing data, so its result stands only when it consumed the
         # whole line; ``json.loads`` decides every other line, which
         # keeps what parses and every error text exactly its own.
         try:
-            record, end = _raw_decode(line)
-        except json.JSONDecodeError:
+            record, end = _scan_once(line, 0)
+        except (StopIteration, json.JSONDecodeError):
             end = -1
         if end != len(line):
             try:
@@ -107,17 +112,17 @@ def parse_native_jsonl(text: str, path: str | None = None) -> TraceDocument:
                     f"{context}: line {_file_line(file_lines, position)}: "
                     f"malformed JSON: {error}") from None
         try:
-            event = parse_event(record, context)
+            row = event_row(record, context)
         except TraceFormatError:
-            event = None
-        if event is None:
+            row = None
+        if row is None:
             # The line is named only on the raise path: parsing again
             # raises the same error with it.
-            parse_event(record,
-                        f"{context}: line {_file_line(file_lines, position)}")
-        append(event)
-    return document_from_events(
-        events, source=str(header.get("source") or context),
+            event_row(record,
+                      f"{context}: line {_file_line(file_lines, position)}")
+        append(row)
+    return document_from_rows(
+        rows, source=str(header.get("source") or context),
         num_threads=header["threads"], path=path)
 
 
@@ -205,26 +210,25 @@ def parse_gem5_log(text: str, path: str | None = None,
         return unknown_ids.setdefault(
             (address, data), len(write_ids) + 1 + len(unknown_ids))
 
-    events: list[TraceEvent] = []
+    rows: list[tuple] = []
     for index, (kind, tid, _, address, fields) in enumerate(raw):
         op_id = op_ids[index]
         data = _gem5_require(fields, "data", context, "event", index)
         if kind == LD_PERFORM:
-            events.append(TraceEvent(LD_PERFORM, tid, op_id, address,
-                                     observed(address, data)))
+            rows.append((LD_PERFORM, tid, op_id, address,
+                         observed(address, data), None, 0))
             continue
         value = write_ids[(address, data)]
         overwritten = observed(address, fields.get("old", 0))
         if kind == ST_GLOBALLY_PERFORM:
-            events.append(TraceEvent(ST_GLOBALLY_PERFORM, tid, op_id,
-                                     address, value, None, overwritten))
+            rows.append((ST_GLOBALLY_PERFORM, tid, op_id, address, value,
+                         None, overwritten))
         else:
             read = _gem5_require(fields, "read", context, "event", index)
-            events.append(TraceEvent(RMW_PERFORM, tid, op_id, address,
-                                     value, observed(address, read),
-                                     overwritten))
+            rows.append((RMW_PERFORM, tid, op_id, address, value,
+                         observed(address, read), overwritten))
     label = source or (os.path.basename(path) if path else "gem5")
-    return document_from_events(events, source=label, path=path)
+    return document_from_rows(rows, source=label, path=path)
 
 
 def _format_by_extension(path: str) -> str | None:
@@ -259,9 +263,11 @@ def load_trace(path: str, format: str = FORMAT_AUTO) -> TraceDocument:
     if format not in FORMATS:
         raise ValueError(f"unknown trace format {format!r}; expected "
                          f"one of {FORMATS}")
+    # Decoding the bytes skips the text layer's newline translation,
+    # which ``_split_lines`` repeats; the decode error is the same.
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except UnicodeDecodeError as error:
         raise TraceFormatError(f"{path}: not a text trace: {error}"
                                ) from None

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.sim.testprogram import OpKind, TestOp, TestThread
 from repro.sim.trace import ExecutionTrace
@@ -72,11 +73,14 @@ class TraceEvent:
     ``read_value``/``overwritten`` are only meaningful for RMW and
     store/RMW events respectively.
 
-    Ingest builds one per event, so ``__init__`` is written by hand: it
-    fills the instance ``__dict__`` in one call instead of one
-    ``object.__setattr__`` per field, at about half the cost.  A new
-    field must be added to it too (``tests/test_record_init.py`` fails
-    otherwise).
+    Ingest keeps each event as a plain row, a tuple of these fields in
+    this order, and :attr:`TraceDocument.events` builds one per row on
+    first access; export builds one per event.  ``__init__`` is
+    written by hand: it fills the instance ``__dict__`` in one call
+    instead of one ``object.__setattr__`` per field, at about half the
+    cost.  A new field must be added to it too
+    (``tests/test_record_init.py`` fails otherwise), and to the rows
+    :func:`event_row` returns.
     """
 
     kind: str
@@ -102,15 +106,21 @@ class TraceDocument:
     ``threads``/``trace`` are exactly the objects
     :meth:`repro.consistency.checker.Checker.check_trace` consumes —
     the signature/memoization and coverage machinery downstream need no
-    changes to handle ingested executions.
+    changes to handle ingested executions.  ``event_rows`` holds one
+    row per event in input order, the :class:`TraceEvent` fields as a
+    tuple; :attr:`events` builds the event objects on first access.
     """
 
     source: str
     num_threads: int
     threads: list[TestThread]
     trace: ExecutionTrace
-    events: list[TraceEvent] = field(default_factory=list)
+    event_rows: list[tuple] = field(default_factory=list, repr=False)
     path: str | None = None
+
+    @cached_property
+    def events(self) -> list[TraceEvent]:
+        return [TraceEvent(*row) for row in self.event_rows]
 
 
 def header_dict(source: str, num_threads: int) -> dict:
@@ -158,15 +168,15 @@ def _optional_value(record: dict, key: str, context: str) -> int | None:
     return value
 
 
-def parse_event(record: dict, context: str) -> TraceEvent:
-    """Decode and validate one native-format event object.
+def event_row(record: dict, context: str) -> tuple:
+    """Decode and validate one native-format event object into a row.
 
-    Each field is first tested with a condition that is sufficient on
-    its own (an exact ``int`` in range, or ``None`` where allowed); a
-    value that fails it goes to :func:`_require_int` /
-    :func:`_optional_value`, in field order, which accept an ``int``
-    subclass or word the error.  New validation belongs in those
-    helpers, never in the fast test.
+    The row is the :class:`TraceEvent` fields in order.  Each field is
+    first tested with a condition that is sufficient on its own (an
+    exact ``int`` in range, or ``None`` where allowed); a value that
+    fails it goes to :func:`_require_int` / :func:`_optional_value`, in
+    field order, which accept an ``int`` subclass or word the error.
+    New validation belongs in those helpers, never in the fast test.
     """
     if not isinstance(record, dict):
         raise TraceFormatError(f"{context}: expected a JSON object, "
@@ -190,7 +200,7 @@ def parse_event(record: dict, context: str) -> TraceEvent:
     if kind == LD_PERFORM:
         if value is not None and (type(value) is not int or value < 0):
             value = _optional_value(record, "value", context)
-        return TraceEvent(kind, tid, op_id, address, value)
+        return (kind, tid, op_id, address, value, None, 0)
     # An absent "overwritten" reads as 0; a present one must be valid.
     overwritten = get("overwritten", 0)
     if type(overwritten) is not int or overwritten < 0:
@@ -198,16 +208,19 @@ def parse_event(record: dict, context: str) -> TraceEvent:
     if type(value) is not int or value < 1:
         value = _require_int(record, "value", context, minimum=1)
     if kind == ST_GLOBALLY_PERFORM:
-        return TraceEvent(kind, tid, op_id, address, value, None,
-                          overwritten)
+        return (kind, tid, op_id, address, value, None, overwritten)
     read_value = get("read_value")
     if type(read_value) is not int or read_value < 0:
         read_value = _optional_value(record, "read_value", context)
         if read_value is None:
             raise TraceFormatError(
                 f"{context}: rmw_perform requires an observed read_value")
-    return TraceEvent(kind, tid, op_id, address, value, read_value,
-                      overwritten)
+    return (kind, tid, op_id, address, value, read_value, overwritten)
+
+
+def parse_event(record: dict, context: str) -> TraceEvent:
+    """Decode and validate one native-format event object."""
+    return TraceEvent(*event_row(record, context))
 
 
 def parse_header(line: str, context: str) -> dict:
@@ -231,29 +244,37 @@ def parse_header(line: str, context: str) -> dict:
     return header
 
 
-def document_from_events(events: list[TraceEvent], source: str,
-                         num_threads: int | None = None,
-                         path: str | None = None) -> TraceDocument:
-    """Build the checker-ready document from decoded events.
+def document_from_rows(rows: list[tuple], source: str,
+                       num_threads: int | None = None,
+                       path: str | None = None) -> TraceDocument:
+    """Build the checker-ready document from event rows, in one pass.
 
-    Validates the cross-event invariants the downstream machinery
-    assumes: op ids globally unique across threads (they key events and
-    RMW pairs — see ``CandidateExecution.atomic_pairs``), write values
-    positive and globally unique (they *are* the write identity), and
-    thread ids inside the declared thread count.  The three
-    ``record_*`` methods of :class:`~repro.sim.trace.ExecutionTrace`
-    are driven uniformly — ``record_write`` commits by default — and
-    the built trace passes ``ExecutionTrace.validate()``.
+    *rows* are :func:`event_row`-shaped tuples, each already valid on
+    its own.  Validates the cross-event invariants the downstream
+    machinery assumes: thread ids inside the declared thread count (by
+    default, one past the highest tid), op ids globally unique across
+    threads (they key events and RMW pairs — see
+    ``CandidateExecution.atomic_pairs``) and write values positive and
+    globally unique (they *are* the write identity).  After "no
+    events" and an out-of-range tid (the highest one is named), the
+    first op-id or value reuse in event order is reported; within one
+    event, the op id first.
+
+    Each event becomes a :class:`TestOp` in its thread and one row of
+    the :class:`~repro.sim.trace.ExecutionTrace`, through the same
+    ``record_*`` methods the simulator calls (``record_write`` commits
+    by default); the built trace passes ``ExecutionTrace.validate()``.
+    The document keeps *rows* as its ``event_rows``.
     """
     context = path or source
-    if not events:
+    if not rows:
         raise TraceFormatError(f"{context}: trace contains no events")
-    tids = sorted({event.tid for event in events})
+    top_tid = max(row[1] for row in rows)
     if num_threads is None:
-        num_threads = tids[-1] + 1
-    if tids[-1] >= num_threads:
+        num_threads = top_tid + 1
+    if top_tid >= num_threads:
         raise TraceFormatError(
-            f"{context}: event tid {tids[-1]} outside the declared "
+            f"{context}: event tid {top_tid} outside the declared "
             f"thread count {num_threads}")
     ops_by_tid: dict[int, list[TestOp]] = {
         tid: [] for tid in range(num_threads)}
@@ -264,16 +285,14 @@ def document_from_events(events: list[TraceEvent], source: str,
     op_owner: dict[int, int] = {}
     write_values: dict[int, int] = {}
     # Error text is formatted only on the raise path.
-    for index, event in enumerate(events):
-        op_id, tid, address, value = (event.op_id, event.tid,
-                                      event.address, event.value)
+    for index, (kind, tid, op_id, address, value, read_value,
+                overwritten) in enumerate(rows):
         if op_id in op_owner:
             raise TraceFormatError(
                 f"{context}: event {index}: op id {op_id} already used "
                 f"by thread {op_owner[op_id]}; op ids must be globally "
                 "unique")
         op_owner[op_id] = tid
-        kind = event.kind
         if kind == LD_PERFORM:
             ops_by_tid[tid].append(TestOp(op_id, read, address))
             if value is None:
@@ -291,14 +310,27 @@ def document_from_events(events: list[TraceEvent], source: str,
         write_values[value] = op_id
         if kind == ST_GLOBALLY_PERFORM:
             ops_by_tid[tid].append(TestOp(op_id, write, address, value))
-            record_write(op_id, tid, address, value, event.overwritten)
+            record_write(op_id, tid, address, value, overwritten)
         else:
             ops_by_tid[tid].append(TestOp(op_id, rmw, address, value))
-            record_rmw(op_id, tid, address, event.read_value, value,
-                       event.overwritten)
+            record_rmw(op_id, tid, address, read_value, value, overwritten)
     trace.validate()
     threads = [TestThread(pid=tid, ops=tuple(ops))
-               for tid, ops in sorted(ops_by_tid.items())]
+               for tid, ops in ops_by_tid.items()]
     return TraceDocument(source=source, num_threads=num_threads,
-                         threads=threads, trace=trace, events=list(events),
+                         threads=threads, trace=trace, event_rows=rows,
                          path=path)
+
+
+def document_from_events(events: list[TraceEvent], source: str,
+                         num_threads: int | None = None,
+                         path: str | None = None) -> TraceDocument:
+    """Build the checker-ready document from decoded events.
+
+    :func:`document_from_rows` over the events' rows: the same
+    validation, errors and document.
+    """
+    return document_from_rows(
+        [(event.kind, event.tid, event.op_id, event.address, event.value,
+          event.read_value, event.overwritten) for event in events],
+        source, num_threads=num_threads, path=path)

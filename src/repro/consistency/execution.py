@@ -357,51 +357,61 @@ def execution_from_trace(threads: list[TestThread],
     flush_op_ids: list[int] = []
     write_of_op: dict[int, int] = {}
     write_by_value: dict[int, int] = {}
+    add_row, add_read, add_read_op = (rows.append, reads.append,
+                                      read_op_ids.append)
     for pid, thread in by_pid.items():
-        start = len(rows)
+        start = node = len(rows)
         for op in thread.ops:
             kind = op.kind
             if kind.is_load:
-                reads.append(len(rows))
-                read_op_ids.append(op.op_id)
-                rows.append((op.op_id, op.address, None, True, False))
+                add_read(node)
+                add_read_op(op.op_id)
+                add_row((op.op_id, op.address, None, True, False))
+                node += 1
             elif kind is _WRITE_OP:
-                write_of_op[op.op_id] = write_by_value[op.value] = len(rows)
-                rows.append((op.op_id, op.address, op.value, False, False))
+                write_of_op[op.op_id] = write_by_value[op.value] = node
+                add_row((op.op_id, op.address, op.value, False, False))
+                node += 1
             elif kind is _RMW:
-                node = len(rows)
-                reads.append(node)
-                read_op_ids.append(op.op_id)
+                add_read(node)
+                add_read_op(op.op_id)
                 rmw_pairs.append((node, node + 1))
                 write_of_op[op.op_id] = write_by_value[op.value] = node + 1
-                rows.append((op.op_id, op.address, None, True, True))
-                rows.append((op.op_id, op.address, op.value, False, True))
+                add_row((op.op_id, op.address, None, True, True))
+                add_row((op.op_id, op.address, op.value, False, True))
+                node += 2
             elif kind.is_memory:
                 # CACHE_FLUSH produces no event (nor does DELAY), but
                 # its op id still counts towards uniqueness.
                 flush_op_ids.append(op.op_id)
-        count = len(rows) - start
+        count = node - start
         pids.append(pid)
         ranges.append(range(start, start + count))
         pid_of += [pid] * count
         po_index += range(count)
     program_size = len(rows)
-    distinct_op_ids = {row[0] for row in rows}.union(flush_op_ids)
+    op_id, address, value, is_read, is_atomic = (
+        map(list, zip(*rows)) if rows else ([], [], [], [], []))
+    distinct_op_ids = set(op_id)
+    distinct_op_ids.update(flush_op_ids)
     if (len(by_pid) != len(threads) or len(distinct_op_ids)
             != program_size - len(rmw_pairs) + len(flush_op_ids)):
         _check_unique_op_ids(threads)
 
     # Init writes: one per address, ascending.
-    addresses = sorted({row[1] for row in rows})
-    init_id = {location: program_size + rank
-               for rank, location in enumerate(addresses)}
-    rows += [(None, location, 0, False, False) for location in addresses]
-    pid_of += [-1] * len(addresses)
-    po_index += [-1] * len(addresses)
-    op_id, address, value, is_read, is_atomic = (
-        map(list, zip(*rows)) if rows else ([], [], [], [], []))
-    rf_source = [-1] * len(rows)
-    co_next = [-1] * len(rows)
+    addresses = sorted(set(address))
+    inits = len(addresses)
+    init_id = dict(zip(addresses, range(program_size,
+                                        program_size + inits)))
+    op_id += [None] * inits
+    address += addresses
+    value += [0] * inits
+    is_read += [False] * inits
+    is_atomic += [False] * inits
+    pid_of += [-1] * inits
+    po_index += [-1] * inits
+    rf_source = [-1] * len(address)
+    co_next = [-1] * len(address)
 
     def eid(node: int) -> tuple:
         if node >= program_size:
@@ -434,38 +444,43 @@ def execution_from_trace(threads: list[TestThread],
                 f"to {address[node]:#x} (memory corruption)")
         return node
 
-    # Fill in read values, then rf.
-    observed_reads: dict[int, int] = {}
-    for record in trace.reads:
-        observed_reads[record.op_id] = record.value
-    for record in trace.rmws:
-        observed_reads[record.op_id] = record.read_value
-    for read, read_op in zip(reads, read_op_ids):
-        observed = value[read] = observed_reads.get(read_op)
-        if observed is None:
-            raise ExecutionBuildError(
-                f"no observation for read event {eid(read)} "
-                f"(thread {pid_of[read]} did not complete?)")
-    for read in reads:
-        observed = value[read]
+    # Fill in read values, then rf.  Read and RMW rows both hold the
+    # op id first and the observed value fourth.
+    observed_reads = {row[0]: row[3]
+                      for rows in (trace.read_rows, trace.rmw_rows)
+                      for row in rows}
+    observed = list(map(observed_reads.get, read_op_ids))
+    if None in observed:
+        read = reads[observed.index(None)]
+        raise ExecutionBuildError(
+            f"no observation for read event {eid(read)} "
+            f"(thread {pid_of[read]} did not complete?)")
+    for read, seen in zip(reads, observed):
+        value[read] = seen
         location = address[read]
-        if observed == 0:
+        if seen == 0:
             rf_source[read] = init_id[location]
             continue
-        source = write_by_value.get(observed)
+        source = write_by_value.get(seen)
         if source is None or address[source] != location:
-            source = source_write(location, observed)
+            source = source_write(location, seen)
         rf_source[read] = source
 
-    # Coherence order from observed overwrites.
+    # Coherence order from observed overwrites.  Write and RMW rows
+    # both hold the op id first, the address third and the overwritten
+    # value last.
     co_pairs: list[tuple[int, int]] = []
-    for records in (trace.writes, trace.rmws):
-        for record in records:
-            write = write_of_op.get(record.op_id)
+    for kind_rows in (trace.write_rows, trace.rmw_rows):
+        for row in kind_rows:
+            write = write_of_op.get(row[0])
             if write is None:
                 raise ExecutionBuildError(
-                    f"observed write for unknown op {record.op_id}")
-            previous = source_write(record.address, record.overwritten)
+                    f"observed write for unknown op {row[0]}")
+            location, overwritten = row[2], row[-1]
+            previous = (init_id.get(location) if overwritten == 0
+                        else write_by_value.get(overwritten))
+            if previous is None or address[previous] != location:
+                previous = source_write(location, overwritten)
             if previous == write:
                 raise ExecutionBuildError(
                     f"write {eid(write)} observed to overwrite itself")
@@ -478,15 +493,17 @@ def execution_from_trace(threads: list[TestThread],
             co_next[previous] = write
             co_pairs.append((previous, write))
 
-    # Per-address co chains.
+    # Per-address co chains, each from its init write (``init_id``).
     size = len(address)
     co_position = [-1] * size
+    co_position[program_size:program_size + inits] = [0] * inits
     walked = [-1] * size
     co_chains: dict[int, list[int]] = {}
     for rank, location in enumerate(addresses):
-        walker = init_id[location]
-        chain = [walker]
-        co_position[walker] = 0
+        walker = program_size + rank
+        chain = co_chains[location] = [walker]
+        if co_next[walker] < 0:
+            continue
         walked[walker] = rank
         while (walker := co_next[walker]) >= 0:
             if walked[walker] == rank:
@@ -496,7 +513,6 @@ def execution_from_trace(threads: list[TestThread],
             if address[walker] == location:
                 co_position[walker] = len(chain)
             chain.append(walker)
-        co_chains[location] = chain
     # Every serialised write must be coherence-ordered after its
     # address's initial value; one its chain never reaches sits on a
     # cycle of overwrites (or hangs off another address's chain).
