@@ -26,16 +26,15 @@ from repro.sim.host import GuestSoftwareBarrier, HostAssistedBarrier
 
 def test_ablation_host_barrier_start_offsets(benchmark, capsys):
     """E-A1: start-offset spread of host-assisted vs guest software barriers."""
-    rng = random.Random(3)
     host = HostAssistedBarrier()
     guest = GuestSoftwareBarrier()
 
     def spreads():
         host_spread = []
         guest_spread = []
-        for _ in range(200):
-            host_offsets = host.start_offsets(8, rng)
-            guest_offsets = guest.start_offsets(8, rng)
+        for seed in range(200):
+            host_offsets = host.start_offsets(8, seed)
+            guest_offsets = guest.start_offsets(8, seed)
             host_spread.append(max(host_offsets) - min(host_offsets))
             guest_spread.append(max(guest_offsets) - min(guest_offsets))
         return (sum(host_spread) / len(host_spread),

@@ -34,13 +34,12 @@ class HostAssistedBarrier:
     def __init__(self, base_offset: int = 0) -> None:
         self.base_offset = base_offset
 
-    def start_offsets(self, num_threads: int, rng: random.Random) -> list[int]:
-        """Per-thread start offsets in ticks (all identical)."""
-        return [self.base_offset] * num_threads
+    def start_offsets(self, num_threads: int, seed: int) -> list[int]:
+        """Per-thread start offsets in ticks (all identical).
 
-    def overhead_ticks(self, num_threads: int, rng: random.Random) -> int:
-        """Simulated cycles consumed by the barrier itself."""
-        return 0
+        *seed* is the iteration's seed; this barrier draws nothing.
+        """
+        return [self.base_offset] * num_threads
 
 
 class GuestSoftwareBarrier:
@@ -58,16 +57,19 @@ class GuestSoftwareBarrier:
         self.per_thread_cost = per_thread_cost
         self.jitter = jitter
 
-    def start_offsets(self, num_threads: int, rng: random.Random) -> list[int]:
+    def start_offsets(self, num_threads: int, seed: int) -> list[int]:
+        """Per-thread start offsets in ticks for the iteration *seed*.
+
+        Drawn from ``Random(seed ^ 0x5EED)``, a stream apart from the
+        simulator kernel's ``Random(seed)``.
+        """
+        rng = random.Random(seed ^ 0x5EED)
         offsets = []
         for index in range(num_threads):
             spin = rng.randint(0, self.jitter)
             offsets.append(index * self.per_thread_cost + spin)
         rng.shuffle(offsets)
         return offsets
-
-    def overhead_ticks(self, num_threads: int, rng: random.Random) -> int:
-        return num_threads * self.per_thread_cost + rng.randint(0, self.jitter)
 
 
 def barrier_by_name(name: str) -> HostAssistedBarrier | GuestSoftwareBarrier:

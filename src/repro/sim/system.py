@@ -172,8 +172,7 @@ class System:
             self.close()
             machine = self._machine = _Machine(*built_for)
         trace = ExecutionTrace()
-        rng = random.Random(seed ^ 0x5EED)
-        offsets = self.barrier.start_offsets(len(threads), rng)
+        offsets = self.barrier.start_offsets(len(threads), seed)
         machine.reset(threads, seed, trace, offsets)
         kernel = machine.kernel
         for core in machine.cores:

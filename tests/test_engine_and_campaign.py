@@ -234,13 +234,21 @@ class TestReportingAndBarriers:
         assert "Params" in text and "k" in text and "v" in text
 
     def test_host_barrier_has_zero_offsets(self):
-        offsets = HostAssistedBarrier().start_offsets(8, random.Random(1))
+        offsets = HostAssistedBarrier().start_offsets(8, seed=1)
         assert offsets == [0] * 8
 
     def test_guest_barrier_spreads_offsets(self):
-        offsets = GuestSoftwareBarrier().start_offsets(8, random.Random(1))
+        offsets = GuestSoftwareBarrier().start_offsets(8, seed=1)
         assert max(offsets) > 0
         assert len(offsets) == 8
+
+    def test_guest_barrier_draws_from_the_seed_stream(self):
+        # The draws of ``Random(seed ^ 0x5EED)``, as when the system
+        # built that generator and passed it in.
+        barrier = GuestSoftwareBarrier()
+        assert barrier.start_offsets(8, seed=1) == [
+            149, 879, 389, 619, 299, 147, 876, 523]
+        assert barrier.start_offsets(4, seed=99) == [137, 106, 413, 430]
 
     def test_barrier_factory(self):
         assert barrier_by_name("host-assisted").name == "host-assisted"
