@@ -36,10 +36,12 @@ def trace_events(threads: list[TestThread],
     exports with ``value=None`` and round-trips to the same corruption
     verdict.
     """
-    # Rows are keyed by (pid, op id); see ExecutionTrace for layouts.
-    observed_reads = {(row[1], row[0]): row[3] for row in trace.read_rows}
-    observed_rmws = {(row[1], row[0]): row for row in trace.rmw_rows}
-    overwritten = {(row[1], row[0]): row[4] for row in trace.write_rows}
+    observed_reads = {(record.pid, record.op_id): record.value
+                      for record in trace.reads}
+    observed_rmws = {(record.pid, record.op_id): record
+                     for record in trace.rmws}
+    overwritten = {(record.pid, record.op_id): record.overwritten
+                   for record in trace.writes}
     events: list[TraceEvent] = []
     for thread in threads:
         for op in thread.ops:
@@ -55,12 +57,14 @@ def trace_events(threads: list[TestThread],
                     op_id=op.op_id, address=op.address, value=op.value,
                     overwritten=overwritten.get(key, 0)))
             elif op.kind is OpKind.RMW:
-                row = observed_rmws.get(key)
+                record = observed_rmws.get(key)
                 events.append(TraceEvent(
                     kind=RMW_PERFORM, tid=thread.pid, op_id=op.op_id,
                     address=op.address, value=op.value,
-                    read_value=row[3] if row is not None else 0,
-                    overwritten=row[5] if row is not None else 0))
+                    read_value=(record.read_value
+                                if record is not None else 0),
+                    overwritten=(record.overwritten
+                                 if record is not None else 0)))
             # CACHE_FLUSH and DELAY produce no abstract events.
     return events
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from repro.sim.testprogram import OpKind, TestOp, TestThread
 from repro.sim.trace import ExecutionTrace
@@ -269,7 +270,7 @@ def document_from_rows(rows: list[tuple], source: str,
     context = path or source
     if not rows:
         raise TraceFormatError(f"{context}: trace contains no events")
-    top_tid = max(row[1] for row in rows)
+    top_tid = max(map(itemgetter(1), rows))
     if num_threads is None:
         num_threads = top_tid + 1
     if top_tid >= num_threads:
