@@ -105,8 +105,8 @@ class ExecutionTrace:
     ``(op_id, pid, address, read_value, written_value, overwritten)``,
     each in observation order.  The execution builder reads these rows;
     :attr:`reads`, :attr:`writes` and :attr:`rmws` build record objects
-    from them on each access, for export, tests and diagnostics.  The
-    constructor takes record lists, as the dataclass this once was did.
+    from them on each access, for export, tests and diagnostics; the
+    constructor takes record lists too.
     """
 
     read_rows: list[tuple[int, int, int, int]]
