@@ -262,7 +262,7 @@ class ReplayCampaign:
                 name, UNREADABLE_SOURCE, VERDICT_CORRUPT,
                 [f"corruption: {type(error).__name__}: {error}"])
         else:
-            result = self.checker.check_trace(document.threads,
+            result = self.checker.check_trace(document.program,
                                               document.trace,
                                               cache=self.verdict_cache)
             if result.passed:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
+from repro.consistency.execution import Program
 from repro.sim.testprogram import OpKind, TestOp, TestThread
 from repro.sim.trace import ExecutionTrace
 
@@ -104,20 +105,29 @@ class TraceEvent:
 class TraceDocument:
     """A fully validated ingested trace, ready for the checker.
 
-    ``threads``/``trace`` are exactly the objects
+    ``program``/``trace`` are exactly the objects
     :meth:`repro.consistency.checker.Checker.check_trace` consumes —
     the signature/memoization and coverage machinery downstream need no
-    changes to handle ingested executions.  ``event_rows`` holds one
-    row per event in input order, the :class:`TraceEvent` fields as a
-    tuple; :attr:`events` builds the event objects on first access.
+    changes to handle ingested executions.  ``program`` holds each
+    thread's pid and program rows (see
+    :func:`repro.consistency.execution.program_rows`); :attr:`threads`
+    builds the validated :class:`TestThread` list on first access.
+    ``event_rows`` holds one row per event in input order, the
+    :class:`TraceEvent` fields as a tuple; :attr:`events` builds the
+    event objects on first access.
     """
 
     source: str
     num_threads: int
-    threads: list[TestThread]
+    program: Program
     trace: ExecutionTrace
     event_rows: list[tuple] = field(default_factory=list, repr=False)
     path: str | None = None
+
+    @cached_property
+    def threads(self) -> list[TestThread]:
+        return [TestThread(pid=pid, ops=tuple(TestOp(*row) for row in rows))
+                for pid, rows in self.program]
 
     @cached_property
     def events(self) -> list[TraceEvent]:
@@ -261,8 +271,10 @@ def document_from_rows(rows: list[tuple], source: str,
     first op-id or value reuse in event order is reported; within one
     event, the op id first.
 
-    Each event becomes a :class:`TestOp` in its thread and one row of
-    the :class:`~repro.sim.trace.ExecutionTrace`, through the same
+    Each event becomes one program row in its thread (a
+    :class:`TestOp`'s fields in order; no ``TestOp`` is built until
+    ``document.threads`` is asked for) and one row of the
+    :class:`~repro.sim.trace.ExecutionTrace`, through the same
     ``record_*`` methods the simulator calls (``record_write`` commits
     by default); the built trace passes ``ExecutionTrace.validate()``.
     The document keeps *rows* as its ``event_rows``.
@@ -277,7 +289,7 @@ def document_from_rows(rows: list[tuple], source: str,
         raise TraceFormatError(
             f"{context}: event tid {top_tid} outside the declared "
             f"thread count {num_threads}")
-    ops_by_tid: dict[int, list[TestOp]] = {
+    ops_by_tid: dict[int, list[tuple]] = {
         tid: [] for tid in range(num_threads)}
     trace = ExecutionTrace()
     record_read, record_commit = trace.record_read, trace.record_commit
@@ -295,7 +307,7 @@ def document_from_rows(rows: list[tuple], source: str,
                 "unique")
         op_owner[op_id] = tid
         if kind == LD_PERFORM:
-            ops_by_tid[tid].append(TestOp(op_id, read, address))
+            ops_by_tid[tid].append((op_id, read, address, 0, 0))
             if value is None:
                 # Preserve the op with no observation: the checker
                 # reports the missing read as a corruption verdict.
@@ -310,16 +322,15 @@ def document_from_rows(rows: list[tuple], source: str,
                 "must be globally unique")
         write_values[value] = op_id
         if kind == ST_GLOBALLY_PERFORM:
-            ops_by_tid[tid].append(TestOp(op_id, write, address, value))
+            ops_by_tid[tid].append((op_id, write, address, value, 0))
             record_write(op_id, tid, address, value, overwritten)
         else:
-            ops_by_tid[tid].append(TestOp(op_id, rmw, address, value))
+            ops_by_tid[tid].append((op_id, rmw, address, value, 0))
             record_rmw(op_id, tid, address, read_value, value, overwritten)
     trace.validate()
-    threads = [TestThread(pid=tid, ops=tuple(ops))
-               for tid, ops in ops_by_tid.items()]
+    program = [(tid, tuple(ops)) for tid, ops in ops_by_tid.items()]
     return TraceDocument(source=source, num_threads=num_threads,
-                         threads=threads, trace=trace, event_rows=rows,
+                         program=program, trace=trace, event_rows=rows,
                          path=path)
 
 
@@ -329,9 +340,14 @@ def document_from_events(events: list[TraceEvent], source: str,
     """Build the checker-ready document from decoded events.
 
     :func:`document_from_rows` over the events' rows: the same
-    validation, errors and document.
+    validation, errors and document.  Events built by hand have not
+    been through :func:`event_row`'s checks, so the document's
+    ``threads`` are built here too: each :class:`TestOp` validates its
+    op and raises :class:`ValueError` for a bad one.
     """
-    return document_from_rows(
+    document = document_from_rows(
         [(event.kind, event.tid, event.op_id, event.address, event.value,
           event.read_value, event.overwritten) for event in events],
         source, num_threads=num_threads, path=path)
+    _ = document.threads
+    return document

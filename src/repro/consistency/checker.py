@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.consistency.execution import (CandidateExecution, ExecutionBuildError,
-                                         ExecutionGraph, execution_from_trace,
-                                         po_loc_edges)
+                                         ExecutionGraph, Program,
+                                         execution_from_trace, po_loc_edges)
 from repro.consistency.memo import CachedVerdict, VerdictCache
 from repro.consistency.models import Edges, MemoryModel
 from repro.consistency.relations import Relation
@@ -237,16 +237,20 @@ class Checker:
 
     # ------------------------------------------------------------------
 
-    def check_trace(self, threads: list[TestThread], trace: ExecutionTrace,
+    def check_trace(self, program: Program | list[TestThread],
+                    trace: ExecutionTrace,
                     cache: VerdictCache | None = None) -> CheckResult:
         """Build the execution from a trace and check it.
+
+        *program* is program rows or ``TestThread``s, as
+        :func:`~repro.consistency.execution.execution_from_trace` takes.
 
         With a *cache*, the check is memoized by the exact execution
         graph (corrupted traces never touch the cache — there is no
         execution to key).
         """
         try:
-            execution = execution_from_trace(threads, trace)
+            execution = execution_from_trace(program, trace)
         except ExecutionBuildError as error:
             return CheckResult(passed=False, violations=[
                 Violation(kind="corruption", description=str(error))],

@@ -8,6 +8,13 @@ derived.  Because write values are globally unique identifiers, the mapping
 from an observed value to the producing write event is exact (value 0 maps
 to the per-address init write).
 
+The builder reads the program as :data:`Program` rows: each thread is a
+``(pid, rows)`` pair and each row a :class:`~repro.sim.testprogram.TestOp`'s
+fields in order, ``(op_id, kind, address, value, delay)``.
+:func:`program_rows` converts ``TestThread`` lists to that form, so the
+engine converts its program once per test-run and trace ingest fills
+rows without building a ``TestOp`` per event.
+
 Every execution has one dense integer form, :class:`ExecutionGraph`, and
 the whole checking hot path (signature, acyclicity checks, atomicity, NDT
 conflict edges) runs on it without hashing an :class:`Event`.  A
@@ -19,6 +26,7 @@ integer form from them on first use.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 from repro.consistency.events import Event, init_write, read_event, write_event
@@ -28,6 +36,10 @@ from repro.sim.trace import ExecutionTrace
 
 _RMW = OpKind.RMW
 _WRITE_OP = OpKind.WRITE
+
+#: A static test program as rows: each thread's ``(pid, rows)`` in
+#: order, each row ``(op_id, kind, address, value, delay)``.
+Program = list[tuple[int, tuple[tuple, ...]]]
 
 
 class ExecutionBuildError(ValueError):
@@ -318,31 +330,51 @@ def po_loc_edges(graph: ExecutionGraph) -> tuple[list[int], list[int]]:
     return sources, targets
 
 
-def _check_unique_op_ids(threads: list[TestThread]) -> None:
+_op_row = attrgetter("op_id", "kind", "address", "value", "delay")
+
+
+def program_rows(threads: list[TestThread]) -> Program:
+    """*threads* as program rows, the form :func:`execution_from_trace`
+    reads: each thread's pid and its ops' fields in order.
+
+    A row is a :class:`~repro.sim.testprogram.TestOp`'s fields in
+    declaration order, so ``TestOp(*row)`` rebuilds the op; trace
+    ingest writes its rows in the same order.
+    """
+    return [(thread.pid, tuple(map(_op_row, thread.ops)))
+            for thread in threads]
+
+
+def _check_unique_op_ids(program: Program) -> None:
     # atomic_pairs() and event lookups key events by bare op id, so an
-    # op-id collision silently aliases events; generated programs number
-    # ops globally, but ingested traces must be rejected here.
+    # op-id collision silently aliases events.  Generated programs
+    # number ops globally and trace ingest rejects reuse with its own
+    # error, so this guards hand-built programs.
     op_owner: dict[int, int] = {}
-    for thread in threads:
-        for op in thread.ops:
-            if not op.kind.is_memory:
+    for pid, ops in program:
+        for op_id, kind, *_ in ops:
+            if not kind.is_memory:
                 continue
-            if op.op_id in op_owner:
+            if op_id in op_owner:
                 raise ExecutionBuildError(
-                    f"op id {op.op_id} is reused by threads "
-                    f"{op_owner[op.op_id]} and {thread.pid}; op ids "
+                    f"op id {op_id} is reused by threads "
+                    f"{op_owner[op_id]} and {pid}; op ids "
                     "must be globally unique")
-            op_owner[op.op_id] = thread.pid
+            op_owner[op_id] = pid
 
 
-def execution_from_trace(threads: list[TestThread],
+def execution_from_trace(program: Program | list[TestThread],
                          trace: ExecutionTrace) -> CandidateExecution:
-    """Combine the static program with one iteration's observations."""
+    """Combine the static program with one iteration's observations.
+
+    *program* is :data:`Program` rows; a ``TestThread`` list is
+    converted with :func:`program_rows` first.
+    """
+    if program and isinstance(program[0], TestThread):
+        program = program_rows(program)
     # A later thread with a repeated pid replaces the earlier one's
     # events but keeps its place, as a pid-keyed dict does.
-    by_pid: dict[int, TestThread] = {}
-    for thread in threads:
-        by_pid[thread.pid] = thread
+    by_pid: dict[int, tuple[tuple, ...]] = dict(program)
 
     # One row per event: (op id, address, value, is_read, is_atomic);
     # reads get value None until the observations fill it in.
@@ -359,31 +391,30 @@ def execution_from_trace(threads: list[TestThread],
     write_by_value: dict[int, int] = {}
     add_row, add_read, add_read_op = (rows.append, reads.append,
                                       read_op_ids.append)
-    for pid, thread in by_pid.items():
+    for pid, ops in by_pid.items():
         start = node = len(rows)
-        for op in thread.ops:
-            kind = op.kind
+        for op, kind, location, written, _ in ops:
             if kind.is_load:
                 add_read(node)
-                add_read_op(op.op_id)
-                add_row((op.op_id, op.address, None, True, False))
+                add_read_op(op)
+                add_row((op, location, None, True, False))
                 node += 1
             elif kind is _WRITE_OP:
-                write_of_op[op.op_id] = write_by_value[op.value] = node
-                add_row((op.op_id, op.address, op.value, False, False))
+                write_of_op[op] = write_by_value[written] = node
+                add_row((op, location, written, False, False))
                 node += 1
             elif kind is _RMW:
                 add_read(node)
-                add_read_op(op.op_id)
+                add_read_op(op)
                 rmw_pairs.append((node, node + 1))
-                write_of_op[op.op_id] = write_by_value[op.value] = node + 1
-                add_row((op.op_id, op.address, None, True, True))
-                add_row((op.op_id, op.address, op.value, False, True))
+                write_of_op[op] = write_by_value[written] = node + 1
+                add_row((op, location, None, True, True))
+                add_row((op, location, written, False, True))
                 node += 2
             elif kind.is_memory:
                 # CACHE_FLUSH produces no event (nor does DELAY), but
                 # its op id still counts towards uniqueness.
-                flush_op_ids.append(op.op_id)
+                flush_op_ids.append(op)
         count = node - start
         pids.append(pid)
         ranges.append(range(start, start + count))
@@ -394,9 +425,9 @@ def execution_from_trace(threads: list[TestThread],
         map(list, zip(*rows)) if rows else ([], [], [], [], []))
     distinct_op_ids = set(op_id)
     distinct_op_ids.update(flush_op_ids)
-    if (len(by_pid) != len(threads) or len(distinct_op_ids)
+    if (len(by_pid) != len(program) or len(distinct_op_ids)
             != program_size - len(rmw_pairs) + len(flush_op_ids)):
-        _check_unique_op_ids(threads)
+        _check_unique_op_ids(program)
 
     # Init writes: one per address, ascending.
     addresses = sorted(set(address))

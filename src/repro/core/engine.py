@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.consistency.checker import Checker
+from repro.consistency.execution import program_rows
 from repro.consistency.memo import VerdictCache
 from repro.consistency.models import MemoryModel, TotalStoreOrder
 from repro.core.config import GeneratorConfig
@@ -160,6 +161,9 @@ class VerificationEngine:
         # transition past the cut-off during its own run still gets credit.
         rare_before_run = self.fitness.pre_run_rare()
         threads = chromosome.to_threads()
+        # The simulator and the trace sink take the threads; every
+        # iteration's check reads this one conversion.
+        program = program_rows(threads)
         event_addresses = chromosome.event_addresses()
         stats = TestRunStats(num_events=max(len(event_addresses), 1),
                              event_addresses=event_addresses)
@@ -200,7 +204,7 @@ class VerificationEngine:
             if self.trace_sink is not None:
                 self.trace_sink(threads, iteration.trace)
             started = time.perf_counter()
-            check = self.checker.check_trace(threads, iteration.trace,
+            check = self.checker.check_trace(program, iteration.trace,
                                              cache=self.verdict_cache)
             check_seconds += time.perf_counter() - started
             if not check.passed:

@@ -94,7 +94,15 @@ class TestMemoryLayout:
         return self.base_address + partition * self.partition_separation + offset
 
     def all_addresses(self) -> list[int]:
-        return [self.slot_address(slot) for slot in range(self.num_slots)]
+        """Every slot's :meth:`slot_address`, in slot order, built in one
+        pass over the partitions' start addresses."""
+        separation = self.partition_separation
+        starts = range(self.base_address,
+                       self.base_address + self.num_partitions * separation,
+                       separation)
+        return [address for start in starts
+                for address in range(start, start + self.partition_bytes,
+                                     self.stride)]
 
     @classmethod
     def kib(cls, size_kib: int, stride: int = 16) -> "TestMemoryLayout":

@@ -4,6 +4,12 @@ The GP layer (:mod:`repro.core`) manipulates richer chromosome objects; what
 the simulated cores execute is this minimal, ISA-neutral form: per-thread
 lists of :class:`TestOp`, mirroring the paper's operation classes (Table 3):
 Read, ReadAddrDp, Write, ReadModifyWrite, CacheFlush and Delay.
+
+The execution builder reads the same program as rows, one tuple of a
+``TestOp``'s fields in order per op
+(:func:`repro.consistency.execution.program_rows`), so ``TestOp(*row)``
+rebuilds an op.  Trace ingest fills rows and builds ``TestOp`` objects
+only when a document's ``threads`` are asked for.
 """
 
 from __future__ import annotations
@@ -46,11 +52,13 @@ class OpKind(Enum):
 class TestOp:
     """One executable operation of a test thread.
 
-    GP draws one per slot and trace ingest builds one per event, so
-    ``__init__`` is written by hand: it fills the instance ``__dict__``
-    in one call instead of one ``object.__setattr__`` per field, then
-    validates in :meth:`__post_init__`.  A new field must be added to it
-    too (``tests/test_record_init.py`` fails otherwise).
+    GP draws one per slot, so ``__init__`` is written by hand: it fills
+    the instance ``__dict__`` in one call instead of one
+    ``object.__setattr__`` per field, then validates in
+    :meth:`__post_init__`.  A new field must be added to it too
+    (``tests/test_record_init.py`` fails otherwise), and to the rows
+    :func:`repro.consistency.execution.program_rows` builds, which
+    hold the fields in this order.
     """
 
     op_id: int                 # global slot index; doubles as the event id

@@ -240,3 +240,15 @@ class TestDocumentFromEvents:
             [TraceEvent(ST_GLOBALLY_PERFORM, tid=2, op_id=0, address=64,
                         value=1)], source="unit")
         assert doc.num_threads == 3
+
+    @pytest.mark.parametrize("event,message", [
+        (TraceEvent(ST_GLOBALLY_PERFORM, tid=0, op_id=0, address=64,
+                    value=0), "positive unique value"),
+        (TraceEvent(LD_PERFORM, tid=0, op_id=0, address=None, value=0),
+         "requires an address"),
+    ], ids=["store-value-0", "load-no-address"])
+    def test_hand_built_events_are_validated_as_ops(self, event, message):
+        # Events built by hand skip event_row's checks; the TestOps the
+        # document's threads are built from still reject them.
+        with pytest.raises(ValueError, match=message):
+            document_from_events([event], source="unit")

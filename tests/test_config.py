@@ -63,6 +63,18 @@ class TestTestMemoryLayout:
         addresses = layout.all_addresses()
         assert len(addresses) == len(set(addresses))
 
+    @pytest.mark.parametrize("layout", [
+        TestMemoryLayout.kib(1),
+        TestMemoryLayout.kib(8),
+        TestMemoryLayout.kib(8, stride=64),
+        TestMemoryLayout(size_bytes=2048, stride=32, partition_bytes=256,
+                         partition_separation=4096, base_address=0),
+        TestMemoryLayout(size_bytes=512, stride=512, partition_bytes=512),
+    ], ids=["1k", "8k", "8k-s64", "custom", "one-slot"])
+    def test_all_addresses_match_slot_address(self, layout):
+        assert layout.all_addresses() == [
+            layout.slot_address(slot) for slot in range(layout.num_slots)]
+
     def test_out_of_range_slot_rejected(self):
         layout = TestMemoryLayout.kib(1)
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ dataclasses: the ``__init__`` signature is the fields in order with
 their defaults (so a field added without its ``__init__`` fails here),
 keyword, positional, ``dataclasses.replace``, pickle and codec
 construction agree, assignment raises ``FrozenInstanceError`` and an
-invalid ``TestOp`` raises the same ``ValueError`` as before.
+invalid ``TestOp`` raises the same ``ValueError`` as before.  A
+``TestOp``'s program row (``program_rows``) is its fields in order.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import pytest
 
 from repro.bridge.schema import (LD_PERFORM, RMW_PERFORM,
                                  ST_GLOBALLY_PERFORM, TraceEvent)
+from repro.consistency.execution import program_rows
 from repro.harness import codec
-from repro.sim.testprogram import OpKind, TestOp
+from repro.sim.testprogram import OpKind, TestOp, TestThread
 from repro.sim.trace import (ExecutionTrace, ReadRecord, RmwRecord,
                              WriteRecord)
 
@@ -126,6 +128,15 @@ def test_test_op_codec_round_trip(values):
     op = TestOp(*values)
     _same(codec.decode(codec.encode(op)), op)
     assert codec.WIRE_FIELDS["TestOp"] == tuple(_names(TestOp))
+
+
+@pytest.mark.parametrize("values", [values for cls, values in CASES
+                                    if cls is TestOp],
+                         ids=[case for case in IDS
+                              if case.startswith("TestOp")])
+def test_program_row_is_the_test_op_fields_in_order(values):
+    op = TestOp(*values)
+    assert program_rows([TestThread(2, (op,))]) == [(2, (values,))]
 
 
 @pytest.mark.parametrize("build,message", [

@@ -1,14 +1,15 @@
 """Native ingest and the checker build no per-event objects.
 
-Replay reads a native trace with ``load_trace`` and checks it with
-``Checker.check_trace``.  Neither step may construct a
-:class:`~repro.bridge.schema.TraceEvent` or a trace record
+Replay reads a native trace with ``load_trace`` and checks its
+``document.program`` with ``Checker.check_trace``.  Neither step may
+construct a :class:`~repro.bridge.schema.TraceEvent`, a
+:class:`~repro.sim.testprogram.TestOp` or a trace record
 (:class:`~repro.sim.trace.ReadRecord`, ``WriteRecord``, ``RmwRecord``):
-the document keeps its events as rows and the trace its observations as
-rows, and the execution builder reads the rows.  The objects are built
-only when something asks for ``document.events`` or
-``trace.reads``/``writes``/``rmws``; ``tests/test_bridge_ingest_golden.py``
-pins their values.
+the document keeps its events and its program as rows and the trace its
+observations as rows, and the execution builder reads the rows.  The
+objects are built only when something asks for ``document.events``,
+``document.threads`` or ``trace.reads``/``writes``/``rmws``;
+``tests/test_bridge_ingest_golden.py`` pins their values.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import pytest
 
 from repro.bridge.export import trace_to_text
 from repro.bridge.ingest import load_trace
+from repro.bridge.replay import run_replay_sweep
 from repro.bridge.schema import TraceEvent, parse_event
 from repro.consistency.checker import Checker
+from repro.consistency.execution import program_rows
 from repro.consistency.memo import VerdictCache
 from repro.consistency.models import TotalStoreOrder
+from repro.harness.parallel import SweepConfig
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.sim.testprogram import OpKind, TestOp, TestThread
@@ -32,7 +36,7 @@ from repro.sim.trace import ReadRecord, RmwRecord, WriteRecord
 FIXTURES = Path(__file__).parent / "data" / "bridge"
 NATIVE = sorted(path.name for path in FIXTURES.glob("*.jsonl")
                 if path.name != "garbled.jsonl")
-WATCHED = (TraceEvent, ReadRecord, WriteRecord, RmwRecord)
+WATCHED = (TraceEvent, TestOp, ReadRecord, WriteRecord, RmwRecord)
 
 
 @pytest.fixture
@@ -76,7 +80,7 @@ def test_load_and_check_build_no_event_or_record(name, cached, tmp_path,
     constructed.update(dict.fromkeys(constructed, 0))  # export builds some
     document = load_trace(str(path))
     Checker(TotalStoreOrder()).check_trace(
-        document.threads, document.trace,
+        document.program, document.trace,
         cache=VerdictCache() if cached else None)
     assert constructed == dict.fromkeys(constructed, 0)
 
@@ -89,3 +93,16 @@ def test_load_and_check_build_no_event_or_record(name, cached, tmp_path,
             == trace.num_events > 0)
     assert constructed["TraceEvent"] == 2 * len(lines)
     assert constructed["ReadRecord"] == len(trace.read_rows)
+
+    # So are the validated ops, one per program row, equal to the rows.
+    ops = sum(len(rows) for _, rows in document.program)
+    assert program_rows(document.threads) == document.program
+    assert constructed["TestOp"] == ops > 0
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["plain", "memo"])
+def test_replay_sweep_builds_no_event_op_or_record(memo, constructed):
+    report = run_replay_sweep(str(FIXTURES),
+                              config=SweepConfig(verdict_memo=memo))
+    assert len(report.replay_verdicts()) == len(NATIVE) + 2  # + log, garbled
+    assert constructed == dict.fromkeys(constructed, 0)
