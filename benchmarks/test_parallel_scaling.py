@@ -59,7 +59,7 @@ HETERO_BUDGETS = (36, 36, 6, 6, 6, 6, 6, 6)
 #: execution shapes, so the verdict cache sees a high hit-rate; enough
 #: evaluations that the saved cycle checks rise above timer noise.
 MEMO_SEEDS = 8
-MEMO_EVALUATIONS = 24
+MEMO_EVALUATIONS = 96
 MEMO_CHUNK_EVALUATIONS = 8
 #: Interleaved repetitions of the memo-on/memo-off pair; the best (least
 #: noisy) check-time of each side is compared.
