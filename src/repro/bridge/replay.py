@@ -70,7 +70,8 @@ class ReplayShardStats:
     Frozen wire type: :meth:`record` returns a *new* instance with
     fresh containers rather than mutating in place, so a stats value
     embedded in a checkpoint or outcome frame can never be aliased by
-    later recording.
+    later recording.  A campaign records into a :class:`_ShardTally`
+    instead, which does the same fold in place.
     """
 
     traces: int = 0
@@ -84,33 +85,58 @@ class ReplayShardStats:
 
     def record(self, name: str, source: str, verdict: str,
                violations: list[str]) -> "ReplayShardStats":
-        index = self.traces
-        sources = {key: dict(counters)
-                   for key, counters in self.sources.items()}
-        counters = sources.setdefault(source, _source_counters())
+        tally = _ShardTally(self)
+        tally.record(name, source, verdict, violations)
+        return tally.stats()
+
+
+class _ShardTally:
+    """A campaign's running :class:`ReplayShardStats`, folded in place.
+
+    Recording a trace is O(1): folding the frozen stats instead copies
+    every earlier verdict and source counter per trace, which is
+    quadratic in the shard.  The tally owns its containers, and
+    :meth:`stats` hands out a value with fresh ones, so no stats that
+    leave a campaign can be changed by later traces.
+    """
+
+    __slots__ = ("traces", "passed", "failed", "corrupt", "sources",
+                 "verdicts", "first_failure", "detail")
+
+    def __init__(self, stats: ReplayShardStats) -> None:
+        self.traces = stats.traces
+        self.passed = stats.passed
+        self.failed = stats.failed
+        self.corrupt = stats.corrupt
+        self.sources = {source: dict(counters)
+                        for source, counters in stats.sources.items()}
+        self.verdicts = list(stats.verdicts)
+        self.first_failure = stats.first_failure
+        self.detail = list(stats.detail)
+
+    def record(self, name: str, source: str, verdict: str,
+               violations: list[str]) -> None:
+        counters = self.sources.get(source)
+        if counters is None:
+            counters = self.sources[source] = _source_counters()
         counters["traces"] += 1
-        passed, failed, corrupt = self.passed, self.failed, self.corrupt
-        first_failure = self.first_failure
-        detail = list(self.detail)
         if verdict == VERDICT_PASS:
-            passed += 1
+            self.passed += 1
             counters["passed"] += 1
         else:
-            failed += 1
+            self.failed += 1
             counters["failed"] += 1
             if verdict == VERDICT_CORRUPT:
-                corrupt += 1
+                self.corrupt += 1
                 counters["corrupt"] += 1
-            if first_failure is None:
-                first_failure = index
-                detail = [f"failing trace: {name}", *violations]
-        return ReplayShardStats(
-            traces=index + 1, passed=passed, failed=failed,
-            corrupt=corrupt, sources=sources,
-            verdicts=[*self.verdicts, (name, verdict)],
-            first_failure=first_failure, detail=detail)
+            if self.first_failure is None:
+                self.first_failure = self.traces
+                self.detail = [f"failing trace: {name}", *violations]
+        self.verdicts.append((name, verdict))
+        self.traces += 1
 
-    def copy(self) -> "ReplayShardStats":
+    def stats(self) -> ReplayShardStats:
+        """The tally as a stats value with containers of its own."""
         return ReplayShardStats(
             traces=self.traces, passed=self.passed, failed=self.failed,
             corrupt=self.corrupt,
@@ -179,7 +205,7 @@ class ReplayCampaign:
         # Replayed traces carry no protocol transitions; the collector
         # exists so the sweep's coverage fold-back works uniformly.
         self.coverage = CoverageCollector()
-        self._stats = ReplayShardStats()
+        self._tally = _ShardTally(ReplayShardStats())
         self._evaluations = 0
         self._elapsed_seconds = 0.0
         self._check_seconds = 0.0
@@ -227,7 +253,7 @@ class ReplayCampaign:
     def checkpoint(self) -> ReplayCheckpoint:
         return ReplayCheckpoint(kind=self.kind, seed=self.seed,
                                 evaluations=self._evaluations,
-                                stats=self._stats.copy(),
+                                stats=self._tally.stats(),
                                 elapsed_seconds=self._elapsed_seconds,
                                 check_seconds=self._check_seconds)
 
@@ -243,7 +269,7 @@ class ReplayCampaign:
                 f"this shard only has {len(self.trace_paths)}")
         self._finished = False
         self._evaluations = checkpoint.evaluations
-        self._stats = checkpoint.stats.copy()
+        self._tally = _ShardTally(checkpoint.stats)
         self._elapsed_seconds = checkpoint.elapsed_seconds
         self._check_seconds = checkpoint.check_seconds
 
@@ -258,7 +284,7 @@ class ReplayCampaign:
         except (ValueError, OSError) as error:
             # Per-item isolation: an unreadable or malformed file is
             # one corrupt verdict, never a dead sweep.
-            self._stats = self._stats.record(
+            self._tally.record(
                 name, UNREADABLE_SOURCE, VERDICT_CORRUPT,
                 [f"corruption: {type(error).__name__}: {error}"])
         else:
@@ -272,7 +298,7 @@ class ReplayCampaign:
                 verdict = VERDICT_CORRUPT
             else:
                 verdict = VERDICT_FAIL
-            self._stats = self._stats.record(
+            self._tally.record(
                 name, document.source, verdict,
                 list(result.violations_summary()))
         self._check_seconds += time.perf_counter() - started
@@ -280,7 +306,7 @@ class ReplayCampaign:
     # -- result assembly -----------------------------------------------
 
     def _final_result(self, elapsed: float) -> ReplayCampaignResult:
-        stats = self._stats.copy()
+        stats = self._tally.stats()
         found = stats.failed > 0
         return ReplayCampaignResult(
             kind=self.kind, found=found,

@@ -9,6 +9,12 @@ Checks performed (all polynomial, per paper §2.1 and §4.1):
 3. **Global happens-before**: ``acyclic(ppo+fences | rf(e) | co | fr)``
    where the model decides whether internal rf participates.
 
+Both cycle checks range over program events only.  In a trace-built
+execution every edge of either graph ends at a program event (rf at a
+read, co and fr at a program write, po-loc and ppo between program
+events), so an init write has in-degree 0 and can lie on no cycle; the
+checks leave init writes out (``ExecutionGraph.cycle_size``).
+
 Any inconsistency in the observed trace itself (a read returning a value no
 write produced, a branching coherence order, i.e. a lost update) is also
 reported as a violation - these indicate memory-system data corruption.
@@ -32,11 +38,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.consistency.execution import (CandidateExecution, ExecutionBuildError,
-                                         ExecutionGraph, Program,
-                                         execution_from_trace, po_loc_edges)
+from repro.consistency.execution import (CandidateExecution, Edges,
+                                         ExecutionBuildError, ExecutionGraph,
+                                         Program, execution_from_trace,
+                                         program_order_edges)
 from repro.consistency.memo import CachedVerdict, VerdictCache
-from repro.consistency.models import Edges, MemoryModel
+from repro.consistency.models import MemoryModel
 from repro.consistency.relations import Relation
 from repro.consistency.signature import execution_signature
 from repro.sim.testprogram import TestThread
@@ -94,7 +101,8 @@ def is_acyclic(size: int, sources: Sequence[int],
     edges over nodes ``0 .. size - 1``.
 
     Kahn's algorithm over int adjacency lists.  Both graph checks
-    (coherence and global happens-before) reduce to this question; when
+    (coherence and global happens-before) reduce to this question, asked
+    over an execution's ``cycle_size`` nodes (its program events); when
     the answer is no, the checker extracts the diagnostic cycle from the
     event-level relations.
     """
@@ -145,20 +153,25 @@ def external_rf(execution: CandidateExecution,
 
 def check_edges(graph: ExecutionGraph, model: MemoryModel,
                 ) -> tuple[Edges, Edges]:
-    """The (coherence, global happens-before) edge lists of one execution.
+    """The (coherence, global happens-before) edge lists of one execution,
+    over its nodes ``0 .. graph.cycle_size - 1``.
 
     Coherence is ``po-loc | rf | co | fr``; global happens-before is
     ``ppo | co | fr | rf`` where internal rf only counts when the model
-    says so.  Both share one pass over co and fr.
+    says so.  Both share one pass over rf, co and fr, and po-loc and
+    the model's ppo come from one walk per thread.  No edge leaves a
+    node at or past ``cycle_size``: in a trace-built graph those are
+    the init writes, which no edge enters.
     """
     rf_source = graph.rf_source
     co_next = graph.co_next
     co_position = graph.co_position
     pid = graph.pid
     program_size = graph.program_size
+    bound = graph.cycle_size
     conflict_sources: list[int] = []
     conflict_targets: list[int] = []
-    for write, later in enumerate(co_next):
+    for write, later in enumerate(co_next[:bound]):
         if later >= 0:
             conflict_sources.append(write)
             conflict_targets.append(later)
@@ -169,17 +182,19 @@ def check_edges(graph: ExecutionGraph, model: MemoryModel,
     includes_internal = model.includes_internal_rf
     for read in graph.reads:
         source = rf_source[read]
-        rf_sources.append(source)
-        rf_targets.append(read)
-        if (includes_internal or source >= program_size
-                or pid[source] != pid[read]):
-            external_sources.append(source)
-            external_targets.append(read)
+        if source < bound:
+            rf_sources.append(source)
+            rf_targets.append(read)
+            if (includes_internal or source >= program_size
+                    or pid[source] != pid[read]):
+                external_sources.append(source)
+                external_targets.append(read)
         if co_position[source] >= 0 and co_next[source] >= 0:
             conflict_sources.append(read)
             conflict_targets.append(co_next[source])
-    po_loc_sources, po_loc_targets = po_loc_edges(graph)
-    ppo_sources, ppo_targets = model.preserved_program_order_edges(graph)
+    ((po_loc_sources, po_loc_targets),
+     (ppo_sources, ppo_targets)) = program_order_edges(
+         graph, model.orders_write_read)
     return ((po_loc_sources + rf_sources + conflict_sources,
              po_loc_targets + rf_targets + conflict_targets),
             (ppo_sources + external_sources + conflict_sources,
@@ -277,10 +292,10 @@ class Checker:
         graph = execution.graph
         coherence, ghb = check_edges(graph, self.model)
         violations: list[Violation] = []
-        if not is_acyclic(graph.size, *coherence):
+        if not is_acyclic(graph.cycle_size, *coherence):
             violations.append(self._coherence_violation(execution))
         violations.extend(atomicity_violations(execution))
-        if not is_acyclic(graph.size, *ghb):
+        if not is_acyclic(graph.cycle_size, *ghb):
             violations.append(self._global_violation(execution))
         if violations:
             return CheckResult(passed=False, violations=violations,

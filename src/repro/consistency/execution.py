@@ -69,6 +69,13 @@ class ExecutionGraph:
     * ``co_position`` is a write's place in its own address's co chain
       (-1 for reads and for writes that chain never reaches).
 
+    ``cycle_size`` bounds the nodes the cycle checks range over.  A
+    trace-built graph points rf and co only at program events and gives
+    every read a source, so no edge of either check ends at an init
+    write: init writes have in-degree 0, lie on no cycle, and
+    ``cycle_size`` is ``program_size``.  Only a hand-built execution
+    can break that, and then ``cycle_size`` is ``size``.
+
     ``threads`` holds each thread's id range (``pids`` its pid),
     ``reads`` every read id in order, ``co_chains`` each address's
     chain of ids starting at its init write (ascending address order),
@@ -76,14 +83,14 @@ class ExecutionGraph:
     From-reads is not stored: it is ``read -> co_next[rf_source[read]]``.
     """
 
-    __slots__ = ("program_size", "size", "threads", "pids", "pid",
-                 "po_index", "address", "is_read", "is_atomic", "value",
-                 "op_id", "reads", "rf_source", "co_next", "co_position",
-                 "co_chains", "init_id", "rmw_pairs", "_eids")
+    __slots__ = ("program_size", "size", "cycle_size", "threads", "pids",
+                 "pid", "po_index", "address", "is_read", "is_atomic",
+                 "value", "op_id", "reads", "rf_source", "co_next",
+                 "co_position", "co_chains", "init_id", "rmw_pairs", "_eids")
 
-    def __init__(self, program_size: int, size: int, threads: list[range],
-                 pids: list[int], pid: list[int], po_index: list[int],
-                 address: list[int], is_read: list[bool],
+    def __init__(self, program_size: int, size: int, cycle_size: int,
+                 threads: list[range], pids: list[int], pid: list[int],
+                 po_index: list[int], address: list[int], is_read: list[bool],
                  is_atomic: list[bool], value: list[int],
                  op_id: list[int | None], reads: list[int],
                  rf_source: list[int], co_next: list[int],
@@ -92,6 +99,7 @@ class ExecutionGraph:
                  rmw_pairs: list[tuple[int, int]]) -> None:
         self.program_size = program_size
         self.size = size
+        self.cycle_size = cycle_size
         self.threads = threads
         self.pids = pids
         self.pid = pid
@@ -274,13 +282,10 @@ class CandidateExecution:
         nodes = self.nodes()
         return Relation((nodes[src], nodes[dst]) for src, dst in id_edges)
 
-    def po_edges(self) -> Relation:
-        """Immediate program-order successor edges (per thread)."""
-        return self.relation_of(zip(*po_edges(self.graph)))
-
     def po_loc_edges(self) -> Relation:
         """Per-thread, per-address program order successor edges."""
-        return self.relation_of(zip(*po_loc_edges(self.graph)))
+        po_loc, _ = program_order_edges(self.graph)
+        return self.relation_of(zip(*po_loc))
 
     def conflict_edges(self) -> set[tuple[tuple, tuple]]:
         """(rf union co) as pairs of event ids - the paper's rf/co union.
@@ -304,30 +309,74 @@ class CandidateExecution:
                 for read, write in self.graph.rmw_pairs]
 
 
-def po_edges(graph: ExecutionGraph) -> tuple[list[int], list[int]]:
-    """Immediate program-order successor edges as (sources, targets)."""
-    sources: list[int] = []
-    targets: list[int] = []
-    for ids in graph.threads:
-        sources.extend(ids[:-1])
-        targets.extend(ids[1:])
-    return sources, targets
+Edges = tuple[list[int], list[int]]
 
 
-def po_loc_edges(graph: ExecutionGraph) -> tuple[list[int], list[int]]:
-    """Per-thread, per-address program-order successor edges."""
-    sources: list[int] = []
-    targets: list[int] = []
+def program_order_edges(graph: ExecutionGraph, orders_write_read: bool = True,
+                        ) -> tuple[Edges, Edges]:
+    """The (po-loc, ppo) edges of *graph*, in one walk per thread.
+
+    po-loc joins each event to its thread's previous event at the same
+    address.  ppo is a generator set whose closure over each thread is
+    the preserved program order: with *orders_write_read* it is every
+    immediate program-order pair.  Without it (a store buffer), a read
+    may pass an earlier write: a write followed by a read stays ordered
+    only when either is half of an RMW (locked RMWs fence), every
+    other immediate pair is kept, and each thread's reads and its
+    writes are chained, so the closure still orders every read before
+    all later events and every write before all later writes.
+    """
+    loc_sources: list[int] = []
+    loc_targets: list[int] = []
+    ppo_sources: list[int] = []
+    ppo_targets: list[int] = []
+    add_loc_source, add_loc_target = loc_sources.append, loc_targets.append
+    add_ppo_source, add_ppo_target = ppo_sources.append, ppo_targets.append
     address = graph.address
+    is_read = graph.is_read
+    is_atomic = graph.is_atomic
+    # One map for every thread: an entry below a thread's first id was
+    # left by an earlier thread.
+    last: dict[int, int] = {}
     for ids in graph.threads:
-        last: dict[int, int] = {}
+        start = ids.start
+        if orders_write_read:
+            ppo_sources += ids[:-1]
+            ppo_targets += ids[1:]
+            for node in ids:
+                location = address[node]
+                previous = last.get(location, -1)
+                if previous >= start:
+                    add_loc_source(previous)
+                    add_loc_target(node)
+                last[location] = node
+            continue
+        last_read = last_write = -1
         for node in ids:
-            previous = last.get(address[node])
-            if previous is not None:
-                sources.append(previous)
-                targets.append(node)
-            last[address[node]] = node
-    return sources, targets
+            location = address[node]
+            previous = last.get(location, -1)
+            if previous >= start:
+                add_loc_source(previous)
+                add_loc_target(node)
+            last[location] = node
+            if is_read[node]:
+                if last_read >= 0:
+                    add_ppo_source(last_read)
+                    add_ppo_target(node)
+                if (node > start and not is_read[node - 1]
+                        and (is_atomic[node] or is_atomic[node - 1])):
+                    add_ppo_source(node - 1)
+                    add_ppo_target(node)
+                last_read = node
+            else:
+                if last_write >= 0:
+                    add_ppo_source(last_write)
+                    add_ppo_target(node)
+                if node > start and is_read[node - 1]:
+                    add_ppo_source(node - 1)
+                    add_ppo_target(node)
+                last_write = node
+    return (loc_sources, loc_targets), (ppo_sources, ppo_targets)
 
 
 _op_row = attrgetter("op_id", "kind", "address", "value", "delay")
@@ -555,9 +604,9 @@ def execution_from_trace(program: Program | list[TestThread],
                 "overwrites form a cycle off the init chain)")
 
     graph = ExecutionGraph(
-        program_size, size, ranges, pids, pid_of, po_index, address,
-        is_read, is_atomic, value, op_id, reads, rf_source, co_next,
-        co_position, co_chains, init_id, rmw_pairs)
+        program_size, size, program_size, ranges, pids, pid_of, po_index,
+        address, is_read, is_atomic, value, op_id, reads, rf_source,
+        co_next, co_position, co_chains, init_id, rmw_pairs)
     return CandidateExecution.from_graph(graph, co_pairs)
 
 
@@ -568,7 +617,9 @@ def _graph_from_relations(execution: CandidateExecution) -> ExecutionGraph:
     trace builder numbers them and init writes by ascending address, so
     a hand-built execution and a trace-built one of the same graph get
     equal forms.  rf sources come from ``rf``, coherence successors from
-    ``co`` and chain positions from ``co_chains``.
+    ``co`` and chain positions from ``co_chains``.  Relations may point
+    rf or co into an init write, or leave a read without a source, which
+    no trace builds; such a graph's cycle checks range over every node.
     """
     program_order = execution.program_order
     pids: list[int] = []
@@ -622,6 +673,10 @@ def _graph_from_relations(execution: CandidateExecution) -> ExecutionGraph:
             if nodes[node].address == location:
                 co_position[node] = position
         co_chains[location] = ids
+    reads = [node for node in range(program_size) if nodes[node].is_read]
+    closed = (all(rf_source[read] >= 0 for read in reads)
+              and all(target < program_size
+                      for _, target in rf_pairs + co_pairs))
     writes_by_op = {event.eid[0]: node for node, event in enumerate(program)
                     if event.is_write and event.is_atomic}
     rmw_pairs = [(node, writes_by_op[event.eid[0]])
@@ -629,8 +684,9 @@ def _graph_from_relations(execution: CandidateExecution) -> ExecutionGraph:
                  if event.is_read and event.is_atomic
                  and event.eid[0] in writes_by_op]
     return ExecutionGraph(
-        program_size=program_size, size=size, threads=ranges, pids=pids,
-        pid=[event.pid for event in nodes],
+        program_size=program_size, size=size,
+        cycle_size=program_size if closed else size, threads=ranges,
+        pids=pids, pid=[event.pid for event in nodes],
         po_index=[event.po_index for event in nodes],
         address=[event.address for event in nodes],
         is_read=[event.is_read for event in nodes],
@@ -638,6 +694,6 @@ def _graph_from_relations(execution: CandidateExecution) -> ExecutionGraph:
         value=[event.value for event in nodes],
         op_id=[event.eid[0] for event in program] + [None] * (
             size - program_size),
-        reads=[node for node in range(program_size) if nodes[node].is_read],
-        rf_source=rf_source, co_next=co_next, co_position=co_position,
-        co_chains=co_chains, init_id=init_id, rmw_pairs=rmw_pairs)
+        reads=reads, rf_source=rf_source, co_next=co_next,
+        co_position=co_position, co_chains=co_chains, init_id=init_id,
+        rmw_pairs=rmw_pairs)

@@ -12,36 +12,39 @@ A model contributes two ingredients to the checker:
 TSO (x86/SPARC): all program order is preserved except write->read to a
 different or same location (the store buffer), and locked RMWs act as full
 fences.  SC preserves all of program order.
+
+Both models differ from full program order in one pair kind, so a model
+states its ppo as one flag, ``orders_write_read``, and
+:func:`~repro.consistency.execution.program_order_edges` builds that ppo
+together with po-loc in one walk per thread.  The checker's edges and
+the diagnostic relation both come from that walk.
 """
 
 from __future__ import annotations
 
-from repro.consistency.execution import (CandidateExecution, ExecutionGraph,
-                                         po_edges)
+from repro.consistency.execution import (CandidateExecution,
+                                         program_order_edges)
 from repro.consistency.relations import Relation
-
-Edges = tuple[list[int], list[int]]
 
 
 class MemoryModel:
     """Base class for axiomatic models.
 
-    A model implements :meth:`preserved_program_order_edges` over the
-    execution's integer form; the event-level relation the diagnostics
-    walk is derived from it.
+    A model sets :attr:`orders_write_read` (its ppo) and
+    :attr:`includes_internal_rf`; the checker's integer edges and the
+    event-level relation the diagnostics walk both derive from them.
     """
 
     name = "abstract"
     #: include internal (same-thread) rf edges in the global check
     includes_internal_rf = True
-
-    def preserved_program_order_edges(self, graph: ExecutionGraph) -> Edges:
-        """ppo (+fences) generator edges as (sources, targets) id lists."""
-        raise NotImplementedError
+    #: ppo keeps a write before a later read of the same thread
+    orders_write_read = True
 
     def preserved_program_order(self, execution: CandidateExecution) -> Relation:
         """ppo as an event-level relation, sources in program order."""
-        sources, targets = self.preserved_program_order_edges(execution.graph)
+        _, (sources, targets) = program_order_edges(execution.graph,
+                                                    self.orders_write_read)
         return execution.relation_of(sorted(zip(sources, targets)))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -49,19 +52,19 @@ class MemoryModel:
 
 
 class SequentialConsistency(MemoryModel):
-    """SC: nothing is reordered (Lamport 1979)."""
+    """SC: nothing is reordered (Lamport 1979); ppo is program order."""
 
     name = "SC"
     includes_internal_rf = True
-
-    def preserved_program_order_edges(self, graph: ExecutionGraph) -> Edges:
-        return po_edges(graph)
+    orders_write_read = True
 
 
 class TotalStoreOrder(MemoryModel):
     """TSO: write->read may be reordered; locked RMWs are fences.
 
-    The generator edges emitted per thread are:
+    With ``orders_write_read`` off, the generator edges
+    :func:`~repro.consistency.execution.program_order_edges` emits per
+    thread are:
 
     * ``event -> next event`` unless it is a write->read pair,
     * ``read -> next read``  (so reads order with all later events),
@@ -76,24 +79,7 @@ class TotalStoreOrder(MemoryModel):
 
     name = "TSO"
     includes_internal_rf = False
-
-    def preserved_program_order_edges(self, graph: ExecutionGraph) -> Edges:
-        sources: list[int] = []
-        targets: list[int] = []
-        is_read = graph.is_read
-        is_atomic = graph.is_atomic
-        for ids in graph.threads:
-            for node in ids[:-1]:
-                # Drop store->load pairs unless an RMW fences them.
-                if (is_read[node] or not is_read[node + 1]
-                        or is_atomic[node] or is_atomic[node + 1]):
-                    sources.append(node)
-                    targets.append(node + 1)
-            for same_kind in ([node for node in ids if is_read[node]],
-                              [node for node in ids if not is_read[node]]):
-                sources += same_kind[:-1]
-                targets += same_kind[1:]
-        return sources, targets
+    orders_write_read = False
 
 
 _MODELS = {

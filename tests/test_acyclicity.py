@@ -12,7 +12,13 @@ checks run on the integer form of an execution:
   reads that violate coherence): ``Checker.check`` reports exactly the
   violation kinds that the event-level ``Relation`` unions predict;
 * the golden litmus corpus (``tests/data/litmus_verdicts.json``): the
-  checker reproduces every pinned verdict.
+  checker reproduces every pinned verdict;
+* program events only: ``Checker.check`` leaves init writes out of both
+  cycle checks, and its two cycle answers equal those of a full-graph
+  reference (the checker's former edge lists over every node, init
+  writes included, kept here) on the consistency golden, the litmus
+  witnesses, seeded GP runs on MESI and TSO-CC, random executions and
+  hand-built executions that point rf or co into an init write.
 """
 
 import json
@@ -20,14 +26,22 @@ import random
 from pathlib import Path
 
 import pytest
+from test_consistency_golden import CASES as GOLDEN_CASES
+from test_consistency_golden import _inputs
 
 from repro.consistency.checker import (Checker, atomicity_violations,
                                        external_rf, is_acyclic)
-from repro.consistency.execution import execution_from_trace
+from repro.consistency.events import init_write, read_event, write_event
+from repro.consistency.execution import (CandidateExecution,
+                                         ExecutionBuildError,
+                                         execution_from_trace)
 from repro.consistency.models import model_by_name
 from repro.consistency.relations import Relation
+from repro.core.campaign import Campaign, GeneratorKind
+from repro.core.config import GeneratorConfig
 from repro.litmus.corpus import corpus_names, litmus_by_name
-from repro.litmus.witness import cycle_verdict
+from repro.litmus.witness import cycle_verdict, cycle_witness_execution
+from repro.sim.config import SystemConfig
 from repro.sim.testprogram import OpKind, TestOp, TestThread
 from repro.sim.trace import ExecutionTrace
 
@@ -203,3 +217,198 @@ def test_golden_litmus_verdicts(model):
     for name in corpus_names():
         verdict = cycle_verdict(litmus_by_name(name), model)
         assert verdict == GOLDEN[name][model], name
+
+
+# ----------------------------------------------------------------------
+# Program events only, against a full-graph reference
+
+MODELS = ("SC", "TSO")
+X, Y = 0x1000, 0x2000
+
+
+def _reference_po_loc(graph) -> tuple[list[int], list[int]]:
+    sources, targets = [], []
+    for ids in graph.threads:
+        last: dict[int, int] = {}
+        for node in ids:
+            previous = last.get(graph.address[node])
+            if previous is not None:
+                sources.append(previous)
+                targets.append(node)
+            last[graph.address[node]] = node
+    return sources, targets
+
+
+def _reference_ppo(graph, model_name: str) -> tuple[list[int], list[int]]:
+    sources, targets = [], []
+    is_read, is_atomic = graph.is_read, graph.is_atomic
+    for ids in graph.threads:
+        if model_name == "SC":
+            sources += ids[:-1]
+            targets += ids[1:]
+            continue
+        for node in ids[:-1]:
+            if (is_read[node] or not is_read[node + 1]
+                    or is_atomic[node] or is_atomic[node + 1]):
+                sources.append(node)
+                targets.append(node + 1)
+        for same_kind in ([node for node in ids if is_read[node]],
+                          [node for node in ids if not is_read[node]]):
+            sources += same_kind[:-1]
+            targets += same_kind[1:]
+    return sources, targets
+
+
+def full_graph_answers(execution, model_name: str) -> tuple[bool, bool]:
+    """(coherent, ordered) from edge lists over every node of the graph,
+    init writes included, as the checker built them before it left init
+    writes out."""
+    graph = execution.graph
+    model = model_by_name(model_name)
+    co_next, rf_source = graph.co_next, graph.rf_source
+    conflict = [(write, later) for write, later in enumerate(co_next)
+                if later >= 0]
+    rf, external = [], []
+    for read in graph.reads:
+        source = rf_source[read]
+        rf.append((source, read))
+        if (model.includes_internal_rf or source >= graph.program_size
+                or graph.pid[source] != graph.pid[read]):
+            external.append((source, read))
+        if graph.co_position[source] >= 0 and co_next[source] >= 0:
+            conflict.append((read, co_next[source]))
+    po_loc = list(zip(*_reference_po_loc(graph)))
+    ppo = list(zip(*_reference_ppo(graph, model_name)))
+    return (_is_acyclic(graph.size, po_loc + rf + conflict),
+            _is_acyclic(graph.size, ppo + external + conflict))
+
+
+def checker_answers(execution, model_name: str) -> tuple[bool, bool]:
+    kinds = {violation.kind for violation
+             in Checker(model_by_name(model_name)).check(execution).violations}
+    return "coherence" not in kinds, "ghb" not in kinds
+
+
+def assert_program_node_checks(executions) -> set[tuple[bool, bool]]:
+    """Both answers agree with the reference for every execution and
+    model; returns the answers seen."""
+    seen = set()
+    for label, execution in executions:
+        for model_name in MODELS:
+            answers = checker_answers(execution, model_name)
+            assert answers == full_graph_answers(execution, model_name), \
+                (label, model_name)
+            seen.add(answers)
+    return seen
+
+
+def test_init_writes_leave_trace_built_cycle_checks():
+    """No edge enters an init write of a trace-built graph, so the
+    checks range over the program events alone."""
+    execution = random_execution(random.Random(7),
+                                 stale_read_probability=0.3)
+    graph = execution.graph
+    assert graph.cycle_size == graph.program_size < graph.size
+    targets = ([graph.rf_source[read] for read in graph.reads]
+               + [later for later in graph.co_next if later >= 0])
+    assert all(target >= 0 for target in targets)
+    assert all(later < graph.program_size
+               for later in graph.co_next if later >= 0)
+
+
+def _golden_executions():
+    for case in GOLDEN_CASES:
+        threads, trace, execution = _inputs(case)
+        if execution is None:
+            try:
+                execution = execution_from_trace(threads, trace)
+            except ExecutionBuildError:
+                continue
+        yield case["id"], execution
+
+
+def test_consistency_golden_executions():
+    seen = assert_program_node_checks(_golden_executions())
+    assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def test_litmus_witnesses():
+    seen = assert_program_node_checks(
+        (name, cycle_witness_execution(litmus_by_name(name)))
+        for name in corpus_names())
+    assert (True, False) in seen and (True, True) in seen
+
+
+@pytest.mark.parametrize("protocol", ["MESI", "TSO_CC"])
+def test_seeded_gp_runs(protocol):
+    captured = []
+    config = GeneratorConfig.quick(test_size=48, iterations=2,
+                                   population_size=4)
+    for seed in range(2):
+        Campaign(GeneratorKind.MCVERSI_ALL, config,
+                 SystemConfig().with_protocol(protocol), seed=seed,
+                 trace_sink=lambda threads, trace: captured.append(
+                     (threads, trace))).run(6)
+    assert len(captured) >= 12
+    assert_program_node_checks(
+        (index, execution_from_trace(threads, trace))
+        for index, (threads, trace) in enumerate(captured))
+
+
+def test_random_executions_cyclic_ones_included():
+    rng = random.Random(0x1D17)
+    seen = assert_program_node_checks(
+        (index, random_execution(
+            rng, stale_read_probability=0.0 if index < 20 else 0.3))
+        for index in range(120))
+    assert (True, True) in seen and (False, False) in seen
+    assert (True, False) in seen
+
+
+def _hand_built(events_by_pid, rf=(), co=(), fr=(), chains=None):
+    events = [event for thread in events_by_pid.values() for event in thread]
+    return CandidateExecution(
+        events=events, program_order=events_by_pid,
+        rf=Relation(rf), co=Relation(co), fr=Relation(fr),
+        rf_sources={read: source for source, read in rf},
+        co_chains=chains or {})
+
+
+def _into_init_executions():
+    """Hand-built executions whose rf or co points into an init write,
+    or whose read has no source: no trace builds these."""
+    init_x, init_y = init_write(X), init_write(Y)
+    w1 = write_event(1, 0, 0, X, 1)
+    r2 = read_event(2, 0, 0, X, 0)
+    w3 = write_event(3, 0, 1, X, 3)
+    r4 = read_event(4, 1, 0, Y, 0)
+    yield "co-cycle-through-init", _hand_built(
+        {0: [w1]}, co=[(init_x, w1), (w1, init_x)],
+        chains={X: [init_x, w1]})
+    yield "co-into-init-no-cycle", _hand_built(
+        {0: [w1]}, co=[(w1, init_x)], chains={X: [init_x]})
+    yield "rf-into-init", _hand_built(
+        {0: [w1]}, rf=[(w1, init_x)], co=[(init_x, w1)],
+        chains={X: [init_x, w1]})
+    # r2 reads the init write, w3 follows it in po-loc and is coherence-
+    # ordered before the init write: a cycle only through init_x.
+    yield "po-loc-co-rf-through-init", _hand_built(
+        {0: [r2, w3]}, rf=[(init_x, r2)], co=[(w3, init_x)],
+        chains={X: [init_x]})
+    yield "fr-into-init", _hand_built(
+        {0: [r2, w3]}, rf=[(w3, r2)], co=[(init_x, w3), (w3, init_x)],
+        fr=[(r2, init_x)], chains={X: [init_x, w3]})
+    yield "read-without-source", _hand_built(
+        {0: [r2, w3], 1: [r4]}, rf=[(init_x, r2)], co=[(init_x, w3)],
+        fr=[(r2, w3)], chains={X: [init_x, w3], Y: [init_y]})
+    yield "co-into-other-address-init", _hand_built(
+        {0: [w3], 1: [r4]}, rf=[(init_y, r4)],
+        co=[(init_x, w3), (w3, init_y)], chains={X: [init_x, w3]})
+
+
+def test_hand_built_executions_pointing_into_init_writes():
+    executions = list(_into_init_executions())
+    assert all(execution.graph.cycle_size == execution.graph.size
+               for _, execution in executions)
+    seen = assert_program_node_checks(executions)
+    assert (False, False) in seen and (True, True) in seen

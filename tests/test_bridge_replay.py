@@ -12,9 +12,10 @@ import shutil
 
 import pytest
 
+from repro.bridge import replay as replay_module
 from repro.bridge.export import trace_to_text
-from repro.bridge.replay import (ReplayCampaign, replay_specs,
-                                 run_replay_sweep)
+from repro.bridge.replay import (ReplayCampaign, ReplayShardStats,
+                                 replay_specs, run_replay_sweep)
 from repro.core.campaign import GeneratorKind
 from repro.harness.parallel import SweepConfig
 
@@ -119,6 +120,44 @@ class TestReplayCampaign:
     def test_empty_path_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ReplayCampaign([])
+
+    def test_stats_equal_the_record_fold(self, tmp_path, monkeypatch):
+        """The campaign records each trace in place; every checkpoint and
+        the final stats equal folding ``ReplayShardStats.record`` over
+        the same verdicts, and a checkpoint keeps the value it had when
+        taken while the shard records more traces."""
+        paths = make_corpus(tmp_path, 7, garble=2, failing=4)
+        recorded = []
+        record = replay_module._ShardTally.record
+
+        def spy(tally, *verdict):
+            recorded.append(verdict)
+            record(tally, *verdict)
+
+        monkeypatch.setattr(replay_module._ShardTally, "record", spy)
+        campaign = ReplayCampaign(paths)
+        checkpoints, result = [], None
+        while result is None:
+            result, checkpoint = campaign.run_chunk(7, pause_after=2)
+            if checkpoint is not None:
+                checkpoints.append(checkpoint)
+        monkeypatch.undo()
+        assert len(recorded) == 7
+        assert [checkpoint.evaluations for checkpoint in checkpoints] \
+            == [2, 4, 6]
+
+        def fold(count):
+            stats = ReplayShardStats()
+            for verdict in recorded[:count]:
+                stats = stats.record(*verdict)
+            return stats
+
+        for checkpoint in checkpoints:
+            assert checkpoint.stats == fold(checkpoint.evaluations)
+        assert result.stats == fold(7)
+        assert result.stats.first_failure == 2
+        assert result.stats.corrupt == 1 and result.stats.failed == 2
+        assert result.detail == result.stats.detail
 
 
 class TestCoherenceCycleOffInit:
