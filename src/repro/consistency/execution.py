@@ -343,14 +343,6 @@ def program_order_edges(graph: ExecutionGraph, orders_write_read: bool = True,
         if orders_write_read:
             ppo_sources += ids[:-1]
             ppo_targets += ids[1:]
-            for node in ids:
-                location = address[node]
-                previous = last.get(location, -1)
-                if previous >= start:
-                    add_loc_source(previous)
-                    add_loc_target(node)
-                last[location] = node
-            continue
         last_read = last_write = -1
         for node in ids:
             location = address[node]
@@ -359,6 +351,8 @@ def program_order_edges(graph: ExecutionGraph, orders_write_read: bool = True,
                 add_loc_source(previous)
                 add_loc_target(node)
             last[location] = node
+            if orders_write_read:
+                continue
             if is_read[node]:
                 if last_read >= 0:
                     add_ppo_source(last_read)

@@ -42,6 +42,7 @@ from repro.core.config import GeneratorConfig
 from repro.litmus.corpus import corpus_names, litmus_by_name
 from repro.litmus.witness import cycle_verdict, cycle_witness_execution
 from repro.sim.config import SystemConfig
+from repro.sim.system import System
 from repro.sim.testprogram import OpKind, TestOp, TestThread
 from repro.sim.trace import ExecutionTrace
 
@@ -302,18 +303,17 @@ def assert_program_node_checks(executions) -> set[tuple[bool, bool]]:
     return seen
 
 
-def test_init_writes_leave_trace_built_cycle_checks():
-    """No edge enters an init write of a trace-built graph, so the
-    checks range over the program events alone."""
-    execution = random_execution(random.Random(7),
-                                 stale_read_probability=0.3)
-    graph = execution.graph
-    assert graph.cycle_size == graph.program_size < graph.size
-    targets = ([graph.rf_source[read] for read in graph.reads]
-               + [later for later in graph.co_next if later >= 0])
-    assert all(target >= 0 for target in targets)
-    assert all(later < graph.program_size
-               for later in graph.co_next if later >= 0)
+def test_no_edge_enters_an_init_write_of_a_trace_built_graph():
+    """Every read has a source and every co successor (so every fr
+    target) is a program write, so the checks range over the program
+    events alone."""
+    rng = random.Random(7)
+    for index in range(40):
+        graph = random_execution(
+            rng, stale_read_probability=0.3 if index % 2 else 0.0).graph
+        assert graph.cycle_size == graph.program_size < graph.size
+        assert all(graph.rf_source[read] >= 0 for read in graph.reads)
+        assert all(later < graph.program_size for later in graph.co_next)
 
 
 def _golden_executions():
@@ -332,11 +332,19 @@ def test_consistency_golden_executions():
     assert {(True, True), (True, False), (False, False)} <= seen
 
 
-def test_litmus_witnesses():
+def test_litmus_corpus():
+    """The critical-cycle witnesses and one simulated run of each test."""
     seen = assert_program_node_checks(
         (name, cycle_witness_execution(litmus_by_name(name)))
         for name in corpus_names())
     assert (True, False) in seen and (True, True) in seen
+    system = System(SystemConfig())
+    simulated = []
+    for name in corpus_names():
+        threads = litmus_by_name(name).chromosome.to_threads()
+        trace = system.run_iteration(threads, 3).trace
+        simulated.append((name, execution_from_trace(threads, trace)))
+    assert assert_program_node_checks(simulated) == {(True, True)}
 
 
 @pytest.mark.parametrize("protocol", ["MESI", "TSO_CC"])
