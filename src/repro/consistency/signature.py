@@ -11,7 +11,8 @@ collective checking; see SNIPPETS.md §2).
 
 Soundness is immediate: equal keys mean identical graphs under the same
 model, and the checker's verdict is a function of exactly that.  Op ids
-and write values are left out, because no check reads them.
+and write values are left out, because no check reads them, and so is
+``cycle_size``, which follows from ``rf_source`` and ``co_next``.
 """
 
 from __future__ import annotations
