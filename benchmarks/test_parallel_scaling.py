@@ -17,10 +17,10 @@ the current single-serialization ``ChunkPayload`` path (pickled once on
 the worker, bytes forwarded verbatim) — pickle seconds per paused chunk
 land in the JSON artifact's ``serialization`` row.
 
-Per-shard results are bit-identical regardless of transport, worker count
-or chunking (seeds derive from the matrix position and checkpoints carry
-all cross-evaluation state); the determinism assertions always run.  The
-wall-clock assertions only run when the host actually exposes enough CPUs
+Per-shard results are bit-identical regardless of service placement,
+worker count or chunking (seeds derive from the matrix position and
+checkpoints carry all cross-evaluation state); the determinism
+assertions always run.  The wall-clock assertions only run when the host actually exposes enough CPUs
 to this process — asserting parallel speedup on a single-core container
 would measure scheduler noise, not the orchestrator — and can be relaxed
 to a skip with ``REPRO_STRICT_SCALING=0`` on noisy shared CI runners.
@@ -45,11 +45,12 @@ from repro.harness.parallel import (ChunkTask, SweepConfig, campaign_matrix,
                                     default_workers, execute_chunk_task,
                                     run_campaigns)
 from repro.harness.reporting import format_speedup, format_sweep_report
+from repro.harness.service import run_service_sweep
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
 WORKERS = 4
-TCP_WORKERS = 2
+SERVICE_WORKERS = 2
 SEEDS = 8
 CHUNK_EVALUATIONS = 4
 #: Per-shard budgets of the heterogeneous sweep: two stragglers in front
@@ -132,12 +133,16 @@ def hetero_sweeps():
 
 
 @pytest.fixture(scope="module")
-def tcp_sweep():
-    """The heterogeneous sweep served over loopback TCP to 2 workers."""
-    return run_campaigns(_hetero_specs(), workers=TCP_WORKERS,
-                         config=SweepConfig(
-                             transport="tcp",
-                             chunk_evaluations=CHUNK_EVALUATIONS))
+def service_sweep():
+    """The heterogeneous sweep as one ephemeral service job, served over
+    loopback TCP to 2 worker threads.  A job report carries no wall
+    time, so the fixture measures the whole call."""
+    started = time.perf_counter()
+    report = run_service_sweep(
+        _hetero_specs(), SweepConfig(chunk_evaluations=CHUNK_EVALUATIONS),
+        workers=SERVICE_WORKERS)
+    report.wall_seconds = time.perf_counter() - started
+    return report
 
 
 #: Serialization-benchmark loop count: enough repetitions that the
@@ -293,16 +298,18 @@ def test_heterogeneous_schedulers_match_serial(hetero_sweeps):
     assert serial.coverage.global_counts == stealing.coverage.global_counts
 
 
-def test_loopback_tcp_matches_serial(hetero_sweeps, tcp_sweep, capsys):
+def test_loopback_service_matches_serial(hetero_sweeps, service_sweep,
+                                         capsys):
     """Cross-host sharding over loopback TCP: still bit-identical."""
     serial, _ = hetero_sweeps
-    assert _outcomes(serial) == _outcomes(tcp_sweep)
-    assert serial.coverage.global_counts == tcp_sweep.coverage.global_counts
+    assert _outcomes(serial) == _outcomes(service_sweep)
+    assert (serial.coverage.global_counts
+            == service_sweep.coverage.global_counts)
     with capsys.disabled():
         print()
-        print("loopback tcp: "
-              + format_speedup(serial.wall_seconds, tcp_sweep.wall_seconds,
-                               TCP_WORKERS))
+        print("loopback service: "
+              + format_speedup(serial.wall_seconds,
+                               service_sweep.wall_seconds, SERVICE_WORKERS))
 
 
 def test_parallel_speedup(sweeps, benchmark, capsys):
@@ -398,7 +405,7 @@ def test_single_serialization_beats_double(serialization_costs, benchmark,
             f"{costs}")
 
 
-def test_bench_json_artifact(sweeps, hetero_sweeps, tcp_sweep,
+def test_bench_json_artifact(sweeps, hetero_sweeps, service_sweep,
                              serialization_costs, memo_sweeps,
                              replay_sweeps):
     """Dump the measured numbers for CI's BENCH_parallel.json artifact."""
@@ -472,15 +479,15 @@ def test_bench_json_artifact(sweeps, hetero_sweeps, tcp_sweep,
             "memo_hits": replay_memo.verdict_cache["hits"],
         },
         "distributed": {
-            # Same heterogeneous sweep served over loopback TCP: the
-            # cross-host transport's overhead trajectory (framing,
-            # heartbeats, worker-process startup) tracked per commit.
-            "transport": "tcp",
-            "tcp_workers": TCP_WORKERS,
-            "shards": len(tcp_sweep.shards),
+            # Same heterogeneous sweep as one ephemeral service job over
+            # loopback TCP: the worker plane's overhead trajectory
+            # (framing, heartbeats, store commits) tracked per commit.
+            "entry_point": "run_service_sweep",
+            "service_workers": SERVICE_WORKERS,
+            "shards": len(service_sweep.shards),
             "chunk_evaluations": CHUNK_EVALUATIONS,
             "serial_seconds": hetero_serial.wall_seconds,
-            "loopback_tcp_seconds": tcp_sweep.wall_seconds,
+            "loopback_service_seconds": service_sweep.wall_seconds,
         },
     }
     with open(path, "w", encoding="utf-8") as handle:

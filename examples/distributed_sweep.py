@@ -1,30 +1,35 @@
 #!/usr/bin/env python3
-"""Distributed campaign sharding: a Table-4 sweep over loopback TCP.
+"""Distributed campaign sharding: a Table-4 sweep on a service over loopback.
 
-This example runs the same heterogeneous campaign matrix three times:
+Every sweep on TCP workers is one job on a verification service.  This
+example runs the same heterogeneous campaign matrix three times:
 
 1. serially (``workers=1``), the reproducible reference;
-2. over the TCP transport with ``workers=2``: the sweep runs as one job
-   on an ephemeral verification service hosted by this process, and two
-   ``service worker`` processes are spawned against it on loopback;
-3. the multi-host layout on one machine: ``workers=0`` (this process
-   spawns nobody), a fixed coordinator address, and three independently
-   started ``service worker`` processes that connect to it — one of
-   which is SIGKILLed after the first shard lands.  The service
-   re-queues whatever chunk it held and the sweep still completes with
+2. in one call, :func:`~repro.harness.service.run_service_sweep`: an
+   ephemeral in-process service served to two worker threads;
+3. the multi-host layout on one machine: a ``VerificationService``
+   bound to a fixed loopback address, and three independently started
+   ``service worker`` processes that connect to it — one of which is
+   SIGKILLed after the first shard lands.  The service re-queues
+   whatever chunk it held and the job still completes with
    bit-identical results.
 
-For a real multi-host run, use the same two pieces on separate hosts:
+For a real multi-host run, use the same pieces on separate hosts:
 
-    coordinator host:  run_campaigns(specs, workers=0, config=SweepConfig(
-                           transport="tcp", coordinator="0.0.0.0:7777"))
-    each worker host:  python -m repro.harness.service worker \
-                           --connect coordinator-host:7777
+    service host:     python -m repro.harness.service serve \
+                          --store sweeps.sqlite --bind 0.0.0.0:7777 \
+                          --http-bind 127.0.0.1:7778
+    each worker host: python -m repro.harness.service worker \
+                          --connect service-host:7777
+    client:           python -m repro.harness.service submit \
+                          --url service-host:7778 ...
 
 Run with:  python examples/distributed_sweep.py
 """
 
+import os
 import socket
+import tempfile
 from dataclasses import replace
 
 from repro.core.campaign import GeneratorKind
@@ -33,7 +38,9 @@ from repro.harness.distributed import format_address, reap_workers
 from repro.harness.parallel import (SweepConfig, campaign_matrix,
                                     run_campaigns)
 from repro.harness.reporting import format_sweep_report
-from repro.harness.service import spawn_service_workers
+from repro.harness.service import (VerificationService, run_service_sweep,
+                                   spawn_service_workers)
+from repro.harness.store import JOB_DONE, JOB_RUNNING
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
@@ -69,37 +76,46 @@ def free_loopback_address() -> tuple[str, int]:
 
 def main() -> None:
     specs = build_specs()
+    config = SweepConfig(chunk_evaluations=4)
 
     print(f"== serial reference ({len(specs)} shards) ==")
     serial = run_campaigns(specs, workers=1)
     print(format_sweep_report(serial, title="Serial sweep"))
 
-    print("\n== same sweep over loopback TCP (2 spawned workers) ==")
-    config = SweepConfig(transport="tcp", chunk_evaluations=4)
-    tcp = run_campaigns(specs, workers=2, config=config)
-    print(format_sweep_report(tcp, title="Distributed sweep"))
-    assert outcomes(tcp) == outcomes(serial), "determinism violated!"
-    print("distributed outcomes are bit-identical to the serial run")
+    print("\n== same sweep on an ephemeral service (2 worker threads) ==")
+    ephemeral = run_service_sweep(specs, config, workers=2)
+    print(format_sweep_report(ephemeral, title="Service sweep"))
+    assert outcomes(ephemeral) == outcomes(serial), "determinism violated!"
+    print("service outcomes are bit-identical to the serial run")
 
     address = free_loopback_address()
     print(f"\n== external workers on {format_address(address)}; "
           "one is killed mid-sweep ==")
-    # Workers may start before the coordinator binds: their connect
-    # retry carries them through until run_campaigns starts listening.
+    # Workers may start before the service binds: their connect retry
+    # carries them through until it listens.
     workers = spawn_service_workers(address, 3, name_prefix="host")
-
-    def kill_one(_shard) -> None:
-        if workers[-1].poll() is None:
+    with tempfile.TemporaryDirectory(prefix="mcversi-example-") as store:
+        service = VerificationService(os.path.join(store, "sweep.sqlite"),
+                                      bind=address, lease_timeout=20.0,
+                                      start_http=False)
+        try:
+            job_id = service.submit_job(specs, config)
+            status = service.wait_job(job_id, timeout=0)
+            while status["state"] == JOB_RUNNING and not status["completed"]:
+                status = service.wait_job(job_id, timeout=0.2)
             workers[-1].kill()
-
-    try:
-        external = run_campaigns(
-            specs, workers=0,
-            config=replace(config, lease_timeout=20.0,
-                           coordinator=format_address(address)),
-            on_result=kill_one, progress=True)
-    finally:
-        reap_workers(workers)
+            print(f"host-2 SIGKILLed after {status['completed']} "
+                  f"shard(s) landed")
+            status = service.wait_job(job_id, timeout=300.0)
+            assert status["state"] == JOB_DONE, status
+            external = service.job_report(job_id)
+            requeues = service.stats.total_requeues
+            chunks = dict(sorted(service.stats.chunks_by_worker.items()))
+        finally:
+            service.close()
+            reap_workers(workers)
+    print(format_sweep_report(external, title="External-worker sweep"))
+    print(f"chunks per worker: {chunks}; chunks re-queued: {requeues}")
     assert outcomes(external) == outcomes(serial), "determinism violated!"
     print("host-2 was SIGKILLed; results are still bit-identical")
 

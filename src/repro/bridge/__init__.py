@@ -5,8 +5,8 @@ simulator.  External traces — from a gem5 run, another simulator, or a
 previous campaign's export — are parsed into the same
 ``(threads, trace)`` objects the checker consumes, then sharded through
 the existing parallel campaign orchestrator as a *replay* campaign:
-checkpoint/resume, chunking, verdict memoization and both
-transports all apply unchanged.
+checkpoint/resume, chunking, verdict memoization and the
+verification service all apply unchanged.
 
 Layers:
 

@@ -67,7 +67,6 @@ def _check_main(args: argparse.Namespace) -> int:
                                          format_sweep_report)
 
     config = SweepConfig(chunk_evaluations=args.chunk_evaluations,
-                         transport=args.transport,
                          verdict_memo=args.verdict_memo)
     report = run_replay_sweep(
         args.corpus, shard_traces=args.shard_traces,
@@ -144,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--base-seed", type=int, default=1)
     check.add_argument("--chunk-evaluations", type=int, default=None,
                        help="pause/resume shards every N traces")
-    check.add_argument("--transport", choices=("local", "tcp"),
-                       default="local")
     check.add_argument("--verdict-memo", action="store_true",
                        help="memoize verdicts sweep-wide by exact "
                             "execution graph")

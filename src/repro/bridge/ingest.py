@@ -287,7 +287,7 @@ def scan_corpus(directory: str) -> list[str]:
 
     Sorted order is the corpus's canonical trace order: replay shards
     slice it contiguously, so sharding is identical for any worker
-    count or transport.  Only :data:`CORPUS_EXTENSIONS` files are
+    count or service.  Only :data:`CORPUS_EXTENSIONS` files are
     returned; subdirectories are not descended into.
     """
     if not os.path.isdir(directory):

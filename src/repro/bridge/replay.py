@@ -7,8 +7,8 @@ trace file and checks it against the memory model.  Because it exposes
 the same ``run_chunk``/checkpoint/restore surface as
 :class:`repro.core.campaign.Campaign`, every piece of the existing
 orchestration — the chunked work-stealing scheduler, checkpoint/resume,
-sweep-wide verdict memoization, and both
-transports (multiprocessing pool and TCP coordinator) — drives replay
+sweep-wide verdict memoization, the multiprocessing pool and the
+verification service (``service submit --replay-corpus``) — drives replay
 shards unchanged.
 
 Unlike generator campaigns, a replay shard never stops at the first
@@ -335,7 +335,7 @@ def replay_specs(corpus: "str | list[str]",
     Traces are grouped contiguously in canonical (sorted) order,
     ``shard_traces`` per shard, so the shard matrix — like a generator
     campaign matrix — is a pure function of its inputs and identical
-    for any worker count, scheduler or transport.  The placeholder
+    for any worker count or service.  The placeholder
     generator/system configs exist only because ``CampaignSpec``
     requires them (reporting reads memory size/protocol off them);
     replay never simulates.

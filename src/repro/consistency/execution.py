@@ -612,8 +612,9 @@ def _graph_from_relations(execution: CandidateExecution) -> ExecutionGraph:
     a hand-built execution and a trace-built one of the same graph get
     equal forms.  rf sources come from ``rf``, coherence successors from
     ``co`` and chain positions from ``co_chains``.  Relations may point
-    rf or co into an init write, or leave a read without a source, which
-    no trace builds; such a graph's cycle checks range over every node.
+    rf or co into an init write, which no trace builds; such a graph's
+    cycle checks range over every node.  A read without an rf source is
+    refused, as is one with two.
     """
     program_order = execution.program_order
     pids: list[int] = []
@@ -653,6 +654,10 @@ def _graph_from_relations(execution: CandidateExecution) -> ExecutionGraph:
         if rf_source[read] >= 0:
             raise ValueError(f"read {nodes[read].eid} has two rf sources")
         rf_source[read] = source
+    reads = [node for node in range(program_size) if nodes[node].is_read]
+    for read in reads:
+        if rf_source[read] < 0:
+            raise ValueError(f"read {nodes[read].eid} has no rf source")
     co_next = [-1] * size
     for write, later in co_pairs:
         if co_next[write] >= 0:
@@ -667,10 +672,7 @@ def _graph_from_relations(execution: CandidateExecution) -> ExecutionGraph:
             if nodes[node].address == location:
                 co_position[node] = position
         co_chains[location] = ids
-    reads = [node for node in range(program_size) if nodes[node].is_read]
-    closed = (all(rf_source[read] >= 0 for read in reads)
-              and all(target < program_size
-                      for _, target in rf_pairs + co_pairs))
+    closed = all(target < program_size for _, target in rf_pairs + co_pairs)
     writes_by_op = {event.eid[0]: node for node, event in enumerate(program)
                     if event.is_write and event.is_atomic}
     rmw_pairs = [(node, writes_by_op[event.eid[0]])

@@ -172,9 +172,7 @@ WIRE_FIELDS: dict[str, tuple[str, ...]] = {
         "wall_seconds", "detail", "total_coverage", "ndt_history",
         "mean_ndt_final", "sim_seconds", "check_seconds", "stats"),
     "CoverageCollector": ("strings", "counted", "counts", "known", "run"),
-    "SweepConfig": (
-        "chunk_evaluations", "verdict_memo", "transport", "coordinator",
-        "lease_timeout", "max_frame_bytes"),
+    "SweepConfig": ("chunk_evaluations", "verdict_memo"),
 }
 
 #: Enums admitted to the wire (encoded by value).

@@ -1,10 +1,10 @@
 """Wire framing and shared plumbing for the TCP worker plane.
 
 The verification service (:mod:`repro.harness.service`) is the one TCP
-coordinator: ``transport="tcp"`` sweeps run as one job on an ephemeral
-service, and long-lived deployments run ``python -m
-repro.harness.service serve``.  This module holds the pieces below the
-service protocol:
+coordinator: every sweep on TCP workers is a job on a service, a
+long-lived ``python -m repro.harness.service serve`` or the ephemeral
+one :func:`~repro.harness.service.run_service_sweep` hosts.  This module
+holds the pieces below the service protocol:
 
 * length-prefixed framing (:func:`send_raw_frame` /
   :func:`recv_raw_frame`): an 8-byte big-endian payload length followed
@@ -51,7 +51,6 @@ MAX_CHUNK_REQUEUES = 5
 #: ``--connect-retries``): default backoff seed and its upper clamp.
 DEFAULT_CONNECT_BACKOFF = 0.5
 MAX_CONNECT_BACKOFF = 5.0
-
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +242,6 @@ def format_address(address: tuple[str, int]) -> str:
 class CoordinatorStats:
     """Per-worker counters the service maintains under its lock."""
 
-    #: completed *shards* per worker name (per-host progress).
-    completed_by_worker: Counter = field(default_factory=Counter)
     #: completed *chunks* per worker name (includes paused chunks).
     chunks_by_worker: Counter = field(default_factory=Counter)
     #: fault-tolerance re-queues per shard index (lease expiry or
@@ -255,21 +252,10 @@ class CoordinatorStats:
     stale_results: int = 0
     disconnects: int = 0
     workers_seen: set = field(default_factory=set)
-    #: evaluations completed per worker name (from chunk telemetry).
-    evaluations_by_worker: Counter = field(default_factory=Counter)
-    #: worker-side wall-clock seconds spent computing, per worker name.
-    busy_seconds_by_worker: dict = field(default_factory=dict)
 
     @property
     def total_requeues(self) -> int:
         return sum(self.requeues.values())
-
-    def evals_per_second(self, worker: str) -> float | None:
-        """The worker's measured throughput over every chunk it reported."""
-        busy = self.busy_seconds_by_worker.get(worker, 0.0)
-        if busy <= 0.0:
-            return None
-        return self.evaluations_by_worker[worker] / busy
 
 
 @dataclass

@@ -39,11 +39,11 @@ class ExperimentSettings:
     reproduces the ``workers=1`` results exactly.
 
     ``service`` routes the matrix through a running *verification
-    service* instead of any local transport: set it to the service's
+    service* instead of the local pool: set it to the service's
     job-API address (``"host:port"``) and :meth:`run_matrix` submits the
     matrix as a job via :class:`repro.harness.service.ServiceClient`
     (``service_token`` authenticates when the service requires it).
-    Per-shard results are bit-identical to every other transport; the
+    Per-shard results are bit-identical to a local run; the
     sweep additionally survives service restarts (the durable store).
     """
 

@@ -35,8 +35,8 @@ Every shard is a fully self-contained :class:`CampaignSpec` whose seed is
 fixed *before* any worker runs: seeds derive from the shard's position in
 the matrix (:func:`derive_shard_seed`), never from the worker that happens
 to execute it, and campaign checkpoints capture *all* cross-evaluation
-state.  Worker count, transport and chunk size therefore only change
-wall-clock time; ``workers=N`` produces bit-identical per-shard
+state.  Worker count, service placement and chunk size therefore only
+change wall-clock time; ``workers=N`` produces bit-identical per-shard
 ``found``/``evaluations_to_find`` results to ``workers=1``, and
 ``workers=1`` runs fully in-process (no pool, no pickling) so
 single-process debugging stays trivial.
@@ -45,25 +45,25 @@ Coverage is collected per shard and folded back together on the host via
 :meth:`repro.sim.coverage.CoverageCollector.merge`, so aggregate coverage
 reports see the union of all shards' observations.
 
-Transports
-----------
-The work-stealing scheduler is split into a transport-agnostic core and
-two transports.  :class:`ChunkScheduler` is the task source / result sink:
-it hands out :class:`ChunkTask` units, folds :class:`ChunkOutcome`\\ s back
-in (re-queuing paused chunks) and decides when the sweep is drained.  The
-in-process ``transport="local"`` drives it over :mod:`multiprocessing`
-queues; ``transport="tcp"`` (see :mod:`repro.harness.service`) serves
-the *same* scheduler to remote workers as one job on an ephemeral
-verification service, with per-worker leases and fault-tolerant chunk
-re-queue, so a sweep can shard across hosts without touching the
-determinism contract.
+Scheduling core
+---------------
+:class:`ChunkScheduler` is the task source / result sink of one sweep:
+it hands out :class:`ChunkTask` units, folds :class:`ChunkOutcome`\\ s
+back in (re-queuing paused chunks) and decides when the sweep is
+drained.  The work-stealing pool drives it over :mod:`multiprocessing`
+queues; the verification service (:mod:`repro.harness.service`) serves
+the *same* scheduler to TCP workers as one job, with per-worker leases
+and fault-tolerant chunk re-queue, so a sweep shards across hosts
+without touching the determinism contract.  A multi-host sweep is a
+service job (``serve`` + ``worker --connect`` + ``submit``), and
+:func:`repro.harness.service.run_service_sweep` runs one in-process.
 
 Single-serialization checkpoint transport
 -----------------------------------------
 A paused chunk's resume checkpoint is pickled exactly once, on the
 worker that paused it: the worker's ``pickle.dumps`` both measures the
 telemetry (``checkpoint_bytes``/``checkpoint_seconds``) *and* becomes
-the transport payload, carried as a :class:`ChunkPayload` (opaque
+the wire payload, carried as a :class:`ChunkPayload` (opaque
 ``bytes``) on the :class:`ChunkOutcome`.  The multiprocessing queue and
 the TCP framing forward those bytes verbatim — pickling a ``bytes``
 field is a length-prefixed copy, not an object-graph traversal — and
@@ -77,8 +77,8 @@ time, evaluations completed, checkpoint-serialization cost) on its
 :class:`ChunkOutcome`; the scheduler sums them into the live telemetry
 shown by :mod:`repro.harness.reporting`.  Chunk size is fixed per sweep
 (``chunk_evaluations``) and only moves the *pause points* of a campaign,
-so it never changes a result.  A checkpoint too large for a transport's
-``max_frame_bytes`` aborts the sweep with ``FrameTooLargeError``.
+so it never changes a result.  A checkpoint too large for the
+service's ``max_frame_bytes`` fails the job with ``FrameTooLargeError``.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def run_shard_chunk(spec: CampaignSpec,
 
 
 # ----------------------------------------------------------------------
-# Transport-agnostic scheduling core (task source / result sink)
+# Scheduling core (task source / result sink)
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ class ChunkTelemetry:
     """Per-chunk cost measurements, taken on the worker that ran the chunk.
 
     Attached to every successful :class:`ChunkOutcome` so the scheduling
-    side (the in-process pool and the TCP coordinator alike) can see what
+    side (the in-process pool and the service alike) can see what
     each chunk actually cost: how many evaluations it completed, how long
     they took on the worker's wall clock, and what pausing cost on top
     (serializing the resume checkpoint).  The :class:`ChunkScheduler`
@@ -368,10 +368,10 @@ def execute_chunk_task(task: ChunkTask,
                        ) -> ChunkOutcome:
     """Run one :class:`ChunkTask` in the current process (worker side).
 
-    Shared by every transport: the multiprocessing worker loop and the TCP
-    worker client both funnel their tasks through here, so worker behaviour
-    is identical whatever carried the task.  A pause serializes the resume
-    checkpoint exactly once, into the outcome's :class:`ChunkPayload`
+    Shared by every worker: the multiprocessing worker loop and the
+    service worker client both funnel their tasks through here, so
+    worker behaviour is identical whatever carried the task.  A pause
+    serializes the resume checkpoint exactly once, into the outcome's :class:`ChunkPayload`
     (also the source of the telemetry's checkpoint cost); failures are
     stringified so they cross process/host boundaries without needing the
     exception itself to be picklable.
@@ -423,7 +423,7 @@ def _telemetry_view(total_evaluations: int,
     aggregate rate, when checkpoints actually crossed a transport the
     serialized checkpoint bytes, and — with memoization on — the
     sweep-wide verdict-cache view under ``"verdict_cache"``, so the
-    serial, pooled and TCP paths can never drift apart.
+    serial and pooled paths can never drift apart.
     """
     view: dict[str, object] = {}
     if total_seconds > 0.0:
@@ -458,10 +458,10 @@ def _cache_counters_view(entries: int, hits: int, misses: int,
             "cache_failed_refreshes", "cache_evictions",
             "cache_seconds_saved")
 class ChunkScheduler:
-    """The transport-agnostic task source / result sink of one sweep.
+    """The task source / result sink of one sweep.
 
-    Owns the chunked task queue the work-stealing scheduler and the TCP
-    coordinator both drain: :meth:`next_task` hands out the next
+    Owns the chunked task queue the work-stealing pool and the
+    verification service both drain: :meth:`next_task` hands out the next
     :class:`ChunkTask` (task-source side), :meth:`record` folds a
     :class:`ChunkOutcome` back in (result-sink side) — re-queuing paused
     chunks at the tail and returning completed shards — and
@@ -483,15 +483,14 @@ class ChunkScheduler:
 
     Every task, first chunk or continuation, pauses after
     ``chunk_evaluations`` evaluations (``None``: never), whichever
-    transport carries it.
+    worker runs it.
 
-    Thread-safe: the TCP coordinator and the verification service drive
-    it from many connection threads, so every queue/bookkeeping access
-    goes through ``_lock`` (a :class:`~repro.locking.TracedLock`;
-    acquired after the service/coordinator lock and before the
-    verdict-cache lock in the sanctioned hierarchy).  The
-    single-threaded multiprocessing transport pays one uncontended
-    acquire per call.
+    Thread-safe: the verification service drives it from many
+    connection threads, so every queue/bookkeeping access goes through
+    ``_lock`` (a :class:`~repro.locking.TracedLock`; acquired after the
+    service lock and before the verdict-cache lock in the sanctioned
+    hierarchy).  The single-threaded multiprocessing pool pays one
+    uncontended acquire per call.
     """
 
     def __init__(self, specs: list[CampaignSpec],
@@ -507,7 +506,7 @@ class ChunkScheduler:
         #: benefits from what every other worker already checked.
         self.verdict_cache = VerdictCache() if verdict_memo else None
         #: Byte budget for one pickled cache shipment (``None``: uncapped;
-        #: the TCP coordinator sets a fraction of ``max_frame_bytes``).
+        #: the service sets a fraction of its ``max_frame_bytes``).
         #: Over-budget shipments drop oldest entries until they fit —
         #: a trimmed shipment only costs re-checks on the worker.
         self.max_cache_bytes = max_cache_bytes
@@ -758,27 +757,23 @@ class ChunkScheduler:
                 self.verdict_cache.merge(cache_state)
 
 
-#: A verdict-cache shipment is capped at this fraction of a transport's
+#: A verdict-cache shipment is capped at this fraction of the service's
 #: ``max_frame_bytes``: the task frame carries the spec and the resume
 #: checkpoint on top of it.
 CHECKPOINT_FRAME_FRACTION = 4
 
 
 def build_chunk_scheduler(specs: list[CampaignSpec], config: SweepConfig,
-                          default_max_frame_bytes: int | None = None
+                          max_frame_bytes: int | None = None
                           ) -> ChunkScheduler:
     """Build the :class:`ChunkScheduler` a :class:`SweepConfig` describes.
 
     The single mapping point for the verification service
     (:mod:`repro.harness.service`), which runs every TCP sweep: the
-    cache-shipment byte cap is derived from the frame cap
-    (``config.max_frame_bytes``, falling back to
-    ``default_max_frame_bytes`` — the service's cap), so a sweep
-    recovered from a durable store re-derives the identical scheduler.
+    cache-shipment byte cap is derived from the service's frame cap
+    (``max_frame_bytes``; ``None``: uncapped), so a sweep recovered from
+    a durable store re-derives the identical scheduler.
     """
-    max_frame_bytes = config.max_frame_bytes
-    if max_frame_bytes is None:
-        max_frame_bytes = default_max_frame_bytes
     max_cache_bytes = (max(1, max_frame_bytes // CHECKPOINT_FRAME_FRACTION)
                        if max_frame_bytes is not None else None)
     return ChunkScheduler(specs, config.chunk_evaluations,
@@ -1054,11 +1049,6 @@ def default_workers() -> int:
     return min(value, cpus)
 
 
-TRANSPORT_LOCAL = "local"
-TRANSPORT_TCP = "tcp"
-TRANSPORTS = (TRANSPORT_LOCAL, TRANSPORT_TCP)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """How a sweep runs: every shared orchestration knob, in one place.
@@ -1079,48 +1069,25 @@ class SweepConfig:
     are memoized by exact execution graph in a sweep-wide
     :class:`~repro.consistency.memo.VerdictCache` (shared in-process on
     the serial path; folded from per-chunk deltas and re-shipped on
-    dispatch on the pooled and tcp paths).  The report's
+    dispatch on the pooled and service paths).  The report's
     ``verdict_cache`` field records the hit-rate and checker-seconds
     saved.
 
-    ``transport="tcp"`` serves the chunked task queue to TCP workers
-    instead of a local multiprocessing pool: the sweep runs as one job
-    on an ephemeral verification service the calling process hosts,
-    bound to ``coordinator`` (a ``(host, port)`` pair or ``"host:port"``
-    string, loopback-ephemeral by default).  Chunks held by dead or
-    stalled workers are re-queued after ``lease_timeout`` seconds, and
-    ``max_frame_bytes`` caps one wire frame.  See
-    :func:`repro.harness.service.iter_service_sweep`.  ``coordinator``
-    and ``max_frame_bytes`` require tcp; a service job ignores
-    ``transport`` (the service is the transport).
+    Where a sweep runs is not a config field: a sweep on TCP workers is
+    a job on a verification service, whose ``serve`` flags set the bind
+    address, lease timeout and frame cap (see
+    :mod:`repro.harness.service`).
     """
 
     chunk_evaluations: int | None = None
     verdict_memo: bool = False
-    transport: str = TRANSPORT_LOCAL
-    coordinator: object = None
-    lease_timeout: float = 30.0
-    max_frame_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {self.transport!r}; "
-                             f"expected one of {TRANSPORTS}")
         if self.chunk_evaluations is not None and self.chunk_evaluations < 1:
             raise ValueError("chunk_evaluations must be at least 1")
 
     def to_json_dict(self) -> dict:
-        """A JSON-portable image of this config (service job API).
-
-        Every field is already a JSON scalar except ``coordinator``,
-        which must be ``None`` or a ``"host:port"`` string here — a
-        ``(host, port)`` tuple caller should format it first.
-        """
-        if self.coordinator is not None \
-                and not isinstance(self.coordinator, str):
-            raise ValueError(
-                "only None or a 'host:port' string coordinator is "
-                f"JSON-portable, got {self.coordinator!r}")
+        """A JSON-portable image of this config (service job API)."""
         return asdict(self)
 
     @classmethod
@@ -1265,7 +1232,6 @@ def _iter_work_stealing(specs: list[CampaignSpec], workers: int,
 
 def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
                    config: SweepConfig | None = None,
-                   hosts_out: dict | None = None,
                    telemetry_out: dict | None = None
                    ) -> Iterator[tuple[int, ShardResult]]:
     """Stream ``(shard_index, ShardResult)`` pairs as shards complete.
@@ -1277,31 +1243,13 @@ def iter_campaigns(specs: list[CampaignSpec], workers: int = 1,
     is first advanced.
 
     ``config`` describes the sweep (see :class:`SweepConfig`; ``None``
-    means ``SweepConfig()``).  ``workers`` and the ``*_out`` mappings
-    are per-call arguments: they describe this
-    process's resources, not the sweep.  On the tcp transport
-    ``workers`` local ``service worker`` processes are spawned against
-    the ephemeral service (``workers=0``: none — remote workers connect
-    on their own).  ``telemetry_out`` (any mutable mapping) is updated in
-    place with live telemetry — sweep-wide throughput and checkpoint
-    bytes moved, plus per-host rates on the tcp transport — for progress
-    displays.
+    means ``SweepConfig()``).  ``workers`` and ``telemetry_out`` are
+    per-call arguments: they describe this process's resources, not the
+    sweep.  ``telemetry_out`` (any mutable mapping) is updated in place
+    with live telemetry — sweep-wide throughput and checkpoint bytes
+    moved — for progress displays.
     """
     config = config if config is not None else SweepConfig()
-    if config.transport == TRANSPORT_TCP:
-        if workers < 0:
-            raise ValueError("workers must be at least 0 for the tcp "
-                             "transport (0: external workers only)")
-        from repro.harness.service import iter_service_sweep
-
-        return iter_service_sweep(specs, config, workers=workers,
-                                  hosts_out=hosts_out,
-                                  telemetry_out=telemetry_out)
-    if config.coordinator is not None:
-        raise ValueError("coordinator requires transport='tcp'")
-    if config.max_frame_bytes is not None:
-        raise ValueError("max_frame_bytes bounds tcp transport frames; "
-                         "it requires transport='tcp'")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if workers == 1 or len(specs) <= 1:
@@ -1382,17 +1330,14 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
     ``on_result`` is invoked on the host with each :class:`ShardResult` in
     completion order, while other shards are still running; ``progress=True``
     additionally maintains a live one-line progress display (stderr by
-    default) including per-host completion counts on the tcp transport and
-    live telemetry (sweep-wide evaluations/second and checkpoint bytes)
-    when chunking is enabled.  The returned report always lists shards in
+    default) including live telemetry (sweep-wide evaluations/second
+    and checkpoint bytes) when chunking is enabled.  The returned report always lists shards in
     matrix order, so downstream tables are independent of completion order.
     """
     config = config if config is not None else SweepConfig()
     started = time.perf_counter()
     accumulator = SweepAccumulator(total=len(specs), workers=workers)
     printer = None
-    hosts: dict[str, int] | None = (
-        {} if config.transport == TRANSPORT_TCP and progress else None)
     telemetry: dict | None = (
         {} if (progress and config.chunk_evaluations is not None)
         or config.verdict_memo else None)
@@ -1402,7 +1347,6 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
         printer = ProgressPrinter(total=len(specs), stream=progress_stream)
     for index, shard in iter_campaigns(specs, workers=workers,
                                        config=config,
-                                       hosts_out=hosts,
                                        telemetry_out=telemetry):
         accumulator.add(index, shard)
         if on_result is not None:
@@ -1411,7 +1355,7 @@ def run_campaigns(specs: list[CampaignSpec], workers: int = 1,
             printer.update(completed=accumulator.completed,
                            found=accumulator.found_count,
                            elapsed_seconds=accumulator.elapsed_seconds,
-                           hosts=hosts, telemetry=telemetry)
+                           telemetry=telemetry)
     if printer is not None:
         printer.finish()
     report = accumulator.finalize(time.perf_counter() - started)

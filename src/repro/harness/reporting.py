@@ -84,16 +84,6 @@ def format_replay_report(report: "SweepReport",
     return f"{table}\n{footer}"
 
 
-def format_host_progress(hosts: dict[str, int]) -> str:
-    """Per-host completion counts of a tcp sweep, stable order.
-
-    Takes an atomic (C-level) snapshot before iterating, so a caller may
-    pass a mapping another thread is still updating.
-    """
-    return " ".join(f"{host}={count}"
-                    for host, count in sorted(hosts.copy().items()))
-
-
 def format_bytes(count: float) -> str:
     """Human-readable byte count (``"1.5MiB"``), for telemetry suffixes."""
     for unit in ("B", "KiB", "MiB", "GiB"):
@@ -114,10 +104,9 @@ def format_telemetry(telemetry: dict) -> str:
     sweep-wide ``"evals_per_second"`` aggregate, an optional
     ``"checkpoint"`` aggregate (serialized checkpoint bytes moved), an
     optional ``"verdict_cache"`` aggregate (collective-checking
-    hit/miss counters and the checker seconds memoization saved), and —
-    on the tcp transport — a ``"hosts"`` mapping of worker name to
-    measured evaluations/second.  Snapshot-copied before
-    iterating, so another thread may keep updating it.
+    hit/miss counters and the checker seconds memoization saved).
+    Snapshot-copied before iterating, so another thread may keep
+    updating it.
     """
     telemetry = dict(telemetry)
     parts: list[str] = []
@@ -135,28 +124,20 @@ def format_telemetry(telemetry: dict) -> str:
         saved_seconds = cache.get("seconds_saved", 0.0)
         if saved_seconds:
             parts.append(f"check_saved={saved_seconds:.1f}s")
-    hosts = telemetry.get("hosts") or {}
-    for host, host_rate in sorted(dict(hosts).items()):
-        parts.append(f"{host}={host_rate:g}/s")
     return " ".join(parts)
 
 
 def format_progress_line(completed: int, total: int, found: int,
                          elapsed_seconds: float,
-                         hosts: dict[str, int] | None = None,
                          telemetry: dict | None = None) -> str:
     """One-line sweep progress: shards done, bugs found, elapsed time.
 
-    ``hosts`` (worker name -> completed shards, maintained by the tcp
-    transport) appends per-host progress for tcp sweeps;
     ``telemetry`` (see :func:`format_telemetry`) appends live sweep-wide
-    throughput, checkpoint bytes and per-host evaluation rates.
+    throughput, checkpoint bytes and verdict-memo counters.
     """
     percent = completed / total if total else 1.0
     line = (f"[{completed}/{total} shards, {percent:.0%}] "
             f"bugs_found={found} elapsed={elapsed_seconds:.1f}s")
-    if hosts:
-        line += f" hosts: {format_host_progress(hosts)}"
     if telemetry:
         suffix = format_telemetry(telemetry)
         if suffix:
@@ -180,11 +161,9 @@ class ProgressPrinter:
 
     def update(self, completed: int, found: int,
                elapsed_seconds: float,
-               hosts: dict[str, int] | None = None,
                telemetry: dict | None = None) -> None:
         line = format_progress_line(completed, self.total, found,
-                                    elapsed_seconds, hosts=hosts,
-                                    telemetry=telemetry)
+                                    elapsed_seconds, telemetry=telemetry)
         padding = " " * max(0, self._last_width - len(line))
         self._last_width = len(line)
         with contextlib.suppress(OSError, ValueError):  # pragma: no cover

@@ -1,10 +1,12 @@
 """Verification service: the one TCP coordinator, for one sweep or many.
 
-Every TCP sweep runs here.  A ``transport="tcp"`` ``iter_campaigns``
-hands its specs to :func:`iter_service_sweep`, which runs them as one
-job on an ephemeral service (temp-dir store, no HTTP) and spawns local
-``service worker`` processes; a long-lived ``serve`` process runs many
-jobs over one worker pool.  Both are the same :class:`VerificationService`:
+Every sweep on TCP workers runs here, as a job.  A long-lived ``serve``
+process runs many jobs over one worker pool: hosts join with ``worker
+--connect`` and clients ``submit`` matrices (or a replay corpus) over
+HTTP, or set ``ExperimentSettings(service=url)``.
+:func:`run_service_sweep` runs one job on an ephemeral in-process
+service (temp-dir store, no HTTP, worker threads).  Both are the same
+:class:`VerificationService`:
 
 * a **job API** (HTTP): submit a campaign or replay matrix, poll status,
   stream completed-shard results, cancel — multiple concurrent sweeps
@@ -55,7 +57,6 @@ import contextlib
 import hmac
 import http.client
 import json
-import math
 import multiprocessing
 import os
 import secrets
@@ -69,7 +70,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.consistency.memo import VerdictCache
@@ -86,8 +87,8 @@ from repro.harness.distributed import (DEFAULT_CONNECT_BACKOFF,
                                        WorkerStats, _IdleTimeout,
                                        _worker_environment,
                                        connect_with_backoff, format_address,
-                                       parse_address, reap_workers,
-                                       recv_raw_frame, send_raw_frame)
+                                       parse_address, recv_raw_frame,
+                                       send_raw_frame)
 from repro.harness.parallel import (CampaignSpec, ChunkTask, ShardFailure,
                                     ShardResult, SweepAccumulator,
                                     SweepConfig, SweepReport,
@@ -98,7 +99,7 @@ from repro.harness.store import (JOB_CANCELLED, JOB_DONE, JOB_FAILED,
                                  JOB_RUNNING, JOB_STATES, SweepStore)
 
 SERVICE_MAGIC = "mcversi-service"
-SERVICE_VERSION = 5
+SERVICE_VERSION = 6
 
 #: Environment variable naming the shared worker-auth token (the CLI
 #: reads it so tokens never appear in ``ps`` output).
@@ -289,8 +290,7 @@ class VerificationService:
             scheduler = None
             if state == JOB_RUNNING:
                 scheduler = build_chunk_scheduler(
-                    specs, config,
-                    default_max_frame_bytes=self._max_frame_bytes)
+                    specs, config, max_frame_bytes=self._max_frame_bytes)
                 scheduler.restore_progress(
                     completed=results.keys(),
                     checkpoints=self.store.checkpoints(job_id),
@@ -319,7 +319,7 @@ class VerificationService:
         config = config if config is not None else SweepConfig()
         job_id = job_id if job_id is not None else secrets.token_hex(8)
         scheduler = build_chunk_scheduler(
-            specs, config, default_max_frame_bytes=self._max_frame_bytes)
+            specs, config, max_frame_bytes=self._max_frame_bytes)
         with self._lock:
             if job_id in self._jobs:
                 raise ValueError(f"job id {job_id!r} already exists")
@@ -333,20 +333,18 @@ class VerificationService:
     def job_status(self, job_id: str) -> dict:
         return self.wait_job(job_id, timeout=0)
 
-    def wait_job(self, job_id: str, timeout: float | None = None, *,
-                 since: float = math.inf) -> dict:
+    def wait_job(self, job_id: str, timeout: float | None = None) -> dict:
         """Wait for the job to leave ``running``; returns its status.
 
-        Also returns when the service drains or crashes, after ``timeout``
-        seconds (``None``: no bound) and, with ``since``, once the job's
-        completion log grows past that :meth:`job_results` cursor.
+        Also returns when the service drains or crashes and after
+        ``timeout`` seconds (``None``: no bound).
         """
         with self._lock:
             job = self._job(job_id)
             self._changed.wait_for(
                 lambda: (job.state != JOB_RUNNING
-                         or self._draining.is_set() or self._crashed.is_set()
-                         or len(job.completion_log) > since), timeout)
+                         or self._draining.is_set()
+                         or self._crashed.is_set()), timeout)
             return {"job_id": job.job_id, "state": job.state,
                     "total": job.total,
                     "completed": len(job.completion_log),
@@ -389,25 +387,6 @@ class VerificationService:
             for index in job.completion_log:
                 accumulator.add(index, job.results[index])
             return accumulator.finalize()
-
-    def job_progress(self, job_id: str) -> tuple[dict[str, int], dict]:
-        """``(shards completed per worker, live telemetry)`` for progress.
-
-        The telemetry is the job scheduler's snapshot plus each worker's
-        measured evaluations/second under ``"hosts"``.  Worker counters
-        are service-wide, so on the one-job service behind
-        ``transport="tcp"`` they are the job's own.
-        """
-        with self._lock:
-            job = self._job(job_id)
-            hosts = dict(self.stats.completed_by_worker)
-            telemetry = (job.scheduler.telemetry_snapshot()
-                         if job.scheduler is not None else {})
-            telemetry["hosts"] = {
-                worker: round(rate, 2)
-                for worker in sorted(self.stats.workers_seen)
-                if (rate := self.stats.evals_per_second(worker)) is not None}
-        return hosts, telemetry
 
     @requires_lock("_lock")
     def _job(self, job_id: str) -> _ServiceJob:
@@ -799,12 +778,6 @@ class VerificationService:
                 return None
             del self._leases[key]
             self.stats.chunks_by_worker[name] += 1
-            if outcome.telemetry is not None:
-                self.stats.evaluations_by_worker[name] += \
-                    outcome.telemetry.evaluations
-                self.stats.busy_seconds_by_worker[name] = (
-                    self.stats.busy_seconds_by_worker.get(name, 0.0)
-                    + outcome.telemetry.wall_seconds)
             scheduler = job.scheduler
             try:
                 completed = scheduler.record(outcome)
@@ -836,7 +809,6 @@ class VerificationService:
             if shard is not None:
                 job.results[outcome.index] = shard
                 job.completion_log.append(outcome.index)
-                self.stats.completed_by_worker[name] += 1
                 if scheduler.done:
                     self._retire(job, JOB_DONE)
         return None
@@ -1310,8 +1282,7 @@ def run_service_worker(address: object, token: str | None = None,
 
 def spawn_service_workers(address: tuple[str, int], count: int,
                           token: str | None = None,
-                          name_prefix: str = "svc-worker",
-                          extra_args: tuple[str, ...] = ()
+                          name_prefix: str = "svc-worker"
                           ) -> list[subprocess.Popen]:
     """Spawn ``count`` single-process workers against a service.
 
@@ -1327,7 +1298,7 @@ def spawn_service_workers(address: tuple[str, int], count: int,
         command = [sys.executable, "-m", "repro.harness.service", "worker",
                    "--connect", format_address(address),
                    "--workers", "1",
-                   "--name", f"{name_prefix}-{index}", *extra_args]
+                   "--name", f"{name_prefix}-{index}"]
         processes.append(subprocess.Popen(command, env=environment,
                                           stdout=subprocess.DEVNULL))
     return processes
@@ -1357,103 +1328,6 @@ def _start_worker_threads(address: tuple[str, int], count: int,
 _WORKER_CHECK_SECONDS = 0.5
 
 
-def _exit_code(worker: threading.Thread | subprocess.Popen) -> int | None:
-    """A worker's exit code (0 for an ended thread); ``None`` if running."""
-    if isinstance(worker, threading.Thread):
-        return None if worker.is_alive() else 0
-    return worker.poll()
-
-
-def _ephemeral_sweep(specs: list[CampaignSpec], config: SweepConfig,
-                     start_workers: Callable[[tuple[str, int]], list], *,
-                     store_path: str | os.PathLike | None = None,
-                     crash_point: str | None = None, crash_nth: int = 1,
-                     timeout: float = math.inf,
-                     hosts_out: dict | None = None,
-                     telemetry_out: dict | None = None, **service_options):
-    """The one ephemeral-sweep driver, as a generator.
-
-    The first ``next`` binds a private service, submits ``specs`` as one
-    job and yields ``None``: from then on the generator sits inside its
-    clean-up, so closing or dropping it drains the service (kills a
-    crashed one), stops the workers and removes a temp store.  Later
-    advances start the workers (``start_workers(address)`` returns
-    threads or processes), yield completed shards in completion order,
-    restart the service over its store when an armed crash point fires,
-    and return ``(service, job_id)`` once the job is done.
-    """
-    options = dict(service_options, start_http=False)
-    own_dir = None
-    if store_path is None:
-        own_dir = tempfile.mkdtemp(prefix="mcversi-sweep-")
-        store_path = os.path.join(own_dir, "sweep.sqlite")
-    service: VerificationService | None = None
-    workers: list = []
-
-    def stop() -> None:
-        if service is not None:
-            (service.kill if service.crashed else service.close)()
-        for worker in workers:
-            if isinstance(worker, threading.Thread):
-                worker.join(timeout=5.0)
-        reap_workers([worker for worker in workers
-                      if not isinstance(worker, threading.Thread)])
-
-    try:
-        service = VerificationService(store_path, **options)
-        if crash_point is not None:
-            service.arm_crash(crash_point, nth=crash_nth)
-        job_id = service.submit_job(specs, config)
-        yield None
-        deadline = time.monotonic() + timeout
-        seen: set[int] = set()
-        while True:
-            workers = start_workers(service.address)
-            cursor = 0
-            while not service.crashed:
-                # Read before the status: with no spawned worker alive and
-                # no connection open, no result can land after this.
-                lost = (bool(workers) and not service.active_workers
-                        and all(_exit_code(worker) is not None
-                                for worker in workers))
-                status = service.job_status(job_id)
-                cursor, shards = service.job_results(job_id, cursor)
-                shards = [item for item in shards if item[0] not in seen]
-                if shards:
-                    seen.update(index for index, _ in shards)
-                    for out, progress in zip((hosts_out, telemetry_out),
-                                             service.job_progress(job_id)):
-                        if out is not None:
-                            out.update(progress)
-                    yield from shards
-                if status["state"] == JOB_DONE:
-                    return service, job_id
-                if status["state"] != JOB_RUNNING:
-                    raise RuntimeError(f"service sweep {status['state']}: "
-                                       f"{status['error']}")
-                if lost:
-                    codes = sorted({_exit_code(worker) for worker in workers})
-                    raise RuntimeError(
-                        f"all {len(workers)} spawned worker process(es) "
-                        f"exited with code(s) {codes} while "
-                        f"{status['total'] - status['completed']} shard(s) "
-                        "were still pending")
-                wait = min(_WORKER_CHECK_SECONDS, deadline - time.monotonic())
-                if wait <= 0:
-                    raise TimeoutError(
-                        f"service sweep incomplete after {timeout}s")
-                service.wait_job(job_id, wait, since=cursor)
-            # An armed crash point fired: restart over the same store (the
-            # recovery path under test); its rebuilt log restarts at 0.
-            stop()
-            workers = []
-            service = VerificationService(store_path, **options)
-    finally:
-        stop()
-        if own_dir is not None:
-            shutil.rmtree(own_dir, ignore_errors=True)
-
-
 def run_service_sweep(specs: list[CampaignSpec],
                       config: SweepConfig | None = None, *,
                       workers: int = 2,
@@ -1464,71 +1338,72 @@ def run_service_sweep(specs: list[CampaignSpec],
                       timeout: float = 300.0) -> SweepReport:
     """One sweep through an ephemeral service; returns its report.
 
-    The service-transport analogue of
-    :func:`repro.harness.parallel.run_campaigns`, served by ``workers``
-    in-process worker threads — used by the determinism fuzz battery's
-    ``*-durable`` modes.  With ``crash_point`` set, the service is armed
-    to crash in-process (:meth:`arm_crash`) the ``crash_nth`` time that
-    point is reached; the helper then kills it, restarts from the same
-    store and finishes the sweep — so callers can assert crash-resume ≡
-    uninterrupted, bit for bit.
+    The service analogue of
+    :func:`repro.harness.parallel.run_campaigns`: binds a private
+    service on a loopback-ephemeral port (no HTTP; a temp-dir store
+    unless ``store_path`` is given), submits ``specs`` as one job and
+    serves it to ``workers`` in-process worker threads.  A failed job
+    (a shard raised, or a poison chunk exhausted its re-queues), a
+    sweep whose workers have all exited and one still running after
+    ``timeout`` seconds raise.  With ``crash_point`` set, the service is
+    armed to crash in-process (:meth:`VerificationService.arm_crash`)
+    the ``crash_nth`` time that point is reached; the sweep then kills
+    it, restarts a service over the same store and finishes there — so
+    callers can assert crash-resume ≡ uninterrupted, bit for bit.
     """
-    sweep = _ephemeral_sweep(
-        specs, config if config is not None else SweepConfig(),
-        lambda address: _start_worker_threads(address, workers, token),
-        store_path=store_path, token=token, crash_point=crash_point,
-        crash_nth=crash_nth, timeout=timeout)
-    while True:
-        try:
-            next(sweep)
-        except StopIteration as done:
-            service, job_id = done.value
-            return service.job_report(job_id, workers=workers)
+    own_dir = None
+    if store_path is None:
+        own_dir = tempfile.mkdtemp(prefix="mcversi-sweep-")
+        store_path = os.path.join(own_dir, "sweep.sqlite")
+    deadline = time.monotonic() + timeout
+    service: VerificationService | None = None
+    threads: list[threading.Thread] = []
 
+    def stop() -> None:
+        if service is not None:
+            (service.kill if service.crashed else service.close)()
+        for thread in threads:
+            thread.join(timeout=5.0)
 
-def iter_service_sweep(specs: list[CampaignSpec], config: SweepConfig,
-                       workers: int = 1,
-                       hosts_out: dict | None = None,
-                       telemetry_out: dict | None = None
-                       ) -> Iterator[tuple[int, ShardResult]]:
-    """Serve ``specs`` as one job on an ephemeral service over TCP.
-
-    The ``transport="tcp"`` path of
-    :func:`repro.harness.parallel.iter_campaigns`.  The service binds at
-    call time (on ``config.coordinator``, loopback-ephemeral by default)
-    with a temp-dir store and no HTTP, so external
-    ``python -m repro.harness.service worker --connect`` processes may
-    join at once.  ``workers`` local worker processes are spawned on
-    first advance (``workers=0``: external workers only).  Completed
-    shards stream as ``(index, ShardResult)`` in completion order;
-    ``hosts_out`` and ``telemetry_out`` are refreshed in place from
-    :meth:`VerificationService.job_progress` before each batch.
-
-    A failed job (a shard raised, or a poison chunk exhausted its
-    re-queues) raises ``RuntimeError`` with the job's error, and so does
-    a sweep whose spawned workers have all exited while no other worker
-    is connected.  Cleanup closes the service, reaps the workers and
-    removes the store, even if the iterator is closed unadvanced.
-    """
-    if not specs:
-        return iter(())
-    max_frame_bytes = (config.max_frame_bytes
-                       if config.max_frame_bytes is not None
-                       else DEFAULT_MAX_FRAME_BYTES)
-    worker_args: tuple[str, ...] = ()
-    if max_frame_bytes != DEFAULT_MAX_FRAME_BYTES:
-        # Both ends enforce the frame cap; workers must agree with it.
-        worker_args = ("--max-frame-bytes", str(max_frame_bytes))
-    sweep = _ephemeral_sweep(
-        specs, config,
-        lambda address: spawn_service_workers(address, workers,
-                                              name_prefix="worker",
-                                              extra_args=worker_args),
-        bind=config.coordinator,
-        lease_timeout=config.lease_timeout, max_frame_bytes=max_frame_bytes,
-        hosts_out=hosts_out, telemetry_out=telemetry_out)
-    next(sweep)  # bind and submit now; the generator owns the clean-up
-    return sweep
+    try:
+        service = VerificationService(store_path, token=token,
+                                      start_http=False)
+        if crash_point is not None:
+            service.arm_crash(crash_point, nth=crash_nth)
+        job_id = service.submit_job(specs, config)
+        while True:
+            threads = _start_worker_threads(service.address, workers, token)
+            while not service.crashed:
+                # Read before the status: with no worker alive and no
+                # connection open, no result can land after this.
+                lost = (bool(threads) and not service.active_workers
+                        and not any(thread.is_alive() for thread in threads))
+                status = service.job_status(job_id)
+                if status["state"] == JOB_DONE:
+                    return service.job_report(job_id, workers=workers)
+                if status["state"] != JOB_RUNNING:
+                    raise RuntimeError(f"service sweep {status['state']}: "
+                                       f"{status['error']}")
+                if lost:
+                    raise RuntimeError(
+                        f"all {len(threads)} worker(s) exited while "
+                        f"{status['total'] - status['completed']} shard(s) "
+                        "were still pending")
+                wait = min(_WORKER_CHECK_SECONDS, deadline - time.monotonic())
+                if wait <= 0:
+                    raise TimeoutError(
+                        f"service sweep incomplete after {timeout}s")
+                service.wait_job(job_id, wait)
+            # An armed crash point fired: restart over the same store
+            # (the recovery path under test).
+            stop()
+            threads = []
+            service = VerificationService(store_path, token=token,
+                                          start_http=False)
+    finally:
+        stop()
+        if own_dir is not None:
+            shutil.rmtree(own_dir, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------
@@ -1711,8 +1586,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes to run (default: "
                              "REPRO_WORKERS, capped at available CPUs)")
     worker.add_argument("--name", default=None,
-                        help="worker name in the service's per-host "
-                             "progress (with --workers N: <name>-<n>)")
+                        help="worker name in the service's per-worker "
+                             "counters (with --workers N: <name>-<n>)")
     worker.add_argument("--heartbeat-interval", type=float,
                         default=DEFAULT_HEARTBEAT_INTERVAL)
     worker.add_argument("--max-frame-bytes", type=int,

@@ -383,8 +383,8 @@ def _hand_built(events_by_pid, rf=(), co=(), fr=(), chains=None):
 
 
 def _into_init_executions():
-    """Hand-built executions whose rf or co points into an init write,
-    or whose read has no source: no trace builds these."""
+    """Hand-built executions whose rf or co points into an init write:
+    no trace builds these."""
     init_x, init_y = init_write(X), init_write(Y)
     w1 = write_event(1, 0, 0, X, 1)
     r2 = read_event(2, 0, 0, X, 0)
@@ -406,9 +406,6 @@ def _into_init_executions():
     yield "fr-into-init", _hand_built(
         {0: [r2, w3]}, rf=[(w3, r2)], co=[(init_x, w3), (w3, init_x)],
         fr=[(r2, init_x)], chains={X: [init_x, w3]})
-    yield "read-without-source", _hand_built(
-        {0: [r2, w3], 1: [r4]}, rf=[(init_x, r2)], co=[(init_x, w3)],
-        fr=[(r2, w3)], chains={X: [init_x, w3], Y: [init_y]})
     yield "co-into-other-address-init", _hand_built(
         {0: [w3], 1: [r4]}, rf=[(init_y, r4)],
         co=[(init_x, w3), (w3, init_y)], chains={X: [init_x, w3]})
@@ -420,3 +417,16 @@ def test_hand_built_executions_pointing_into_init_writes():
                for _, execution in executions)
     seen = assert_program_node_checks(executions)
     assert (False, False) in seen and (True, True) in seen
+
+
+def test_hand_built_read_without_source_is_refused():
+    """A read with no rf source would be checked as reading node -1."""
+    init_x, init_y = init_write(X), init_write(Y)
+    r2 = read_event(2, 0, 0, X, 0)
+    w3 = write_event(3, 0, 1, X, 3)
+    r4 = read_event(4, 1, 0, Y, 0)
+    execution = _hand_built(
+        {0: [r2, w3], 1: [r4]}, rf=[(init_x, r2)], co=[(init_x, w3)],
+        fr=[(r2, w3)], chains={X: [init_x, w3], Y: [init_y]})
+    with pytest.raises(ValueError, match=r"read .* has no rf source"):
+        execution.graph

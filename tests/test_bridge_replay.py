@@ -2,8 +2,8 @@
 
 Covers the ReplayCampaign's campaign surface (chunking, checkpoint,
 restore validation), per-item corruption isolation (the chaos battery:
-a garbled file mid-corpus must cost exactly one verdict on every
-transport), the committed golden corpus, and the sweep-level views.
+a garbled file mid-corpus must cost exactly one verdict locally and
+on the service), the committed golden corpus, and the sweep-level views.
 """
 
 import json
@@ -18,6 +18,7 @@ from repro.bridge.replay import (ReplayCampaign, ReplayShardStats,
                                  replay_specs, run_replay_sweep)
 from repro.core.campaign import GeneratorKind
 from repro.harness.parallel import SweepConfig
+from repro.harness.service import run_service_sweep
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data", "bridge")
 
@@ -187,15 +188,17 @@ class TestReplaySpecs:
 class TestChaosCorpus:
     """A garbled file in a 100-trace corpus costs exactly one verdict."""
 
-    @pytest.mark.parametrize("transport,workers", [("local", 2),
-                                                   ("tcp", 2)])
-    def test_one_corrupt_ninety_nine_verdicts(self, tmp_path, transport,
-                                              workers):
+    @pytest.mark.parametrize("where", ["local", "service"])
+    def test_one_corrupt_ninety_nine_verdicts(self, tmp_path, where):
         make_corpus(tmp_path, 100, garble=57)
-        report = run_replay_sweep(str(tmp_path), shard_traces=10,
-                                  workers=workers,
-                                  config=SweepConfig(chunk_evaluations=4,
-                                                     transport=transport))
+        config = SweepConfig(chunk_evaluations=4)
+        if where == "local":
+            report = run_replay_sweep(str(tmp_path), shard_traces=10,
+                                      workers=2, config=config)
+        else:
+            report = run_service_sweep(
+                replay_specs(str(tmp_path), shard_traces=10), config,
+                workers=2)
         verdicts = report.replay_verdicts()
         assert len(verdicts) == 100
         assert verdicts["t0057.jsonl"] == "corrupt"

@@ -26,13 +26,13 @@ from repro.harness.parallel import (ChunkTask, SweepConfig, iter_campaigns,
                                     run_campaigns, run_shard,
                                     run_shard_chunk)
 from repro.harness.scenarios import run_scenario_sweep
-from repro.harness.service import VerificationService, iter_service_sweep
+from repro.harness.service import VerificationService, run_service_sweep
 from repro.litmus.witness import check_witness, cycle_verdict
 
 ENTRY_POINTS = [Checker, check_witness, cycle_verdict, VerificationEngine,
                 Campaign, ReplayCampaign, run_replay_sweep,
                 ExperimentSettings, run_scenario_sweep, VerificationService,
-                iter_service_sweep, SweepConfig, ChunkTask, iter_campaigns,
+                run_service_sweep, SweepConfig, ChunkTask, iter_campaigns,
                 run_campaigns, run_shard, run_shard_chunk]
 
 

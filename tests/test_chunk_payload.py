@@ -8,8 +8,8 @@ forward an opaque ``bytes`` field instead of re-serializing the
 checkpoint object graph.  A counting test double (a checkpoint whose
 ``__reduce__`` tallies every pickle) proves it hop by hop; the
 round-trip tests prove the bytes path is bit-for-bit equivalent to the
-object path on real campaigns, also through a TCP sweep whose frame cap
-is only a few checkpoints wide.
+object path on real campaigns, also through a service job whose frame
+cap is only a few checkpoints wide.
 """
 
 import pickle
@@ -23,13 +23,15 @@ from repro.consistency.memo import VerdictCache, VerdictCacheState
 from repro.core.campaign import CampaignCheckpoint, GeneratorKind
 from repro.core.config import GeneratorConfig
 from repro.harness import codec
-from repro.harness.distributed import recv_raw_frame, send_raw_frame
+from repro.harness.distributed import (reap_workers, recv_raw_frame,
+                                       send_raw_frame)
 from repro.harness.parallel import (CHECKPOINT_FRAME_FRACTION, ChunkOutcome,
                                     ChunkPayload, ChunkScheduler, ChunkTask,
                                     ChunkTelemetry, SweepConfig,
                                     campaign_matrix, execute_chunk_task,
                                     run_campaigns, run_shard_chunk)
-from repro.harness.service import VerificationService
+from repro.harness.service import VerificationService, spawn_service_workers
+from repro.harness.store import JOB_DONE
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
@@ -213,13 +215,23 @@ class TestRoundTripEquivalence:
         assert (shard.coverage.global_counts
                 == monolithic.coverage.global_counts)
 
-    def test_small_frame_tcp_sweep_matches_serial(self):
+    def test_small_frame_service_sweep_matches_serial(self, tmp_path):
         """Checkpoints (~9 KiB here) ride a 32 KiB frame cap through
-        every pause of a tcp sweep, bit-identical to serial."""
+        every pause of a service job, bit-identical to serial."""
         specs = tiny_matrix(max_evaluations=4, seeds_per_cell=1)
         serial = run_campaigns(specs, workers=1)
-        small_frames = run_campaigns(specs, workers=1, config=SweepConfig(
-            transport="tcp", chunk_evaluations=2, max_frame_bytes=32768))
+        service = VerificationService(tmp_path / "store.sqlite",
+                                      max_frame_bytes=32768,
+                                      start_http=False)
+        job_id = service.submit_job(specs, SweepConfig(chunk_evaluations=2))
+        worker = spawn_service_workers(service.address, 1)
+        try:
+            status = service.wait_job(job_id, timeout=120.0)
+            small_frames = service.job_report(job_id)
+        finally:
+            service.close()
+            reap_workers(worker)
+        assert status["state"] == JOB_DONE
         assert outcomes(serial) == outcomes(small_frames)
         assert (serial.coverage.global_counts
                 == small_frames.coverage.global_counts)
@@ -279,10 +291,3 @@ class TestFrameCap:
         assert service_cache_cap(SweepConfig(chunk_evaluations=2),
                                  max_frame_bytes=1 << 20) == \
             (1 << 20) // CHECKPOINT_FRAME_FRACTION
-
-
-class TestValidation:
-    def test_frame_cap_requires_tcp(self):
-        with pytest.raises(ValueError, match="transport='tcp'"):
-            run_campaigns([], workers=1,
-                          config=SweepConfig(max_frame_bytes=1 << 20))

@@ -3,12 +3,12 @@
 A seed-driven loop builds randomized heterogeneous campaign matrices
 (generator kinds × faults × seeds × per-shard budgets × chunk sizes) and
 runs each through every execution mode — serial, serial-chunked,
-work-stealing pool and (for the first seed) a loopback-TCP coordinator
-with real worker subprocesses.  All modes must produce identical
-per-shard outcomes, identical merged coverage and identical
-deterministic :class:`CampaignSummary` fields.  Timing fields
-(``sim_seconds``/``check_seconds``/``wall_seconds``) are measured
-wall-clock and are the one deliberate exclusion.
+work-stealing pool and (for the first seed) a verification service
+serving the sweep to two real worker subprocesses over loopback TCP.
+All modes must produce identical per-shard outcomes, identical merged
+coverage and identical deterministic :class:`CampaignSummary` fields.
+Timing fields (``sim_seconds``/``check_seconds``/``wall_seconds``) are
+measured wall-clock and are the one deliberate exclusion.
 
 This is the determinism contract that makes cross-host sharding safe: a
 chunk may be re-queued, re-run or migrated anywhere without changing any
@@ -17,7 +17,7 @@ reported result.
 The ``*-memo`` modes additionally switch on collective checking
 (``verdict_memo=True``): sweep-wide memoized verdicts keyed by exact
 execution graph must be bit-for-bit invisible — cache-on results
-equal cache-off results in every mode, serial through loopback-TCP.
+equal cache-off results in every mode, serial through service.
 
 The ``durable-*`` modes route the same matrices through the
 verification service (:func:`repro.harness.service.run_service_sweep`):
@@ -36,9 +36,12 @@ import pytest
 
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
+from repro.harness.distributed import reap_workers
 from repro.harness.parallel import (SweepConfig, campaign_matrix,
                                     run_campaigns)
-from repro.harness.service import run_service_sweep
+from repro.harness.service import (VerificationService, run_service_sweep,
+                                   spawn_service_workers)
+from repro.harness.store import JOB_DONE
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
@@ -71,6 +74,20 @@ def random_sweep(fuzz_seed: int):
     return specs, chunk_evaluations, workers
 
 
+def run_on_worker_processes(specs, config, store_path):
+    """``specs`` as one service job served to two worker processes."""
+    service = VerificationService(store_path, start_http=False)
+    job_id = service.submit_job(specs, config)
+    workers = spawn_service_workers(service.address, 2)
+    try:
+        status = service.wait_job(job_id, timeout=300.0)
+        assert status["state"] == JOB_DONE, status
+        return service.job_report(job_id, workers=2)
+    finally:
+        service.close()
+        reap_workers(workers)
+
+
 def outcome_view(report):
     return [(shard.spec.seed, shard.result.found,
              shard.result.evaluations_to_find, shard.result.evaluations)
@@ -90,7 +107,7 @@ def summary_view(report):
 
 
 @pytest.mark.parametrize("fuzz_seed", range(3))
-def test_all_schedulers_match_serial(fuzz_seed):
+def test_all_schedulers_match_serial(fuzz_seed, tmp_path):
     specs, chunk_evaluations, workers = random_sweep(fuzz_seed)
     serial = run_campaigns(specs, workers=1)
     reference_outcomes = outcome_view(serial)
@@ -107,12 +124,17 @@ def test_all_schedulers_match_serial(fuzz_seed):
         "work-stealing-memo": (workers, memo),
     }
     if fuzz_seed == 0:
-        # Loopback-TCP coordinator with real worker subprocesses: the
+        # A service job served to real worker subprocesses: the
         # expensive modes run on one representative random matrix.
-        modes["loopback-tcp"] = (2, replace(chunked, transport="tcp"))
-        modes["loopback-tcp-memo"] = (2, replace(memo, transport="tcp"))
+        modes["service-processes"] = (None, chunked)
+        modes["service-processes-memo"] = (None, memo)
     for mode, (mode_workers, config) in modes.items():
-        report = run_campaigns(specs, workers=mode_workers, config=config)
+        if mode_workers is None:
+            report = run_on_worker_processes(
+                specs, config, tmp_path / f"{mode}.sqlite")
+        else:
+            report = run_campaigns(specs, workers=mode_workers,
+                                   config=config)
         assert outcome_view(report) == reference_outcomes, (
             f"fuzz seed {fuzz_seed}: {mode} outcomes diverged from serial")
         assert summary_view(report) == reference_summaries, (

@@ -1,22 +1,22 @@
-"""Tests for the tcp transport: a sweep served as one job on a service.
+"""Tests for the worker plane: sweeps served as jobs on a service.
 
-``transport="tcp"`` runs a sweep on an ephemeral
+Every sweep on TCP workers is a job on a
 :class:`~repro.harness.service.VerificationService`, the one TCP
 coordinator.  Layers:
 
 * framing unit tests for :func:`send_raw_frame` / :func:`recv_raw_frame`
-  and the wire codec the tcp transport speaks: truncated frames,
+  and the wire codec the worker plane speaks: truncated frames,
   oversized frames, stalls and connection drops mid-message raise clean
   :class:`ProtocolError`\\ s instead of hanging;
 * handshake: bad, mismatched and parent-era worker hellos are refused
   cleanly, and peers that never finish a hello are dropped;
 * worker-count resolution and ``service worker --workers N``;
-* loopback integration: a tcp sweep with real ``service worker``
+* loopback integration: a job served to real ``service worker``
   subprocesses reproduces the ``workers=1`` serial sweep bit for bit;
 * chaos: a worker SIGKILLed or gone silent while holding a lease
   forfeits its chunk, which is re-queued exactly once; a poison chunk
-  fails the job; dead spawned workers fail the sweep loudly; external
-  workers join mid-sweep or before the service binds.
+  fails the job; an ephemeral sweep whose workers all die fails loudly;
+  external workers join mid-sweep or before the service binds.
 """
 
 import os
@@ -26,10 +26,8 @@ import socket
 import struct
 import subprocess
 import sys
-import tempfile
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -42,22 +40,20 @@ from repro.harness.distributed import (MAX_CHUNK_REQUEUES, ConnectionClosed,
                                        TruncatedFrameError, format_address,
                                        parse_address, reap_workers,
                                        recv_raw_frame, send_raw_frame)
-from repro.harness.parallel import (SweepAccumulator, SweepConfig,
-                                    campaign_matrix, default_workers,
-                                    execute_chunk_task, iter_campaigns,
+from repro.harness.parallel import (SweepConfig, campaign_matrix,
+                                    default_workers, execute_chunk_task,
                                     run_campaigns)
 from repro.harness.service import (SERVICE_MAGIC, SERVICE_VERSION,
                                    VerificationService, _ServiceLease,
                                    _start_worker_threads,
-                                   resolve_worker_count, run_service_worker,
+                                   resolve_worker_count, run_service_sweep,
+                                   run_service_worker,
                                    spawn_service_workers)
 from repro.harness.store import JOB_FAILED, JOB_RUNNING
 from repro.sim.config import SystemConfig
 from repro.sim.faults import Fault
 
 CHUNKED = SweepConfig(chunk_evaluations=2)
-TCP = SweepConfig(transport="tcp")
-TCP_CHUNKED = SweepConfig(transport="tcp", chunk_evaluations=2)
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -270,6 +266,19 @@ class TestHandshake:
             assert reply[0] == "error"
             assert "version mismatch" in reply[1]
 
+    def test_version_5_worker_is_refused(self, make_service):
+        """Version 6 dropped the transport fields from ``SweepConfig``'s
+        wire manifest; a worker of the release before speaks 5."""
+        assert SERVICE_VERSION == 6
+        service = make_service()
+        with socket.create_connection(service.address, timeout=5) as sock:
+            assert recv(sock)[0] == "challenge"
+            send(sock, ("hello", SERVICE_MAGIC, 5, "parent-worker", ""))
+            assert recv(sock) == (
+                "error", "protocol version mismatch: service speaks 6, "
+                "worker speaks 5")
+        wait_for(lambda: service.active_workers == 0, timeout=5.0)
+
     def test_non_hello_peer_is_rejected(self, make_service):
         service = make_service()
         with socket.create_connection(service.address, timeout=5) as sock:
@@ -278,22 +287,19 @@ class TestHandshake:
             assert recv(sock)[0] == "error"
 
     def test_parent_era_worker_is_refused_and_sweep_still_matches_serial(
-            self):
+            self, make_service):
         """A worker of the deleted single-sweep protocol gets a clean no.
 
-        It speaks first with the old pickled 4-tuple hello; the tcp
-        listener answers with its challenge, then drops the connection
-        without unpickling the hello (EOF, no hang), and the spawned
-        workers still finish the sweep bit-identically.
+        It speaks first with the old pickled 4-tuple hello; the service
+        answers with its challenge, then drops the connection without
+        unpickling the hello (EOF, no hang), and the spawned workers
+        still finish the job bit-identically.
         """
         specs = tiny_matrix()
         serial = run_campaigns(specs, workers=1)
-        port = free_port()
-        stream = iter_campaigns(specs, workers=2, config=SweepConfig(
-            chunk_evaluations=2, transport="tcp",
-            coordinator=f"127.0.0.1:{port}"))
-        with socket.create_connection(("127.0.0.1", port),
-                                      timeout=5) as sock:
+        service = make_service()
+        job_id = service.submit_job(specs, CHUNKED)
+        with socket.create_connection(service.address, timeout=5) as sock:
             sock.settimeout(5.0)
             send_raw_frame(sock, pickle.dumps(
                 ("hello", "mcversi-distributed", 3, "old-worker")))
@@ -302,10 +308,12 @@ class TestHandshake:
                 while True:
                     replies.append(recv(sock))
         assert [reply[0] for reply in replies] == ["challenge"]
-        accumulator = SweepAccumulator(total=len(specs))
-        for index, shard in stream:
-            accumulator.add(index, shard)
-        report = accumulator.finalize()
+        processes = spawn_service_workers(service.address, 2)
+        try:
+            report = finish(service, job_id)
+        finally:
+            service.close()
+            reap_workers(processes)
         assert outcomes(report) == outcomes(serial)
         assert report.coverage.global_counts == serial.coverage.global_counts
 
@@ -436,33 +444,21 @@ class TestWorkerCount:
 
 
 # ----------------------------------------------------------------------
-# Transport selection plumbing
-
-
-class TestTransportValidation:
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            SweepConfig(transport="carrier-pigeon")
-
-    def test_coordinator_requires_tcp(self):
-        with pytest.raises(ValueError, match="transport='tcp'"):
-            run_campaigns([],
-                          config=SweepConfig(coordinator="127.0.0.1:1"))
-
-    def test_tcp_rejects_negative_workers(self):
-        with pytest.raises(ValueError, match="at least 0"):
-            run_campaigns([], config=TCP, workers=-1)
-
-
-# ----------------------------------------------------------------------
 # Loopback integration
 
 
 class TestLoopbackSweep:
-    def test_tcp_sweep_matches_serial_bit_for_bit(self):
+    def test_process_workers_match_serial_bit_for_bit(self, make_service):
         specs = tiny_matrix()
         serial = run_campaigns(specs, workers=1)
-        distributed = run_campaigns(specs, workers=2, config=TCP_CHUNKED)
+        service = make_service()
+        job_id = service.submit_job(specs, CHUNKED)
+        processes = spawn_service_workers(service.address, 2)
+        try:
+            distributed = finish(service, job_id)
+        finally:
+            service.close()
+            reap_workers(processes)
         assert outcomes(serial) == outcomes(distributed)
         assert (serial.coverage.global_counts
                 == distributed.coverage.global_counts)
@@ -470,29 +466,27 @@ class TestLoopbackSweep:
         assert [shard.spec.seed for shard in distributed.shards] == \
             [spec.seed for spec in specs]
 
-    def test_empty_sweep_over_tcp(self):
-        report = run_campaigns([], config=TCP, workers=1)
-        assert report.shards == [] and report.found_count == 0
+    def test_empty_sweep_is_refused(self):
+        with pytest.raises(ValueError, match="at least one CampaignSpec"):
+            run_service_sweep([], workers=1)
 
-    def test_per_host_progress_reaches_printer(self):
-        import io
-
-        specs = tiny_matrix(faults=[Fault.SQ_NO_FIFO], seeds_per_cell=2,
-                            max_evaluations=3)
-        stream = io.StringIO()
-        run_campaigns(specs, workers=1, config=TCP_CHUNKED, progress=True,
-                      progress_stream=stream)
-        text = stream.getvalue()
-        assert "2/2" in text
-        assert "hosts:" in text and "worker-0=" in text
-
-    def test_shard_failure_propagates_from_tcp_worker(self):
+    def test_shard_failure_propagates_from_a_worker(self, make_service):
         bad = parallel.CampaignSpec(
             kind=GeneratorKind.DIRECTED, generator_config=tiny_config(),
             system_config=SystemConfig(), fault=None,
             seed=1, max_evaluations=2)  # missing chromosome
         with pytest.raises(RuntimeError, match="failed in a worker"):
-            run_campaigns([bad, bad], workers=1, config=TCP)
+            run_service_sweep([bad, bad], workers=1)
+        service = make_service()
+        job_id = service.submit_job([bad, bad])
+        processes = spawn_service_workers(service.address, 1)
+        try:
+            status = service.wait_job(job_id, timeout=60.0)
+        finally:
+            service.close()
+            reap_workers(processes)
+        assert status["state"] == JOB_FAILED
+        assert "failed in a worker" in status["error"]
 
 
 # ----------------------------------------------------------------------
@@ -594,92 +588,51 @@ class TestChaos:
         assert "poison" in status["error"]
         assert specs[0].describe() in status["error"]
 
-    def test_all_spawned_workers_dead_fails_loudly(self, monkeypatch):
-        """If every spawned worker dies, the sweep raises instead of hanging.
+    def test_all_workers_dead_fails_loudly(self, monkeypatch):
+        """If every worker dies, an ephemeral sweep raises, not hangs.
 
-        Mirrors the local transport's dead-worker detection: no spawned
-        process survives and no other connection is open, so the sweep
-        aborts with a diagnosable error.
+        Mirrors the local pool's dead-worker detection: no worker
+        survives and no connection is open, so the sweep aborts with a
+        diagnosable error.
         """
-        def doomed_spawn(address, count, **_options):
-            return [subprocess.Popen([sys.executable, "-c",
-                                      "raise SystemExit(3)"])
-                    for _ in range(count)]
+        def doomed_worker(address, **_options):
+            raise ProtocolError("worker died before its handshake")
 
-        monkeypatch.setattr(service_module, "spawn_service_workers",
-                            doomed_spawn)
+        monkeypatch.setattr(service_module, "run_service_worker",
+                            doomed_worker)
         specs = tiny_matrix(faults=[Fault.SQ_NO_FIFO], seeds_per_cell=1,
                             max_evaluations=3)
         with pytest.raises(RuntimeError,
-                           match=r"worker process\(es\) exited with "
-                                 r"code\(s\) \[3\]"):
-            run_campaigns(specs, workers=1, config=TCP)
+                           match=r"all 2 worker\(s\) exited while 1 "
+                                 r"shard\(s\) were still pending"):
+            run_service_sweep(specs, workers=2, timeout=60.0)
 
-    def test_external_worker_joining_mid_sweep_contributes(self):
+    def test_external_worker_joining_mid_sweep_contributes(
+            self, make_service):
         # Unchunked shards on the correct system each run the full
         # budget, so most of the sweep is still queued when the first
         # shard lands and the late worker joins.
         specs = tiny_matrix(faults=(None,), seeds_per_cell=8,
                             max_evaluations=24, base_seed=11)
-        config = SweepConfig(transport="tcp",
-                             coordinator=f"127.0.0.1:{free_port()}")
         serial = run_campaigns(specs, workers=1)
-        telemetry: dict = {}
-        late = []
-        accumulator = SweepAccumulator(total=len(specs))
+        service = make_service()
+        job_id = service.submit_job(specs)
+        processes = spawn_service_workers(service.address, 1,
+                                          name_prefix="worker")
         try:
-            for index, shard in iter_campaigns(specs, workers=1,
-                                               config=config,
-                                               telemetry_out=telemetry):
-                accumulator.add(index, shard)
-                if not late:
-                    late = spawn_service_workers(
-                        parse_address(config.coordinator), 1,
-                        name_prefix="late")
+            wait_for(lambda: service.job_status(job_id)["completed"] > 0,
+                     timeout=120.0)
+            processes += spawn_service_workers(service.address, 1,
+                                               name_prefix="late")
+            report = finish(service, job_id)
         finally:
-            reap_workers(late)
-        report = accumulator.finalize()
+            service.close()
+            reap_workers(processes)
         assert outcomes(report) == outcomes(serial)
-        assert set(telemetry["hosts"]) == {"worker-0", "late-0"}
+        assert set(service.stats.chunks_by_worker) == {"worker-0", "late-0"}
 
 # ----------------------------------------------------------------------
 # Drain race and bringup ordering
-
-
-class TestUnadvancedIterator:
-    @pytest.mark.parametrize("release", ["close", "del"])
-    def test_unadvanced_tcp_iterator_cleans_up(self, monkeypatch, release):
-        # The service binds when iter_campaigns is called, before any
-        # next(): closing or dropping the iterator right away must still
-        # stop the service threads, free the port and delete the store.
-        made = []
-        mkdtemp = tempfile.mkdtemp
-
-        def recording_mkdtemp(*args, **kwargs):
-            made.append(mkdtemp(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
-        port = free_port()
-        before = set(threading.enumerate())
-        sweep = iter_campaigns(
-            tiny_matrix(faults=(None,), seeds_per_cell=1, max_evaluations=2),
-            workers=1, config=replace(TCP, coordinator=f"127.0.0.1:{port}"))
-        (store_dir,) = made
-        assert os.path.isdir(store_dir)
-        started = [thread.name for thread in threading.enumerate()
-                   if thread not in before]
-        assert {"service-accept", "service-leases"} <= set(started)
-        if release == "close":
-            sweep.close()
-        else:
-            del sweep
-        assert not [thread.name for thread in threading.enumerate()
-                    if thread not in before
-                    and thread.name.startswith("service-")]
-        assert not os.path.exists(store_dir)
-        with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(("127.0.0.1", port), timeout=5.0)
 
 
 class TestDrainRace:
@@ -725,9 +678,10 @@ class TestDrainRace:
 
 
 class TestBringupOrdering:
-    def test_worker_started_before_tcp_sweep_retries_and_connects(self):
+    def test_worker_started_before_its_service_retries_and_connects(
+            self, make_service):
         # Service-started-last bringup: reserve a port, launch an
-        # external worker first, then run a workers=0 tcp sweep there;
+        # external worker first, then bind a service there and submit;
         # the worker's bounded connect backoff carries it through.
         port = free_port()
         specs = tiny_matrix(faults=(None,), seeds_per_cell=1,
@@ -743,8 +697,11 @@ class TestBringupOrdering:
         worker = threading.Thread(target=early_worker, daemon=True)
         worker.start()
         time.sleep(0.3)  # several refused connects happen in here
-        report = run_campaigns(specs, workers=0, config=replace(
-            TCP_CHUNKED, coordinator=f"127.0.0.1:{port}"))
+        service = make_service(bind=f"127.0.0.1:{port}")
+        try:
+            report = finish(service, service.submit_job(specs, CHUNKED))
+        finally:
+            service.close()
         assert outcomes(report) == outcomes(serial)
         worker.join(timeout=10.0)
         assert stats_box["stats"].chunks > 0

@@ -119,7 +119,7 @@ def test_api_reference_covers_new_controller_surface():
     text = (DOCS_DIR / "api.md").read_text(encoding="utf-8")
     for identifier in ("ChunkTelemetry",
                       "ChunkScheduler", "VerificationService",
-                      "iter_service_sweep",
+                      "run_service_sweep",
                       "ExperimentSettings", "run_campaigns",
                       "iter_campaigns"):
         assert identifier in text, f"api.md no longer documents {identifier}"

@@ -110,8 +110,6 @@ class TestOrchestrator:
         # The iterator mode must raise at call time, not on first next().
         with pytest.raises(ValueError):
             iter_campaigns([], workers=0)
-        with pytest.raises(ValueError, match="coordinator"):
-            iter_campaigns([], config=SweepConfig(coordinator="host:1"))
 
     def test_chunk_evaluations_must_be_positive(self):
         with pytest.raises(ValueError, match="chunk_evaluations"):

@@ -131,6 +131,23 @@ SIZING_CONFIG_BLOB = (
     b'\x8c\rlease_timeout\x94G@>\x00\x00\x00\x00\x00\x00'
     b'\x8c\x0fmax_frame_bytes\x94Nub.')
 
+#: A job's stored config as written by the release whose ``SweepConfig``
+#: still selected a tcp transport: ``SweepConfig(chunk_evaluations=3,
+#: verdict_memo=True, transport="tcp", coordinator="127.0.0.1:7777",
+#: lease_timeout=5.0, max_frame_bytes=1 << 20)``, as the store pickled
+#: it then.  The four transport keys load as stray attributes; the
+#: service that resumes the job sets all four itself.
+TCP_CONFIG_BLOB = (
+    b'\x80\x05\x95\xb9\x00\x00\x00\x00\x00\x00\x00'
+    b'\x8c\x16repro.harness.parallel\x94'
+    b'\x8c\x0bSweepConfig\x94\x93\x94)\x81\x94}\x94('
+    b'\x8c\x11chunk_evaluations\x94K\x03'
+    b'\x8c\x0cverdict_memo\x94\x88'
+    b'\x8c\ttransport\x94\x8c\x03tcp\x94'
+    b'\x8c\x0bcoordinator\x94\x8c\x0e127.0.0.1:7777\x94'
+    b'\x8c\rlease_timeout\x94G@\x14\x00\x00\x00\x00\x00\x00'
+    b'\x8c\x0fmax_frame_bytes\x94J\x00\x00\x10\x00ub.')
+
 #: A job's verdict-cache snapshot as written by the release that keyed
 #: verdicts on a canonical, renaming-invariant digest: the state carried
 #: a ``keying`` field and each ``CachedVerdict`` its violation kinds.
@@ -256,6 +273,15 @@ class TestSweepStore:
     def test_config_stored_before_sizing_removal_resumes(self, tmp_path):
         """A job stored with the removed sizing fields reopens as the
         current config and finishes bit-identical to serial."""
+        self.assert_parent_config_resumes(tmp_path, SIZING_CONFIG_BLOB)
+
+    def test_config_stored_before_tcp_removal_resumes(self, tmp_path):
+        """A job stored with the removed transport fields reopens as the
+        current config and finishes bit-identical to serial."""
+        self.assert_parent_config_resumes(tmp_path, TCP_CONFIG_BLOB)
+
+    @staticmethod
+    def assert_parent_config_resumes(tmp_path, blob):
         expected = SweepConfig(chunk_evaluations=3, verdict_memo=True)
         specs = tiny_matrix()
         serial = run_campaigns(specs, workers=1, config=expected)
@@ -264,14 +290,13 @@ class TestSweepStore:
         store.create_job("old", specs, SweepConfig())
         store.commit_outcome("old", 0, result=serial.shards[0])
         store.close()
-        store_parent_bytes(path, "UPDATE jobs SET config = ?",
-                           SIZING_CONFIG_BLOB)
+        store_parent_bytes(path, "UPDATE jobs SET config = ?", blob)
         reopened = SweepStore(path)
         _, config = reopened.job_definition("old")
         reopened.close()
         assert config == expected
         assert config.to_json_dict() == expected.to_json_dict()
-        assert len(fields(SweepConfig)) == 6
+        assert len(fields(SweepConfig)) == 2
         service = VerificationService(path, start_http=False)
         try:
             threads = _start_worker_threads(service.address, 2, None)

@@ -10,7 +10,8 @@
   caller passing ``scheduler=`` or ``chunk_evaluations=`` gets a
   ``TypeError``, not a silently ignored knob.
 * A field ``SweepConfig`` no longer has (the chunk-sizing mode, its
-  target seconds and the checkpoint byte budget) is refused by every
+  target seconds, the checkpoint byte budget, and the transport, its
+  coordinator address, lease timeout and frame cap) is refused by every
   surface: ``TypeError`` from the constructor, ``ValueError`` from
   ``from_json_dict`` and HTTP 400 for a JSON or codec-frame job.
 """
@@ -24,7 +25,7 @@ import pickle
 from dataclasses import fields
 
 import pytest
-from test_service_recovery import SIZING_CONFIG_BLOB
+from test_service_recovery import SIZING_CONFIG_BLOB, TCP_CONFIG_BLOB
 
 import repro.harness
 from repro.bridge.replay import run_replay_sweep
@@ -39,17 +40,17 @@ from repro.harness.service import VerificationService
 from repro.sim.config import SystemConfig
 
 BAD_CONFIGS = {
-    "unknown-transport": {"transport": "bogus"},
     "zero-chunk": {"chunk_evaluations": 0},
     "negative-chunk": {"chunk_evaluations": -3},
 }
 
 SWEEP_FIELDS = {field.name for field in fields(SweepConfig)}
 
-#: The config image a client built against the parent-era
-#: ``SweepConfig`` sends; its keys outside today's fields are the ones
-#: chunk sizing and the checkpoint byte budget took with them.
-PARENT_IMAGE = vars(pickle.loads(SIZING_CONFIG_BLOB))
+#: The config image a client built against a parent-era ``SweepConfig``
+#: sends; its keys outside today's fields are the ones chunk sizing, the
+#: checkpoint byte budget and the tcp transport took with them.
+PARENT_IMAGE = {**vars(pickle.loads(SIZING_CONFIG_BLOB)),
+                **vars(pickle.loads(TCP_CONFIG_BLOB))}
 REMOVED_FIELDS = sorted(set(PARENT_IMAGE) - SWEEP_FIELDS)
 #: One config per removed field, plus the whole parent-era image.
 REMOVED_FIELD_CONFIGS = {
@@ -171,7 +172,7 @@ def removed_names(config: dict) -> list[str]:
 @pytest.mark.parametrize("config", REMOVED_FIELD_CONFIGS.values(),
                          ids=REMOVED_FIELD_CONFIGS.keys())
 def test_removed_field_rejected_everywhere(config, http_service):
-    assert len(REMOVED_FIELDS) == 3
+    assert len(REMOVED_FIELDS) == 7
     assert removed_names(config)
     with pytest.raises(TypeError):
         SweepConfig(**config)

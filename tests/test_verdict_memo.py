@@ -10,8 +10,9 @@ Three layers under test:
    sweep-wide cache and stamping byte-budgeted shipments onto
    dispatches, :func:`execute_chunk_task` folding a shipment into the
    worker's cache (paused checkpoints carry no cache state), and full
-   ``run_campaigns`` sweeps proving memo-on ≡ memo-off with a non-trivial
-   hit-rate on both the multiprocessing and the loopback-TCP transport.
+   sweeps proving memo-on ≡ memo-off with a non-trivial hit-rate on the
+   multiprocessing pool and on a service job served to two worker
+   processes over loopback TCP.
 """
 
 import pickle
@@ -25,11 +26,14 @@ from repro.consistency.memo import (CachedVerdict, VerdictCache,
 from repro.consistency.models import SequentialConsistency, TotalStoreOrder
 from repro.core.campaign import GeneratorKind
 from repro.core.config import GeneratorConfig
+from repro.harness.distributed import reap_workers
 from repro.harness.parallel import (ChunkOutcome, ChunkPayload,
                                     ChunkScheduler, ChunkTask,
                                     execute_chunk_task,
                                     SweepConfig, campaign_matrix,
                                     run_campaigns)
+from repro.harness.service import VerificationService, spawn_service_workers
+from repro.harness.store import JOB_DONE
 from repro.sim.config import SystemConfig
 from repro.sim.testprogram import OpKind, TestOp, TestThread
 from repro.sim.trace import ExecutionTrace
@@ -361,11 +365,24 @@ class TestMemoizedSweeps:
         assert self.fields(base) == self.fields(memo)
         assert memo.verdict_cache["hits"] > 0
 
-    def test_loopback_tcp_memo_matches_and_hits(self):
+    def test_loopback_service_memo_matches_and_hits(self, tmp_path):
         specs = tiny_specs(seeds_per_cell=3, max_evaluations=6)
         base = run_campaigns(specs, workers=2,
                              config=SweepConfig(chunk_evaluations=3))
-        memo = run_campaigns(specs, workers=2, config=SweepConfig(
-            transport="tcp", chunk_evaluations=3, verdict_memo=True))
+        service = VerificationService(tmp_path / "store.sqlite",
+                                      start_http=False)
+        job_id = service.submit_job(specs, SweepConfig(
+            chunk_evaluations=3, verdict_memo=True))
+        workers = spawn_service_workers(service.address, 2)
+        try:
+            status = service.wait_job(job_id, timeout=120.0)
+            memo = service.job_report(job_id)
+            metrics = service.metrics_text().splitlines()
+        finally:
+            service.close()
+            reap_workers(workers)
+        assert status["state"] == JOB_DONE
         assert self.fields(base) == self.fields(memo)
-        assert memo.verdict_cache["hits"] > 0
+        (hits,) = [int(line.split()[1]) for line in metrics if
+                   line.startswith("mcversi_service_verdict_cache_hits_total")]
+        assert hits > 0
